@@ -1,6 +1,7 @@
 package vavg
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	gort "runtime"
@@ -15,12 +16,12 @@ import (
 // pluggable-backend engine: for every registered algorithm on every graph
 // family, identical seeds must yield byte-identical engine Results —
 // rounds, commitments, outputs, active-set decay, message counts — on the
-// "goroutines", "pool", and "step" backends. Backends are execution
-// strategies, not semantics. Algorithms with a step form run it on the
-// step backend, so this suite also pins every step translation to its
-// blocking original.
+// "goroutines" and "step" backends. Backends are execution strategies,
+// not semantics. Algorithms with a step form run it on the step backend,
+// so this suite also pins every step translation to its blocking
+// original.
 func TestCrossBackendEquivalenceRegistry(t *testing.T) {
-	oldProcs := gort.GOMAXPROCS(4) // force multi-shard pool runs
+	oldProcs := gort.GOMAXPROCS(4) // force multi-shard step runs
 	defer gort.GOMAXPROCS(oldProcs)
 
 	families := []struct {
@@ -171,12 +172,12 @@ func TestStepWorkerInvarianceRegistry(t *testing.T) {
 	}
 }
 
-// TestPoolDecayShape re-runs the Lemma 6.1 assertions against the pool
-// backend: on the active-set scheduler too, Procedure Partition's active
-// set must decay within the geometric envelope n*(2/(2+eps))^i, and the
-// accounting identities RoundSum == sum(ActivePerRound) and
+// TestStepDecayShape re-runs the Lemma 6.1 assertions against the step
+// form of Procedure Partition: on the active-set step scheduler too, the
+// active set must decay within the geometric envelope n*(2/(2+eps))^i,
+// and the accounting identities RoundSum == sum(ActivePerRound) and
 // VertexAverage <= TotalRounds must hold exactly.
-func TestPoolDecayShape(t *testing.T) {
+func TestStepDecayShape(t *testing.T) {
 	const (
 		n   = 4096
 		a   = 3
@@ -187,8 +188,9 @@ func TestPoolDecayShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Params{Arboricity: a, Seed: 5, MaxRounds: 1 << 21, Backend: "pool"}.withDefaults(g)
-	res, err := engine.Run(g, alg.program(p), engine.Options{Seed: p.Seed, MaxRounds: p.MaxRounds, Backend: "pool"})
+	p := Params{Arboricity: a, Seed: 5, MaxRounds: 1 << 21}.withDefaults(g)
+	spec := engine.Spec{Program: alg.program(p), Step: alg.step(p)}
+	res, err := engine.RunSpec(g, spec, engine.Options{Seed: p.Seed, MaxRounds: p.MaxRounds, Backend: "step"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,16 +213,20 @@ func TestPoolDecayShape(t *testing.T) {
 }
 
 // TestParamsBackendSelection checks the façade plumbing: an explicit
-// unknown backend must surface as an error, and explicit valid choices
-// must run and validate.
+// unknown backend — including the retired "pool" — must surface as the
+// typed error listing the valid choices, never fall back silently, and
+// explicit valid choices must run and validate.
 func TestParamsBackendSelection(t *testing.T) {
 	g := graph.ForestUnion(100, 2, 3)
 	alg, err := ByName("partition")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := alg.Run(g, Params{Backend: "bogus"}); err == nil {
-		t.Error("unknown backend should fail")
+	for _, bad := range []string{"bogus", "pool"} {
+		_, err := alg.Run(g, Params{Backend: bad})
+		if !errors.Is(err, engine.ErrUnknownBackend) || !strings.Contains(err.Error(), `goroutines, step, or "auto"`) {
+			t.Errorf("backend %q: err = %v, want ErrUnknownBackend listing the backends", bad, err)
+		}
 	}
 	for _, backend := range engine.Backends() {
 		if _, err := alg.Run(g, Params{Backend: backend}); err != nil {

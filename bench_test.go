@@ -182,11 +182,10 @@ func BenchmarkEngine(b *testing.B) {
 
 // BenchmarkBackends compares the engine execution backends on the same
 // workloads: "partition" exercises early termination, "ka2" the §7.5
-// Idle-window schedule where the pool's active-set scheduler skips parked
+// Idle-window schedule where the step backend's timer heap skips sleeping
 // vertices. Sizes stay moderate by default; set VAVG_BENCH_MILLION=1 to
 // add the n=1,000,000 ring and forest-union points (minutes per run, and
-// gigabytes of goroutine stacks — the capacity the pool backend exists
-// for).
+// gigabytes of goroutine stacks on the goroutines backend).
 func BenchmarkBackends(b *testing.B) {
 	sizes := []int{1 << 12, 1 << 16}
 	if os.Getenv("VAVG_BENCH_MILLION") != "" {

@@ -42,7 +42,7 @@ func main() {
 		quick     = flag.Bool("quick", false, "shrink sweeps for a fast smoke run")
 		jsonF     = flag.Bool("json", false, "machine-readable JSON output (supported by -exp backends)")
 		workers   = flag.Int("workers", 0, "sweep worker goroutines (0 = GOMAXPROCS); never changes results")
-		shards    = flag.Int("stepshards", 0, "step-backend shard count (0 = GOMAXPROCS); never changes results")
+		shards    = flag.Int("stepshards", 0, "step-backend shard count (0 = autotuned); never changes results")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		compare   = flag.String("compare", "", "baseline JSON (BENCH_engine.json format): rerun the backend benchmark and fail on regressions")

@@ -37,7 +37,7 @@ func main() {
 		c       = flag.Int("c", 4, "constant C for §7.8")
 		eps     = flag.Float64("eps", 2, "partition slack in (0,2]")
 		seed    = flag.Int64("seed", 1, "run seed")
-		backend = flag.String("backend", "", "engine backend: goroutines|pool|step|auto (default auto)")
+		backend = flag.String("backend", "", "engine backend: goroutines|step|auto (default auto)")
 		shards  = flag.Int("stepshards", 0, "step-backend shard count (0 = autotuned); never changes results")
 		relabel = flag.String("relabel", "", "vertex-relabeling layout pass: rcm|off (default off); never changes results")
 		decay   = flag.Bool("decay", false, "print the active-vertex decay")

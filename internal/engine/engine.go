@@ -7,12 +7,12 @@
 // termination accounting — live in the execution core under
 // internal/engine/exec, behind a Backend interface with two
 // implementations: "goroutines" (one goroutine per vertex driven by a
-// single coordinator) and "pool" (sharded workers with an active-set
-// scheduler that parks idle vertices for free and fast-forwards all-idle
-// rounds). Options.Backend selects one; by default runs below
-// exec.PoolThreshold vertices use "goroutines" and larger runs use
-// "pool". Backends are execution strategies only: equal seeds produce
-// byte-identical Results on every backend.
+// single coordinator; the only runner for blocking Programs) and "step"
+// (per-round state machines in sharded flat arrays that park sleeping
+// vertices for free and fast-forward all-sleeping rounds). Options.Backend
+// selects one; by default RunSpec runs the step form when the Spec has
+// one and goroutines otherwise. Backends are execution strategies only:
+// equal seeds produce byte-identical Results on every backend.
 //
 // Termination follows the paper's refinement of Feuilloley's definition:
 // when a Program returns its output, the engine broadcasts that final
@@ -85,6 +85,10 @@ func Done(output any) Step { return exec.Done(output) }
 // ErrMaxRounds is returned when a run exceeds Options.MaxRounds.
 var ErrMaxRounds = exec.ErrMaxRounds
 
+// ErrUnknownBackend is returned (wrapped) when Options.Backend names no
+// registered backend; the message lists the valid choices.
+var ErrUnknownBackend = exec.ErrUnknownBackend
+
 // Options configure a run.
 type Options struct {
 	// Seed seeds the per-vertex deterministic PRNGs. Two runs with equal
@@ -94,28 +98,26 @@ type Options struct {
 	// MaxRounds aborts the run if the global round count exceeds it,
 	// guarding against livelocked programs. 0 means 4*(n + 64*log2(n) + 64).
 	MaxRounds int
-	// Backend selects the execution backend: "goroutines", "pool",
-	// "step", or ""/"auto" to pick automatically — the step backend
-	// whenever the algorithm has a step form, otherwise by graph size
-	// (pool at or above exec.PoolThreshold vertices). Selecting "step"
-	// for an algorithm without a step form falls back to the automatic
-	// goroutines/pool choice.
+	// Backend selects the execution backend: "goroutines", "step", or
+	// ""/"auto" — the step backend whenever the algorithm has a step
+	// form, otherwise goroutines. Selecting "step" for an algorithm
+	// without a step form falls back to goroutines.
 	Backend string
 	// Adv is the compiled fault schedule, or nil for the fault-free run.
 	// A nil adversary costs the hot path one pointer test per flush and
 	// zero allocations; a non-nil one must already be normalized for g.
 	Adv *Adversary
 	// StepShards fixes the step backend's shard count independently of
-	// the worker cores driving it (0 means GOMAXPROCS at run start).
-	// Results are invariant in both knobs; a fixed value reproduces the
-	// same shard layout on any machine. Other backends ignore it.
+	// the worker cores driving it (0 = autotuned). Results are invariant
+	// in both knobs; a fixed value reproduces the same shard layout on
+	// any machine. The goroutines backend ignores it.
 	StepShards int
 }
 
 // Run executes prog on every vertex of g until all vertices terminate,
 // on the backend selected by opts.Backend.
 func Run(g *graph.Graph, prog Program, opts Options) (*Result, error) {
-	b, err := exec.Select(opts.Backend, g.N())
+	b, err := exec.Select(opts.Backend)
 	if err != nil {
 		return nil, err
 	}

@@ -6,19 +6,19 @@
 // Two backends are provided:
 //
 //   - "goroutines": one goroutine per vertex driven by a single
-//     coordinator, the original engine. Simple, lowest constant overhead
-//     per active vertex, but every live vertex costs one wake and one
-//     barrier crossing per round even while it merely waits.
+//     coordinator, the original engine and the only runner for blocking
+//     Programs. Every live vertex costs one wake and one barrier crossing
+//     per round even while it merely waits; it is kept as the reference
+//     the step translations are checked against.
 //
-//   - "pool": vertices are partitioned into contiguous shards (one worker
-//     per GOMAXPROCS core) and scheduled by an explicit active-set
-//     scheduler. Vertices parked in Idle windows cost zero scheduler work
-//     until a message arrives for them or their window expires, rounds in
-//     which every live vertex is parked are fast-forwarded in O(1), and
-//     each round needs one synchronization per shard rather than per
-//     vertex. This is the backend that exploits the paper's Lemma 6.1:
-//     per-round cost tracks the number of *runnable* vertices, which
-//     decays exponentially, not n.
+//   - "step": vertices are explicit per-round state machines (StepProgram)
+//     in flat per-shard arrays, with no per-vertex goroutine. Sleeping
+//     vertices sit in a timer heap and cost zero scheduler work until a
+//     message arrives for them or their window expires, rounds in which
+//     every live vertex sleeps are fast-forwarded, and terminated vertices
+//     are compacted out. This is the backend that exploits the paper's
+//     Lemma 6.1: per-round cost tracks the number of *due* vertices, which
+//     decays exponentially, not n. See step.go.
 //
 // Both backends execute byte-identical runs for equal seeds: all mutable
 // run state (PRNG streams, inbox order, round counters, message counts) is
@@ -87,10 +87,11 @@ type Config struct {
 	// StepShards fixes the step backend's shard count: vertex state is
 	// split into this many contiguous ranges regardless of how many worker
 	// cores drive them (workers are capped at min(GOMAXPROCS, shards)).
-	// 0 means GOMAXPROCS at run start. Results are invariant in both the
-	// shard and the worker count — the knob only trades scheduling
-	// granularity against per-shard overhead — but a fixed value makes the
-	// shard layout reproducible across machines. Other backends ignore it.
+	// 0 = autotuned at run start (see step_tune.go). Results are invariant
+	// in both the shard and the worker count — the knob only trades
+	// scheduling granularity against per-shard overhead — but a fixed value
+	// makes the shard layout reproducible across machines. The goroutines
+	// backend ignores it.
 	StepShards int
 }
 
@@ -147,7 +148,7 @@ type Result struct {
 	Restarts int
 
 	// Shards is the shard count the step backend ran with (the autotuned
-	// value when Config.StepShards was 0); 0 for the other backends.
+	// value when Config.StepShards was 0); 0 for the goroutines backend.
 	// Purely informational: Results are invariant in the shard count.
 	Shards int
 }
@@ -200,12 +201,6 @@ type Backend interface {
 	Run(g *graph.Graph, prog Program, cfg Config) (*Result, error)
 }
 
-// PoolThreshold is the vertex count at or above which automatic backend
-// selection prefers "pool": below it the goroutine coordinator's lower
-// constant overhead wins, above it the active-set scheduler's
-// O(runnable)-per-round cost does.
-const PoolThreshold = 1 << 14
-
 var backends = map[string]Backend{}
 
 // Register adds a backend to the registry; it panics on duplicate names.
@@ -218,7 +213,6 @@ func Register(b Backend) {
 
 func init() {
 	Register(goroutinesBackend{})
-	Register(poolBackend{})
 	Register(stepBackend{})
 }
 
@@ -232,25 +226,28 @@ func Names() []string {
 	return out
 }
 
+// ErrUnknownBackend is returned (wrapped) for a backend name that is not
+// registered.
+var ErrUnknownBackend = errors.New("engine: unknown backend")
+
 // Lookup returns the backend registered under name. The error for an
-// unknown name lists every registered backend (plus the "auto" pseudo
-// name) so callers passing user input get the valid choices back.
+// unknown name wraps ErrUnknownBackend and lists every registered backend
+// (plus the "auto" pseudo name) so callers passing user input get the
+// valid choices back.
 func Lookup(name string) (Backend, error) {
 	if b, ok := backends[name]; ok {
 		return b, nil
 	}
-	return nil, fmt.Errorf("engine: unknown backend %q (registered backends: %s, or \"auto\")",
-		name, strings.Join(Names(), ", "))
+	return nil, fmt.Errorf("%w %q (registered backends: %s, or \"auto\")",
+		ErrUnknownBackend, name, strings.Join(Names(), ", "))
 }
 
-// Select resolves a backend choice for an n-vertex run. The empty string
-// and "auto" select "goroutines" below PoolThreshold vertices and "pool"
-// at or above it; any other name selects that backend explicitly.
-func Select(name string, n int) (Backend, error) {
+// Select resolves a backend choice for a blocking Program. The empty
+// string and "auto" select "goroutines", the only backend that runs
+// blocking Programs natively; any other name selects that backend
+// explicitly.
+func Select(name string) (Backend, error) {
 	if name == "" || name == "auto" {
-		if n >= PoolThreshold {
-			return backends["pool"], nil
-		}
 		return backends["goroutines"], nil
 	}
 	return Lookup(name)
@@ -268,13 +265,12 @@ type Spec struct {
 	Step StepProgram
 }
 
-// RunSpec resolves name like Select and executes spec on the chosen
-// backend, preferring the step form wherever it can run: ""/"auto" with a
-// step form selects "step" outright (the step driver beats both blocking
-// backends at every size), and any explicitly chosen backend that
-// implements StepRunner uses the step form. Selecting "step" for an
-// algorithm without a step form falls back to the automatic
-// goroutines/pool choice.
+// RunSpec resolves name and executes spec on the chosen backend,
+// preferring the step form wherever it can run: ""/"auto" means the step
+// form if the Spec has one, else the goroutines backend, and any
+// explicitly chosen backend that implements StepRunner uses the step
+// form. Selecting "step" for an algorithm without a step form falls back
+// to goroutines.
 func RunSpec(g *graph.Graph, spec Spec, name string, cfg Config) (*Result, error) {
 	if spec.Program == nil && spec.Step == nil {
 		return nil, errors.New("engine: empty Spec: no Program and no StepProgram")
@@ -282,7 +278,7 @@ func RunSpec(g *graph.Graph, spec Spec, name string, cfg Config) (*Result, error
 	if (name == "" || name == "auto") && spec.Step != nil {
 		name = "step"
 	}
-	b, err := Select(name, g.N())
+	b, err := Select(name)
 	if err != nil {
 		return nil, err
 	}
@@ -331,8 +327,8 @@ type runScratch struct {
 	msgCount []int64
 	panics   []any
 	// apis and stepFns back the step backend's flat per-vertex machine
-	// state (API handles and pending turns); the other backends leave them
-	// untouched.
+	// state (API handles and pending turns); the goroutines backend leaves
+	// them untouched.
 	apis    []API
 	stepFns []StepFn
 }
@@ -546,17 +542,19 @@ func (c *core) unmap() {
 
 type abortSentinel struct{}
 
-// runtime is the backend-side contract of the API: how a vertex crosses a
-// round barrier and how it waits out an idle window. deliver owns the
+// runtime is the backend-side contract of the API: how a blocking vertex
+// crosses a round barrier (next) and waits out an idle window (idle) —
+// the step runtime rejects both, as step programs cross rounds by
+// returning a verdict — and how a send lands. deliver owns the
 // delivery-slab write for adjacency position p of the sending vertex
-// (slot g.Rev[p], receiver g.Adj[p]): backends either write the slab
-// directly (each slot has a single writer, so no locks are needed) or
-// stage the write for a deterministic merge at the round barrier, and may
-// additionally observe the delivery to wake a parked receiver. deliver is
-// called for every slot write of a round, including overwrites of a slot
-// the same sender already wrote (last write wins); wake notifications are
-// deduplicated per (receiver, round) by the backends that need them, so
-// repeated calls are idempotent. Message counting stays with the caller.
+// (slot g.Rev[p], receiver g.Adj[p]). Each slot has a single writer, so
+// direct writes need no locks; the step backend additionally stages
+// cross-shard writes for a deterministic merge at the round barrier and
+// notes each delivery so a sleeping receiver drains its slot in time.
+// deliver is called for every slot write of a round, including
+// overwrites of a slot the same sender already wrote (last write wins),
+// so it must be idempotent per (receiver, round). Message counting stays
+// with the caller.
 type runtime interface {
 	next(a *API, buf []Msg) []Msg
 	idle(a *API, k int, buf []Msg) []Msg
@@ -986,9 +984,9 @@ func (a *API) Next() []Msg {
 // in the paper's RoundSum accounting.
 //
 // Messages accumulate into the vertex's reused receive buffer (see Next),
-// so a long quiet window allocates nothing per round; on the pool backend
-// the vertex is additionally parked for the whole window and costs no
-// scheduler work until a message arrives or the window expires.
+// so a long quiet window allocates nothing per round. Step programs use
+// Sleep instead, which parks the vertex for the whole window at no
+// scheduler cost until a message arrives or the window expires.
 func (a *API) Idle(k int) []Msg {
 	a.inbox = a.rt.idle(a, k, a.inbox[:0])
 	return a.inbox

@@ -6,14 +6,16 @@ import (
 	"reflect"
 	gort "runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"vavg/internal/graph"
 )
 
-// withShards forces the pool backend to use at least n shards so the
-// cross-shard paths (message wakes, pending drains) are exercised even on
-// single-core test machines.
+// withShards sets GOMAXPROCS to n, which the step backend's autotuner
+// turns into n shards and workers, so the cross-shard paths (staged lanes,
+// message wakes, pending drains) are exercised even on single-core test
+// machines.
 func withShards(t *testing.T, n int) {
 	t.Helper()
 	old := gort.GOMAXPROCS(n)
@@ -171,237 +173,73 @@ func sortedNames[V any](m map[string]V) []string {
 	return names
 }
 
-func runBoth(t *testing.T, g *graph.Graph, prog Program, cfg Config) (*Result, *Result) {
+func requireEqualResults(t *testing.T, label string, want, got *Result) {
 	t.Helper()
-	gb, _ := Lookup("goroutines")
-	pb, _ := Lookup("pool")
-	rg, err := gb.Run(g, prog, cfg)
+	if !reflect.DeepEqual(want.Rounds, got.Rounds) {
+		t.Errorf("%s: Rounds differ:\n want %v\n got  %v", label, want.Rounds, got.Rounds)
+	}
+	if !reflect.DeepEqual(want.CommitRounds, got.CommitRounds) {
+		t.Errorf("%s: CommitRounds differ", label)
+	}
+	if !reflect.DeepEqual(want.Output, got.Output) {
+		t.Errorf("%s: Outputs differ", label)
+	}
+	if !reflect.DeepEqual(want.ActivePerRound, got.ActivePerRound) {
+		t.Errorf("%s: ActivePerRound differ:\n want %v\n got  %v", label, want.ActivePerRound, got.ActivePerRound)
+	}
+	if want.TotalRounds != got.TotalRounds || want.RoundSum != got.RoundSum || want.Messages != got.Messages {
+		t.Errorf("%s: totals differ: want (%d,%d,%d) got (%d,%d,%d)", label,
+			want.TotalRounds, want.RoundSum, want.Messages, got.TotalRounds, got.RoundSum, got.Messages)
+	}
+}
+
+func runGoroutines(t *testing.T, g *graph.Graph, prog Program, cfg Config) *Result {
+	t.Helper()
+	res, err := goroutinesBackend{}.Run(g, prog, cfg)
 	if err != nil {
 		t.Fatalf("goroutines: %v", err)
 	}
-	rp, err := pb.Run(g, prog, cfg)
-	if err != nil {
-		t.Fatalf("pool: %v", err)
-	}
-	return rg, rp
+	return res
 }
 
-func requireEqualResults(t *testing.T, label string, rg, rp *Result) {
-	t.Helper()
-	if !reflect.DeepEqual(rg.Rounds, rp.Rounds) {
-		t.Errorf("%s: Rounds differ:\n goroutines %v\n pool %v", label, rg.Rounds, rp.Rounds)
-	}
-	if !reflect.DeepEqual(rg.CommitRounds, rp.CommitRounds) {
-		t.Errorf("%s: CommitRounds differ", label)
-	}
-	if !reflect.DeepEqual(rg.Output, rp.Output) {
-		t.Errorf("%s: Outputs differ", label)
-	}
-	if !reflect.DeepEqual(rg.ActivePerRound, rp.ActivePerRound) {
-		t.Errorf("%s: ActivePerRound differ:\n goroutines %v\n pool %v", label, rg.ActivePerRound, rp.ActivePerRound)
-	}
-	if rg.TotalRounds != rp.TotalRounds || rg.RoundSum != rp.RoundSum || rg.Messages != rp.Messages {
-		t.Errorf("%s: totals differ: goroutines (%d,%d,%d) pool (%d,%d,%d)", label,
-			rg.TotalRounds, rg.RoundSum, rg.Messages, rp.TotalRounds, rp.RoundSum, rp.Messages)
-	}
-}
-
-func TestCrossBackendEquivalence(t *testing.T) {
-	withShards(t, 4)
-	graphs, progs := testGraphs(), testPrograms()
-	for _, gname := range sortedNames(graphs) {
-		for _, pname := range sortedNames(progs) {
-			for _, seed := range []int64{1, 42} {
-				label := fmt.Sprintf("%s/%s/seed%d", gname, pname, seed)
-				rg, rp := runBoth(t, graphs[gname], progs[pname], Config{Seed: seed})
-				requireEqualResults(t, label, rg, rp)
-			}
-		}
-	}
-}
-
-func TestPoolSingleShardEquivalence(t *testing.T) {
-	withShards(t, 1)
-	g := graph.ForestUnion(120, 3, 11)
-	progs := testPrograms()
-	for _, pname := range sortedNames(progs) {
-		rg, rp := runBoth(t, g, progs[pname], Config{Seed: 5})
-		requireEqualResults(t, "1shard/"+pname, rg, rp)
-	}
-}
-
-// TestPoolIdleMessageWake pins the subtle case the active-set scheduler
-// must get right: a message flushed into the middle of a long idle window
-// must wake the parked receiver for exactly that round (or the buffered
-// slot would be overwritten by a later send) and be returned in arrival
-// order.
-func TestPoolIdleMessageWake(t *testing.T) {
-	withShards(t, 3)
-	g := graph.Path(2)
-	prog := func(api *API) any {
-		if api.ID() == 0 {
-			// Two sends to the same neighbor in distinct rounds; without a
-			// mid-window wake the second would overwrite the first.
-			api.Idle(3)
-			api.Send(0, "early")
-			api.Idle(4)
-			api.Send(0, "late")
-			api.Idle(3)
-			return nil
-		}
-		var got []string
-		for _, m := range api.Idle(14) {
-			if s, ok := m.Data.(string); ok {
-				got = append(got, s)
-			}
-		}
-		return fmt.Sprint(got)
-	}
-	pb, _ := Lookup("pool")
-	res, err := pb.Run(g, prog, Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Output[1] != "[early late]" {
-		t.Errorf("idle window collected %v, want [early late]", res.Output[1])
-	}
-	gb, _ := Lookup("goroutines")
-	rg, err := gb.Run(g, prog, Config{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireEqualResults(t, "idle-wake", rg, res)
-}
-
-// TestPoolFastForward checks that an all-idle stretch is skipped without
-// distorting the accounting: ActivePerRound still pays every round.
-func TestPoolFastForward(t *testing.T) {
-	withShards(t, 2)
-	g := graph.Ring(16)
-	prog := func(api *API) any {
-		api.Idle(500)
-		return api.Round()
-	}
-	rg, rp := runBoth(t, g, prog, Config{Seed: 9})
-	requireEqualResults(t, "fast-forward", rg, rp)
-	if len(rp.ActivePerRound) != 501 {
-		t.Errorf("ActivePerRound has %d entries, want 501", len(rp.ActivePerRound))
-	}
-}
-
-func TestPoolAccountingIdentities(t *testing.T) {
-	withShards(t, 4)
-	g := graph.ForestUnion(300, 2, 13)
-	prog := func(api *API) any {
-		api.Idle(api.ID() % 23)
-		return api.ID()
-	}
-	pb, _ := Lookup("pool")
-	res, err := pb.Run(g, prog, Config{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum int64
-	for _, a := range res.ActivePerRound {
-		sum += int64(a)
-	}
-	if sum != res.RoundSum {
-		t.Errorf("sum of ActivePerRound = %d, RoundSum = %d", sum, res.RoundSum)
-	}
-	if res.VertexAverage() > float64(res.TotalRounds) {
-		t.Errorf("VertexAverage %.2f exceeds TotalRounds %d", res.VertexAverage(), res.TotalRounds)
-	}
-}
-
-func TestPoolMaxRoundsAborts(t *testing.T) {
-	withShards(t, 2)
-	g := graph.Ring(8)
-	spin := func(api *API) any {
-		for {
-			api.Next()
-		}
-	}
-	pb, _ := Lookup("pool")
-	if _, err := pb.Run(g, spin, Config{MaxRounds: 40}); !errors.Is(err, ErrMaxRounds) {
-		t.Fatalf("spin err = %v, want ErrMaxRounds", err)
-	}
-	// Vertices parked in an over-long idle window must be reachable by the
-	// abort too (the fast-forward path must stop at MaxRounds).
-	park := func(api *API) any {
-		api.Idle(1 << 20)
-		return nil
-	}
-	if _, err := pb.Run(g, park, Config{MaxRounds: 40}); !errors.Is(err, ErrMaxRounds) {
-		t.Fatalf("park err = %v, want ErrMaxRounds", err)
-	}
-}
-
-func TestPoolVertexPanicPropagates(t *testing.T) {
-	withShards(t, 2)
-	g := graph.Ring(6)
-	prog := func(api *API) any {
-		if api.ID() == 3 {
-			panic("boom")
-		}
-		api.Idle(2)
-		return nil
-	}
-	pb, _ := Lookup("pool")
-	if _, err := pb.Run(g, prog, Config{Seed: 1}); err == nil {
-		t.Fatal("expected error from panicking vertex")
-	}
-}
-
-func TestPoolDeterminismAcrossRuns(t *testing.T) {
-	withShards(t, 4)
-	g := graph.ForestUnion(180, 3, 17)
-	prog := func(api *API) any {
-		api.Idle(api.Rand().Intn(6))
-		api.Broadcast(api.Rand().Int())
-		api.Next()
-		return api.Rand().Int63()
-	}
-	pb, _ := Lookup("pool")
-	r1, err := pb.Run(g, prog, Config{Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := pb.Run(g, prog, Config{Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireEqualResults(t, "determinism", r1, r2)
-}
-
+// TestSelect pins backend resolution: ""/"auto" resolve to goroutines
+// whatever the graph size — a blocking-only Spec runs on the goroutine
+// runtime both at n=4 and past the old 2^14 size switch — and the
+// registry holds exactly the two backends.
 func TestSelect(t *testing.T) {
-	b, err := Select("", PoolThreshold-1)
-	if err != nil || b.Name() != "goroutines" {
-		t.Errorf("Select small = %v, %v", b, err)
+	onGoroutines := func(api *API) any {
+		_, ok := api.rt.(*goRuntime)
+		return ok
 	}
-	b, err = Select("auto", PoolThreshold)
-	if err != nil || b.Name() != "pool" {
-		t.Errorf("Select large = %v, %v", b, err)
+	for _, name := range []string{"", "auto"} {
+		b, err := Select(name)
+		if err != nil || b.Name() != "goroutines" {
+			t.Errorf("Select(%q) = %v, %v", name, b, err)
+		}
+		for _, n := range []int{4, 1<<14 + 1} {
+			res, err := RunSpec(graph.Ring(n), Spec{Program: onGoroutines}, name, Config{})
+			if err != nil {
+				t.Fatalf("RunSpec(%q) n=%d: %v", name, n, err)
+			}
+			for v, out := range res.Output {
+				if out != true {
+					t.Fatalf("RunSpec(%q) n=%d: vertex %d did not run on goroutines", name, n, v)
+				}
+			}
+		}
 	}
-	b, err = Select("pool", 4)
-	if err != nil || b.Name() != "pool" {
-		t.Errorf("Select explicit = %v, %v", b, err)
-	}
-	if _, err = Select("nope", 4); err == nil {
-		t.Error("Select unknown backend should fail")
-	}
-	want := []string{"goroutines", "pool", "step"}
+	want := []string{"goroutines", "step"}
 	if !reflect.DeepEqual(Names(), want) {
 		t.Errorf("Names() = %v, want %v", Names(), want)
 	}
 }
 
 // TestScratchReuseIsClean exercises the sync.Pool run-scratch recycling:
-// interleaved runs of different sizes and programs on both backends must
-// reproduce the results of fresh first runs exactly, proving recycled
-// cell slabs, done flags, and message counters carry no state between
-// runs (shrinking reslices must zero the reused prefix).
+// interleaved runs of different sizes and programs must reproduce the
+// results of fresh first runs exactly, proving recycled cell slabs, done
+// flags, and message counters carry no state between runs (shrinking
+// reslices must zero the reused prefix).
 func TestScratchReuseIsClean(t *testing.T) {
-	withShards(t, 4)
 	progs := testPrograms()
 	graphs := testGraphs()
 	// Fresh baselines, one per (graph, program).
@@ -421,18 +259,208 @@ func TestScratchReuseIsClean(t *testing.T) {
 	})
 	cfg := Config{Seed: 13, MaxRounds: 1 << 20}
 	for _, k := range order {
-		rg, rp := runBoth(t, graphs[k.g], progs[k.p], cfg)
-		requireEqualResults(t, "baseline/"+k.g+"/"+k.p, rg, rp)
-		base[k] = rg
+		base[k] = runGoroutines(t, graphs[k.g], progs[k.p], cfg)
 	}
 	// Re-run the whole matrix twice more: every run now draws recycled
 	// scratch whose previous occupant had a different size or program.
 	for pass := 0; pass < 2; pass++ {
 		for i := len(order) - 1; i >= 0; i-- {
 			k := order[i]
-			rg, rp := runBoth(t, graphs[k.g], progs[k.p], cfg)
-			requireEqualResults(t, fmt.Sprintf("reuse%d/%s/%s vs pool", pass, k.g, k.p), rg, rp)
+			rg := runGoroutines(t, graphs[k.g], progs[k.p], cfg)
 			requireEqualResults(t, fmt.Sprintf("reuse%d/%s/%s vs fresh", pass, k.g, k.p), base[k], rg)
+		}
+	}
+}
+
+// backendChoices lists every backend name a caller may pass: each
+// registered backend plus the "auto" pseudo name.
+func backendChoices() []string {
+	return append(Names(), "auto")
+}
+
+// TestCrossBackendEquivalence runs every synthetic program, both forms in
+// hand, through RunSpec under every backend choice and requires the
+// goroutines backend's blocking Result byte for byte: which backend and
+// which form execute a Spec never changes the Result.
+func TestCrossBackendEquivalence(t *testing.T) {
+	withShards(t, 4)
+	graphs, progs, sprogs := testGraphs(), testPrograms(), stepTestPrograms()
+	for _, gname := range sortedNames(graphs) {
+		g := graphs[gname]
+		for _, pname := range sortedNames(progs) {
+			spec := Spec{Program: progs[pname], Step: sprogs[pname]}
+			for _, seed := range []int64{1, 42} {
+				want := runGoroutines(t, g, progs[pname], Config{Seed: seed})
+				for _, name := range backendChoices() {
+					label := fmt.Sprintf("%s/%s/%s/seed%d", name, gname, pname, seed)
+					got, err := RunSpec(g, spec, name, Config{Seed: seed})
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					requireEqualResults(t, label, want, got)
+				}
+			}
+		}
+	}
+}
+
+// The TestPool* tests below were written against the retired active-set
+// pool backend. Its scheduler — sleeper timer heap, mid-window message
+// wakes, all-idle fast-forward — now lives in the step backend, so the
+// tests keep their names and pin the same behaviours on every remaining
+// backend choice, with the goroutines backend as the oracle.
+
+// TestPoolSingleShardEquivalence runs every step twin on one shard, where
+// the step backend skips the cross-shard merge entirely, and requires the
+// goroutines Result.
+func TestPoolSingleShardEquivalence(t *testing.T) {
+	withShards(t, 1)
+	g := graph.ForestUnion(120, 3, 11)
+	progs, sprogs := testPrograms(), stepTestPrograms()
+	for _, pname := range sortedNames(progs) {
+		want := runGoroutines(t, g, progs[pname], Config{Seed: 5})
+		got := runStep(t, g, sprogs[pname], Config{Seed: 5, StepShards: 1})
+		requireEqualResults(t, "1shard/"+pname, want, got)
+	}
+}
+
+// idleWakeProgram sends "early" and "late" from vertex 0 of a 2-path into
+// vertex 1's 14-round idle window; without a mid-window wake the second
+// send would overwrite the first in the buffered slot.
+func idleWakeProgram(api *API) any {
+	if api.ID() == 0 {
+		api.Idle(3)
+		api.Send(0, "early")
+		api.Idle(4)
+		api.Send(0, "late")
+		api.Idle(3)
+		return nil
+	}
+	var got []string
+	for _, m := range api.Idle(14) {
+		if s, ok := m.Data.(string); ok {
+			got = append(got, s)
+		}
+	}
+	return fmt.Sprint(got)
+}
+
+// TestPoolIdleMessageWake pins the mid-window wake on every backend
+// choice: the idle window collects both messages in arrival order, and
+// the whole Result matches the goroutines run.
+func TestPoolIdleMessageWake(t *testing.T) {
+	withShards(t, 3)
+	g := graph.Path(2)
+	want := runGoroutines(t, g, idleWakeProgram, Config{Seed: 1})
+	if want.Output[1] != "[early late]" {
+		t.Errorf("idle window collected %v, want [early late]", want.Output[1])
+	}
+	spec := Spec{Program: idleWakeProgram, Step: idleWakeStep}
+	for _, name := range backendChoices() {
+		got, err := RunSpec(g, spec, name, Config{Seed: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		requireEqualResults(t, "idle-wake/"+name, want, got)
+	}
+}
+
+// TestPoolMaxRoundsAborts checks that every backend choice aborts with
+// ErrMaxRounds both for vertices that spin round after round and for
+// vertices parked in an over-long idle window (the fast-forward path must
+// stop at MaxRounds).
+func TestPoolMaxRoundsAborts(t *testing.T) {
+	withShards(t, 2)
+	g := graph.Ring(8)
+	specs := []struct {
+		name string
+		spec Spec
+	}{
+		{"spin", Spec{
+			Program: func(api *API) any {
+				for {
+					api.Next()
+				}
+			},
+			Step: func(api *API) StepFn {
+				var fn StepFn
+				fn = func(api *API, _ []Msg) Step { return Continue(fn) }
+				return fn
+			},
+		}},
+		{"park", Spec{
+			Program: func(api *API) any {
+				api.Idle(1 << 20)
+				return nil
+			},
+			Step: func(api *API) StepFn {
+				return func(api *API, _ []Msg) Step {
+					return Sleep(1<<20, func(api *API, _ []Msg) Step { return Done(nil) })
+				}
+			},
+		}},
+	}
+	for _, s := range specs {
+		for _, name := range backendChoices() {
+			if _, err := RunSpec(g, s.spec, name, Config{MaxRounds: 40}); !errors.Is(err, ErrMaxRounds) {
+				t.Errorf("%s on %s: err = %v, want ErrMaxRounds", s.name, name, err)
+			}
+		}
+	}
+}
+
+// TestPoolVertexPanicPropagates checks that a panicking vertex fails the
+// run with an error naming it on every backend choice.
+func TestPoolVertexPanicPropagates(t *testing.T) {
+	withShards(t, 2)
+	g := graph.Ring(6)
+	spec := Spec{
+		Program: func(api *API) any {
+			if api.ID() == 3 {
+				panic("boom")
+			}
+			api.Idle(2)
+			return nil
+		},
+		Step: func(api *API) StepFn {
+			return func(api *API, _ []Msg) Step {
+				if api.ID() == 3 {
+					panic("boom")
+				}
+				return Sleep(2, func(api *API, _ []Msg) Step { return Done(nil) })
+			}
+		},
+	}
+	for _, name := range backendChoices() {
+		if _, err := RunSpec(g, spec, name, Config{Seed: 1}); err == nil || !strings.Contains(err.Error(), "vertex 3") {
+			t.Errorf("%s: err = %v, want vertex 3 failure", name, err)
+		}
+	}
+}
+
+// randRelayProgram idles a random number of rounds, broadcasts a PRNG
+// draw, waits one round, and outputs another PRNG draw.
+func randRelayProgram(api *API) any {
+	api.Idle(api.Rand().Intn(6))
+	api.Broadcast(api.Rand().Int())
+	api.Next()
+	return api.Rand().Int63()
+}
+
+// TestPoolDeterminismAcrossRuns runs the same randomized program twice on
+// every backend choice; each run must reproduce the goroutines Result.
+func TestPoolDeterminismAcrossRuns(t *testing.T) {
+	withShards(t, 4)
+	g := graph.ForestUnion(180, 3, 17)
+	want := runGoroutines(t, g, randRelayProgram, Config{Seed: 42})
+	spec := Spec{Program: randRelayProgram, Step: randRelayStep}
+	for _, name := range backendChoices() {
+		for run := 0; run < 2; run++ {
+			got, err := RunSpec(g, spec, name, Config{Seed: 42})
+			if err != nil {
+				t.Fatalf("%s run %d: %v", name, run, err)
+			}
+			requireEqualResults(t, fmt.Sprintf("determinism/%s/run%d", name, run), want, got)
 		}
 	}
 }

@@ -26,7 +26,7 @@ import (
 // StepFn whose Step verdict (Continue / Sleep / Done) stands in for the
 // blocking call that ended the block. Because all observable run state
 // (PRNG streams, inbox order, round and message accounting) is keyed by
-// (vertex, round) exactly as in the other backends, a faithful
+// (vertex, round) exactly as in the goroutines backend, a faithful
 // translation produces byte-identical Results — the cross-backend
 // equivalence suite enforces this for every dual-registered algorithm.
 //
@@ -114,21 +114,64 @@ type StepRunner interface {
 
 // stepBackend drives step-form programs with shard workers over flat
 // state arrays. For blocking Programs (algorithms without a step form) it
-// falls back to the automatic goroutines/pool choice, so selecting
-// "step" is always safe.
+// falls back to the goroutines backend, so selecting "step" is always
+// safe.
 type stepBackend struct{}
 
 func (stepBackend) Name() string { return "step" }
 
-// Run executes a blocking Program by delegating to the automatic
-// goroutines/pool selection: the step driver itself only runs StepForms,
-// and an explicit Backend="step" must still work for every algorithm.
+// Run executes a blocking Program on the goroutines backend: the step
+// driver itself only runs StepForms, and an explicit Backend="step" must
+// still work for every algorithm.
 func (stepBackend) Run(g *graph.Graph, prog Program, cfg Config) (*Result, error) {
-	b, err := Select("auto", g.N())
-	if err != nil {
-		return nil, err
+	return goroutinesBackend{}.Run(g, prog, cfg)
+}
+
+// idleEntry is a (round, vertex) event: a sleep expiry or a message wake.
+type idleEntry struct {
+	round int32
+	v     int32
+}
+
+// heapPush / heapPop maintain a binary min-heap of idleEntry by round.
+func heapPush(h *[]idleEntry, e idleEntry) {
+	*h = append(*h, e)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if s[p].round <= s[i].round {
+			break
+		}
+		s[p], s[i] = s[i], s[p]
+		i = p
 	}
-	return b.Run(g, prog, cfg)
+}
+
+func heapPop(h *[]idleEntry) idleEntry {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	s = s[:last]
+	*h = s
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		min := i
+		if l < len(s) && s[l].round < s[min].round {
+			min = l
+		}
+		if r < len(s) && s[r].round < s[min].round {
+			min = r
+		}
+		if min == i {
+			break
+		}
+		s[i], s[min] = s[min], s[i]
+		i = min
+	}
+	return top
 }
 
 // laneEntry is one staged cross-shard delivery: slot is the receiver-side
@@ -259,8 +302,8 @@ func (rt *stepRuntime) deliver(a *API, p int32, c cell) {
 // buffers recycle a slot after two rounds, so an undrained delivery would
 // be lost or misread). Deduplicated to one pending entry per (recv, t);
 // entries for receivers that turn out to be active or terminated are
-// dropped at drain time, as in the pool backend. Callers must own the
-// shard for the current phase.
+// dropped at drain time. Callers must own the shard for the current
+// phase.
 //
 //vavg:hotpath
 func (s *stepShard) noteDelivery(recv, t int32) {

@@ -287,36 +287,82 @@ func TestStepWorkerInvariance(t *testing.T) {
 // slot) and arrive in delivery order at the wake turn.
 func TestStepIdleMessageWake(t *testing.T) {
 	withShards(t, 3)
-	g := graph.Path(2)
-	prog := func(api *API) StepFn {
-		if api.ID() == 0 {
-			return func(api *API, _ []Msg) Step {
-				return Sleep(3, func(api *API, _ []Msg) Step {
-					api.Send(0, "early")
-					return Sleep(4, func(api *API, _ []Msg) Step {
-						api.Send(0, "late")
-						return Sleep(3, func(api *API, _ []Msg) Step {
-							return Done(nil)
-						})
+	res := runStep(t, graph.Path(2), idleWakeStep, Config{Seed: 1})
+	if res.Output[1] != "[early late]" {
+		t.Errorf("sleep window collected %v, want [early late]", res.Output[1])
+	}
+}
+
+// idleWakeStep is the step twin of idleWakeProgram: on a 2-path, vertex 0
+// sends "early" and "late" into vertex 1's 14-round sleep.
+func idleWakeStep(api *API) StepFn {
+	if api.ID() == 0 {
+		return func(api *API, _ []Msg) Step {
+			return Sleep(3, func(api *API, _ []Msg) Step {
+				api.Send(0, "early")
+				return Sleep(4, func(api *API, _ []Msg) Step {
+					api.Send(0, "late")
+					return Sleep(3, func(api *API, _ []Msg) Step {
+						return Done(nil)
 					})
 				})
-			}
-		}
-		return func(api *API, _ []Msg) Step {
-			return Sleep(14, func(api *API, inbox []Msg) Step {
-				var got []string
-				for _, m := range inbox {
-					if s, ok := m.Data.(string); ok {
-						got = append(got, s)
-					}
-				}
-				return Done(fmt.Sprint(got))
 			})
 		}
 	}
-	res := runStep(t, g, prog, Config{Seed: 1})
-	if res.Output[1] != "[early late]" {
-		t.Errorf("sleep window collected %v, want [early late]", res.Output[1])
+	return func(api *API, _ []Msg) Step {
+		return Sleep(14, func(api *API, inbox []Msg) Step {
+			var got []string
+			for _, m := range inbox {
+				if s, ok := m.Data.(string); ok {
+					got = append(got, s)
+				}
+			}
+			return Done(fmt.Sprint(got))
+		})
+	}
+}
+
+// TestStepFastForward checks that an all-sleeping stretch is skipped
+// without distorting the accounting: ActivePerRound still pays every
+// round, exactly as the goroutines backend's round-by-round Idle does.
+func TestStepFastForward(t *testing.T) {
+	withShards(t, 2)
+	g := graph.Ring(16)
+	want := runGoroutines(t, g, func(api *API) any {
+		api.Idle(500)
+		return api.Round()
+	}, Config{Seed: 9})
+	got := runStep(t, g, func(api *API) StepFn {
+		return func(api *API, _ []Msg) Step {
+			return Sleep(500, func(api *API, _ []Msg) Step { return Done(api.Round()) })
+		}
+	}, Config{Seed: 9})
+	requireEqualResults(t, "fast-forward", want, got)
+	if len(got.ActivePerRound) != 501 {
+		t.Errorf("ActivePerRound has %d entries, want 501", len(got.ActivePerRound))
+	}
+}
+
+func TestStepAccountingIdentities(t *testing.T) {
+	withShards(t, 4)
+	g := graph.ForestUnion(300, 2, 13)
+	res := runStep(t, g, func(api *API) StepFn {
+		return func(api *API, _ []Msg) Step {
+			if k := api.ID() % 23; k > 0 {
+				return Sleep(k, func(api *API, _ []Msg) Step { return Done(api.ID()) })
+			}
+			return Done(api.ID())
+		}
+	}, Config{Seed: 3})
+	var sum int64
+	for _, a := range res.ActivePerRound {
+		sum += int64(a)
+	}
+	if sum != res.RoundSum {
+		t.Errorf("sum of ActivePerRound = %d, RoundSum = %d", sum, res.RoundSum)
+	}
+	if res.VertexAverage() > float64(res.TotalRounds) {
+		t.Errorf("VertexAverage %.2f exceeds TotalRounds %d", res.VertexAverage(), res.TotalRounds)
 	}
 }
 
@@ -384,23 +430,26 @@ func TestStepVertexPanicPropagates(t *testing.T) {
 func TestStepDeterminismAcrossRuns(t *testing.T) {
 	withShards(t, 4)
 	g := graph.ForestUnion(180, 3, 17)
-	prog := func(api *API) StepFn {
-		relay := func(api *API, _ []Msg) Step {
-			api.Broadcast(api.Rand().Int())
-			return Continue(func(api *API, _ []Msg) Step {
-				return Done(api.Rand().Int63())
-			})
-		}
-		return func(api *API, _ []Msg) Step {
-			if k := api.Rand().Intn(6); k > 0 {
-				return Sleep(k, relay)
-			}
-			return relay(api, nil)
-		}
-	}
-	r1 := runStep(t, g, prog, Config{Seed: 42})
-	r2 := runStep(t, g, prog, Config{Seed: 42})
+	r1 := runStep(t, g, randRelayStep, Config{Seed: 42})
+	r2 := runStep(t, g, randRelayStep, Config{Seed: 42})
 	requireEqualResults(t, "step-determinism", r1, r2)
+}
+
+// randRelayStep is the step twin of randRelayProgram: a random sleep, a
+// broadcast of a PRNG draw, one more round, and a PRNG draw as output.
+func randRelayStep(api *API) StepFn {
+	relay := func(api *API, _ []Msg) Step {
+		api.Broadcast(api.Rand().Int())
+		return Continue(func(api *API, _ []Msg) Step {
+			return Done(api.Rand().Int63())
+		})
+	}
+	return func(api *API, _ []Msg) Step {
+		if k := api.Rand().Intn(6); k > 0 {
+			return Sleep(k, relay)
+		}
+		return relay(api, nil)
+	}
 }
 
 // TestStepScratchReuseIsClean interleaves step runs of different sizes so
@@ -430,8 +479,8 @@ func TestStepScratchReuseIsClean(t *testing.T) {
 }
 
 // TestStepFallback covers the blocking-form paths of the step backend:
-// Backend.Run on a goroutine Program delegates to the automatic choice,
-// and RunSpec falls back when the Spec has no step form.
+// Backend.Run on a goroutine Program delegates to goroutines, and RunSpec
+// falls back when the Spec has no step form.
 func TestStepFallback(t *testing.T) {
 	withShards(t, 2)
 	g := graph.Ring(32)
@@ -456,7 +505,8 @@ func TestStepFallback(t *testing.T) {
 }
 
 // TestRunSpec covers form selection: auto prefers the step form, explicit
-// blocking backends use the blocking form, and malformed Specs error.
+// blocking backends use the blocking form, a retired or unknown backend
+// name errors, and malformed Specs error.
 func TestRunSpec(t *testing.T) {
 	withShards(t, 2)
 	g := graph.Ring(48)
@@ -465,7 +515,7 @@ func TestRunSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"", "auto", "step", "pool"} {
+	for _, name := range []string{"", "auto", "step"} {
 		got, err := RunSpec(g, spec, name, Config{Seed: 3})
 		if err != nil {
 			t.Fatalf("RunSpec(%q): %v", name, err)
@@ -478,21 +528,24 @@ func TestRunSpec(t *testing.T) {
 	if _, err := RunSpec(g, Spec{Step: spec.Step}, "goroutines", Config{}); err == nil {
 		t.Error("step-only Spec on a blocking backend should fail")
 	}
-	if _, err := RunSpec(g, spec, "nope", Config{}); err == nil || !strings.Contains(err.Error(), "step") {
-		t.Errorf("unknown backend error should list registered names, got %v", err)
+	for _, name := range []string{"nope", "pool"} {
+		if _, err := RunSpec(g, spec, name, Config{}); !errors.Is(err, ErrUnknownBackend) || !strings.Contains(err.Error(), "step") {
+			t.Errorf("RunSpec(%q): unknown backend error should list registered names, got %v", name, err)
+		}
 	}
 }
 
-// TestSelectUnknownListsBackends pins the satellite fix: the error for an
-// unknown backend name must name every registered backend.
+// TestSelectUnknownListsBackends pins the misuse path: an unknown backend
+// name — including the retired "pool" — is a typed error naming every
+// registered backend, never a silent fallback.
 func TestSelectUnknownListsBackends(t *testing.T) {
-	_, err := Select("warp", 4)
-	if err == nil {
-		t.Fatal("Select(warp) should fail")
-	}
-	for _, want := range []string{"goroutines", "pool", "step", "auto"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not mention %q", err, want)
+	for _, name := range []string{"warp", "pool"} {
+		_, err := Select(name)
+		if !errors.Is(err, ErrUnknownBackend) {
+			t.Fatalf("Select(%q) err = %v, want ErrUnknownBackend", name, err)
+		}
+		if want := `goroutines, step, or "auto"`; !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not list %s", err, want)
 		}
 	}
 }

@@ -110,10 +110,10 @@ var backendFamilies = []struct {
 // backendAlgs are the default benchmarked algorithms: "partition" is the
 // early-termination workload (every backend shrinks its live set), while
 // "arblinial-o1" and "ka2" layer the §7 Idle-window schedules on top,
-// which is where the active-set schedulers pay off: goroutines wakes
-// every live vertex every round of a window, the pool parks them until a
-// message arrives or the window expires, and the step backend runs the
-// same parked schedule without any goroutine machinery at all.
+// which is where the step backend's active-set scheduling pays off:
+// goroutines wakes every live vertex every round of a window, while step
+// parks them in a timer heap until a message arrives or the window
+// expires, without any goroutine machinery at all.
 var backendAlgs = []string{"partition", "arblinial-o1", "ka2"}
 
 // RunBackendBench measures every registered engine backend on the default

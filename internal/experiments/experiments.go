@@ -104,7 +104,7 @@ func All() []Experiment {
 		{"t2-mm", "Table 2 maximal matching", "O(a+log*n)-shaped vertex-avg", runMM},
 		{"fig1", "Figure 1", "segment lengths log^(i) n and per-segment schedule", runFig1},
 		{"ring-reference", "§2 context [12]", "leader election: O(log n) avg commitment vs Θ(n) worst; ring 3-coloring: log* both", runRingReference},
-		{"backends", "engine core (DESIGN.md §1)", "all backends agree on every measure; pool and step cut per-round cost", runBackends},
+		{"backends", "engine core (DESIGN.md §1)", "all backends agree on every measure; step cuts per-round cost", runBackends},
 		{"multicore", "staged lanes (DESIGN.md §9)", "step backend scales with workers; Results byte-identical at every GOMAXPROCS", runMulticore},
 		{"faults", "fault model (DESIGN.md §8)", "degradation is graceful and deterministic: losses and crashes raise rounds and conflicts smoothly", runFaults},
 		{"outofcore", "out-of-core store (DESIGN.md §10)", "mmap'd CSR files run byte-identical to generated graphs; memory-budget columns show what the mapping buys", runOutOfCore},

@@ -34,8 +34,8 @@ type SweepResult struct {
 // are how the paper's tables are checked empirically; the result exposes
 // the growth-shape diagnostics used by EXPERIMENTS.md. p.Backend selects
 // the engine execution backend for every point of the sweep; the default
-// "auto" switches to the active-set pool backend at large n, which is
-// what makes million-vertex sweep points affordable.
+// "auto" runs the goroutine-free step form, which is what makes
+// million-vertex sweep points affordable.
 //
 // The (size, seed) run points are independent, so they are fanned out
 // across p.SweepWorkers goroutines (0 means GOMAXPROCS; see CachedGen for

@@ -88,18 +88,16 @@ type Params struct {
 	MaxRounds int
 	// SkipValidation disables output checking (benchmarks).
 	SkipValidation bool
-	// Backend selects the engine execution backend: "goroutines", "pool",
-	// "step", or ""/"auto" to pick automatically (the goroutine-free step
-	// backend whenever the algorithm has a step form, otherwise by graph
-	// size). Backends are execution strategies only — equal seeds yield
-	// identical results on all of them; see engine.Backends for the
-	// registered names.
+	// Backend selects the engine execution backend: "goroutines", "step",
+	// or ""/"auto" (the goroutine-free step backend whenever the algorithm
+	// has a step form, otherwise goroutines). Backends are execution
+	// strategies only — equal seeds yield identical results on all of
+	// them; see engine.Backends for the registered names.
 	Backend string
 	// StepShards fixes the step backend's shard count regardless of
-	// GOMAXPROCS (0 means one shard per core at run start). Results are
-	// invariant in both the shard and the worker count; pinning the value
-	// reproduces the same shard layout on any machine. Ignored by the
-	// other backends.
+	// GOMAXPROCS (0 = autotuned). Results are invariant in both the shard
+	// and the worker count; pinning the value reproduces the same shard
+	// layout on any machine. Ignored by the goroutines backend.
 	StepShards int
 	// Relabel selects the engine's vertex-relabeling layout pass: "rcm"
 	// runs the engine on a reverse Cuthill–McKee view of the graph for
