@@ -7,18 +7,18 @@
 // noglobalrand (vertex code draws only from the per-vertex seeded PRNG),
 // stepcontract (step-form programs never block), wiretag (fast-lane tags
 // come from internal/wire constants), hotpath (//vavg:hotpath functions
-// stay allocation-free), plus the interprocedural pair: detflow
-// (determinism taint must not reach messages, Results, or adversary
-// hashing through any call chain) and payloadwire (every concrete type
-// entering the any message lane must be wire-codable). Suppress a
-// deliberate exception with //lint:ignore <analyzer> <reason> on or
-// directly above the flagged line; //lint:file-ignore covers a whole
-// file.
+// stay allocation-free), scenarioseam, shardseam and lanepad (the
+// fault-layer, shard-state and staging-lane contracts), plus the
+// interprocedural detflow (determinism taint must not reach messages,
+// Results, or adversary hashing through any call chain); -list prints
+// them all. Suppress a deliberate exception with
+// //lint:ignore <analyzer> <reason> on or directly above the flagged
+// line; //lint:file-ignore covers a whole file. A directive naming no
+// analyzer of the suite is itself a finding.
 //
 // -json emits one JSON object per finding (analyzer, position, message,
 // suppression state), suppressed findings included so consumers can audit
-// them; text mode prints active findings only. -closure prints the
-// any-lane payload type closure the payloadwire analyzer certified.
+// them; text mode prints active findings only.
 //
 // Exit status: 0 clean, 1 active findings, 2 load or usage errors.
 package main
@@ -41,7 +41,6 @@ func main() {
 		dir     = flag.String("C", ".", "module directory to run in")
 		jsonOut = flag.Bool("json", false, "emit findings as JSON Lines (suppressed findings included, marked)")
 		workers = flag.Int("workers", 0, "concurrent type-check/analysis workers (0 = GOMAXPROCS)")
-		closure = flag.Bool("closure", false, "print the any-lane payload type closure and exit")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: vavglint [flags] [packages]\n\nFlags:\n")
@@ -82,13 +81,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-
-	if *closure {
-		for _, line := range analysis.ComputeFacts(pkgs).LaneClosure() {
-			fmt.Println(line)
-		}
-		return
 	}
 
 	diags := analysis.RunAnalyzersN(analyzers, pkgs, *workers)

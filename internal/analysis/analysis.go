@@ -20,7 +20,8 @@
 //     the line directly above it, suppresses that analyzer's diagnostics
 //     for the statement. //lint:file-ignore <analyzer> <reason> at the top
 //     of a file suppresses the analyzer for the whole file. A reason is
-//     mandatory; bare suppressions are reported as findings themselves.
+//     mandatory and the name must be "*" or an analyzer of the suite;
+//     directives breaking either rule are reported as findings themselves.
 //
 //   - //vavg:hotpath in a function's doc comment opts the function into
 //     the hotpath analyzer's allocation checks.
@@ -112,8 +113,9 @@ type suppressions struct {
 	byLine map[string]map[int][]string
 	// byFile maps filename -> analyzer names suppressed file-wide.
 	byFile map[string][]string
-	// malformed holds directives missing a reason; RunAnalyzers reports
-	// them as findings so suppressions stay auditable.
+	// malformed holds directives missing a reason or naming no analyzer of
+	// the suite; RunAnalyzers reports them as findings so suppressions stay
+	// auditable and a stale directive cannot silently suppress nothing.
 	malformed []Diagnostic
 }
 
@@ -161,6 +163,15 @@ func (s *suppressions) add(c *ast.Comment) {
 		return
 	}
 	name := fields[0]
+	if _, err := ByName(name); err != nil && name != "*" {
+		// Checked against the full suite, whichever subset is being run.
+		s.malformed = append(s.malformed, Diagnostic{
+			Pos:      pos,
+			Analyzer: "vavglint",
+			Message:  fmt.Sprintf("lint:ignore directive names unknown analyzer %q", name),
+		})
+		return
+	}
 	if fileWide {
 		s.byFile[pos.Filename] = append(s.byFile[pos.Filename], name)
 		return

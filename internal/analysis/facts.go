@@ -1,29 +1,18 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
-	"sort"
 )
 
 // The fact layer is vavglint's interprocedural half, analogous to
 // go/analysis facts but computed eagerly over every loaded unit before
-// analyzers run. Two fact families are built:
-//
-//   - determinism summaries (FuncSummary): for every declared module
-//     function, which results carry taint of their own, which parameters
-//     flow into which results, and which parameters are forwarded to a
-//     determinism sink (a message send, adversary hashing, a Result
-//     field). detflow consults these at call sites.
-//
-//   - the any-lane payload closure: the set of concrete types that can
-//     flow into the engine's `any` message lane anywhere in the module
-//     (api.Send/SendID/Broadcast payloads, exec.Done outputs, Program
-//     return values), found by propagating "lane-ness" backwards through
-//     helper parameters and results to a fixed point. payloadwire checks
-//     every type in the closure for wire-codability.
+// analyzers run. It builds one fact family, the determinism summary
+// (FuncSummary): for every declared module function, which results carry
+// taint of their own, which parameters flow into which results, and which
+// parameters are forwarded to a determinism sink (a message send,
+// adversary hashing, a Result field). detflow consults these at call
+// sites.
 //
 // Facts are computed from source alone, ignoring //lint: suppressions: a
 // file-ignored function still contributes its real summary, so callers in
@@ -61,57 +50,12 @@ func summaryEqual(a, b *FuncSummary) bool {
 	return true
 }
 
-// laneEntry is one concrete type observed entering the any lane, with the
-// earliest entry site (for reporting) and the helper chain is irrelevant —
-// the type either crosses a wire or it does not.
-type laneEntry struct {
-	key      string // types.TypeString, the closure's identity
-	typ      types.Type
-	pos      token.Pos
-	position token.Position
-}
-
-// ifaceMethod names one interface method whose results enter the lane
-// (e.g. extend.Problem.Solve): lane-ness distributes to every module
-// method that implements it.
-type ifaceMethod struct {
-	key   string // funcKey of the interface method, for dedup
-	iface *types.Interface
-	name  string
-}
-
-// laneOpaque is a lane entry whose concrete type could not be resolved
-// statically (an interface-typed value from outside the recognized
-// relay/helper shapes). payloadwire reports these as findings: an opaque
-// payload is exactly what the cluster seam cannot serialize.
-type laneOpaque struct {
-	pos      token.Pos
-	position token.Position
-	desc     string
-}
-
 // Facts is the module-wide interprocedural fact store handed to
 // NeedsFacts analyzers through Pass.Facts. Read-only once computed.
 type Facts struct {
 	// summaries maps funcKey -> determinism summary for every declared
 	// module function with a body (non-test files).
 	summaries map[string]*FuncSummary
-	// laneParams maps funcKey -> parameter indices whose arguments enter
-	// the any lane (seeded with the engine's entry points).
-	laneParams map[string]map[int]bool
-	// laneResults marks module helpers whose return value is passed to the
-	// lane somewhere; their return sites become entry sites.
-	laneResults map[string]bool
-	// laneIfaces lists interface methods whose call results enter the
-	// lane; every module method implementing one is lane-returning.
-	laneIfaces []ifaceMethod
-	// laneEntries is the resolved closure: one entry per concrete type, at
-	// its earliest entry position, sorted by position.
-	laneEntries []laneEntry
-	// laneOpaque lists unresolvable interface-typed entries, sorted.
-	laneOpaque []laneOpaque
-	// codecs maps type keys to the position of their wire.Register call.
-	codecs map[string]token.Position
 }
 
 // funcKey names a function module-wide: pkgpath.Name for package-level
@@ -139,50 +83,38 @@ func (f *Facts) summaryOf(fn *types.Func) *FuncSummary {
 	return f.summaries[funcKey(fn)]
 }
 
-// funcNode is one function body scheduled for fact extraction.
+// funcNode is one declared function scheduled for summarization.
 type funcNode struct {
 	pkg *Package
 	fn  funcInfo
-	key string // "" for function literals
+	key string // funcKey of the declaration
 }
 
 // ComputeFacts builds the module-wide fact store over every unit: taint
-// summaries for declared functions (to a fixed point over the call
-// graph), the any-lane payload closure, and the registered-codec index.
-// Test files contribute nothing: test-local programs are certified
-// dynamically by the equivalence suites.
+// summaries for declared functions, iterated to a fixed point over the
+// call graph. Test files contribute nothing: test-local programs are
+// certified dynamically by the equivalence suites.
 func ComputeFacts(pkgs []*Package) *Facts {
-	f := &Facts{
-		summaries:   map[string]*FuncSummary{},
-		laneParams:  map[string]map[int]bool{},
-		laneResults: map[string]bool{},
-		codecs:      map[string]token.Position{},
-	}
-	var decls []funcNode // declared functions: summary subjects
-	var nodes []funcNode // all functions incl. literals: lane-scan subjects
+	f := &Facts{summaries: map[string]*FuncSummary{}}
+	var decls []funcNode
 	for _, pkg := range pkgs {
 		shim := &Pass{Fset: pkg.Fset, Info: pkg.TypesInfo}
 		for _, file := range pkg.Syntax {
 			if isTestFile(pkg.Fset, file) {
 				continue
 			}
-			f.scanCodecs(pkg, file)
 			for _, fn := range funcsIn(shim, file) {
-				node := funcNode{pkg: pkg, fn: fn}
-				if decl, ok := fn.node.(*ast.FuncDecl); ok {
-					if obj, ok := pkg.TypesInfo.Defs[decl.Name].(*types.Func); ok {
-						node.key = funcKey(obj)
-					}
+				decl, ok := fn.node.(*ast.FuncDecl)
+				if !ok {
+					continue
 				}
-				nodes = append(nodes, node)
-				if node.key != "" {
-					decls = append(decls, node)
+				if obj, ok := pkg.TypesInfo.Defs[decl.Name].(*types.Func); ok {
+					decls = append(decls, funcNode{pkg: pkg, fn: fn, key: funcKey(obj)})
 				}
 			}
 		}
 	}
 	f.computeSummaries(decls)
-	f.computeLaneClosure(nodes)
 	return f
 }
 
@@ -248,386 +180,4 @@ func paramObjs(sig *types.Signature) map[types.Object]int {
 		}
 	}
 	return m
-}
-
-// paramIndexOf returns the summary index of obj among sig's parameters
-// (receiver = 0), or ok=false.
-func paramIndexOf(sig *types.Signature, obj types.Object) (int, bool) {
-	i := 0
-	if r := sig.Recv(); r != nil {
-		if obj == r {
-			return 0, true
-		}
-		i = 1
-	}
-	for j := 0; j < sig.Params().Len(); j++ {
-		if sig.Params().At(j) == obj {
-			return i + j, true
-		}
-	}
-	return 0, false
-}
-
-// scanCodecs indexes wire.Register[T] instantiations: the presence of a
-// registered codec is what licenses an otherwise non-codable type (a map
-// field, say) to cross the wire.
-func (f *Facts) scanCodecs(pkg *Package, file *ast.File) {
-	ast.Inspect(file, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		var id *ast.Ident
-		fun := ast.Unparen(call.Fun)
-		if ix, ok := fun.(*ast.IndexExpr); ok {
-			fun = ast.Unparen(ix.X)
-		}
-		switch fun := fun.(type) {
-		case *ast.Ident:
-			id = fun
-		case *ast.SelectorExpr:
-			id = fun.Sel
-		default:
-			return true
-		}
-		fn, ok := pkg.TypesInfo.Uses[id].(*types.Func)
-		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != wirePath || fn.Name() != "Register" {
-			return true
-		}
-		inst, ok := pkg.TypesInfo.Instances[id]
-		if !ok || inst.TypeArgs.Len() != 1 {
-			return true
-		}
-		key := types.TypeString(inst.TypeArgs.At(0), nil)
-		if _, dup := f.codecs[key]; !dup {
-			f.codecs[key] = pkg.Fset.Position(call.Pos())
-		}
-		return true
-	})
-}
-
-// computeLaneClosure propagates "this value enters the any lane"
-// backwards from the engine's entry points through helper parameters and
-// results until no new lane parameter or lane-returning helper appears,
-// then records the concrete types observed at the entry sites.
-func (f *Facts) computeLaneClosure(nodes []funcNode) {
-	// Roots: the engine's any-lane entry points. Parameter indices count
-	// the receiver, so API.Send(to, v) puts v at index 2.
-	f.laneParams[execPath+".API.Send"] = map[int]bool{2: true}
-	f.laneParams[execPath+".API.SendID"] = map[int]bool{2: true}
-	f.laneParams[execPath+".API.Broadcast"] = map[int]bool{1: true}
-	f.laneParams[execPath+".Done"] = map[int]bool{0: true}
-
-	entries := map[string]laneEntry{}
-	opaque := map[token.Position]laneOpaque{}
-	for iter := 0; iter < 20; iter++ {
-		changed := false
-		for _, n := range nodes {
-			// The engine implements the lane; its internals relay cells
-			// and Finals, not new payload types.
-			if n.pkg.Types.Path() == execPath {
-				continue
-			}
-			if f.laneScan(n, entries, opaque) {
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-
-	f.laneEntries = f.laneEntries[:0]
-	for _, e := range entries {
-		f.laneEntries = append(f.laneEntries, e)
-	}
-	sort.Slice(f.laneEntries, func(i, j int) bool {
-		return posLess(f.laneEntries[i].position, f.laneEntries[j].position)
-	})
-	f.laneOpaque = f.laneOpaque[:0]
-	for _, o := range opaque {
-		f.laneOpaque = append(f.laneOpaque, o)
-	}
-	sort.Slice(f.laneOpaque, func(i, j int) bool {
-		return posLess(f.laneOpaque[i].position, f.laneOpaque[j].position)
-	})
-}
-
-func posLess(a, b token.Position) bool {
-	if a.Filename != b.Filename {
-		return a.Filename < b.Filename
-	}
-	if a.Line != b.Line {
-		return a.Line < b.Line
-	}
-	return a.Column < b.Column
-}
-
-// laneScan walks one function body looking for values handed to the lane:
-// arguments at known lane parameters, and return statements of
-// Program-shaped functions or helpers already marked lane-returning.
-// Reports whether the closure grew.
-func (f *Facts) laneScan(n funcNode, entries map[string]laneEntry, opaque map[token.Position]laneOpaque) bool {
-	info := n.pkg.TypesInfo
-	changed := false
-	laneReturns := sigIsProgramShape(n.fn.sig) || (n.key != "" && f.laneResults[n.key]) || f.implementsLaneIface(n.fn.sig)
-	walkSkippingFuncLits(n.fn.body, func(node ast.Node) bool {
-		switch node := node.(type) {
-		case *ast.CallExpr:
-			fn, _ := calleeObj(info, node).(*types.Func)
-			if fn == nil {
-				return true
-			}
-			laneIdxs := f.laneParams[funcKey(fn)]
-			if len(laneIdxs) == 0 {
-				return true
-			}
-			sig, _ := fn.Type().(*types.Signature)
-			base := 0
-			if sig != nil && sig.Recv() != nil {
-				base = 1
-			}
-			for i, a := range node.Args {
-				if laneIdxs[base+i] {
-					if f.resolveLanePayload(n, a, entries, opaque) {
-						changed = true
-					}
-				}
-			}
-		case *ast.ReturnStmt:
-			if laneReturns {
-				for _, e := range node.Results {
-					if f.resolveLanePayload(n, e, entries, opaque) {
-						changed = true
-					}
-				}
-			}
-		}
-		return true
-	})
-	return changed
-}
-
-// resolveLanePayload records what expression e contributes to the lane:
-// a concrete type (an entry), a parameter of the enclosing function (the
-// parameter becomes a lane parameter), a call to a module helper (the
-// helper becomes lane-returning), a recognized relay (skipped), or an
-// opaque interface value (a finding).
-func (f *Facts) resolveLanePayload(n funcNode, e ast.Expr, entries map[string]laneEntry, opaque map[token.Position]laneOpaque) bool {
-	info := n.pkg.TypesInfo
-	e = ast.Unparen(e)
-	t := info.TypeOf(e)
-	if t == nil {
-		return false
-	}
-	if b, ok := t.(*types.Basic); ok && (b.Kind() == types.UntypedNil || b.Kind() == types.Invalid) {
-		return false // a nil payload carries no type across the wire
-	}
-	if !types.IsInterface(t) {
-		key := types.TypeString(t, nil)
-		pos := n.pkg.Fset.Position(e.Pos())
-		if old, ok := entries[key]; !ok || posLess(pos, old.position) {
-			entries[key] = laneEntry{key: key, typ: t, pos: e.Pos(), position: pos}
-			return !ok
-		}
-		return false
-	}
-
-	// Interface-typed: push lane-ness backwards.
-	switch x := e.(type) {
-	case *ast.Ident:
-		if obj := info.Uses[x]; obj != nil && n.key != "" {
-			if idx, ok := paramIndexOf(n.fn.sig, obj); ok {
-				m := f.laneParams[n.key]
-				if m == nil {
-					m = map[int]bool{}
-					f.laneParams[n.key] = m
-				}
-				if !m[idx] {
-					m[idx] = true
-					return true
-				}
-				return false
-			}
-		}
-	case *ast.CallExpr:
-		// A call to a Program (or Program-shaped helper): its own return
-		// sites are entry sites, covered where it is declared.
-		if sig, ok := typeUnder(info.TypeOf(x.Fun)).(*types.Signature); ok && sigIsProgramShape(sig) {
-			return false
-		}
-		if fn, ok := calleeObj(info, x).(*types.Func); ok {
-			if key := funcKey(fn); key != "" {
-				if _, inModule := f.summaries[key]; inModule {
-					if !f.laneResults[key] {
-						f.laneResults[key] = true
-						return true
-					}
-					return false
-				}
-				// An interface method: every module method implementing
-				// the interface is lane-returning.
-				if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-					if it, ok := typeUnder(sig.Recv().Type()).(*types.Interface); ok {
-						for _, im := range f.laneIfaces {
-							if im.key == key {
-								return false
-							}
-						}
-						f.laneIfaces = append(f.laneIfaces, ifaceMethod{key: key, iface: it, name: fn.Name()})
-						return true
-					}
-				}
-			}
-		}
-	case *ast.SelectorExpr:
-		// Relaying a received payload (msg.Data) or a settled output
-		// (final.Output) introduces no new type: the sender's entry site
-		// already contributed it.
-		if isNamed(info.TypeOf(x.X), execPath, "Msg") && x.Sel.Name == "Data" {
-			return false
-		}
-		if isNamed(info.TypeOf(x.X), execPath, "Final") && x.Sel.Name == "Output" {
-			return false
-		}
-	case *ast.TypeAssertExpr:
-		// v.(T): the asserted type is the payload.
-		if x.Type != nil {
-			return f.resolveLanePayload(n, x.Type, entries, opaque)
-		}
-	}
-
-	pos := n.pkg.Fset.Position(e.Pos())
-	if _, ok := opaque[pos]; !ok {
-		opaque[pos] = laneOpaque{
-			pos:      e.Pos(),
-			position: pos,
-			desc:     fmt.Sprintf("value of interface type %s", types.TypeString(t, nil)),
-		}
-		return true
-	}
-	return false
-}
-
-// implementsLaneIface reports whether sig is a method implementing a
-// lane-returning interface method: same name, receiver (or its pointer)
-// satisfying the interface.
-func (f *Facts) implementsLaneIface(sig *types.Signature) bool {
-	if sig == nil || sig.Recv() == nil {
-		return false
-	}
-	recv := sig.Recv().Type()
-	for _, im := range f.laneIfaces {
-		if im.name == "" {
-			continue
-		}
-		// Method name must match; Implements settles the rest.
-		found := false
-		for i := 0; i < im.iface.NumMethods(); i++ {
-			if im.iface.Method(i).Name() == im.name {
-				found = true
-				break
-			}
-		}
-		if !found {
-			continue
-		}
-		if types.Implements(recv, im.iface) || types.Implements(types.NewPointer(recv), im.iface) {
-			// Only the matching method is lane-returning.
-			if named, ok := dePtr(recv).(*types.Named); ok {
-				for i := 0; i < named.NumMethods(); i++ {
-					m := named.Method(i)
-					if m.Name() == im.name && m.Type() == sig {
-						return true
-					}
-				}
-			}
-		}
-	}
-	return false
-}
-
-// wireBad reports why type t cannot cross a process boundary, or "" if it
-// can. A registered internal/wire codec licenses any named type; without
-// one the structure must bottom out in booleans, numbers, and strings.
-func (f *Facts) wireBad(t types.Type, seen map[types.Type]bool) string {
-	if t == nil {
-		return ""
-	}
-	if named, ok := t.(*types.Named); ok {
-		if _, ok := f.codecs[types.TypeString(named, nil)]; ok {
-			return ""
-		}
-	}
-	if seen[t] {
-		return ""
-	}
-	seen[t] = true
-	name := func() string { return types.TypeString(t, nil) }
-	switch u := t.Underlying().(type) {
-	case *types.Basic:
-		switch u.Kind() {
-		case types.Uintptr, types.UnsafePointer:
-			return name() + " is an address-width value with no cross-process meaning"
-		}
-		if u.Info()&(types.IsBoolean|types.IsNumeric|types.IsString) != 0 {
-			return ""
-		}
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			fd := u.Field(i)
-			if bad := f.wireBad(fd.Type(), seen); bad != "" {
-				return fmt.Sprintf("field %s: %s", fd.Name(), bad)
-			}
-		}
-		return ""
-	case *types.Slice:
-		if bad := f.wireBad(u.Elem(), seen); bad != "" {
-			return "element: " + bad
-		}
-		return ""
-	case *types.Array:
-		if bad := f.wireBad(u.Elem(), seen); bad != "" {
-			return "element: " + bad
-		}
-		return ""
-	case *types.Pointer:
-		return "pointer " + name() + " refers into the sender's address space"
-	case *types.Map:
-		return "map " + name() + " has no canonical wire order without a registered codec"
-	case *types.Chan:
-		return "channel " + name() + " cannot cross a process boundary"
-	case *types.Signature:
-		return "func value " + name() + " cannot cross a process boundary"
-	case *types.Interface:
-		return "interface " + name() + " carries an open-ended dynamic payload"
-	}
-	return name() + " is not wire-codable"
-}
-
-// LaneClosure renders the computed any-lane payload closure, one line per
-// concrete type in entry-position order: the type, its wire status
-// (codec / ok / rejected reason), and the earliest entry site. vavglint
-// -closure prints this so DESIGN.md's payload table can be audited
-// against the analysis rather than by hand.
-func (f *Facts) LaneClosure() []string {
-	var out []string
-	for _, e := range f.laneEntries {
-		status := "ok (structurally wire-codable)"
-		if pos, ok := f.codecs[e.key]; ok {
-			status = fmt.Sprintf("codec registered at %s:%d", pos.Filename, pos.Line)
-		} else if bad := f.wireBad(e.typ, map[types.Type]bool{}); bad != "" {
-			status = "REJECTED: " + bad
-		}
-		out = append(out, fmt.Sprintf("%s\n\t%s\n\tfirst entry: %s:%d:%d",
-			e.key, status, e.position.Filename, e.position.Line, e.position.Column))
-	}
-	for _, o := range f.laneOpaque {
-		out = append(out, fmt.Sprintf("(opaque) %s\n\tREJECTED: concrete type unknown\n\tentry: %s:%d:%d",
-			o.desc, o.position.Filename, o.position.Line, o.position.Column))
-	}
-	if len(out) == 0 {
-		out = append(out, "(empty closure: no any-lane payloads outside the engine)")
-	}
-	return out
 }

@@ -27,8 +27,8 @@ func TestWriteJSON(t *testing.T) {
 		},
 		{
 			Pos:        token.Position{Filename: "/mod/internal/b/b.go", Line: 7, Column: 1},
-			Analyzer:   "payloadwire",
-			Message:    "payload cannot cross a wire",
+			Analyzer:   "detorder",
+			Message:    "range over map has order-dependent effects",
 			Suppressed: true,
 		},
 	}
@@ -37,7 +37,7 @@ func TestWriteJSON(t *testing.T) {
 		t.Fatalf("WriteJSON: %v", err)
 	}
 	want := `{"analyzer":"detflow","file":"internal/a/a.go","line":10,"col":3,"message":"tainted value reaches \"sink\"","suppressed":false}
-{"analyzer":"payloadwire","file":"internal/b/b.go","line":7,"col":1,"message":"payload cannot cross a wire","suppressed":true}
+{"analyzer":"detorder","file":"internal/b/b.go","line":7,"col":1,"message":"range over map has order-dependent effects","suppressed":true}
 `
 	if got := buf.String(); got != want {
 		t.Errorf("WriteJSON output:\n%s\nwant:\n%s", got, want)

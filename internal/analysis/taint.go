@@ -14,8 +14,8 @@ import (
 // which parameters reach a sink) and by the detflow analyzer's
 // diagnostic pass.
 
-// Taint kinds. Each names a way a value can differ between two runs (or
-// two cluster replicas) started from equal seeds.
+// Taint kinds. Each names a way a value can differ between two runs
+// started from equal seeds.
 const (
 	taintOrder uint8 = 1 << iota // derived from Go's randomized map-iteration order
 	taintRand                    // non-PRNG randomness: global math/rand, clock, environment, machine
@@ -62,7 +62,7 @@ func (t taintVal) tainted() bool { return t.kinds != 0 || t.params != 0 }
 
 // sendSinkMethods are the *exec.API methods whose arguments become
 // messages: a tainted argument makes message bytes (or delivery targets)
-// run-dependent, which breaks cross-run and cluster equivalence.
+// run-dependent, which breaks cross-run and cross-backend equivalence.
 var sendSinkMethods = map[string]string{
 	"Send":         "an api.Send payload",
 	"SendID":       "an api.SendID payload",
@@ -688,9 +688,8 @@ func sigIsProgramShape(sig *types.Signature) bool {
 }
 
 // isTestFile reports whether the file is a _test.go file. The
-// interprocedural analyzers skip test files: test-local programs are
-// certified dynamically by the equivalence suites, and test scaffolding
-// never ships across the cluster seam.
+// interprocedural analyzer skips test files: test-local programs are
+// certified dynamically by the equivalence suites.
 func isTestFile(fset *token.FileSet, file *ast.File) bool {
 	return strings.HasSuffix(fset.Position(file.Pos()).Filename, "_test.go")
 }

@@ -191,15 +191,16 @@ func TestMaxRoundsAborts(t *testing.T) {
 func TestVertexPanicPropagates(t *testing.T) {
 	g := graph.Ring(4)
 	prog := func(api *API) any {
+		api.Idle(3)
 		if api.ID() == 2 {
 			panic("boom")
 		}
-		api.Idle(3)
 		return nil
 	}
 	_, err := Run(g, prog, Options{})
-	if err == nil {
-		t.Fatal("expected error from panicking vertex")
+	const want = "engine: vertex 2 panicked in round 4: boom"
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
 	}
 }
 

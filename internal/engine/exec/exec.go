@@ -325,7 +325,7 @@ type runScratch struct {
 	dirty    []int32 // flat backing for the per-vertex dirty-index lists
 	done     []bool
 	msgCount []int64
-	panics   []any
+	panics   []vertexPanic
 	// apis and stepFns back the step backend's flat per-vertex machine
 	// state (API handles and pending turns); the goroutines backend leaves
 	// them untouched.
@@ -360,7 +360,7 @@ type core struct {
 	commits  []int32
 	output   []any
 	msgCount []int64
-	panics   []any
+	panics   []vertexPanic
 	aborted  bool
 	seed     int64
 
@@ -455,9 +455,9 @@ func (c *core) finish(activePerRound []int, maxRounds int) (*Result, error) {
 	defer c.release()
 	n := c.g.N()
 	for v := 0; v < n; v++ {
-		if p := c.panics[v]; p != nil {
+		if p := c.panics[v]; p.val != nil {
 			if c.aborted {
-				if _, ok := p.(abortSentinel); ok {
+				if _, ok := p.val.(abortSentinel); ok {
 					continue
 				}
 			}
@@ -465,7 +465,7 @@ func (c *core) finish(activePerRound []int, maxRounds int) (*Result, error) {
 			if c.orig != nil {
 				id = int(c.orig[v])
 			}
-			return nil, fmt.Errorf("engine: vertex %d panicked: %v", id, p)
+			return nil, fmt.Errorf("engine: vertex %d panicked in round %d: %v", id, p.round, p.val)
 		}
 	}
 	if c.aborted && c.adv == nil {
@@ -542,6 +542,14 @@ func (c *core) unmap() {
 
 type abortSentinel struct{}
 
+// vertexPanic is a vertex's recorded failure: the recovered value and the
+// 1-based round the vertex was executing (building a step machine counts
+// as round 1, where its first turn runs).
+type vertexPanic struct {
+	val   any
+	round int32
+}
+
 // runtime is the backend-side contract of the API: how a blocking vertex
 // crosses a round barrier (next) and waits out an idle window (idle) —
 // the step runtime rejects both, as step programs cross rounds by
@@ -603,7 +611,7 @@ func runVertexFrom(rt runtime, c *core, v int32, prog Program, done func(), star
 		if p := recover(); p != nil {
 			api.releaseOutbox()
 			if _, crash := p.(crashSentinel); !crash {
-				c.panics[v] = p
+				c.panics[v] = vertexPanic{val: p, round: api.round + 1}
 			}
 			c.done[v] = true
 			done()

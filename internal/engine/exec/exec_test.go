@@ -6,7 +6,6 @@ import (
 	"reflect"
 	gort "runtime"
 	"sort"
-	"strings"
 	"testing"
 
 	"vavg/internal/graph"
@@ -410,30 +409,37 @@ func TestPoolMaxRoundsAborts(t *testing.T) {
 }
 
 // TestPoolVertexPanicPropagates checks that a panicking vertex fails the
-// run with an error naming it on every backend choice.
+// run with the same error on every backend choice, naming the vertex by
+// its original ID on a relabeled view and the round it was executing.
 func TestPoolVertexPanicPropagates(t *testing.T) {
 	withShards(t, 2)
-	g := graph.Ring(6)
+	g := graph.Relabel(graph.RandomTree(40, 3))
+	if g.Perm.New[3] == 3 {
+		t.Fatal("relabeling keeps vertex 3 in place; pick a graph where it moves")
+	}
 	spec := Spec{
 		Program: func(api *API) any {
+			api.Idle(2)
 			if api.ID() == 3 {
 				panic("boom")
 			}
-			api.Idle(2)
 			return nil
 		},
 		Step: func(api *API) StepFn {
 			return func(api *API, _ []Msg) Step {
-				if api.ID() == 3 {
-					panic("boom")
-				}
-				return Sleep(2, func(api *API, _ []Msg) Step { return Done(nil) })
+				return Sleep(2, func(api *API, _ []Msg) Step {
+					if api.ID() == 3 {
+						panic("boom")
+					}
+					return Done(nil)
+				})
 			}
 		},
 	}
+	const want = "engine: vertex 3 panicked in round 3: boom"
 	for _, name := range backendChoices() {
-		if _, err := RunSpec(g, spec, name, Config{Seed: 1}); err == nil || !strings.Contains(err.Error(), "vertex 3") {
-			t.Errorf("%s: err = %v, want vertex 3 failure", name, err)
+		if _, err := RunSpec(g, spec, name, Config{Seed: 1}); err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %q", name, err, want)
 		}
 	}
 }

@@ -379,7 +379,7 @@ func (rt *stepRuntime) turn(a *API, fn StepFn) (st Step, ok bool) {
 func (rt *stepRuntime) trap(a *API, ok *bool) {
 	if p := recover(); p != nil {
 		a.releaseOutbox()
-		rt.c.panics[a.v] = p
+		rt.c.panics[a.v] = vertexPanic{val: p, round: a.round + 1}
 		rt.c.done[a.v] = true
 		*ok = false
 	}

@@ -392,27 +392,32 @@ func TestStepMaxRoundsAborts(t *testing.T) {
 func TestStepVertexPanicPropagates(t *testing.T) {
 	withShards(t, 2)
 	g := graph.Ring(6)
-	// A panic during a turn.
+	// A panic during a later turn: the first turn sleeps through rounds 2
+	// and 3, so the second turn runs in round 3.
 	turnPanic := func(api *API) StepFn {
 		return func(api *API, _ []Msg) Step {
-			if api.ID() == 3 {
-				panic("boom")
-			}
-			return Sleep(2, func(api *API, _ []Msg) Step { return Done(nil) })
+			return Sleep(2, func(api *API, _ []Msg) Step {
+				if api.ID() == 3 {
+					panic("boom")
+				}
+				return Done(nil)
+			})
 		}
 	}
-	if _, err := (stepBackend{}).RunStep(g, turnPanic, Config{Seed: 1}); err == nil || !strings.Contains(err.Error(), "vertex 3") {
-		t.Fatalf("turn panic err = %v, want vertex 3 failure", err)
+	const wantTurn = "engine: vertex 3 panicked in round 3: boom"
+	if _, err := (stepBackend{}).RunStep(g, turnPanic, Config{Seed: 1}); err == nil || err.Error() != wantTurn {
+		t.Fatalf("turn panic err = %v, want %q", err, wantTurn)
 	}
-	// A panic while building the machine.
+	// A panic while building the machine counts as round 1.
 	bootPanic := func(api *API) StepFn {
 		if api.ID() == 2 {
 			panic("boot boom")
 		}
 		return func(api *API, _ []Msg) Step { return Done(nil) }
 	}
-	if _, err := (stepBackend{}).RunStep(g, bootPanic, Config{Seed: 1}); err == nil || !strings.Contains(err.Error(), "vertex 2") {
-		t.Fatalf("boot panic err = %v, want vertex 2 failure", err)
+	const wantBoot = "engine: vertex 2 panicked in round 1: boot boom"
+	if _, err := (stepBackend{}).RunStep(g, bootPanic, Config{Seed: 1}); err == nil || err.Error() != wantBoot {
+		t.Fatalf("boot panic err = %v, want %q", err, wantBoot)
 	}
 	// Blocking round-crossing calls are a step-program bug, reported as a
 	// vertex failure rather than a deadlock.

@@ -252,7 +252,6 @@ func edgeProgramStep(a int, eps float64, mk func(api *engine.API) edgeRole) engi
 		}
 		startInter = func(api *engine.API) engine.Step {
 			if j > A {
-				//lint:ignore payloadwire role.output relays the same EdgeOutput / partner-ID values the blocking programs return at their own (certified) entry sites; a func-valued field is beyond static resolution
 				return engine.Done(role.output())
 			}
 			mine = interOut[j] >= 0 && role.wants()

@@ -60,8 +60,7 @@ func EllBound(n int, eps float64) int {
 // Join is the message a vertex broadcasts in the round it joins an H-set.
 // Steady-state joins travel on the engine's integer fast lane as
 // wire.TagJoin; the struct form only rides the terminating Final broadcast
-// of standalone Program runs. It is a wire-codable payload by construction
-// (payloadwire enforces this): one plain int32, nothing address-shaped.
+// of standalone Program runs.
 type Join struct {
 	// Index is the H-set the sender joined (1-based).
 	Index int32

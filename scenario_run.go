@@ -110,7 +110,6 @@ func repairEpoch(alg Algorithm, cur *Graph, p Params, spec *scenario.Spec, i int
 	prog := alg.program(p)
 	base := func(api *engine.API) any {
 		if frozen[api.ID()] {
-			//lint:ignore payloadwire frozen vertices replay prior Result.Output values, whose concrete types were certified at their original entry sites in the epoch that produced them
 			return prior[api.ID()]
 		}
 		return prog(api)
