@@ -9,8 +9,6 @@ package vavg
 // separation is visible directly in `go test -bench=.` output.
 
 import (
-	"fmt"
-	"os"
 	"testing"
 
 	"vavg/internal/coloring"
@@ -176,40 +174,6 @@ func BenchmarkEngine(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := alg.Run(g, Params{Seed: int64(i + 1), SkipValidation: true}); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkBackends compares the engine execution backends on the same
-// workloads: "partition" exercises early termination, "ka2" the §7.5
-// Idle-window schedule where the step backend's timer heap skips sleeping
-// vertices. Sizes stay moderate by default; set VAVG_BENCH_MILLION=1 to
-// add the n=1,000,000 ring and forest-union points (minutes per run, and
-// gigabytes of goroutine stacks on the goroutines backend).
-func BenchmarkBackends(b *testing.B) {
-	sizes := []int{1 << 12, 1 << 16}
-	if os.Getenv("VAVG_BENCH_MILLION") != "" {
-		sizes = append(sizes, 1_000_000)
-	}
-	families := []struct {
-		name string
-		arb  int
-		gen  func(n int) *Graph
-	}{
-		{"forests", benchArb, func(n int) *Graph { return ForestUnion(n, benchArb, benchSeed) }},
-		{"ring", 2, func(n int) *Graph { return Ring(n) }},
-	}
-	for _, fam := range families {
-		for _, n := range sizes {
-			g := fam.gen(n)
-			for _, algName := range []string{"partition", "ka2"} {
-				for _, backend := range Backends() {
-					name := fmt.Sprintf("%s/%s/n%d/%s", algName, fam.name, n, backend)
-					b.Run(name, func(b *testing.B) {
-						benchAlg(b, g, algName, Params{Arboricity: fam.arb, Backend: backend})
-					})
-				}
-			}
 		}
 	}
 }

@@ -1,6 +1,9 @@
 // Command vavgbench regenerates the paper's evaluation artifacts: every
 // row of Tables 1 and 2, Figure 1, the Lemma 6.1 decay and the Feuilloley
-// ring reference points.
+// ring reference points, plus the deterministic fault-degradation matrix
+// (-exp faults). Its tables are round counts, byte-identical at any
+// -workers; wall-clock cost is measured by the bench/ module
+// (bash bench/run.sh).
 //
 // Usage:
 //
@@ -8,12 +11,7 @@
 //	vavgbench -exp all
 //	vavgbench -exp t2-mis -sizes 1024,4096,16384 -seeds 1,2,3
 //	vavgbench -exp table1 -quick
-//	vavgbench -compare BENCH_engine.json -threshold 25
-//
-// -compare re-measures the backend benchmark and diffs it against a
-// committed baseline JSON (the BENCH_engine.json format); it exits
-// non-zero when any matched point's wall time or allocation count grew by
-// more than -threshold percent.
+//	vavgbench -exp faults -n 100000
 package main
 
 import (
@@ -34,19 +32,15 @@ var stopProfiles = func() {}
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment id, or 'all'")
-		list      = flag.Bool("list", false, "list experiments and exit")
-		sizes     = flag.String("sizes", "", "comma-separated graph sizes (default per experiment)")
-		nFlag     = flag.Int("n", 0, "single graph size; shorthand for -sizes n")
-		seeds     = flag.String("seeds", "", "comma-separated seeds (default 1,2,3)")
-		quick     = flag.Bool("quick", false, "shrink sweeps for a fast smoke run")
-		jsonF     = flag.Bool("json", false, "machine-readable JSON output (supported by -exp backends)")
-		workers   = flag.Int("workers", 0, "sweep worker goroutines (0 = GOMAXPROCS); never changes results")
-		shards    = flag.Int("stepshards", 0, "step-backend shard count (0 = autotuned); never changes results")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		compare   = flag.String("compare", "", "baseline JSON (BENCH_engine.json format): rerun the backend benchmark and fail on regressions")
-		threshold = flag.Float64("threshold", 25, "regression threshold for -compare, in percent")
+		exp     = flag.String("exp", "all", "experiment id, or 'all'")
+		list    = flag.Bool("list", false, "list experiments and exit")
+		sizes   = flag.String("sizes", "", "comma-separated graph sizes (default per experiment)")
+		nFlag   = flag.Int("n", 0, "single graph size; shorthand for -sizes n")
+		seeds   = flag.String("seeds", "", "comma-separated seeds (default 1,2,3)")
+		quick   = flag.Bool("quick", false, "shrink sweeps for a fast smoke run")
+		workers = flag.Int("workers", 0, "sweep worker goroutines (0 = GOMAXPROCS); never changes results")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
 
@@ -63,15 +57,22 @@ func main() {
 	}
 	defer stopProfiles()
 
-	cfg := experiments.Config{W: os.Stdout, Quick: *quick, JSON: *jsonF, Workers: *workers, StepShards: *shards}
+	cfg := experiments.Config{W: os.Stdout, Quick: *quick, Workers: *workers}
 	if cfg.Sizes, err = parseInts(*sizes); err != nil {
 		fatal(err)
 	}
-	if *nFlag > 0 {
+	nSet := false
+	flag.Visit(func(f *flag.Flag) { nSet = nSet || f.Name == "n" })
+	if nSet {
 		if len(cfg.Sizes) > 0 {
 			fatal(fmt.Errorf("-n and -sizes are mutually exclusive"))
 		}
 		cfg.Sizes = []int{*nFlag}
+	}
+	for _, n := range cfg.Sizes {
+		if n < 1 {
+			fatal(fmt.Errorf("graph size %d: sizes must be at least 1", n))
+		}
 	}
 	var seeds64 []int
 	if seeds64, err = parseInts(*seeds); err != nil {
@@ -81,25 +82,13 @@ func main() {
 		cfg.Seeds = append(cfg.Seeds, int64(s))
 	}
 
-	if *compare != "" {
-		if err := runCompare(cfg, *compare, *threshold); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
 	run := func(e experiments.Experiment) {
-		// JSON mode keeps stdout clean for the machine-readable payload.
-		if !cfg.JSON {
-			fmt.Printf("== %s — %s\n   claim: %s\n", e.ID, e.Artifact, e.Claim)
-		}
+		fmt.Printf("== %s — %s\n   claim: %s\n", e.ID, e.Artifact, e.Claim)
 		start := time.Now()
 		if err := e.Run(cfg); err != nil {
 			fatal(fmt.Errorf("%s: %w", e.ID, err))
 		}
-		if !cfg.JSON {
-			fmt.Printf("   (%.1fs)\n\n", time.Since(start).Seconds())
-		}
+		fmt.Printf("   (%.1fs)\n\n", time.Since(start).Seconds())
 	}
 
 	if *exp == "all" {
@@ -115,27 +104,6 @@ func main() {
 		}
 		run(e)
 	}
-}
-
-// runCompare re-measures the backend benchmark under cfg and diffs it
-// against the baseline file, failing the process when any point regressed
-// past the threshold.
-func runCompare(cfg experiments.Config, path string, thresholdPct float64) error {
-	base, err := experiments.LoadBench(path)
-	if err != nil {
-		return err
-	}
-	cfg.JSON = false
-	fresh, err := experiments.RunBackendBench(cfg)
-	if err != nil {
-		return err
-	}
-	rep := experiments.CompareBenches(base, fresh, thresholdPct)
-	rep.Write(os.Stdout)
-	if rep.Regressions > 0 {
-		return fmt.Errorf("%d benchmark points regressed past %+.0f%%", rep.Regressions, thresholdPct)
-	}
-	return nil
 }
 
 func parseInts(s string) ([]int, error) {

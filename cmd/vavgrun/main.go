@@ -172,6 +172,7 @@ func runSweep(alg vavg.Algorithm, family, sizesArg, format string, a int, eps fl
 
 // graphSource resolves -graph into a size-indexed source: a shared-cache
 // generator for family names, a shared-mapping file load for file:PATH.
+// A family argument MakeFamily rejects ends the process through fatal.
 func graphSource(family string, a int, seed int64) func(n int) *vavg.Graph {
 	if path, ok := strings.CutPrefix(family, "file:"); ok {
 		return vavg.FileGen(path)
@@ -179,7 +180,7 @@ func graphSource(family string, a int, seed int64) func(n int) *vavg.Graph {
 	return vavg.CachedGen(family, func(n int) *vavg.Graph {
 		g, err := vavg.MakeFamily(family, n, a, seed)
 		if err != nil {
-			panic(err)
+			fatal(err)
 		}
 		return g
 	}, "a", a, "seed", seed)

@@ -7,8 +7,13 @@
 // complexity plus palette sizes, and prints the series next to the
 // theoretical bounds so the claimed shapes can be checked directly.
 //
+// The catalog also carries the deterministic fault-degradation matrix
+// (faults.go). Every experiment renders round counts, never wall-clock
+// times, so its output is byte-identical at any worker count; wall-clock
+// cost is measured by the separate bench/ module.
+//
 // The experiment IDs match the per-experiment index in DESIGN.md; the
-// cmd/vavgbench tool and the root benchmarks both drive this package.
+// cmd/vavgbench tool drives this package.
 package experiments
 
 import (
@@ -26,22 +31,16 @@ import (
 	"vavg/internal/segment"
 )
 
-// Config controls an experiment run.
+// Config controls an experiment run. Workers is its only execution
+// setting, and it never changes the rendered output.
 type Config struct {
-	// Sizes are the graph sizes swept; nil selects defaults (reduced under
-	// Quick).
+	// Sizes are the graph sizes swept, each at least 1; nil selects
+	// defaults (reduced under Quick).
 	Sizes []int
 	// Seeds are the run seeds; the tables report medians across them.
 	Seeds []int64
 	// Quick shrinks the sweep for smoke runs and unit tests.
 	Quick bool
-	// JSON switches experiments that support it (currently "backends") to
-	// machine-readable output instead of rendered tables.
-	JSON bool
-	// StepShards fixes the step backend's shard count for every run point
-	// (0 means GOMAXPROCS). Like Workers it never changes rendered output —
-	// shard layout is an execution knob, not a semantic one.
-	StepShards int
 	// Workers bounds the sweep scheduler's concurrency: every experiment
 	// fans its independent (algorithm, graph, seed) run points across this
 	// many goroutines. 0 means runtime.GOMAXPROCS. Worker count never
@@ -104,11 +103,7 @@ func All() []Experiment {
 		{"t2-mm", "Table 2 maximal matching", "O(a+log*n)-shaped vertex-avg", runMM},
 		{"fig1", "Figure 1", "segment lengths log^(i) n and per-segment schedule", runFig1},
 		{"ring-reference", "§2 context [12]", "leader election: O(log n) avg commitment vs Θ(n) worst; ring 3-coloring: log* both", runRingReference},
-		{"backends", "engine core (DESIGN.md §1)", "all backends agree on every measure; step cuts per-round cost", runBackends},
-		{"multicore", "staged lanes (DESIGN.md §9)", "step backend scales with workers; Results byte-identical at every GOMAXPROCS", runMulticore},
 		{"faults", "fault model (DESIGN.md §8)", "degradation is graceful and deterministic: losses and crashes raise rounds and conflicts smoothly", runFaults},
-		{"outofcore", "out-of-core store (DESIGN.md §10)", "mmap'd CSR files run byte-identical to generated graphs; memory-budget columns show what the mapping buys", runOutOfCore},
-		{"locality", "cache layout (DESIGN.md §11)", "RCM relabeling and shard autotuning never change a Result; wall-clock columns isolate what the layout buys", runLocality},
 		{"ablation-eps", "design choice (§6.1)", "eps trades the palette factor A=(2+eps)a against decay speed", runAblationEps},
 		{"ablation-k", "design choice (§7.5)", "k trades colors against vertex-averaged rounds", runAblationK},
 		{"table1", "Table 1 (summary)", "all vertex-coloring rows at one size", runTable1},

@@ -46,3 +46,29 @@ func TestFind(t *testing.T) {
 		}
 	}
 }
+
+// TestExperimentsParallelMatchesSerial renders every experiment with the
+// scheduler serial and with eight workers; the outputs must be
+// byte-identical. This is the experiments-level half of the determinism
+// contract (vavg.Sweep has the registry-level half).
+func TestExperimentsParallelMatchesSerial(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment equivalence run is not short")
+	}
+	for _, e := range All() {
+		e := e
+		t.Run(e.ID, func(t *testing.T) {
+			var outs [2]string
+			for i, workers := range []int{1, 8} {
+				var sb strings.Builder
+				if err := e.Run(Config{Quick: true, W: &sb, Workers: workers}); err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				outs[i] = sb.String()
+			}
+			if outs[0] != outs[1] {
+				t.Errorf("parallel output differs from serial:\nserial:\n%s\nparallel:\n%s", outs[0], outs[1])
+			}
+		})
+	}
+}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"vavg"
@@ -9,32 +8,30 @@ import (
 	"vavg/internal/parallel"
 )
 
-// FaultPoint is one (algorithm, drop rate, crash fraction) cell of the
-// degradation benchmark: the paper's measures plus the adversarial
+// faultPoint is one (algorithm, drop rate, crash fraction) cell of the
+// degradation matrix: the paper's measures plus the adversarial
 // accounting. A non-converged cell (Converged false) is a DNF data point
 // — the algorithm exhausted its round budget under that fault load — not
 // a failure.
-type FaultPoint struct {
-	Algorithm         string  `json:"algorithm"`
-	N                 int     `json:"n"`
-	Drop              float64 `json:"drop"`
-	CrashFrac         float64 `json:"crashFrac"`
-	VertexAvg         float64 `json:"vertexAvg"`
-	WorstCase         int     `json:"worstCase"`
-	Converged         bool    `json:"converged"`
-	Messages          int64   `json:"messages"`
-	Dropped           int64   `json:"dropped"`
-	LostToCrash       int64   `json:"lostToCrash"`
-	CrashedForever    int     `json:"crashedForever"`
-	Restarts          int     `json:"restarts,omitempty"`
-	ResidualConflicts int     `json:"residualConflicts"`
+type faultPoint struct {
+	Algorithm         string
+	N                 int
+	Drop              float64
+	CrashFrac         float64
+	VertexAvg         float64
+	WorstCase         int
+	Converged         bool
+	Dropped           int64
+	LostToCrash       int64
+	CrashedForever    int
+	ResidualConflicts int
 	// Failed marks cells whose run aborted outright — an algorithm whose
 	// internal schedule wedges under the fault load (e.g. a pipelined
 	// partition assertion that joins land on time) rather than running out
 	// its round budget. Whether a cell fails is deterministic in the
 	// seeds; the boolean (not the error text, which names an arbitrary
 	// first victim) keeps the matrix byte-reproducible.
-	Failed bool `json:"failed,omitempty"`
+	Failed bool
 }
 
 // faultAlgs is the degradation matrix's algorithm pool: the §6 partition
@@ -60,10 +57,9 @@ func faultBudget(faultFreeWorst int) int {
 	return b
 }
 
-// faultsSize picks the degradation benchmark's graph size: the matrix
-// runs at a single size (degradation is measured against fault load, not
-// n), capped so the committed artifact stays regenerable alongside the
-// million-vertex backend sweep.
+// faultsSize picks the degradation matrix's graph size: the matrix runs
+// at a single size (degradation is measured against fault load, not n),
+// capped at 10^5 so the committed table stays quick to regenerate.
 func faultsSize(cfg Config) int {
 	n := cfg.Sizes[len(cfg.Sizes)-1]
 	if n > 100000 {
@@ -72,13 +68,13 @@ func faultsSize(cfg Config) int {
 	return n
 }
 
-// RunFaultsBench measures the degradation matrix: every fault algorithm
+// faultMatrix measures the degradation matrix: every fault algorithm
 // under every (drop rate, crash fraction) combination on one forest-union
 // graph. The fault-free cell of each algorithm runs first and fixes the
 // faulty cells' round budget; all faulty cells then dispatch through the
 // bounded worker pool. Every cell is a pure function of (run seed,
 // scenario seed), so the matrix is byte-reproducible at any worker count.
-func RunFaultsBench(cfg Config) ([]FaultPoint, error) {
+func faultMatrix(cfg Config) ([]faultPoint, error) {
 	cfg = cfg.withDefaults()
 	n := faultsSize(cfg)
 	seed := cfg.Seeds[0]
@@ -91,7 +87,7 @@ func RunFaultsBench(cfg Config) ([]FaultPoint, error) {
 		budget          int
 	}
 	var cells []cell
-	baselines := make(map[string]FaultPoint, len(faultAlgs))
+	baselines := make(map[string]faultPoint, len(faultAlgs))
 	for _, name := range faultAlgs {
 		alg, err := vavg.ByName(name)
 		if err != nil {
@@ -103,10 +99,10 @@ func RunFaultsBench(cfg Config) ([]FaultPoint, error) {
 		if err != nil {
 			return nil, fmt.Errorf("faults: fault-free %s: %w", name, err)
 		}
-		baselines[name] = FaultPoint{
+		baselines[name] = faultPoint{
 			Algorithm: name, N: n,
 			VertexAvg: base.VertexAvg, WorstCase: base.WorstCase,
-			Converged: true, Messages: base.Messages, ResidualConflicts: -1,
+			Converged: true, ResidualConflicts: -1,
 		}
 		budget := faultBudget(base.WorstCase)
 		for _, drop := range faultDrops {
@@ -119,7 +115,7 @@ func RunFaultsBench(cfg Config) ([]FaultPoint, error) {
 		}
 	}
 
-	faulty := make([]FaultPoint, len(cells))
+	faulty := make([]faultPoint, len(cells))
 	parallel.ForEach(parallel.Workers(cfg.Workers, len(cells)), len(cells), func(i int) {
 		c := cells[i]
 		p := vavg.Params{
@@ -130,13 +126,13 @@ func RunFaultsBench(cfg Config) ([]FaultPoint, error) {
 		if err != nil {
 			// The run aborted outright: an internal schedule assertion the
 			// fault load broke. Deterministic, so a legal matrix cell.
-			faulty[i] = FaultPoint{
+			faulty[i] = faultPoint{
 				Algorithm: c.alg.Name, N: n, Drop: c.drop, CrashFrac: c.crashFrac,
 				Failed: true, ResidualConflicts: -1,
 			}
 			return
 		}
-		faulty[i] = FaultPoint{
+		faulty[i] = faultPoint{
 			Algorithm:         c.alg.Name,
 			N:                 n,
 			Drop:              c.drop,
@@ -144,11 +140,9 @@ func RunFaultsBench(cfg Config) ([]FaultPoint, error) {
 			VertexAvg:         rep.VertexAvg,
 			WorstCase:         rep.WorstCase,
 			Converged:         rep.Converged,
-			Messages:          rep.Messages,
 			Dropped:           rep.Dropped,
 			LostToCrash:       rep.LostToCrash,
 			CrashedForever:    rep.CrashedForever,
-			Restarts:          rep.Restarts,
 			ResidualConflicts: rep.ResidualConflicts,
 		}
 	})
@@ -156,7 +150,7 @@ func RunFaultsBench(cfg Config) ([]FaultPoint, error) {
 	// Assemble in deterministic matrix order: each algorithm's fault-free
 	// baseline followed by its faulty cells.
 	perAlg := len(faultDrops)*len(faultCrashFracs) - 1
-	var points []FaultPoint
+	var points []faultPoint
 	for i, name := range faultAlgs {
 		points = append(points, baselines[name])
 		points = append(points, faulty[i*perAlg:(i+1)*perAlg]...)
@@ -164,26 +158,14 @@ func RunFaultsBench(cfg Config) ([]FaultPoint, error) {
 	return points, nil
 }
 
-// FaultsBench is the standalone machine-readable form of the degradation
-// matrix (`vavgbench -exp faults -json`); the same points are embedded in
-// BENCH_engine.json under "faults".
-type FaultsBench struct {
-	Faults []FaultPoint `json:"faults"`
-}
-
 // runFaults renders the degradation matrix: vertex-averaged and
 // worst-case complexity, loss accounting, and residual conflicts as the
 // fault load grows.
 func runFaults(cfg Config) error {
 	cfg = cfg.withDefaults()
-	points, err := RunFaultsBench(cfg)
+	points, err := faultMatrix(cfg)
 	if err != nil {
 		return err
-	}
-	if cfg.JSON {
-		enc := json.NewEncoder(cfg.W)
-		enc.SetIndent("", "  ")
-		return enc.Encode(&FaultsBench{Faults: points})
 	}
 	var rows [][]string
 	for _, pt := range points {

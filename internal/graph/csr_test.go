@@ -3,8 +3,10 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -282,5 +284,50 @@ func TestMakeFamilyCoversCatalog(t *testing.T) {
 	}
 	if _, err := MakeFamily("no-such-family", 10, 1, 1); err == nil {
 		t.Error("unknown family accepted")
+	}
+}
+
+// TestMakeFamilyRejectsBadArgs pins MakeFamily's argument checks: each
+// (n, a) its generator would panic on is an error naming the family and
+// the bound, never a panic, and the boundary value of each rule builds.
+func TestMakeFamilyRejectsBadArgs(t *testing.T) {
+	cases := []struct {
+		family string
+		n, a   int
+		want   string // error substring; "" means the graph must build
+	}{
+		{"forests", -5, 3, "needs n >= 1"},
+		{"path", 0, 3, "needs n >= 1"},
+		{"forests", 1, 3, ""},
+		{"ring", 2, 3, "needs n >= 3"},
+		{"ringshuffled", 2, 3, "needs n >= 3"},
+		{"ring", 3, 3, ""},
+		{"ringshuffled", 3, 3, ""},
+		{"forests", 100, 0, "needs a >= 1"},
+		{"starforest", 100, 0, "needs a >= 1"},
+		{"cliqueforest", 100, 0, "needs a >= 1"},
+		{"forests", 100, 1, ""},
+		{"starforest", 100, 1, ""},
+		{"cliqueforest", 11, 3, "needs 4a <= n"},
+		{"cliqueforest", 12, 3, ""},
+	}
+	for _, tc := range cases {
+		name := fmt.Sprintf("%s/n=%d/a=%d", tc.family, tc.n, tc.a)
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: panicked: %v", name, r)
+				}
+			}()
+			g, err := MakeFamily(tc.family, tc.n, tc.a, 1)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Errorf("%s: %v", name, err)
+			case tc.want == "" && g.N() != tc.n:
+				t.Errorf("%s: built n=%d", name, g.N())
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), tc.family)):
+				t.Errorf("%s: got error %v, want one naming %s and %q", name, err, tc.family, tc.want)
+			}
+		}()
 	}
 }

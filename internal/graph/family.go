@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Families lists the graph-family names MakeFamily accepts, in
@@ -19,7 +20,16 @@ var Families = []string{
 // which is what makes a materialized CSR file interchangeable with its
 // generator. The density parameter a feeds the families that take one
 // (forest count, gnm edge factor, star sizes); the others ignore it.
+//
+// Arguments the generators would panic on are errors here that name the
+// family and the violated bound, so a bad command line fails cleanly.
 func MakeFamily(family string, n, a int, seed int64) (*Graph, error) {
+	if !slices.Contains(Families, family) {
+		return nil, fmt.Errorf("unknown graph family %q (families: %v)", family, Families)
+	}
+	if err := checkFamilyArgs(family, n, a); err != nil {
+		return nil, err
+	}
 	switch family {
 	case "forests":
 		return ForestUnion(n, a, seed), nil
@@ -63,9 +73,23 @@ func MakeFamily(family string, n, a int, seed int64) (*Graph, error) {
 			k = 2
 		}
 		return KaryTree(n, k), nil
-	default:
-		return nil, fmt.Errorf("unknown graph family %q (families: %v)", family, Families)
 	}
+	panic("graph: family " + family + " is listed in Families but has no generator")
+}
+
+// checkFamilyArgs reports the (n, a) preconditions of family's generator.
+func checkFamilyArgs(family string, n, a int) error {
+	switch {
+	case n < 1:
+		return fmt.Errorf("graph %s: n = %d, needs n >= 1", family, n)
+	case (family == "ring" || family == "ringshuffled") && n < 3:
+		return fmt.Errorf("graph %s: n = %d, needs n >= 3", family, n)
+	case (family == "forests" || family == "starforest" || family == "cliqueforest") && a < 1:
+		return fmt.Errorf("graph %s: a = %d, needs a >= 1", family, a)
+	case family == "cliqueforest" && 4*a > n:
+		return fmt.Errorf("graph %s: clique of 4a = %d vertices, needs 4a <= n = %d", family, 4*a, n)
+	}
+	return nil
 }
 
 func gridSide(n int) int {
