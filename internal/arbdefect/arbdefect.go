@@ -54,8 +54,12 @@ type Params struct {
 func (p Params) classK() int { return int(math.Ceil((3 + p.Eps) * float64(p.C))) }
 
 // levels returns how many arbdefective levels run before the class bound
-// drops below C, starting from out-degree bound b0.
+// drops below C, starting from out-degree bound b0. It panics for C < 1,
+// for which the count would never end.
 func (p Params) levels(b0 int) int {
+	if p.C < 1 {
+		panic("arbdefect: C must be at least 1")
+	}
 	k, l := p.classK(), 0
 	for b := b0; b >= p.C; b = b / k {
 		l++

@@ -61,6 +61,19 @@ func TestLevelsShrink(t *testing.T) {
 	}
 }
 
+func TestLevelsPanicsOnSmallC(t *testing.T) {
+	for _, c := range []int{0, -3} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("levels with C=%d returned instead of panicking", c)
+				}
+			}()
+			Params{A: 8, Eps: 2, C: c}.levels(8)
+		}()
+	}
+}
+
 func TestOnePlusEtaVertexAverageLogLogShape(t *testing.T) {
 	// The vertex-averaged complexity must grow far slower than log n.
 	var avgs []float64

@@ -7,7 +7,10 @@
 // algorithms of Sections 7.2, 7.3 and 7.4.
 package coloring
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // LogStar returns log* n with base-2 logarithms: the number of times log2
 // must be applied to n before the value drops to at most 1.
@@ -80,14 +83,38 @@ func polyDegree(p, q int) int {
 	return d
 }
 
+// Memos of LinialParams and LinialSchedule, pure functions of global
+// knowledge that every vertex shares (DESIGN.md §1). Warm sync.Map reads
+// take no lock, so the round-1 boots on every shard worker read at once.
+var (
+	linialParamsMemo   sync.Map // linialKey -> [2]int{q, d}
+	linialScheduleMemo sync.Map // linialKey -> []int
+)
+
+type linialKey struct{ p, A int }
+
 // LinialParams returns the prime field size q and polynomial degree d used
 // to reduce a proper p-coloring to a q^2-coloring on an orientation with
 // out-degree at most A: the smallest prime q with q^d >= p and q > A*d.
 // Distinct colors map to distinct degree-<d polynomials over F_q; a
-// polynomial pair agrees on at most d-1... at most d points, so the A
-// parents of a vertex rule out at most A*d < q evaluation points, leaving
-// a free point (x, f(x)) that becomes the new color x*q + f(x).
+// polynomial pair agrees on fewer than d points, so the A parents of a
+// vertex rule out fewer than A*d < q evaluation points, leaving a free
+// point (x, f(x)) that becomes the new color x*q + f(x). The result is
+// memoized per (p, A).
 func LinialParams(p, A int) (q, d int) {
+	key := linialKey{p, A}
+	if v, ok := linialParamsMemo.Load(key); ok {
+		qd := v.([2]int)
+		return qd[0], qd[1]
+	}
+	q, d = linialParamsSearch(p, A)
+	linialParamsMemo.Store(key, [2]int{q, d})
+	return q, d
+}
+
+// linialParamsSearch is LinialParams without the memo: a trial-division
+// search over the primes.
+func linialParamsSearch(p, A int) (q, d int) {
 	if p < 2 {
 		return 2, 1
 	}
@@ -116,7 +143,22 @@ func LinialPaletteAfter(p, A int) int {
 // are squares of primes exceeding 2A, so the iteration converges to an
 // O(A^2) palette in O(log* p0) steps (it may grow once from a small p0
 // before stabilizing).
+//
+// The schedule is memoized per (p0, A): every call with the same inputs
+// returns the same backing array, shared by all vertices and all runs, so
+// callers must treat it as read-only.
 func LinialSchedule(p0, A int) []int {
+	key := linialKey{p0, A}
+	if v, ok := linialScheduleMemo.Load(key); ok {
+		return v.([]int)
+	}
+	// LoadOrStore, so that racing first callers all return one array.
+	v, _ := linialScheduleMemo.LoadOrStore(key, linialScheduleSearch(p0, A))
+	return v.([]int)
+}
+
+// linialScheduleSearch is LinialSchedule without the memo.
+func linialScheduleSearch(p0, A int) []int {
 	sched := []int{p0}
 	p := p0
 	for iter := 0; ; iter++ {
@@ -141,17 +183,15 @@ func LinialFinalPalette(p0, A int) int {
 }
 
 // evalPoly evaluates the polynomial whose coefficients are the base-q
-// digits of c (degree < d) at point x over F_q.
+// digits of c (degree < d) at point x over F_q. It sums the terms from the
+// least significant digit up, carrying x^i mod q, so it needs no digit
+// buffer; the value mod q is the same as Horner's.
 func evalPoly(c, q, d, x int) int {
-	// Horner on digits most-significant first.
-	digits := make([]int, d)
+	y, xi := 0, 1
 	for i := 0; i < d; i++ {
-		digits[i] = c % q
+		y = (y + c%q*xi) % q
 		c /= q
-	}
-	y := 0
-	for i := d - 1; i >= 0; i-- {
-		y = (y*x + digits[i]) % q
+		xi = xi * x % q
 	}
 	return y
 }

@@ -2,6 +2,8 @@ package coloring
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -179,6 +181,111 @@ func TestKWPhaseSchedule(t *testing.T) {
 		}
 		if KWRounds(m, A) != len(phases)*2*(A+1) {
 			t.Errorf("KWRounds inconsistent")
+		}
+	}
+}
+
+func TestLinialMemoMatchesSearch(t *testing.T) {
+	for _, p := range []int{2, 10, 1000, 200000, 1 << 40} {
+		for A := 1; A <= 64; A++ {
+			q, d := LinialParams(p, A)
+			wq, wd := linialParamsSearch(p, A)
+			if q != wq || d != wd {
+				t.Errorf("LinialParams(%d, %d) = (%d, %d), search gives (%d, %d)", p, A, q, d, wq, wd)
+			}
+			got, want := LinialSchedule(p, A), linialScheduleSearch(p, A)
+			if !slices.Equal(got, want) {
+				t.Errorf("LinialSchedule(%d, %d) = %v, search gives %v", p, A, got, want)
+			}
+		}
+	}
+}
+
+func TestLinialScheduleMemoShared(t *testing.T) {
+	a, b := LinialSchedule(200000, 8), LinialSchedule(200000, 8)
+	if &a[0] != &b[0] {
+		t.Error("repeat LinialSchedule call returned a different backing array")
+	}
+}
+
+func TestLinialMemoAllocs(t *testing.T) {
+	sched := LinialSchedule(200000, 8)
+	parents := []int{7, 19, 123456, 199999, 4242, 31, 77, 150000}
+	if got := testing.AllocsPerRun(100, func() { LinialSchedule(200000, 8) }); got != 0 {
+		t.Errorf("warm LinialSchedule: %v allocs/op, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { LinialStep(sched[0], 8, 100, parents) }); got != 0 {
+		t.Errorf("LinialStep: %v allocs/op, want 0", got)
+	}
+}
+
+// TestLinialMemoConcurrentColdKeys has 8 goroutines look up keys no other
+// test uses, all at once: every caller must see the search's values, and
+// the schedule callers one shared backing array per key.
+func TestLinialMemoConcurrentColdKeys(t *testing.T) {
+	const workers = 8
+	ps := []int{123457, 98765, 5000011, 1 << 33}
+	const A = 97
+	scheds := make([][][]int, workers)
+	params := make([][][2]int, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			for _, p := range ps {
+				scheds[w] = append(scheds[w], LinialSchedule(p, A))
+				q, d := LinialParams(p+1, A)
+				params[w] = append(params[w], [2]int{q, d})
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	for i, p := range ps {
+		want := linialScheduleSearch(p, A)
+		wq, wd := linialParamsSearch(p+1, A)
+		for w := 0; w < workers; w++ {
+			if !slices.Equal(scheds[w][i], want) {
+				t.Errorf("worker %d: LinialSchedule(%d, %d) = %v, want %v", w, p, A, scheds[w][i], want)
+			}
+			if &scheds[w][i][0] != &scheds[0][i][0] {
+				t.Errorf("worker %d: LinialSchedule(%d, %d) returned its own backing array", w, p, A)
+			}
+			if params[w][i] != [2]int{wq, wd} {
+				t.Errorf("worker %d: LinialParams(%d, %d) = %v, want (%d, %d)", w, p+1, A, params[w][i], wq, wd)
+			}
+		}
+	}
+}
+
+// TestEvalPolyMatchesHorner pins evalPoly's values to Horner's rule on the
+// base-q digits, so the colors LinialStep picks stay what they always were.
+func TestEvalPolyMatchesHorner(t *testing.T) {
+	horner := func(c, q, d, x int) int {
+		digits := make([]int, d)
+		for i := range digits {
+			digits[i] = c % q
+			c /= q
+		}
+		y := 0
+		for i := d - 1; i >= 0; i-- {
+			y = (y*x + digits[i]) % q
+		}
+		return y
+	}
+	for _, p := range []int{10, 1000, 200000, 1 << 40} {
+		for _, A := range []int{1, 2, 8, 33} {
+			q, d := LinialParams(p, A)
+			for _, c := range []int{0, 1, q - 1, q, p / 3, p - 1} {
+				for x := 0; x < q; x++ {
+					if got, want := evalPoly(c, q, d, x), horner(c, q, d, x); got != want {
+						t.Fatalf("evalPoly(%d, %d, %d, %d) = %d, Horner gives %d", c, q, d, x, got, want)
+					}
+				}
+			}
 		}
 	}
 }

@@ -462,9 +462,7 @@ func runFig1(cfg Config) error {
 	cfg = cfg.withDefaults()
 	n := cfg.Sizes[len(cfg.Sizes)-1]
 	k := coloring.Rho(n)
-	plan := segment.NewPlan(n, 2, k, 2, 2, func(int) int {
-		return coloring.IteratedLinialRounds(n, 8)
-	})
+	plan := segment.NewPlan(n, 2, k, 2, 2, 0, coloring.IteratedLinialRounds(n, 8))
 	fmt.Fprintf(cfg.W, "Segmentation plan for n=%d, a=2, k=ρ(n)=%d (processed k..1):\n", n, k)
 	var rows [][]string
 	acc := 0

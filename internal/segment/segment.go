@@ -16,6 +16,7 @@ package segment
 
 import (
 	"math"
+	"sync"
 
 	"vavg/internal/coloring"
 	"vavg/internal/engine"
@@ -23,8 +24,9 @@ import (
 )
 
 // Plan is the global round schedule of a segmentation run; all vertices
-// compute the identical Plan from (n, a, eps, k), which are global
-// knowledge.
+// would compute the identical Plan from (n, a, eps, k), which are global
+// knowledge, so NewPlan builds it once and every vertex shares it. A Plan
+// is read-only.
 type Plan struct {
 	// K is the number of segments, in [2, Rho(n)].
 	K int
@@ -42,9 +44,32 @@ type Plan struct {
 	segStart, cStart []int
 }
 
-// NewPlan builds the schedule. windowW is the per-H-set window width and
-// cWidth gives the C-block width of a segment from its length.
-func NewPlan(n, a, k int, eps float64, windowW int, cWidth func(segLen int) int) *Plan {
+// plans memoizes NewPlan like coloring memoizes LinialSchedule. eps is
+// keyed by its bits, so that a NaN finds its entry again.
+var plans sync.Map // planKey -> *Plan
+
+type planKey struct {
+	n, a, k                  int
+	eps                      uint64
+	windowW, cPerSet, cFixed int
+}
+
+// NewPlan returns the schedule. windowW is the per-H-set window width;
+// a segment of segLen H-sets gets a C-block of cPerSet*segLen + cFixed
+// rounds. The Plan is memoized per input: every call with the same
+// arguments returns the same *Plan, which callers must not modify.
+func NewPlan(n, a, k int, eps float64, windowW, cPerSet, cFixed int) *Plan {
+	key := planKey{n, a, k, math.Float64bits(eps), windowW, cPerSet, cFixed}
+	if v, ok := plans.Load(key); ok {
+		return v.(*Plan)
+	}
+	// LoadOrStore, so that racing first callers all return one Plan.
+	v, _ := plans.LoadOrStore(key, newPlan(n, a, k, eps, windowW, cPerSet, cFixed))
+	return v.(*Plan)
+}
+
+// newPlan is NewPlan without the memo.
+func newPlan(n, a, k int, eps float64, windowW, cPerSet, cFixed int) *Plan {
 	if k < 2 {
 		panic("segment: k must be at least 2")
 	}
@@ -73,7 +98,7 @@ func NewPlan(n, a, k int, eps float64, windowW int, cWidth func(segLen int) int)
 		p.segStart = append(p.segStart, round)
 		round += p.SegLen[s] * p.W
 		p.cStart = append(p.cStart, round)
-		cw := cWidth(p.SegLen[s])
+		cw := cPerSet*p.SegLen[s] + cFixed
 		p.CWidth = append(p.CWidth, cw)
 		round += cw
 	}
@@ -147,9 +172,7 @@ func idleUntil(api *engine.API, tr *hpartition.Tracker, round int) {
 func KA2Coloring(a, k int, eps float64) engine.Program {
 	return func(api *engine.API) any {
 		n := api.N()
-		plan := NewPlan(n, a, k, eps, 2, func(int) int {
-			return coloring.IteratedLinialRounds(n, hpartition.ParamA(a, eps))
-		})
+		plan := NewPlan(n, a, k, eps, 2, 0, coloring.IteratedLinialRounds(n, hpartition.ParamA(a, eps)))
 		tr := hpartition.NewTracker(api, a, eps)
 		plan.runPartitionWindows(api, tr, nil)
 		s, lo, hi := plan.SegmentOf(int(tr.HIndex))
@@ -187,9 +210,7 @@ func KAColoring(a, k int, eps float64) engine.Program {
 		n := api.N()
 		A := hpartition.ParamA(a, eps)
 		windowW := 3 + coloring.DeltaPlus1Rounds(n, A)
-		plan := NewPlan(n, a, k, eps, windowW, func(segLen int) int {
-			return (A+1)*segLen + 2
-		})
+		plan := NewPlan(n, a, k, eps, windowW, A+1, 2)
 		tr := hpartition.NewTracker(api, a, eps)
 		sink := func(ms []engine.Msg) { tr.Absorb(api, ms) }
 		plan.runPartitionWindows(api, tr, nil)

@@ -1,6 +1,7 @@
 package segment
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -32,38 +33,71 @@ func colorsOf(t *testing.T, res *engine.Result) []int {
 
 func TestPlanGeometry(t *testing.T) {
 	n := 1 << 16
-	plan := NewPlan(n, 3, 3, 2, 2, func(int) int { return 5 })
-	if len(plan.SegLen) != 3 {
-		t.Fatalf("segments = %d", len(plan.SegLen))
-	}
-	// Segment lengths grow from log^(k) n toward log n (processed order).
-	for s := 1; s < len(plan.SegLen); s++ {
-		if plan.SegLen[s] < plan.SegLen[s-1] {
-			t.Errorf("segment lengths not nondecreasing: %v", plan.SegLen)
+	// KA2's fixed C-block width, then KA's width growing with the segment.
+	for _, cw := range []struct{ perSet, fixed int }{{0, 5}, {4, 2}} {
+		plan := NewPlan(n, 3, 3, 2, 2, cw.perSet, cw.fixed)
+		if again := NewPlan(n, 3, 3, 2, 2, cw.perSet, cw.fixed); again != plan {
+			t.Error("repeat NewPlan call returned a different *Plan")
 		}
-	}
-	// The plan covers the partition completion bound.
-	if plan.TotalHSets() < 16 {
-		t.Errorf("plan covers only %d H-sets", plan.TotalHSets())
-	}
-	// Round geometry is consistent.
-	round := 0
-	for s := range plan.SegLen {
-		if plan.segStart[s] != round {
-			t.Errorf("segment %d starts at %d, want %d", s, plan.segStart[s], round)
+		if len(plan.SegLen) != 3 {
+			t.Fatalf("segments = %d", len(plan.SegLen))
 		}
-		round += plan.SegLen[s]*plan.W + plan.CWidth[s]
-	}
-	// SegmentOf is the inverse of the length prefix sums.
-	acc := 0
-	for s, l := range plan.SegLen {
-		for h := acc + 1; h <= acc+l; h++ {
-			gs, lo, hi := plan.SegmentOf(h)
-			if gs != s || int(lo) != acc || int(hi) != acc+l {
-				t.Fatalf("SegmentOf(%d) = (%d,%d,%d), want (%d,%d,%d)", h, gs, lo, hi, s, acc, acc+l)
+		// Segment lengths grow from log^(k) n toward log n (processed order).
+		for s := 1; s < len(plan.SegLen); s++ {
+			if plan.SegLen[s] < plan.SegLen[s-1] {
+				t.Errorf("segment lengths not nondecreasing: %v", plan.SegLen)
 			}
 		}
-		acc += l
+		// The plan covers the partition completion bound.
+		if plan.TotalHSets() < 16 {
+			t.Errorf("plan covers only %d H-sets", plan.TotalHSets())
+		}
+		// Round geometry is consistent.
+		round := 0
+		for s := range plan.SegLen {
+			if plan.segStart[s] != round {
+				t.Errorf("segment %d starts at %d, want %d", s, plan.segStart[s], round)
+			}
+			if want := cw.perSet*plan.SegLen[s] + cw.fixed; plan.CWidth[s] != want {
+				t.Errorf("segment %d C-block is %d rounds, want %d", s, plan.CWidth[s], want)
+			}
+			round += plan.SegLen[s]*plan.W + plan.CWidth[s]
+		}
+		// SegmentOf is the inverse of the length prefix sums.
+		acc := 0
+		for s, l := range plan.SegLen {
+			for h := acc + 1; h <= acc+l; h++ {
+				gs, lo, hi := plan.SegmentOf(h)
+				if gs != s || int(lo) != acc || int(hi) != acc+l {
+					t.Fatalf("SegmentOf(%d) = (%d,%d,%d), want (%d,%d,%d)", h, gs, lo, hi, s, acc, acc+l)
+				}
+			}
+			acc += l
+		}
+	}
+}
+
+// TestPlanMemoConcurrent has 8 goroutines build a Plan no other test uses,
+// all at once: every one must get the same *Plan.
+func TestPlanMemoConcurrent(t *testing.T) {
+	const workers = 8
+	plans := make([]*Plan, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := range plans {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			plans[w] = NewPlan(777777, 5, 3, 1.5, 9, 11, 3)
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	for w, p := range plans {
+		if p != plans[0] {
+			t.Errorf("worker %d got its own *Plan", w)
+		}
 	}
 }
 

@@ -59,9 +59,7 @@ func (p *Plan) startWindows(api *engine.API, tr *hpartition.Tracker,
 func KA2Step(a, k int, eps float64) engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
 		n := api.N()
-		plan := NewPlan(n, a, k, eps, 2, func(int) int {
-			return coloring.IteratedLinialRounds(n, hpartition.ParamA(a, eps))
-		})
+		plan := NewPlan(n, a, k, eps, 2, 0, coloring.IteratedLinialRounds(n, hpartition.ParamA(a, eps)))
 		tr := hpartition.NewTracker(api, a, eps)
 		sink := func(ms []engine.Msg) { tr.Absorb(api, ms) }
 		P := coloring.LinialFinalPalette(n, plan.A)
@@ -101,9 +99,7 @@ func KAStep(a, k int, eps float64) engine.StepProgram {
 		n := api.N()
 		A := hpartition.ParamA(a, eps)
 		windowW := 3 + coloring.DeltaPlus1Rounds(n, A)
-		plan := NewPlan(n, a, k, eps, windowW, func(segLen int) int {
-			return (A+1)*segLen + 2
-		})
+		plan := NewPlan(n, a, k, eps, windowW, A+1, 2)
 		tr := hpartition.NewTracker(api, a, eps)
 		sink := func(ms []engine.Msg) { tr.Absorb(api, ms) }
 

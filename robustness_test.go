@@ -1,8 +1,11 @@
 package vavg
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"vavg/internal/graph"
 )
@@ -91,6 +94,81 @@ func TestUnderestimatedArboricityAborts(t *testing.T) {
 	_, err := alg.Run(g, Params{Arboricity: 2, Eps: 0.5, MaxRounds: 2000})
 	if err == nil {
 		t.Fatal("expected partition with a gross arboricity underestimate to fail")
+	}
+}
+
+// TestBadParamsRejected checks that ε, k and C out of range fail with
+// ErrBadParams on every entry point, without a panic and without a hang
+// (unchecked, C = -3 spins forever in a vertex boot and ε = 5 panics while
+// general-partition is built), and that the boundary values still run.
+func TestBadParamsRejected(t *testing.T) {
+	g := ForestUnion(200, 2, 1)
+	run := func(name string, p Params) func() error {
+		return func() error {
+			alg, err := ByName(name)
+			if err != nil {
+				return err
+			}
+			_, err = alg.Run(g, p)
+			return err
+		}
+	}
+	ka2, _ := ByName("ka2")
+	cases := []struct {
+		name string
+		run  func() error
+		ok   bool
+	}{
+		{"one-plus-eta C=-3", run("one-plus-eta", Params{C: -3}), false},
+		{"general-partition eps=5", run("general-partition", Params{Eps: 5}), false},
+		{"mis eps=2.5", run("mis", Params{Eps: 2.5}), false},
+		{"partition eps=-1", run("partition", Params{Eps: -1}), false},
+		{"partition eps=NaN", run("partition", Params{Eps: math.NaN()}), false},
+		{"ka2 k=1", run("ka2", Params{K: 1}), false},
+		{"ka2 k=-1", run("ka2", Params{K: -1}), false},
+		{"mis eps=2.5 under a scenario", run("mis", Params{Eps: 2.5, Scenario: &Scenario{Drop: 0.1}}), false},
+		{"sweep ka2 k=1", func() error {
+			_, err := Sweep(ka2, func(n int) *Graph { return ForestUnion(n, 2, 1) }, []int{64, 128}, nil, Params{K: 1})
+			return err
+		}, false},
+		{"list-coloring eps=5", func() error {
+			_, _, err := ListColoring(g, Params{Eps: 5}, func(v int) []int { return []int{0, 1, 2, 3, 4, 5, 6, 7} })
+			return err
+		}, false},
+		{"mis eps=2", run("mis", Params{Eps: 2}), true},
+		{"ka2 k=2", run("ka2", Params{K: 2}), true},
+		{"one-plus-eta C=1", run("one-plus-eta", Params{C: 1}), true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			type outcome struct {
+				err   error
+				panic any
+			}
+			done := make(chan outcome, 1)
+			go func() {
+				defer func() {
+					if r := recover(); r != nil {
+						done <- outcome{panic: r}
+					}
+				}()
+				done <- outcome{err: c.run()}
+			}()
+			var out outcome
+			select {
+			case out = <-done:
+			case <-time.After(time.Minute):
+				t.Fatal("did not return within a minute")
+			}
+			switch {
+			case out.panic != nil:
+				t.Fatalf("panicked: %v", out.panic)
+			case c.ok && out.err != nil:
+				t.Fatalf("boundary value rejected: %v", out.err)
+			case !c.ok && !errors.Is(out.err, ErrBadParams):
+				t.Fatalf("err = %v, want ErrBadParams", out.err)
+			}
+		})
 	}
 }
 

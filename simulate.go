@@ -51,6 +51,9 @@ func NewReport(name string, g *Graph, p Params, res *SimResult) Report {
 // validated before returning.
 func ListColoring(g *Graph, p Params, list func(v int) []int) (Report, []int, error) {
 	p = p.withDefaults(g)
+	if err := p.validate(); err != nil {
+		return Report{}, nil, err
+	}
 	res, err := Simulate(g, extend.ListColoring(p.Arboricity, p.Eps, list), p)
 	if err != nil {
 		return Report{}, nil, err

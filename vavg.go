@@ -22,6 +22,7 @@
 package vavg
 
 import (
+	"errors"
 	"fmt"
 
 	"vavg/internal/check"
@@ -71,7 +72,8 @@ const (
 )
 
 // Params configures a run. The zero value selects sensible defaults:
-// eps=2, k=2, C=4, the graph's certified arboricity bound, seed 1.
+// eps=2, k=2, C=4, the graph's certified arboricity bound, seed 1. After
+// defaulting, Eps outside (0, 2], K < 2 or C < 1 is an ErrBadParams.
 type Params struct {
 	// Arboricity passed to the algorithms (the paper assumes it is known);
 	// 0 means use the graph's certified bound, falling back to degeneracy.
@@ -154,6 +156,23 @@ func (p Params) withDefaults(g *Graph) Params {
 	return p
 }
 
+// ErrBadParams reports a Params field outside the range the algorithms
+// are defined for; the wrapping error names the field and its bound.
+var ErrBadParams = errors.New("vavg: invalid parameters")
+
+// validate checks defaulted parameters: 0 < Eps <= 2, K >= 2, C >= 1.
+func (p Params) validate() error {
+	switch {
+	case !(p.Eps > 0 && p.Eps <= 2):
+		return fmt.Errorf("%w: Eps = %v, want 0 < Eps <= 2", ErrBadParams, p.Eps)
+	case p.K < 2:
+		return fmt.Errorf("%w: K = %d, want K >= 2", ErrBadParams, p.K)
+	case p.C < 1:
+		return fmt.Errorf("%w: C = %d, want C >= 1", ErrBadParams, p.C)
+	}
+	return nil
+}
+
 // Algorithm is a runnable entry of the registry.
 type Algorithm struct {
 	// Name is the registry key.
@@ -190,9 +209,13 @@ type Algorithm struct {
 func (alg Algorithm) HasStep() bool { return alg.step != nil }
 
 // Run executes the algorithm on g, validates the output (unless
-// disabled), and reports the paper's measures.
+// disabled), and reports the paper's measures. Parameters out of range
+// fail with ErrBadParams before any vertex program is built.
 func (alg Algorithm) Run(g *Graph, p Params) (Report, error) {
 	p = p.withDefaults(g)
+	if err := p.validate(); err != nil {
+		return Report{}, err
+	}
 	if p.Scenario != nil && !p.Scenario.IsZero() {
 		return alg.runScenario(g, p)
 	}
