@@ -98,11 +98,11 @@ func TestRegistryStepForms(t *testing.T) {
 
 // TestStepWorkerInvarianceRegistry extends the worker-invariance gate
 // from synthetic programs to the real registry: for every algorithm, the
-// step backend must produce byte-identical Results at P ∈ {1, 2, 4, 8} —
-// P applied as both StepShards (lane layout) and GOMAXPROCS (worker
-// parallelism) — faultless and under a drop+crash+restart scenario. CI
-// runs this under -race, where any cross-shard store outside the staged
-// lanes surfaces as a race rather than a flake.
+// step backend must produce byte-identical Results at GOMAXPROCS
+// P ∈ {1, 2, 4, 8} — P shards and P workers — faultless and under a
+// drop+crash+restart scenario. CI runs this under -race, where any
+// cross-shard store outside the staged lanes surfaces as a race rather
+// than a flake.
 func TestStepWorkerInvarianceRegistry(t *testing.T) {
 	forest := ForestUnion(160, 3, 7)
 	ring := Ring(160)
@@ -146,7 +146,6 @@ func TestStepWorkerInvarianceRegistry(t *testing.T) {
 				var base outcome
 				for _, P := range points {
 					old := gort.GOMAXPROCS(P)
-					opts.StepShards = P
 					res, err := engine.RunSpec(g, spec, opts)
 					gort.GOMAXPROCS(old)
 					if res == nil {

@@ -1,10 +1,14 @@
-// Command vavggraph manages the library's binary CSR graph store: it
-// materializes generator families to disk, inspects file headers without
-// decoding the payload, and audits files end to end (checksum, size
-// accounting, full structural validation).
+// Command vavggraph generates the library's graph families and manages
+// its binary CSR graph store: it reports a family's structural parameters
+// (degeneracy, Nash-Williams bound, degrees, components), materializes
+// families to disk, inspects file headers without decoding the payload,
+// and audits files end to end (checksum, size accounting, full structural
+// validation).
 //
 // Usage:
 //
+//	vavggraph stats -graph forests -n 1000 -a 4
+//	vavggraph stats -graph trigrid -n 400 -edges > edges.txt
 //	vavggraph build -graph forests -n 1000000 -a 3 -seed 7 -out forests.csr
 //	vavggraph build -graph ring -n 100000000 -compress -out ring.csr
 //	vavggraph relabel -in forests.csr -out forests.rcm.csr
@@ -18,6 +22,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -33,6 +38,8 @@ func main() {
 	}
 	var err error
 	switch os.Args[1] {
+	case "stats":
+		err = runStats(os.Args[2:])
 	case "build":
 		err = runBuild(os.Args[2:])
 	case "relabel":
@@ -57,18 +64,63 @@ func main() {
 
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
+  vavggraph stats -graph FAMILY -n N [-a A] [-seed S] [-edges]
   vavggraph build -graph FAMILY -n N [-a A] [-seed S] [-compress] -out PATH
   vavggraph relabel -in PATH [-compress] -out PATH
   vavggraph inspect PATH
   vavggraph verify PATH
 
-build materializes a generator family as a binary CSR file; relabel
+stats generates a family and prints its structural report (n, m, max
+degree, degeneracy, Nash-Williams lower bound, certified arboricity
+bound, components); with -edges it writes the edge list to stdout and
+the report to stderr. build materializes a generator family as a binary
+CSR file; relabel
 rewrites a file in reverse Cuthill-McKee vertex order for cache
 locality (an isomorphic graph — vertex IDs change, so use Params.Relabel
 / vavgrun -relabel when results must match the original file); inspect
 prints a file's header without decoding sections; verify audits the
 checksum, size accounting, and structural contract.
 `)
+}
+
+// runStats generates a family and prints its structural report. With
+// -edges the edge list goes to stdout and the report to stderr, so the
+// edge list can be redirected to a file on its own.
+func runStats(args []string) error {
+	fs := flag.NewFlagSet("stats", flag.ExitOnError)
+	var (
+		family = fs.String("graph", "forests", "family: "+strings.Join(graph.Families, "|"))
+		n      = fs.Int("n", 1024, "number of vertices")
+		a      = fs.Int("a", 3, "density parameter where applicable")
+		seed   = fs.Int64("seed", 1, "generator seed")
+		edges  = fs.Bool("edges", false, "write the edge list to stdout (the report then goes to stderr)")
+	)
+	fs.Parse(args)
+	g, err := graph.MakeFamily(*family, *n, *a, *seed)
+	if err != nil {
+		return err
+	}
+	report := os.Stdout
+	if *edges {
+		report = os.Stderr
+	}
+	_, comps := graph.Components(g)
+	fmt.Fprintf(report, "name:          %s\n", g.Name)
+	fmt.Fprintf(report, "vertices:      %d\n", g.N())
+	fmt.Fprintf(report, "edges:         %d\n", g.M())
+	fmt.Fprintf(report, "max degree:    %d\n", g.MaxDegree())
+	fmt.Fprintf(report, "degeneracy:    %d\n", graph.Degeneracy(g))
+	fmt.Fprintf(report, "NW lower bnd:  %d\n", graph.NashWilliamsLowerBound(g))
+	fmt.Fprintf(report, "arbor bound:   %d (certified by generator)\n", g.ArborBound)
+	fmt.Fprintf(report, "components:    %d\n", comps)
+	if !*edges {
+		return nil
+	}
+	w := bufio.NewWriter(os.Stdout)
+	for _, e := range g.Edges() {
+		fmt.Fprintf(w, "%d %d\n", e.U, e.V)
+	}
+	return w.Flush()
 }
 
 func runBuild(args []string) error {

@@ -7,11 +7,10 @@
 // noglobalrand (vertex code draws only from the per-vertex seeded PRNG),
 // stepcontract (step-form programs never block), wiretag (fast-lane tags
 // come from internal/wire constants), hotpath (//vavg:hotpath functions
-// stay allocation-free), scenarioseam, shardseam and lanepad (the
-// fault-layer, shard-state and staging-lane contracts), plus the
-// interprocedural detflow (determinism taint must not reach messages,
-// Results, or adversary hashing through any call chain); -list prints
-// them all. Suppress a deliberate exception with
+// stay allocation-free), scenarioseam and shardseam (the fault-layer and
+// shard-state contracts), plus the interprocedural detflow (determinism
+// taint must not reach messages, Results, or adversary hashing through
+// any call chain); -list prints them all. Suppress a deliberate exception with
 // //lint:ignore <analyzer> <reason> on or directly above the flagged
 // line; //lint:file-ignore covers a whole file. A directive naming no
 // analyzer of the suite is itself a finding.

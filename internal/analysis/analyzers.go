@@ -7,7 +7,7 @@ import (
 
 // All returns the full vavglint suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{Detorder, Noglobalrand, Stepcontract, Wiretag, Hotpath, Scenarioseam, Shardseam, Lanepad, Detflow}
+	return []*Analyzer{Detorder, Noglobalrand, Stepcontract, Wiretag, Hotpath, Scenarioseam, Shardseam, Detflow}
 }
 
 // ByName resolves a comma-separable analyzer name.

@@ -20,7 +20,7 @@ import (
 //     variables (found = true);
 //   - strict min/max selection (if v < best { best = v });
 //   - appends into a slice that is sorted after the loop completes
-//     (collect-then-sort, the idiom exec.Names uses).
+//     (collect-then-sort).
 //
 // Anything else — sends, t.Run, early return/break, float or string
 // accumulation, appends that never meet a sort — is flagged. Deliberate

@@ -5,14 +5,14 @@
 //
 // The model semantics — rounds, per-directed-edge message slots,
 // termination accounting — live in the execution core under
-// internal/engine/exec, behind a Backend interface with two
-// implementations: "goroutines" (one goroutine per vertex driven by a
-// single coordinator; the only runner for blocking Programs) and "step"
-// (per-round state machines in sharded flat arrays that park sleeping
-// vertices for free and fast-forward all-sleeping rounds). Options.Backend
-// selects one; by default RunSpec runs the step form when the Spec has
-// one and goroutines otherwise. Backends are execution strategies only:
-// equal seeds produce byte-identical Results on every backend.
+// internal/engine/exec, which has two backends: "goroutines" (one
+// goroutine per vertex driven by a single coordinator; the only runner for
+// blocking Programs) and "step" (per-round state machines in sharded flat
+// arrays that park sleeping vertices for free and fast-forward
+// all-sleeping rounds). Options.Backend selects one; by default RunSpec
+// runs the step form when the Spec has one and goroutines otherwise.
+// Backends are execution strategies only: equal seeds produce
+// byte-identical Results on every backend.
 //
 // Termination follows the paper's refinement of Feuilloley's definition:
 // when a Program returns its output, the engine broadcasts that final
@@ -86,7 +86,7 @@ func Done(output any) Step { return exec.Done(output) }
 var ErrMaxRounds = exec.ErrMaxRounds
 
 // ErrUnknownBackend is returned (wrapped) when Options.Backend names no
-// registered backend; the message lists the valid choices.
+// backend; the message lists the valid choices.
 var ErrUnknownBackend = exec.ErrUnknownBackend
 
 // Options configure a run.
@@ -107,21 +107,13 @@ type Options struct {
 	// A nil adversary costs the hot path one pointer test per flush and
 	// zero allocations; a non-nil one must already be normalized for g.
 	Adv *Adversary
-	// StepShards fixes the step backend's shard count independently of
-	// the worker cores driving it (0 = autotuned). Results are invariant
-	// in both knobs; a fixed value reproduces the same shard layout on
-	// any machine. The goroutines backend ignores it.
-	StepShards int
 }
 
-// Run executes prog on every vertex of g until all vertices terminate,
-// on the backend selected by opts.Backend.
+// Run executes prog on every vertex of g until all vertices terminate: a
+// blocking Program runs on the goroutines backend whichever backend
+// opts.Backend names, and an unknown name is an error.
 func Run(g *graph.Graph, prog Program, opts Options) (*Result, error) {
-	b, err := exec.Select(opts.Backend)
-	if err != nil {
-		return nil, err
-	}
-	return b.Run(g, prog, exec.Config{Seed: opts.Seed, MaxRounds: opts.MaxRounds, Adv: opts.Adv, StepShards: opts.StepShards})
+	return RunSpec(g, Spec{Program: prog}, opts)
 }
 
 // RunSpec executes spec on the backend selected by opts.Backend,
@@ -130,8 +122,9 @@ func Run(g *graph.Graph, prog Program, opts Options) (*Result, error) {
 // execution-strategy choice only: equal seeds produce byte-identical
 // Results for both forms on every backend.
 func RunSpec(g *graph.Graph, spec Spec, opts Options) (*Result, error) {
-	return exec.RunSpec(g, spec, opts.Backend, exec.Config{Seed: opts.Seed, MaxRounds: opts.MaxRounds, Adv: opts.Adv, StepShards: opts.StepShards})
+	return exec.RunSpec(g, spec, opts.Backend, exec.Config{Seed: opts.Seed, MaxRounds: opts.MaxRounds, Adv: opts.Adv})
 }
 
-// Backends lists the registered execution backends.
+// Backends lists the execution backends Options.Backend accepts, besides
+// "auto".
 func Backends() []string { return exec.Names() }

@@ -1,7 +1,7 @@
 // Package exec is the execution core of the LOCAL-model simulator: it
 // separates the model's semantics — synchronous rounds, per-directed-edge
 // message slots, per-vertex termination accounting — from the mechanics of
-// how vertex turns are scheduled, which live behind the Backend interface.
+// how vertex turns are scheduled, which RunSpec picks by backend name.
 //
 // Two backends are provided:
 //
@@ -30,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"sync"
 
@@ -84,15 +83,6 @@ type Config struct {
 	// (a single pointer test per flush); a non-nil one must have been
 	// normalized for the run's graph (see Adversary.Normalize).
 	Adv *Adversary
-	// StepShards fixes the step backend's shard count: vertex state is
-	// split into this many contiguous ranges regardless of how many worker
-	// cores drive them (workers are capped at min(GOMAXPROCS, shards)).
-	// 0 = autotuned at run start (see step_tune.go). Results are invariant
-	// in both the shard and the worker count — the knob only trades
-	// scheduling granularity against per-shard overhead — but a fixed value
-	// makes the shard layout reproducible across machines. The goroutines
-	// backend ignores it.
-	StepShards int
 }
 
 func (c Config) maxRounds(n int) int {
@@ -147,9 +137,10 @@ type Result struct {
 	// from a fresh init.
 	Restarts int
 
-	// Shards is the shard count the step backend ran with (the autotuned
-	// value when Config.StepShards was 0); 0 for the goroutines backend.
-	// Purely informational: Results are invariant in the shard count.
+	// Shards is the number of contiguous shards the step backend ran with,
+	// one per worker, at most min(GOMAXPROCS, n); 0 for the goroutines
+	// backend. Purely informational: Results are invariant in the shard
+	// count.
 	Shards int
 }
 
@@ -189,69 +180,13 @@ func (r *Result) MaxCommit() int {
 // ErrMaxRounds is returned when a run exceeds Config.MaxRounds.
 var ErrMaxRounds = errors.New("engine: exceeded maximum round count")
 
-// Backend executes vertex Programs under the LOCAL-model round discipline.
-// Implementations must preserve the model semantics exactly: synchronous
-// rounds, inbox ordering by neighbor index, per-vertex PRNG streams, and
-// the termination accounting of Result — equal seeds must yield identical
-// Results on every backend.
-type Backend interface {
-	// Name is the registry key of the backend.
-	Name() string
-	// Run executes prog on every vertex of g until all vertices terminate.
-	Run(g *graph.Graph, prog Program, cfg Config) (*Result, error)
-}
+// Names lists the backends RunSpec accepts, besides the "auto" pseudo
+// name.
+func Names() []string { return []string{"goroutines", "step"} }
 
-var backends = map[string]Backend{}
-
-// Register adds a backend to the registry; it panics on duplicate names.
-func Register(b Backend) {
-	if _, dup := backends[b.Name()]; dup {
-		panic("exec: duplicate backend " + b.Name())
-	}
-	backends[b.Name()] = b
-}
-
-func init() {
-	Register(goroutinesBackend{})
-	Register(stepBackend{})
-}
-
-// Names lists the registered backends in sorted order.
-func Names() []string {
-	out := make([]string, 0, len(backends))
-	for name := range backends {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// ErrUnknownBackend is returned (wrapped) for a backend name that is not
-// registered.
+// ErrUnknownBackend is returned (wrapped) by RunSpec for a backend name
+// that is neither one of Names nor "auto".
 var ErrUnknownBackend = errors.New("engine: unknown backend")
-
-// Lookup returns the backend registered under name. The error for an
-// unknown name wraps ErrUnknownBackend and lists every registered backend
-// (plus the "auto" pseudo name) so callers passing user input get the
-// valid choices back.
-func Lookup(name string) (Backend, error) {
-	if b, ok := backends[name]; ok {
-		return b, nil
-	}
-	return nil, fmt.Errorf("%w %q (registered backends: %s, or \"auto\")",
-		ErrUnknownBackend, name, strings.Join(Names(), ", "))
-}
-
-// Select resolves a backend choice for a blocking Program. The empty
-// string and "auto" select "goroutines", the only backend that runs
-// blocking Programs natively; any other name selects that backend
-// explicitly.
-func Select(name string) (Backend, error) {
-	if name == "" || name == "auto" {
-		return backends["goroutines"], nil
-	}
-	return Lookup(name)
-}
 
 // Spec describes an algorithm to a backend: the blocking goroutine form
 // and, when the algorithm has been migrated, the equivalent step
@@ -265,30 +200,30 @@ type Spec struct {
 	Step StepProgram
 }
 
-// RunSpec resolves name and executes spec on the chosen backend,
-// preferring the step form wherever it can run: ""/"auto" means the step
-// form if the Spec has one, else the goroutines backend, and any
-// explicitly chosen backend that implements StepRunner uses the step
-// form. Selecting "step" for an algorithm without a step form falls back
-// to goroutines.
+// RunSpec resolves name and executes spec, preferring the step form
+// wherever it can run: "", "auto" and "step" run the step form when the
+// Spec has one and otherwise the blocking form on goroutines, and
+// "goroutines" runs the blocking form. Any other name is an error that
+// wraps ErrUnknownBackend and lists the valid choices, so callers passing
+// user input get them back.
 func RunSpec(g *graph.Graph, spec Spec, name string, cfg Config) (*Result, error) {
 	if spec.Program == nil && spec.Step == nil {
 		return nil, errors.New("engine: empty Spec: no Program and no StepProgram")
 	}
-	if (name == "" || name == "auto") && spec.Step != nil {
-		name = "step"
-	}
-	b, err := Select(name)
-	if err != nil {
-		return nil, err
-	}
-	if sr, ok := b.(StepRunner); ok && spec.Step != nil {
-		return sr.RunStep(g, spec.Step, cfg)
+	switch name {
+	case "", "auto", "step":
+		if spec.Step != nil {
+			return runStep(g, spec.Step, cfg)
+		}
+	case "goroutines":
+	default:
+		return nil, fmt.Errorf("%w %q (registered backends: %s, or \"auto\")",
+			ErrUnknownBackend, name, strings.Join(Names(), ", "))
 	}
 	if spec.Program == nil {
-		return nil, fmt.Errorf("engine: backend %q needs the blocking form, but the Spec has only a step form", b.Name())
+		return nil, fmt.Errorf("engine: backend %q needs the blocking form, but the Spec has only a step form", name)
 	}
-	return b.Run(g, spec.Program, cfg)
+	return runGoroutines(g, spec.Program, cfg)
 }
 
 // cell is one directed-edge message slot, written only by the edge's tail

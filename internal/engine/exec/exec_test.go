@@ -11,10 +11,10 @@ import (
 	"vavg/internal/graph"
 )
 
-// withShards sets GOMAXPROCS to n, which the step backend's autotuner
-// turns into n shards and workers, so the cross-shard paths (staged lanes,
-// message wakes, pending drains) are exercised even on single-core test
-// machines.
+// withShards sets GOMAXPROCS to n, which the step backend turns into one
+// shard and one worker per processor (at most one per vertex), so the
+// cross-shard paths (staged lanes, message wakes, pending drains) are
+// exercised even on single-core test machines.
 func withShards(t *testing.T, n int) {
 	t.Helper()
 	old := gort.GOMAXPROCS(n)
@@ -192,29 +192,25 @@ func requireEqualResults(t *testing.T, label string, want, got *Result) {
 	}
 }
 
-func runGoroutines(t *testing.T, g *graph.Graph, prog Program, cfg Config) *Result {
+func mustRunGoroutines(t *testing.T, g *graph.Graph, prog Program, cfg Config) *Result {
 	t.Helper()
-	res, err := goroutinesBackend{}.Run(g, prog, cfg)
+	res, err := runGoroutines(g, prog, cfg)
 	if err != nil {
 		t.Fatalf("goroutines: %v", err)
 	}
 	return res
 }
 
-// TestSelect pins backend resolution: ""/"auto" resolve to goroutines
-// whatever the graph size — a blocking-only Spec runs on the goroutine
-// runtime both at n=4 and past the old 2^14 size switch — and the
-// registry holds exactly the two backends.
+// TestSelect pins RunSpec's backend resolution for a blocking-only Spec:
+// "", "auto" and "step" run it on the goroutine runtime whatever the graph
+// size — both at n=4 and past the old 2^14 size switch — and Names lists
+// exactly the two backends.
 func TestSelect(t *testing.T) {
 	onGoroutines := func(api *API) any {
 		_, ok := api.rt.(*goRuntime)
 		return ok
 	}
-	for _, name := range []string{"", "auto"} {
-		b, err := Select(name)
-		if err != nil || b.Name() != "goroutines" {
-			t.Errorf("Select(%q) = %v, %v", name, b, err)
-		}
+	for _, name := range []string{"", "auto", "step"} {
 		for _, n := range []int{4, 1<<14 + 1} {
 			res, err := RunSpec(graph.Ring(n), Spec{Program: onGoroutines}, name, Config{})
 			if err != nil {
@@ -258,21 +254,21 @@ func TestScratchReuseIsClean(t *testing.T) {
 	})
 	cfg := Config{Seed: 13, MaxRounds: 1 << 20}
 	for _, k := range order {
-		base[k] = runGoroutines(t, graphs[k.g], progs[k.p], cfg)
+		base[k] = mustRunGoroutines(t, graphs[k.g], progs[k.p], cfg)
 	}
 	// Re-run the whole matrix twice more: every run now draws recycled
 	// scratch whose previous occupant had a different size or program.
 	for pass := 0; pass < 2; pass++ {
 		for i := len(order) - 1; i >= 0; i-- {
 			k := order[i]
-			rg := runGoroutines(t, graphs[k.g], progs[k.p], cfg)
+			rg := mustRunGoroutines(t, graphs[k.g], progs[k.p], cfg)
 			requireEqualResults(t, fmt.Sprintf("reuse%d/%s/%s vs fresh", pass, k.g, k.p), base[k], rg)
 		}
 	}
 }
 
 // backendChoices lists every backend name a caller may pass: each
-// registered backend plus the "auto" pseudo name.
+// backend plus the "auto" pseudo name.
 func backendChoices() []string {
 	return append(Names(), "auto")
 }
@@ -289,7 +285,7 @@ func TestCrossBackendEquivalence(t *testing.T) {
 		for _, pname := range sortedNames(progs) {
 			spec := Spec{Program: progs[pname], Step: sprogs[pname]}
 			for _, seed := range []int64{1, 42} {
-				want := runGoroutines(t, g, progs[pname], Config{Seed: seed})
+				want := mustRunGoroutines(t, g, progs[pname], Config{Seed: seed})
 				for _, name := range backendChoices() {
 					label := fmt.Sprintf("%s/%s/%s/seed%d", name, gname, pname, seed)
 					got, err := RunSpec(g, spec, name, Config{Seed: seed})
@@ -317,8 +313,8 @@ func TestPoolSingleShardEquivalence(t *testing.T) {
 	g := graph.ForestUnion(120, 3, 11)
 	progs, sprogs := testPrograms(), stepTestPrograms()
 	for _, pname := range sortedNames(progs) {
-		want := runGoroutines(t, g, progs[pname], Config{Seed: 5})
-		got := runStep(t, g, sprogs[pname], Config{Seed: 5, StepShards: 1})
+		want := mustRunGoroutines(t, g, progs[pname], Config{Seed: 5})
+		got := mustRunStep(t, g, sprogs[pname], Config{Seed: 5})
 		requireEqualResults(t, "1shard/"+pname, want, got)
 	}
 }
@@ -350,7 +346,7 @@ func idleWakeProgram(api *API) any {
 func TestPoolIdleMessageWake(t *testing.T) {
 	withShards(t, 3)
 	g := graph.Path(2)
-	want := runGoroutines(t, g, idleWakeProgram, Config{Seed: 1})
+	want := mustRunGoroutines(t, g, idleWakeProgram, Config{Seed: 1})
 	if want.Output[1] != "[early late]" {
 		t.Errorf("idle window collected %v, want [early late]", want.Output[1])
 	}
@@ -458,7 +454,7 @@ func randRelayProgram(api *API) any {
 func TestPoolDeterminismAcrossRuns(t *testing.T) {
 	withShards(t, 4)
 	g := graph.ForestUnion(180, 3, 17)
-	want := runGoroutines(t, g, randRelayProgram, Config{Seed: 42})
+	want := mustRunGoroutines(t, g, randRelayProgram, Config{Seed: 42})
 	spec := Spec{Program: randRelayProgram, Step: randRelayStep}
 	for _, name := range backendChoices() {
 		for run := 0; run < 2; run++ {

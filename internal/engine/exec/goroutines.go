@@ -6,14 +6,6 @@ import (
 	"vavg/internal/graph"
 )
 
-// goroutinesBackend is the original engine: one goroutine per vertex, a
-// single coordinator goroutine driving global rounds. Every live vertex is
-// woken through its own channel and crosses one WaitGroup barrier per
-// round, whether it has work or is merely waiting out a window.
-type goroutinesBackend struct{}
-
-func (goroutinesBackend) Name() string { return "goroutines" }
-
 type goRuntime struct {
 	c    *core
 	wg   sync.WaitGroup
@@ -56,7 +48,11 @@ func (rt *goRuntime) idle(a *API, k int, buf []Msg) []Msg {
 	return buf
 }
 
-func (goroutinesBackend) Run(g *graph.Graph, prog Program, cfg Config) (*Result, error) {
+// runGoroutines is the original engine: one goroutine per vertex, a single
+// coordinator goroutine driving global rounds. Every live vertex is woken
+// through its own channel and crosses one WaitGroup barrier per round,
+// whether it has work or is merely waiting out a window.
+func runGoroutines(g *graph.Graph, prog Program, cfg Config) (*Result, error) {
 	n := g.N()
 	maxRounds := cfg.maxRounds(n)
 	c := newCore(g, cfg)

@@ -38,7 +38,6 @@ func stubAPI(c *core, rt runtime, v int32) *API {
 // later inside flush with an opaque slab index.
 func TestSendBoundsCheck(t *testing.T) {
 	g := graph.Path(3) // vertex 0 has degree 1
-	gb, _ := Lookup("goroutines")
 	for _, k := range []int{5, -1} {
 		prog := func(api *API) any {
 			if api.ID() == 0 {
@@ -47,7 +46,7 @@ func TestSendBoundsCheck(t *testing.T) {
 			api.Next()
 			return nil
 		}
-		_, err := gb.Run(g, prog, Config{Seed: 1})
+		_, err := runGoroutines(g, prog, Config{Seed: 1})
 		if err == nil {
 			t.Fatalf("Send(%d) on degree-1 vertex: expected error", k)
 		}
@@ -64,7 +63,7 @@ func TestSendBoundsCheck(t *testing.T) {
 		api.Next()
 		return nil
 	}
-	if _, err := gb.Run(g, prog, Config{Seed: 1}); err == nil ||
+	if _, err := runGoroutines(g, prog, Config{Seed: 1}); err == nil ||
 		!strings.Contains(err.Error(), "neighbor index 2 out of range [0,1)") {
 		t.Errorf("SendInt out of range error = %v", err)
 	}
@@ -96,8 +95,7 @@ func TestMessageLanes(t *testing.T) {
 		}
 		return strings.Join(log, ",")
 	}
-	gb, _ := Lookup("goroutines")
-	res, err := gb.Run(g, prog, Config{Seed: 1})
+	res, err := runGoroutines(g, prog, Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,9 +213,8 @@ func TestSteadyStateAllocsIntegrated(t *testing.T) {
 		return ms.Mallocs
 	}
 	// stepProg is the state-machine twin of prog: one broadcast per turn,
-	// summing the previous turn's inbox. Running it directly on the step
-	// backend gates the step scheduler's own round loop, which the blocking
-	// program above only reaches through the fallback path.
+	// summing the previous turn's inbox, so the step scheduler's own round
+	// loop is gated too.
 	stepProg := func(rounds int) StepProgram {
 		return func(api *API) StepFn {
 			var sum int64
@@ -262,27 +259,23 @@ func TestSteadyStateAllocsIntegrated(t *testing.T) {
 	if err := dropAdv.Normalize(g.N()); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range Names() {
-		b, _ := Lookup(name)
-		check(name, func(rounds int) uint64 {
-			before := mallocs()
-			if _, err := b.Run(g, prog(rounds), Config{Seed: 1, MaxRounds: 1 << 20}); err != nil {
-				t.Fatalf("%s: %v", name, err)
+	runs := []struct {
+		name string
+		run  func(rounds int, cfg Config) (*Result, error)
+	}{
+		{"goroutines", func(rounds int, cfg Config) (*Result, error) { return runGoroutines(g, prog(rounds), cfg) }},
+		{"step", func(rounds int, cfg Config) (*Result, error) { return runStep(g, stepProg(rounds), cfg) }},
+	}
+	for _, r := range runs {
+		for _, adv := range []*Adversary{nil, dropAdv} {
+			name := r.name
+			if adv != nil {
+				name += "(drop adversary)"
 			}
-			return mallocs() - before
-		})
-		check(name+"(drop adversary)", func(rounds int) uint64 {
-			before := mallocs()
-			if _, err := b.Run(g, prog(rounds), Config{Seed: 1, MaxRounds: 1 << 20, Adv: dropAdv}); err != nil {
-				t.Fatalf("%s with adversary: %v", name, err)
-			}
-			return mallocs() - before
-		})
-		if sr, ok := b.(StepRunner); ok {
-			check(name+"(step form)", func(rounds int) uint64 {
+			check(name, func(rounds int) uint64 {
 				before := mallocs()
-				if _, err := sr.RunStep(g, stepProg(rounds), Config{Seed: 1, MaxRounds: 1 << 20}); err != nil {
-					t.Fatalf("%s step form: %v", name, err)
+				if _, err := r.run(rounds, Config{Seed: 1, MaxRounds: 1 << 20, Adv: adv}); err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
 				return mallocs() - before
 			})

@@ -4,7 +4,6 @@ import (
 	"math"
 	gort "runtime"
 	"slices"
-	"sort"
 	"sync"
 	"unsafe"
 
@@ -30,17 +29,18 @@ import (
 // translation produces byte-identical Results — the cross-backend
 // equivalence suite enforces this for every dual-registered algorithm.
 //
-// Multicore execution splits each round into two barrier-separated
-// phases, both free of locks and atomics:
+// Vertices are split into one contiguous shard per worker (worker w drives
+// shard w). Multicore execution splits each round into two
+// barrier-separated phases, both free of locks and atomics:
 //
-//	exec:  each worker runs its owned shards' due turns. Same-shard
-//	       deliveries write the slab and wake bookkeeping directly (the
-//	       worker owns that state); cross-shard deliveries are appended to
-//	       the (source shard, destination shard) staging lane — a flat
-//	       append-only buffer only this worker writes this phase.
-//	merge: each worker drains the lanes addressed to its owned shards,
-//	       applying slab writes and wake entries single-threaded per
-//	       destination shard, iterating source shards in ascending order.
+//	exec:  each worker runs its shard's due turns. Same-shard deliveries
+//	       write the slab and wake bookkeeping directly (the worker owns
+//	       that state); cross-shard deliveries are appended to the (source
+//	       shard, destination shard) staging lane — a flat append-only
+//	       buffer only this worker writes this phase.
+//	merge: each worker drains the lanes addressed to its shard, applying
+//	       slab writes and wake entries single-threaded, iterating source
+//	       shards in ascending order.
 //
 // Lane entries are appended in ascending sender order (turns run in
 // vertex order) with program-order slot writes per sender, so the merge
@@ -104,27 +104,6 @@ func Sleep(k int, next StepFn) Step {
 // round — exactly the accounting of a blocking Program returning.
 func Done(output any) Step {
 	return Step{done: true, out: output}
-}
-
-// StepRunner is implemented by backends that execute step-form programs
-// natively.
-type StepRunner interface {
-	RunStep(g *graph.Graph, prog StepProgram, cfg Config) (*Result, error)
-}
-
-// stepBackend drives step-form programs with shard workers over flat
-// state arrays. For blocking Programs (algorithms without a step form) it
-// falls back to the goroutines backend, so selecting "step" is always
-// safe.
-type stepBackend struct{}
-
-func (stepBackend) Name() string { return "step" }
-
-// Run executes a blocking Program on the goroutines backend: the step
-// driver itself only runs StepForms, and an explicit Backend="step" must
-// still work for every algorithm.
-func (stepBackend) Run(g *graph.Graph, prog Program, cfg Config) (*Result, error) {
-	return goroutinesBackend{}.Run(g, prog, cfg)
 }
 
 // idleEntry is a (round, vertex) event: a sleep expiry or a message wake.
@@ -198,11 +177,13 @@ const laneHeaderPad = cacheLine - (3*unsafe.Sizeof(uintptr(0)))%cacheLine
 // lanes[src*nshards+dst] lays a worker's row of cursors contiguously, so
 // without padding worker A appending to its lane would false-share the
 // line with worker B reading or appending to an adjacent one — measured
-// by BenchmarkLaneFalseSharing. The lanepad analyzer enforces the
-// contract: no sync/atomic fields, no exported cursor fields, size an
-// exact cache-line multiple.
-//
-//vavg:lane
+// by BenchmarkLaneFalseSharing. The contract: the size stays an exact
+// cache-line multiple (the assertion below fails the build otherwise);
+// no sync or sync/atomic fields, since lanes are single-writer per phase
+// and a lock or atomic in the header brings back the shared-line traffic
+// the padding removes; and no exported fields, so no writer outside this
+// package, which cannot see that phase-ownership argument, touches a
+// cursor.
 type lane struct {
 	buf []laneEntry
 	_   [laneHeaderPad]byte
@@ -215,10 +196,9 @@ const _ uintptr = -(unsafe.Sizeof(lane{}) % cacheLine)
 
 // stepShard owns a contiguous vertex range [lo, hi). The seam contract
 // (enforced by the shardseam analyzer): fields are written only by the
-// shard's own methods — the exec phase runs them from the worker owning
-// the shard, the merge phase from the worker merging it, and the
-// coordinator between rounds — never concurrently, so the shard needs no
-// mutex and no atomics anywhere.
+// shard's own methods — the exec and merge phases run them from the
+// shard's worker, and the coordinator between rounds — never
+// concurrently, so the shard needs no mutex and no atomics anywhere.
 //
 //vavg:shardstate
 type stepShard struct {
@@ -570,12 +550,6 @@ func (s *stepShard) sortActive() {
 	}
 }
 
-// weight estimates the shard's upcoming per-round cost for rebalancing:
-// runnable vertices plus parked sleepers that will wake later.
-func (s *stepShard) weight() int {
-	return len(s.active) + len(s.timers)
-}
-
 // nextEventRound returns the earliest upcoming round in which any vertex
 // takes a turn: cur+1 if some shard has active vertices or pending
 // message wakes, otherwise the earliest sleep expiry. Rounds in between
@@ -606,43 +580,6 @@ func (rt *stepRuntime) nextEventRound(cur int) int {
 	return next
 }
 
-// stepRebalanceEpoch is the coordinator's rebalancing cadence: every this
-// many rounds the shard→worker assignment is recomputed from the shards'
-// active-set weights. Rebalancing is pure scheduling — Results never
-// depend on which worker runs a shard.
-const stepRebalanceEpoch = 32
-
-// rebalanceShards reassigns shards to workers by greedy
-// longest-processing-time bin packing on the shards' current weights:
-// shards are placed heaviest-first onto the least-loaded worker, with
-// deterministic tie-breaks (shard index, then worker index). Only useful
-// when there are more shards than workers — with skewed active sets a
-// fixed block assignment can leave most workers idle behind one hot
-// shard.
-func rebalanceShards(owned [][]*stepShard, shards []*stepShard) {
-	order := make([]int32, len(shards))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		return shards[order[i]].weight() > shards[order[j]].weight()
-	})
-	loads := make([]int, len(owned))
-	for w := range owned {
-		owned[w] = owned[w][:0]
-	}
-	for _, si := range order {
-		best := 0
-		for w := 1; w < len(loads); w++ {
-			if loads[w] < loads[best] {
-				best = w
-			}
-		}
-		owned[best] = append(owned[best], shards[si])
-		loads[best] += shards[si].weight() + 1
-	}
-}
-
 // Worker phase tokens: one full round is exec (turns) then merge (lane
 // application), each ending in a barrier.
 const (
@@ -650,13 +587,12 @@ const (
 	phaseMerge
 )
 
-// RunStep executes a step-form program: per-round cost is proportional to
+// runStep executes a step-form program: per-round cost is proportional to
 // the vertices due a turn plus the messages delivered, with zero
-// goroutines beyond one persistent worker per core (and none at all with
-// a single worker). cfg.StepShards fixes the shard layout independently
-// of the worker count; see the package comment above for the two-phase
-// round structure that keeps multicore Results byte-identical.
-func (stepBackend) RunStep(g *graph.Graph, prog StepProgram, cfg Config) (*Result, error) {
+// goroutines beyond one persistent worker per shard (and none at all with
+// a single shard). See the package comment above for the two-phase round
+// structure that keeps multicore Results byte-identical.
+func runStep(g *graph.Graph, prog StepProgram, cfg Config) (*Result, error) {
 	n := g.N()
 	maxRounds := cfg.maxRounds(n)
 	c := newCore(g, cfg)
@@ -664,10 +600,11 @@ func (stepBackend) RunStep(g *graph.Graph, prog StepProgram, cfg Config) (*Resul
 	c.scratch.stepFns = reslice(c.scratch.stepFns, n)
 	apis := c.scratch.apis
 
-	nshards := cfg.StepShards
-	if nshards <= 0 {
-		nshards = autotuneShards(g)
-	}
+	// One contiguous shard per worker, at most min(GOMAXPROCS, n) of them
+	// (rounding the shard size up can leave fewer). The layout follows the
+	// machine, never the Result: every observable is keyed by (vertex,
+	// round).
+	nshards := gort.GOMAXPROCS(0)
 	if nshards > n {
 		nshards = n
 	}
@@ -706,42 +643,25 @@ func (stepBackend) RunStep(g *graph.Graph, prog StepProgram, cfg Config) (*Resul
 		rt.restarts = eventCursor{events: c.adv.restarts}
 	}
 
-	// Workers are capped by the shard count: the shard layout (and hence
-	// every Result) is fixed by cfg.StepShards, while the worker count
-	// adapts to the machine. Multi-worker runs use persistent workers
-	// released twice per round (exec, then merge); a single worker runs
-	// both phases inline with no goroutines at all.
-	workers := gort.GOMAXPROCS(0)
-	if workers > nshards {
-		workers = nshards
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	owned := make([][]*stepShard, workers)
-	for i, s := range rt.shards {
-		owned[i%workers] = append(owned[i%workers], s)
-	}
+	// Multi-shard runs keep one persistent worker per shard, released twice
+	// per round (exec, then merge); a single shard runs inline with no
+	// goroutines at all.
 	var phaseWG sync.WaitGroup
 	var starts []chan uint8
-	if workers > 1 {
-		for w := 0; w < workers; w++ {
+	if nshards > 1 {
+		for _, s := range rt.shards {
 			start := make(chan uint8)
 			starts = append(starts, start)
-			go func(w int, start chan uint8) {
+			go func(s *stepShard, start chan uint8) {
 				for ph := range start {
 					if ph == phaseExec {
-						for _, s := range owned[w] {
-							s.runRound(rt, apis, rt.round)
-						}
+						s.runRound(rt, apis, rt.round)
 					} else {
-						for _, s := range owned[w] {
-							s.applyLanes(rt)
-						}
+						s.applyLanes(rt)
 					}
 					phaseWG.Done()
 				}
-			}(w, start)
+			}(s, start)
 		}
 		defer func() {
 			for _, start := range starts {
@@ -750,17 +670,7 @@ func (stepBackend) RunStep(g *graph.Graph, prog StepProgram, cfg Config) (*Resul
 		}()
 	}
 	runPhase := func(ph uint8) {
-		if workers == 1 {
-			for _, s := range rt.shards {
-				if ph == phaseExec {
-					s.runRound(rt, apis, rt.round)
-				} else {
-					s.applyLanes(rt)
-				}
-			}
-			return
-		}
-		phaseWG.Add(workers)
+		phaseWG.Add(nshards)
 		for _, start := range starts {
 			start <- ph
 		}
@@ -771,11 +681,15 @@ func (stepBackend) RunStep(g *graph.Graph, prog StepProgram, cfg Config) (*Resul
 	round := 1
 	rt.round = 1
 	for {
-		runPhase(phaseExec)
 		if nshards > 1 {
+			runPhase(phaseExec)
+			runPhase(phaseMerge)
+		} else {
 			// Single-shard runs have no cross-shard lanes: every delivery
 			// took the direct path, and the merge phase is skipped whole.
-			runPhase(phaseMerge)
+			for _, s := range rt.shards {
+				s.runRound(rt, apis, rt.round)
+			}
 		}
 		live := 0
 		for _, s := range rt.shards {
@@ -831,9 +745,6 @@ func (stepBackend) RunStep(g *graph.Graph, prog StepProgram, cfg Config) (*Resul
 			}
 		}
 		activePerRound = append(activePerRound, live+spawned)
-		if workers > 1 && nshards > workers && round%stepRebalanceEpoch == 0 {
-			rebalanceShards(owned, rt.shards)
-		}
 	}
 	res, err := c.finish(activePerRound, maxRounds)
 	if res != nil {

@@ -176,9 +176,9 @@ func stepTestPrograms() map[string]StepProgram {
 	}
 }
 
-func runStep(t *testing.T, g *graph.Graph, prog StepProgram, cfg Config) *Result {
+func mustRunStep(t *testing.T, g *graph.Graph, prog StepProgram, cfg Config) *Result {
 	t.Helper()
-	res, err := stepBackend{}.RunStep(g, prog, cfg)
+	res, err := runStep(g, prog, cfg)
 	if err != nil {
 		t.Fatalf("step: %v", err)
 	}
@@ -197,12 +197,8 @@ func TestStepBackendEquivalence(t *testing.T) {
 			for _, pname := range sortedNames(progs) {
 				for _, seed := range []int64{1, 42} {
 					label := fmt.Sprintf("%dshards/%s/%s/seed%d", shards, gname, pname, seed)
-					gb, _ := Lookup("goroutines")
-					rg, err := gb.Run(graphs[gname], progs[pname], Config{Seed: seed})
-					if err != nil {
-						t.Fatalf("%s: goroutines: %v", label, err)
-					}
-					rs := runStep(t, graphs[gname], sprogs[pname], Config{Seed: seed})
+					rg := mustRunGoroutines(t, graphs[gname], progs[pname], Config{Seed: seed})
+					rs := mustRunStep(t, graphs[gname], sprogs[pname], Config{Seed: seed})
 					requireEqualResults(t, label, rg, rs)
 				}
 			}
@@ -212,13 +208,12 @@ func TestStepBackendEquivalence(t *testing.T) {
 
 // TestStepWorkerInvariance is the multicore determinism gate of the
 // staged-lane step backend: a Result is a pure function of (graph,
-// program, seed, adversary) — shard count and worker count are execution
-// layout, not semantics. Every P ∈ {1, 2, 4, 8}, applied as both
-// GOMAXPROCS (worker parallelism) and StepShards (lane layout), must
-// reproduce the single-shard single-worker run byte for byte, faultless
-// and under a drop+crash+restart schedule; a skewed layout (more shards
-// than workers) additionally exercises the LPT rebalancer. CI runs this
-// under -race, so a racing cross-shard store is an error, not a flake.
+// program, seed, adversary) — the shard layout is execution detail, not
+// semantics. Every GOMAXPROCS P ∈ {2, 3, 4, 8} (P shards and workers; at
+// P=3 the last shard is shorter than the others) must reproduce the
+// single-shard run byte for byte, faultless and under a
+// drop+crash+restart schedule. CI runs this under -race, so a racing
+// cross-shard store is an error, not a flake.
 func TestStepWorkerInvariance(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"forest": graph.ForestUnion(260, 3, 7),
@@ -244,13 +239,13 @@ func TestStepWorkerInvariance(t *testing.T) {
 	// Faulty runs can strand a termination wave behind a crashed-forever
 	// vertex; the budget turns that into a deterministic DNF outcome that
 	// must itself be invariant across layouts.
-	run := func(t *testing.T, g *graph.Graph, prog StepProgram, adv *Adversary, shards, workers int) (*Result, bool) {
+	run := func(t *testing.T, g *graph.Graph, prog StepProgram, adv *Adversary, procs int) (*Result, bool) {
 		t.Helper()
-		old := gort.GOMAXPROCS(workers)
+		old := gort.GOMAXPROCS(procs)
 		defer gort.GOMAXPROCS(old)
-		res, err := stepBackend{}.RunStep(g, prog, Config{Seed: 33, MaxRounds: 2048, Adv: adv, StepShards: shards})
+		res, err := runStep(g, prog, Config{Seed: 33, MaxRounds: 2048, Adv: adv})
 		if res == nil {
-			t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
+			t.Fatalf("P=%d: %v", procs, err)
 		}
 		return res, err != nil
 	}
@@ -263,21 +258,47 @@ func TestStepWorkerInvariance(t *testing.T) {
 			}
 			for _, pname := range progNames {
 				sprogs := stepTestPrograms()
-				base, baseDNF := run(t, g, sprogs[pname], adv, 1, 1)
-				check := func(shards, workers int) {
-					res, dnf := run(t, g, stepTestPrograms()[pname], adv, shards, workers)
-					label := fmt.Sprintf("%s/%s/%s/shards%d.workers%d", gname, fault, pname, shards, workers)
+				base, baseDNF := run(t, g, sprogs[pname], adv, 1)
+				for _, p := range []int{2, 3, 4, 8} {
+					res, dnf := run(t, g, stepTestPrograms()[pname], adv, p)
+					label := fmt.Sprintf("%s/%s/%s/P%d", gname, fault, pname, p)
 					if dnf != baseDNF {
 						t.Errorf("%s: DNF %v, baseline %v", label, dnf, baseDNF)
 					}
 					requireEqualResults(t, label, base, res)
 				}
-				for _, p := range []int{2, 4, 8} {
-					check(p, p)
-				}
-				check(8, 3) // skewed: rebalance epochs re-bin shards mid-run
 			}
 		}
+	}
+}
+
+// TestStepShardsFollowWorkers pins the step backend's layout rule: one
+// contiguous shard per worker, so Result.Shards equals GOMAXPROCS on a
+// graph with enough vertices, is capped at n on a tiny one, and is 0 on
+// the goroutines backend.
+func TestStepShardsFollowWorkers(t *testing.T) {
+	spec := Spec{Program: testPrograms()["flood"], Step: stepTestPrograms()["flood"]}
+	shards := func(g *graph.Graph, procs int, backend string) int {
+		t.Helper()
+		old := gort.GOMAXPROCS(procs)
+		defer gort.GOMAXPROCS(old)
+		res, err := RunSpec(g, spec, backend, Config{Seed: 1})
+		if err != nil {
+			t.Fatalf("%s n=%d P=%d: %v", backend, g.N(), procs, err)
+		}
+		return res.Shards
+	}
+	ring := graph.Ring(50000)
+	for _, p := range []int{1, 2, 3, 8} {
+		if got := shards(ring, p, "step"); got != p {
+			t.Errorf("Ring(50000) at P=%d: %d shards, want %d", p, got, p)
+		}
+	}
+	if got := shards(graph.Path(2), 8, "step"); got != 2 {
+		t.Errorf("Path(2) at P=8: %d shards, want 2", got)
+	}
+	if got := shards(graph.Ring(64), 8, "goroutines"); got != 0 {
+		t.Errorf("goroutines backend reports %d shards, want 0", got)
 	}
 }
 
@@ -287,7 +308,7 @@ func TestStepWorkerInvariance(t *testing.T) {
 // slot) and arrive in delivery order at the wake turn.
 func TestStepIdleMessageWake(t *testing.T) {
 	withShards(t, 3)
-	res := runStep(t, graph.Path(2), idleWakeStep, Config{Seed: 1})
+	res := mustRunStep(t, graph.Path(2), idleWakeStep, Config{Seed: 1})
 	if res.Output[1] != "[early late]" {
 		t.Errorf("sleep window collected %v, want [early late]", res.Output[1])
 	}
@@ -328,11 +349,11 @@ func idleWakeStep(api *API) StepFn {
 func TestStepFastForward(t *testing.T) {
 	withShards(t, 2)
 	g := graph.Ring(16)
-	want := runGoroutines(t, g, func(api *API) any {
+	want := mustRunGoroutines(t, g, func(api *API) any {
 		api.Idle(500)
 		return api.Round()
 	}, Config{Seed: 9})
-	got := runStep(t, g, func(api *API) StepFn {
+	got := mustRunStep(t, g, func(api *API) StepFn {
 		return func(api *API, _ []Msg) Step {
 			return Sleep(500, func(api *API, _ []Msg) Step { return Done(api.Round()) })
 		}
@@ -346,7 +367,7 @@ func TestStepFastForward(t *testing.T) {
 func TestStepAccountingIdentities(t *testing.T) {
 	withShards(t, 4)
 	g := graph.ForestUnion(300, 2, 13)
-	res := runStep(t, g, func(api *API) StepFn {
+	res := mustRunStep(t, g, func(api *API) StepFn {
 		return func(api *API, _ []Msg) Step {
 			if k := api.ID() % 23; k > 0 {
 				return Sleep(k, func(api *API, _ []Msg) Step { return Done(api.ID()) })
@@ -374,7 +395,7 @@ func TestStepMaxRoundsAborts(t *testing.T) {
 		fn = func(api *API, _ []Msg) Step { return Continue(fn) }
 		return fn
 	}
-	if _, err := (stepBackend{}).RunStep(g, spin, Config{MaxRounds: 40}); !errors.Is(err, ErrMaxRounds) {
+	if _, err := runStep(g, spin, Config{MaxRounds: 40}); !errors.Is(err, ErrMaxRounds) {
 		t.Fatalf("spin err = %v, want ErrMaxRounds", err)
 	}
 	// Machines parked in an over-long sleep must be reachable by the abort
@@ -384,7 +405,7 @@ func TestStepMaxRoundsAborts(t *testing.T) {
 			return Sleep(1<<20, func(api *API, _ []Msg) Step { return Done(nil) })
 		}
 	}
-	if _, err := (stepBackend{}).RunStep(g, park, Config{MaxRounds: 40}); !errors.Is(err, ErrMaxRounds) {
+	if _, err := runStep(g, park, Config{MaxRounds: 40}); !errors.Is(err, ErrMaxRounds) {
 		t.Fatalf("park err = %v, want ErrMaxRounds", err)
 	}
 }
@@ -405,7 +426,7 @@ func TestStepVertexPanicPropagates(t *testing.T) {
 		}
 	}
 	const wantTurn = "engine: vertex 3 panicked in round 3: boom"
-	if _, err := (stepBackend{}).RunStep(g, turnPanic, Config{Seed: 1}); err == nil || err.Error() != wantTurn {
+	if _, err := runStep(g, turnPanic, Config{Seed: 1}); err == nil || err.Error() != wantTurn {
 		t.Fatalf("turn panic err = %v, want %q", err, wantTurn)
 	}
 	// A panic while building the machine counts as round 1.
@@ -416,7 +437,7 @@ func TestStepVertexPanicPropagates(t *testing.T) {
 		return func(api *API, _ []Msg) Step { return Done(nil) }
 	}
 	const wantBoot = "engine: vertex 2 panicked in round 1: boot boom"
-	if _, err := (stepBackend{}).RunStep(g, bootPanic, Config{Seed: 1}); err == nil || err.Error() != wantBoot {
+	if _, err := runStep(g, bootPanic, Config{Seed: 1}); err == nil || err.Error() != wantBoot {
 		t.Fatalf("boot panic err = %v, want %q", err, wantBoot)
 	}
 	// Blocking round-crossing calls are a step-program bug, reported as a
@@ -427,7 +448,7 @@ func TestStepVertexPanicPropagates(t *testing.T) {
 			return Done(nil)
 		}
 	}
-	if _, err := (stepBackend{}).RunStep(g, callsNext, Config{Seed: 1}); err == nil || !strings.Contains(err.Error(), "API.Next") {
+	if _, err := runStep(g, callsNext, Config{Seed: 1}); err == nil || !strings.Contains(err.Error(), "API.Next") {
 		t.Fatalf("Next-in-step err = %v, want API.Next guidance", err)
 	}
 }
@@ -435,8 +456,8 @@ func TestStepVertexPanicPropagates(t *testing.T) {
 func TestStepDeterminismAcrossRuns(t *testing.T) {
 	withShards(t, 4)
 	g := graph.ForestUnion(180, 3, 17)
-	r1 := runStep(t, g, randRelayStep, Config{Seed: 42})
-	r2 := runStep(t, g, randRelayStep, Config{Seed: 42})
+	r1 := mustRunStep(t, g, randRelayStep, Config{Seed: 42})
+	r2 := mustRunStep(t, g, randRelayStep, Config{Seed: 42})
 	requireEqualResults(t, "step-determinism", r1, r2)
 }
 
@@ -469,39 +490,27 @@ func TestStepScratchReuseIsClean(t *testing.T) {
 	base := map[string]*Result{}
 	for _, g := range graphs {
 		for _, pn := range names {
-			base[g.Name+"/"+pn] = runStep(t, g, sprogs[pn], cfg)
+			base[g.Name+"/"+pn] = mustRunStep(t, g, sprogs[pn], cfg)
 		}
 	}
 	for pass := 0; pass < 2; pass++ {
 		for i := len(graphs) - 1; i >= 0; i-- {
 			g := graphs[i]
 			for _, pn := range names {
-				r := runStep(t, g, sprogs[pn], cfg)
+				r := mustRunStep(t, g, sprogs[pn], cfg)
 				requireEqualResults(t, fmt.Sprintf("reuse%d/%s/%s", pass, g.Name, pn), base[g.Name+"/"+pn], r)
 			}
 		}
 	}
 }
 
-// TestStepFallback covers the blocking-form paths of the step backend:
-// Backend.Run on a goroutine Program delegates to goroutines, and RunSpec
-// falls back when the Spec has no step form.
+// TestStepFallback covers the blocking-form path of the step backend:
+// RunSpec falls back to goroutines when the Spec has no step form.
 func TestStepFallback(t *testing.T) {
 	withShards(t, 2)
 	g := graph.Ring(32)
 	prog := testPrograms()["flood"]
-	gb, _ := Lookup("goroutines")
-	want, err := gb.Run(g, prog, Config{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, _ := Lookup("step")
-	got, err := sb.Run(g, prog, Config{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireEqualResults(t, "step-fallback", want, got)
-
+	want := mustRunGoroutines(t, g, prog, Config{Seed: 7})
 	viaSpec, err := RunSpec(g, Spec{Program: prog}, "step", Config{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -535,19 +544,20 @@ func TestRunSpec(t *testing.T) {
 	}
 	for _, name := range []string{"nope", "pool"} {
 		if _, err := RunSpec(g, spec, name, Config{}); !errors.Is(err, ErrUnknownBackend) || !strings.Contains(err.Error(), "step") {
-			t.Errorf("RunSpec(%q): unknown backend error should list registered names, got %v", name, err)
+			t.Errorf("RunSpec(%q): unknown backend error should list the backends, got %v", name, err)
 		}
 	}
 }
 
-// TestSelectUnknownListsBackends pins the misuse path: an unknown backend
-// name — including the retired "pool" — is a typed error naming every
-// registered backend, never a silent fallback.
+// TestSelectUnknownListsBackends pins the misuse path: RunSpec given an
+// unknown backend name — including the retired "pool" — returns a typed
+// error naming every backend, never a silent fallback.
 func TestSelectUnknownListsBackends(t *testing.T) {
+	spec := Spec{Program: testPrograms()["flood"], Step: stepTestPrograms()["flood"]}
 	for _, name := range []string{"warp", "pool"} {
-		_, err := Select(name)
+		_, err := RunSpec(graph.Ring(8), spec, name, Config{})
 		if !errors.Is(err, ErrUnknownBackend) {
-			t.Fatalf("Select(%q) err = %v, want ErrUnknownBackend", name, err)
+			t.Fatalf("RunSpec(%q) err = %v, want ErrUnknownBackend", name, err)
 		}
 		if want := `goroutines, step, or "auto"`; !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not list %s", err, want)

@@ -15,8 +15,8 @@ var Families = []string{
 }
 
 // MakeFamily constructs a graph family by its CLI name. It is the single
-// construction path shared by graphgen, vavgrun, and vavggraph, so every
-// tool derives the same graph from the same (family, n, a, seed) triple —
+// construction path shared by vavgrun and vavggraph, so every tool
+// derives the same graph from the same (family, n, a, seed) triple —
 // which is what makes a materialized CSR file interchangeable with its
 // generator. The density parameter a feeds the families that take one
 // (forest count, gnm edge factor, star sizes); the others ignore it.

@@ -31,9 +31,10 @@ type Run struct {
 	Size int
 	// ActivePerRound records the decay of active vertices.
 	ActivePerRound []int
-	// StepShards is the shard count the step backend ran with (autotuned
-	// when Params.StepShards was 0); 0 for the other backends. Results are
-	// invariant in it — this is layout provenance, not a measure.
+	// StepShards is the number of contiguous shards the step backend ran
+	// with, one per worker, at most min(GOMAXPROCS, n); 0 on the
+	// goroutines backend. Results are invariant in it — this is layout
+	// provenance, not a measure.
 	StepShards int
 
 	// The remaining fields are degradation accounting for adversarial

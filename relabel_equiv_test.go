@@ -13,8 +13,8 @@ import (
 // TestRelabelEquivalenceRegistry is the relabeling contract (DESIGN.md
 // §11): running any registered algorithm on the RCM-relabeled view of a
 // graph must produce a Result byte-identical to the unrelabeled run —
-// after the engine's index unmapping — on every backend at every worker
-// and shard count, faultless and under a drop+crash+restart scenario.
+// after the engine's index unmapping — on every backend at every
+// GOMAXPROCS, faultless and under a drop+crash+restart scenario.
 // Vertex IDs are observable in the LOCAL model (PRNG streams, ID
 // tie-breaks, inbox order, adversary decisions), so this only holds
 // because the view keeps every observable in original-ID space; any
@@ -73,22 +73,21 @@ func TestRelabelEquivalenceRegistry(t *testing.T) {
 					res *engine.Result
 					dnf bool
 				}
-				run := func(rg *Graph, backend string, shards int) outcome {
+				run := func(rg *Graph, backend string) outcome {
 					o := opts
 					o.Backend = backend
-					o.StepShards = shards
 					res, err := engine.RunSpec(rg, spec, o)
 					if res == nil {
-						t.Fatalf("%s %s shards=%d: %v", fault, backend, shards, err)
+						t.Fatalf("%s %s P=%d: %v", fault, backend, gort.GOMAXPROCS(0), err)
 					}
 					res.Shards = 0 // layout provenance, excluded from equivalence
 					return outcome{res, err != nil}
 				}
 				for _, backend := range backends {
-					base := run(g, backend, 0)
+					base := run(g, backend)
 					for _, P := range points {
 						old := gort.GOMAXPROCS(P)
-						got := run(views[g], backend, P)
+						got := run(views[g], backend)
 						gort.GOMAXPROCS(old)
 						if got.dnf != base.dnf || !reflect.DeepEqual(base.res, got.res) {
 							t.Errorf("%s backend=%s P=%d: relabeled Result differs from unrelabeled (dnf %v vs %v; messages %d vs %d, roundSum %d vs %d, rounds eq=%v outputs eq=%v)",

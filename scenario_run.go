@@ -41,7 +41,7 @@ func (alg Algorithm) runScenario(g *Graph, p Params) (Report, error) {
 		eng.Step = alg.step(p)
 	}
 	res, err := engine.RunSpec(rg, eng, engine.Options{
-		Seed: p.Seed, MaxRounds: p.MaxRounds, Backend: p.Backend, Adv: adv, StepShards: p.StepShards,
+		Seed: p.Seed, MaxRounds: p.MaxRounds, Backend: p.Backend, Adv: adv,
 	})
 	converged := true
 	if err != nil {
@@ -125,7 +125,7 @@ func repairEpoch(alg Algorithm, cur *Graph, p Params, spec *scenario.Spec, i int
 		}
 	}
 	rres, err := engine.RunSpec(cur, engine.Spec{Program: base}, engine.Options{
-		Seed: epochSeed, MaxRounds: repairBudget(res.TotalRounds), Backend: p.Backend, Adv: radv, StepShards: p.StepShards,
+		Seed: epochSeed, MaxRounds: repairBudget(res.TotalRounds), Backend: p.Backend, Adv: radv,
 	})
 	if rres == nil {
 		return false

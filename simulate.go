@@ -34,7 +34,7 @@ type (
 // accounting can be derived with NewReport.
 func Simulate(g *Graph, prog Program, p Params) (*SimResult, error) {
 	p = p.withDefaults(g)
-	return engine.Run(g, prog, engine.Options{Seed: p.Seed, MaxRounds: p.MaxRounds, Backend: p.Backend, StepShards: p.StepShards})
+	return engine.Run(g, prog, engine.Options{Seed: p.Seed, MaxRounds: p.MaxRounds, Backend: p.Backend})
 }
 
 // NewReport derives the paper's measurements from a raw simulation result.

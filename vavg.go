@@ -94,13 +94,8 @@ type Params struct {
 	// or ""/"auto" (the goroutine-free step backend whenever the algorithm
 	// has a step form, otherwise goroutines). Backends are execution
 	// strategies only — equal seeds yield identical results on all of
-	// them; see engine.Backends for the registered names.
+	// them; see engine.Backends for the names.
 	Backend string
-	// StepShards fixes the step backend's shard count regardless of
-	// GOMAXPROCS (0 = autotuned). Results are invariant in both the shard
-	// and the worker count; pinning the value reproduces the same shard
-	// layout on any machine. Ignored by the goroutines backend.
-	StepShards int
 	// Relabel selects the engine's vertex-relabeling layout pass: "rcm"
 	// runs the engine on a reverse Cuthill–McKee view of the graph for
 	// cache locality (DESIGN.md §11), ""/"off"/"none" run the graph as
@@ -124,8 +119,8 @@ type Params struct {
 	Scenario *scenario.Spec
 }
 
-// Backends lists the registered engine execution backends, in the order
-// they can be named in Params.Backend.
+// Backends lists the engine execution backends Params.Backend can name,
+// besides "auto".
 func Backends() []string { return engine.Backends() }
 
 func (p Params) withDefaults(g *Graph) Params {
@@ -229,7 +224,7 @@ func (alg Algorithm) Run(g *Graph, p Params) (Report, error) {
 	}
 	// The engine runs on the (possibly relabeled) view; the audit and the
 	// report below keep using g — Results are unmapped to original IDs.
-	res, err := engine.RunSpec(rg, spec, engine.Options{Seed: p.Seed, MaxRounds: p.MaxRounds, Backend: p.Backend, StepShards: p.StepShards})
+	res, err := engine.RunSpec(rg, spec, engine.Options{Seed: p.Seed, MaxRounds: p.MaxRounds, Backend: p.Backend})
 	if err != nil {
 		return Report{}, fmt.Errorf("vavg: %s on %s: %w", alg.Name, g.Name, err)
 	}
