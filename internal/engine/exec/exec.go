@@ -600,11 +600,12 @@ func (a *API) NeighborIndex(id int32) int {
 	return graph.SearchAdj(a.NeighborIDs(), id)
 }
 
-// Rand returns this vertex's deterministic PRNG. The generator is seeded
-// by (run seed, vertex ID) on first use: seeding costs a 607-word state
-// initialization, so deterministic programs that never draw randomness pay
-// nothing for it — at large n the eager version dominated both run time
-// and peak memory.
+// Rand returns this vertex's deterministic PRNG, created on first use so
+// that programs which never draw pay nothing. The stream is keyed by
+// (run seed, original vertex ID, restart generation) through streamSeed,
+// and is bit-identical to rand.New(rand.NewSource(streamSeed(...))); its
+// lazySource computes only the state words the vertex's draws read, so d
+// draws cost O(d) words instead of math/rand's 607-word seeding.
 func (a *API) Rand() *rand.Rand {
 	if a.rng == nil {
 		id := int64(a.v)
@@ -613,17 +614,23 @@ func (a *API) Rand() *rand.Rand {
 			// draw byte-identical randomness.
 			id = int64(a.core.orig[a.v])
 		}
-		s := a.core.seed ^ (id+1)*0x9e3779b97f4a7c
-		if a.gen > 0 {
-			// A restarted incarnation draws a fresh stream — reusing the
-			// pre-crash stream would correlate the reboot with its own past.
-			// Generation 0 leaves the seed untouched so fault-free runs are
-			// byte-identical to runs built before restarts existed.
-			s ^= (int64(a.gen) + 1) * 0x632be59bd9b4e019
-		}
-		a.rng = rand.New(rand.NewSource(s))
+		a.rng = rand.New(newLazySource(streamSeed(a.core.seed, id, a.gen)))
 	}
 	return a.rng
+}
+
+// streamSeed derives the PRNG seed of vertex id's incarnation gen from the
+// run seed.
+func streamSeed(seed, id int64, gen int32) int64 {
+	s := seed ^ (id+1)*0x9e3779b97f4a7c
+	if gen > 0 {
+		// A restarted incarnation draws a fresh stream — reusing the
+		// pre-crash stream would correlate the reboot with its own past.
+		// Generation 0 leaves the seed untouched so fault-free runs are
+		// byte-identical to runs built before restarts existed.
+		s ^= (int64(gen) + 1) * 0x632be59bd9b4e019
+	}
+	return s
 }
 
 // Commit records that this vertex has irrevocably chosen its output in
