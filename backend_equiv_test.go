@@ -1,7 +1,6 @@
 package vavg
 
 import (
-	"errors"
 	"math"
 	"reflect"
 	gort "runtime"
@@ -9,16 +8,33 @@ import (
 	"testing"
 
 	"vavg/internal/engine"
-	"vavg/internal/graph"
 )
 
+// form is one execution form of a registry algorithm, packed as a
+// single-form Spec so that engine.RunSpec has exactly one way to run it.
+type form struct {
+	name string
+	spec engine.Spec
+}
+
+// forms returns alg's blocking and step forms as single-form Specs,
+// blocking first: its goroutine run is the reference the step run must
+// reproduce. Runs through the public API only ever execute the step form,
+// so these suites are what keep the blocking form honest.
+func (alg Algorithm) forms(p Params) []form {
+	return []form{
+		{"blocking", engine.Spec{Program: alg.program(p)}},
+		{"step", engine.Spec{Step: alg.step(p)}},
+	}
+}
+
 // TestCrossBackendEquivalenceRegistry is the deliverable contract of the
-// pluggable-backend engine: for every registered algorithm on every graph
-// family, identical seeds must yield byte-identical engine Results —
-// rounds, commitments, outputs, active-set decay, message counts — on the
-// "goroutines" and "step" backends. Backends are execution strategies,
-// not semantics. Algorithms with a step form run it on the step backend,
-// so this suite also pins every step translation to its blocking
+// two-form engine: for every registered algorithm on every graph family,
+// identical seeds must yield byte-identical engine Results — rounds,
+// commitments, outputs, active-set decay, message counts — whether the
+// blocking form runs on one goroutine per vertex or the step form runs on
+// the sharded step runner. The form is an execution strategy, not
+// semantics, so this suite pins every step translation to its blocking
 // original.
 func TestCrossBackendEquivalenceRegistry(t *testing.T) {
 	oldProcs := gort.GOMAXPROCS(4) // force multi-shard step runs
@@ -50,55 +66,49 @@ func TestCrossBackendEquivalenceRegistry(t *testing.T) {
 				t.Parallel()
 				g := fam.gen()
 				p := Params{Arboricity: fam.a, Seed: 11, MaxRounds: 1 << 21}.withDefaults(g)
-				spec := engine.Spec{Program: alg.program(p)}
-				if alg.step != nil {
-					spec.Step = alg.step(p)
-				}
 				var results []*engine.Result
-				for _, backend := range engine.Backends() {
-					res, err := engine.RunSpec(g, spec, engine.Options{
-						Seed: p.Seed, MaxRounds: p.MaxRounds, Backend: backend,
-					})
+				for _, f := range alg.forms(p) {
+					res, err := engine.RunSpec(g, f.spec, engine.Options{Seed: p.Seed, MaxRounds: p.MaxRounds})
 					if err != nil {
-						t.Fatalf("backend %s: %v", backend, err)
+						t.Fatalf("%s form: %v", f.name, err)
 					}
-					// Shards is layout provenance (0 off the step backend),
+					// Shards is layout provenance (0 for the blocking form),
 					// not an observable; the equivalence contract covers
 					// everything else.
 					res.Shards = 0
 					results = append(results, res)
 				}
-				base := results[0]
-				for i, res := range results[1:] {
-					if !reflect.DeepEqual(base, res) {
-						t.Errorf("backend %s Result differs from %s:\n rounds eq=%v outputs eq=%v active eq=%v messages %d vs %d",
-							engine.Backends()[i+1], engine.Backends()[0],
-							reflect.DeepEqual(base.Rounds, res.Rounds),
-							reflect.DeepEqual(base.Output, res.Output),
-							reflect.DeepEqual(base.ActivePerRound, res.ActivePerRound),
-							base.Messages, res.Messages)
-					}
+				base, res := results[0], results[1]
+				if !reflect.DeepEqual(base, res) {
+					t.Errorf("step form Result differs from blocking:\n rounds eq=%v outputs eq=%v active eq=%v messages %d vs %d",
+						reflect.DeepEqual(base.Rounds, res.Rounds),
+						reflect.DeepEqual(base.Output, res.Output),
+						reflect.DeepEqual(base.ActivePerRound, res.ActivePerRound),
+						base.Messages, res.Messages)
 				}
 			})
 		}
 	}
 }
 
-// TestRegistryStepForms pins the goroutine-free registry contract: every
-// registered algorithm ships a step form, so backend "auto" resolves to
-// the explicit-state-machine step backend for the whole registry and no
-// registry run needs one goroutine per vertex.
+// TestRegistryStepForms pins the two-form registry contract: every
+// registered algorithm ships both a blocking program, the reference the
+// equivalence suites check against, and a step form, which is what every
+// run through the public API executes.
 func TestRegistryStepForms(t *testing.T) {
 	for _, alg := range Algorithms() {
-		if !alg.HasStep() {
-			t.Errorf("algorithm %s has no step form; backend auto falls back to goroutines", alg.Name)
+		if alg.program == nil {
+			t.Errorf("algorithm %s has no blocking program", alg.Name)
+		}
+		if alg.step == nil {
+			t.Errorf("algorithm %s has no step form", alg.Name)
 		}
 	}
 }
 
 // TestStepWorkerInvarianceRegistry extends the worker-invariance gate
 // from synthetic programs to the real registry: for every algorithm, the
-// step backend must produce byte-identical Results at GOMAXPROCS
+// step form must produce byte-identical Results at GOMAXPROCS
 // P ∈ {1, 2, 4, 8} — P shards and P workers — faultless and under a
 // drop+crash+restart scenario. CI runs this under -race, where any
 // cross-shard store outside the staged lanes surfaces as a race rather
@@ -122,12 +132,9 @@ func TestStepWorkerInvarianceRegistry(t *testing.T) {
 			// GOMAXPROCS is process-global, so the P axis runs sequentially
 			// (no t.Parallel) and each point restores the previous value.
 			p := Params{Arboricity: a, Seed: 11, MaxRounds: 1 << 21}.withDefaults(g)
-			spec := engine.Spec{Program: alg.program(p)}
-			if alg.step != nil {
-				spec.Step = alg.step(p)
-			}
+			spec := engine.Spec{Step: alg.step(p)}
 			for _, fault := range []string{"faultless", "dropcrash"} {
-				opts := engine.Options{Seed: p.Seed, MaxRounds: p.MaxRounds, Backend: "step"}
+				opts := engine.Options{Seed: p.Seed, MaxRounds: p.MaxRounds}
 				if fault == "dropcrash" {
 					adv, err := sc.Clone().Compile(g.N(), p.Seed)
 					if err != nil {
@@ -188,8 +195,7 @@ func TestStepDecayShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := Params{Arboricity: a, Seed: 5, MaxRounds: 1 << 21}.withDefaults(g)
-	spec := engine.Spec{Program: alg.program(p), Step: alg.step(p)}
-	res, err := engine.RunSpec(g, spec, engine.Options{Seed: p.Seed, MaxRounds: p.MaxRounds, Backend: "step"})
+	res, err := engine.RunSpec(g, engine.Spec{Step: alg.step(p)}, engine.Options{Seed: p.Seed, MaxRounds: p.MaxRounds})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,28 +214,5 @@ func TestStepDecayShape(t *testing.T) {
 	}
 	if res.VertexAverage() > float64(res.TotalRounds) {
 		t.Errorf("VertexAverage %.2f exceeds TotalRounds %d", res.VertexAverage(), res.TotalRounds)
-	}
-}
-
-// TestParamsBackendSelection checks the façade plumbing: an explicit
-// unknown backend — including the retired "pool" — must surface as the
-// typed error listing the valid choices, never fall back silently, and
-// explicit valid choices must run and validate.
-func TestParamsBackendSelection(t *testing.T) {
-	g := graph.ForestUnion(100, 2, 3)
-	alg, err := ByName("partition")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, bad := range []string{"bogus", "pool"} {
-		_, err := alg.Run(g, Params{Backend: bad})
-		if !errors.Is(err, engine.ErrUnknownBackend) || !strings.Contains(err.Error(), `goroutines, step, or "auto"`) {
-			t.Errorf("backend %q: err = %v, want ErrUnknownBackend listing the backends", bad, err)
-		}
-	}
-	for _, backend := range engine.Backends() {
-		if _, err := alg.Run(g, Params{Backend: backend}); err != nil {
-			t.Errorf("backend %s: %v", backend, err)
-		}
 	}
 }

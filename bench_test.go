@@ -28,7 +28,6 @@ func benchAlg(b *testing.B, g *Graph, name string, p Params) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p.SkipValidation = true
 	if p.Arboricity == 0 {
 		p.Arboricity = benchArb
 	}
@@ -172,7 +171,7 @@ func BenchmarkEngine(b *testing.B) {
 	alg, _ := ByName("partition")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := alg.Run(g, Params{Seed: int64(i + 1), SkipValidation: true}); err != nil {
+		if _, err := alg.Run(g, Params{Seed: int64(i + 1)}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -37,7 +37,6 @@ func main() {
 		c       = flag.Int("c", 4, "constant C for §7.8")
 		eps     = flag.Float64("eps", 2, "partition slack in (0,2]")
 		seed    = flag.Int64("seed", 1, "run seed")
-		backend = flag.String("backend", "", "engine backend: goroutines|step|auto (default auto)")
 		relabel = flag.String("relabel", "", "vertex-relabeling layout pass: rcm|off (default off); never changes results")
 		decay   = flag.Bool("decay", false, "print the active-vertex decay")
 		scen    = flag.String("scenario", "", "adversarial scenario, e.g. 'drop=0.25,crashfrac=0.05,crashround=3' or a JSON spec")
@@ -77,7 +76,7 @@ func main() {
 		}
 	}
 	if *sweep != "" {
-		if err := runSweep(alg, *family, *sweep, *format, *a, *eps, *k, *c, *seed, *backend, *relabel, *workers, sc); err != nil {
+		if err := runSweep(alg, *family, *sweep, *format, *a, *eps, *k, *c, *seed, *relabel, *workers, sc); err != nil {
 			fatal(err)
 		}
 		return
@@ -87,7 +86,7 @@ func main() {
 		fatal(err)
 	}
 	rep, err := alg.Run(g, vavg.Params{
-		Arboricity: *a, Eps: *eps, K: *k, C: *c, Seed: *seed, Backend: *backend, Relabel: *relabel, Scenario: sc,
+		Arboricity: *a, Eps: *eps, K: *k, C: *c, Seed: *seed, Relabel: *relabel, Scenario: sc,
 	})
 	if err != nil {
 		fatal(err)
@@ -141,7 +140,7 @@ func main() {
 
 // runSweep measures the algorithm across a size sweep and emits CSV or
 // JSON suitable for plotting.
-func runSweep(alg vavg.Algorithm, family, sizesArg, format string, a int, eps float64, k, c int, seed int64, backend, relabel string, workers int, sc *vavg.Scenario) error {
+func runSweep(alg vavg.Algorithm, family, sizesArg, format string, a int, eps float64, k, c int, seed int64, relabel string, workers int, sc *vavg.Scenario) error {
 	var sizes []int
 	gen := graphSource(family, a, seed)
 	if strings.HasPrefix(family, "file:") && sizesArg == "file" {
@@ -157,7 +156,7 @@ func runSweep(alg vavg.Algorithm, family, sizesArg, format string, a int, eps fl
 			sizes = append(sizes, v)
 		}
 	}
-	res, err := vavg.Sweep(alg, gen, sizes, nil, vavg.Params{Arboricity: a, Eps: eps, K: k, C: c, Backend: backend, Relabel: relabel, SweepWorkers: workers, Scenario: sc})
+	res, err := vavg.Sweep(alg, gen, sizes, nil, vavg.Params{Arboricity: a, Eps: eps, K: k, C: c, Relabel: relabel, SweepWorkers: workers, Scenario: sc})
 	if err != nil {
 		return err
 	}

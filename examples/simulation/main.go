@@ -34,7 +34,7 @@ func main() {
 			log.Fatal(err)
 		}
 		start := time.Now()
-		rep, err := alg.Run(g, vavg.Params{Arboricity: 3, SkipValidation: true})
+		rep, err := alg.Run(g, vavg.Params{Arboricity: 3})
 		if err != nil {
 			log.Fatal(err)
 		}

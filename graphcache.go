@@ -36,7 +36,7 @@ func CachedGen(family string, gen func(n int) *Graph, params ...any) func(n int)
 // FileGen returns a size-indexed graph source backed by a binary CSR
 // file (see WriteGraphFile), for use with Sweep anywhere a generator is
 // expected. The file is loaded once — raw-layout files as one shared
-// read-only mapping — and every sweep worker, algorithm, and backend run
+// read-only mapping — and every sweep worker and algorithm run
 // shares the same *Graph. A nonzero requested n must match the file's
 // vertex count; a file source has exactly one size, so Sweep over it
 // uses Sizes = []int{g.N()} (or 0 to skip the check).

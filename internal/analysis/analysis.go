@@ -7,7 +7,7 @@
 //
 // The suite exists because every result in this reproduction rests on
 // invariants the compiler cannot see: equal seeds must produce
-// byte-identical Results across the goroutines and step backends,
+// byte-identical Results from the blocking and step execution forms,
 // which requires that no algorithm's behavior depends on map-iteration
 // order, global PRNG state, or wall-clock time, that step-form programs
 // never block, and that the message hot path stays allocation-free. The

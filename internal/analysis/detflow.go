@@ -15,11 +15,11 @@ import (
 //
 //   - a message send (api.Send / SendID / SendInt / SendIDInt /
 //     Broadcast / BroadcastInt argument — payload or target),
-//   - adversary hashing (exec.Mix64 input: a tainted input reshuffles
+//   - adversary hashing (engine.Mix64 input: a tainted input reshuffles
 //     which deliveries the adversary drops),
 //   - a Result field write or Result literal, or a Program-shaped
 //     function's return value (stored in Result.Output),
-//   - exec.Done's step output,
+//   - engine.Done's step output,
 //   - a call argument that the callee's summary says is forwarded to any
 //     of the above (this is the case the single-function analyzers miss).
 //

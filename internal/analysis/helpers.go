@@ -7,8 +7,8 @@ import (
 
 // Import paths of the packages whose contracts the analyzers enforce.
 const (
-	execPath = "vavg/internal/engine/exec"
-	wirePath = "vavg/internal/wire"
+	enginePath = "vavg/internal/engine"
+	wirePath   = "vavg/internal/wire"
 )
 
 // funcInfo is one function with a body: a declaration or a literal.
@@ -55,7 +55,7 @@ func dePtr(t types.Type) types.Type {
 }
 
 // isNamed reports whether t (after unwrapping one pointer) is the named
-// type path.name. Type aliases (engine.API = exec.API) resolve to the
+// type path.name. Type aliases (vavg.API = engine.API) resolve to the
 // same named type, so algorithm code matching is path-stable.
 func isNamed(t types.Type, path, name string) bool {
 	if t == nil {
@@ -68,13 +68,13 @@ func isNamed(t types.Type, path, name string) bool {
 	return n.Obj().Pkg().Path() == path && n.Obj().Name() == name
 }
 
-// isAPIPtr reports whether t is *exec.API (under any alias).
+// isAPIPtr reports whether t is *engine.API (under any alias).
 func isAPIPtr(t types.Type) bool {
 	p, ok := t.(*types.Pointer)
-	return ok && isNamed(p.Elem(), execPath, "API")
+	return ok && isNamed(p.Elem(), enginePath, "API")
 }
 
-// sigHasAPIParam reports whether any parameter of sig is *exec.API —
+// sigHasAPIParam reports whether any parameter of sig is *engine.API —
 // the marker of vertex code: Programs, StepPrograms, StepFns, and the
 // helpers they call all receive the API handle.
 func sigHasAPIParam(sig *types.Signature) bool {
@@ -88,7 +88,7 @@ func sigHasAPIParam(sig *types.Signature) bool {
 }
 
 // sigIsStepForm reports whether sig is step-turn code: it receives the
-// vertex API and produces an exec.Step verdict. This matches StepFn
+// vertex API and produces an engine.Step verdict. This matches StepFn
 // itself and the Start* sub-machine helpers that return a turn verdict.
 func sigIsStepForm(sig *types.Signature) bool {
 	if !sigHasAPIParam(sig) {
@@ -96,7 +96,7 @@ func sigIsStepForm(sig *types.Signature) bool {
 	}
 	results := sig.Results()
 	for i := 0; i < results.Len(); i++ {
-		if isNamed(results.At(i).Type(), execPath, "Step") {
+		if isNamed(results.At(i).Type(), enginePath, "Step") {
 			return true
 		}
 	}
@@ -132,7 +132,7 @@ func pkgFunc(info *types.Info, call *ast.CallExpr) (path, name string, ok bool) 
 }
 
 // apiMethod reports the method name when call invokes a method whose
-// receiver is *exec.API, or ok=false.
+// receiver is *engine.API, or ok=false.
 func apiMethod(info *types.Info, call *ast.CallExpr) (name string, ok bool) {
 	fn, isFn := calleeObj(info, call).(*types.Func)
 	if !isFn {

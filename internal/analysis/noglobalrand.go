@@ -7,7 +7,7 @@ import (
 
 // Noglobalrand enforces the engine's seeding contract: equal seeds must
 // produce byte-identical Results, so vertex code — any function that
-// receives the *exec.API handle, which is how Programs, StepPrograms,
+// receives the *engine.API handle, which is how Programs, StepPrograms,
 // StepFns, and their helpers are all written — may draw randomness only
 // from api.Rand(), the per-(run seed, vertex ID) PRNG, and may not branch
 // on wall-clock time or process environment. Two rule sets apply:
@@ -87,7 +87,7 @@ func isGlobalRand(path, name string) bool {
 type region struct{ lo, hi token.Pos }
 
 // vertexCodeRegions returns the body extents of every function whose
-// signature carries a *exec.API parameter. Nested closures inside those
+// signature carries a *engine.API parameter. Nested closures inside those
 // bodies execute on the vertex path too, so containment is positional.
 func vertexCodeRegions(pass *Pass, file *ast.File) []region {
 	var regions []region

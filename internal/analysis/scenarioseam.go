@@ -12,7 +12,7 @@ const scenarioPath = "vavg/internal/scenario"
 // Scenarioseam enforces the two-sided independence contract between the
 // fault layer and algorithm code (DESIGN.md §8). The fault layer's
 // decision streams must be pure functions of (run seed, scenario seed) so
-// the same spec replays byte-identically on every backend; algorithm
+// the same spec replays byte-identically in both forms; algorithm
 // behavior must be identical whether or not a scenario is attached. Two
 // rules keep the sides apart:
 //
@@ -22,7 +22,7 @@ const scenarioPath = "vavg/internal/scenario"
 //     source; its randomness comes from the scenario PRNG streams.
 //
 //   - algorithm code may not import internal/scenario: a file that
-//     declares vertex code (a function receiving *exec.API) must not see
+//     declares vertex code (a function receiving *engine.API) must not see
 //     the fault layer at all. Faults reach vertices only through the
 //     compiled engine Adversary. The root vavg package is exempt — the
 //     facade owns the seam and necessarily touches both sides.

@@ -16,7 +16,7 @@ const (
 )
 
 // Shardseam enforces the contention-free sharding contract of the step
-// backend (DESIGN.md §9): state marked //vavg:shardstate is owned by
+// runner (DESIGN.md §9): state marked //vavg:shardstate is owned by
 // exactly one worker per phase, so it is written only through the owning
 // shard's methods (via the receiver) or through //vavg:shardmerge
 // functions running at the round barrier. Three rules keep the round hot

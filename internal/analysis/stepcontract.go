@@ -6,15 +6,15 @@ import (
 	"go/types"
 )
 
-// Stepcontract enforces the step backend's execution model on step-form
-// code: any function that takes the *exec.API handle and produces an
-// exec.Step verdict (StepFns themselves and the Start* sub-machine
+// Stepcontract enforces the step runner's execution model on step-form
+// code: any function that takes the *engine.API handle and produces an
+// engine.Step verdict (StepFns themselves and the Start* sub-machine
 // helpers). The step driver invokes these on a shard worker with no
 // per-vertex goroutine, so a turn must run to completion without ever
 // blocking, and it must cross rounds only by returning a verdict:
 //
 //   - api.Next and api.Idle are forbidden — they park a goroutine the
-//     step backend does not have; the step forms are Continue and Sleep;
+//     step runner does not have; the step forms are Continue and Sleep;
 //   - goroutine launches, channel operations, select, time.Sleep, and
 //     sync.WaitGroup.Wait are forbidden for the same reason;
 //   - every return must produce its verdict directly from a call —
@@ -25,7 +25,7 @@ var Stepcontract = &Analyzer{
 	Name:     "stepcontract",
 	Doc:      "step-form programs must not block and must return verdicts from Continue/Sleep/Done",
 	Run:      runStepcontract,
-	SkipPkgs: []string{execPath, "vavg/internal/engine"},
+	SkipPkgs: []string{enginePath},
 }
 
 func runStepcontract(pass *Pass) {
@@ -67,7 +67,7 @@ func checkNoBlocking(pass *Pass, fn funcInfo) {
 				if name == "Idle" {
 					verb = "Sleep(k, next)"
 				}
-				pass.Reportf(n.Pos(), "api.%s blocks and only the goroutine backends support it; a step turn crosses rounds by returning %s", name, verb)
+				pass.Reportf(n.Pos(), "api.%s blocks and only the goroutine runner supports it; a step turn crosses rounds by returning %s", name, verb)
 				return true
 			}
 			if path, name, ok := pkgFunc(pass.Info, n); ok && path == "time" && name == "Sleep" {
@@ -93,7 +93,7 @@ func checkVerdictReturns(pass *Pass, fn funcInfo) {
 			return true
 		}
 		for _, res := range ret.Results {
-			if !isNamed(pass.TypeOf(res), execPath, "Step") {
+			if !isNamed(pass.TypeOf(res), enginePath, "Step") {
 				continue
 			}
 			if _, isCall := ast.Unparen(res).(*ast.CallExpr); !isCall {

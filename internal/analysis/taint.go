@@ -60,9 +60,9 @@ func (t taintVal) union(o taintVal) taintVal {
 
 func (t taintVal) tainted() bool { return t.kinds != 0 || t.params != 0 }
 
-// sendSinkMethods are the *exec.API methods whose arguments become
+// sendSinkMethods are the *engine.API methods whose arguments become
 // messages: a tainted argument makes message bytes (or delivery targets)
-// run-dependent, which breaks cross-run and cross-backend equivalence.
+// run-dependent, which breaks cross-run and cross-form equivalence.
 var sendSinkMethods = map[string]string{
 	"Send":         "an api.Send payload",
 	"SendID":       "an api.SendID payload",
@@ -303,7 +303,7 @@ func (s *taintScope) store(lhs ast.Expr, tv taintVal, tok token.Token) {
 	// Writing into a Result is a determinism sink: the Result is the
 	// observable the equivalence contract compares byte-for-byte.
 	if sel, ok := lhs.(*ast.SelectorExpr); ok {
-		if isNamed(s.info.TypeOf(sel.X), execPath, "Result") {
+		if isNamed(s.info.TypeOf(sel.X), enginePath, "Result") {
 			s.sink(lhs.Pos(), "Result."+sel.Sel.Name, tv)
 		}
 	}
@@ -442,7 +442,7 @@ func (s *taintScope) exprTaint(e ast.Expr) taintVal {
 		}
 		// Building a Result from tainted parts is a sink even without a
 		// later field write.
-		if isNamed(s.info.TypeOf(e), execPath, "Result") && tv.tainted() {
+		if isNamed(s.info.TypeOf(e), enginePath, "Result") && tv.tainted() {
 			s.sink(e.Pos(), "a Result literal", tv)
 		}
 		return tv
@@ -529,11 +529,11 @@ func (s *taintScope) call(call *ast.CallExpr) taintVal {
 	}
 
 	// Engine-level sinks.
-	if path == execPath && name == "Done" && len(call.Args) == 1 {
+	if path == enginePath && name == "Done" && len(call.Args) == 1 {
 		s.sink(call.Args[0].Pos(), "the step output (Result.Output via Done)", s.exprTaint(call.Args[0]))
 		return taintVal{}
 	}
-	if path == execPath && name == "Mix64" && len(call.Args) == 1 {
+	if path == enginePath && name == "Mix64" && len(call.Args) == 1 {
 		atv := s.exprTaint(call.Args[0])
 		s.sink(call.Args[0].Pos(), "adversary hashing (Mix64)", atv)
 		return atv // a hash of a deterministic input is deterministic
@@ -674,7 +674,7 @@ func typeUnder(t types.Type) types.Type {
 }
 
 // sigIsProgramShape reports whether sig is the engine Program shape —
-// func(*exec.API) any — whose return value is broadcast as Final and
+// func(*engine.API) any — whose return value is broadcast as Final and
 // stored in Result.Output.
 func sigIsProgramShape(sig *types.Signature) bool {
 	if sig == nil || sig.Params().Len() != 1 || !isAPIPtr(sig.Params().At(0).Type()) {

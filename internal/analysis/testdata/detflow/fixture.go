@@ -7,7 +7,7 @@ import (
 	"sort"
 	"time"
 
-	"vavg/internal/engine/exec"
+	exec "vavg/internal/engine"
 )
 
 // rawKeys returns map keys in iteration order: its summary records

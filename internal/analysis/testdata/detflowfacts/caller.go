@@ -1,6 +1,6 @@
 package fixture
 
-import "vavg/internal/engine/exec"
+import exec "vavg/internal/engine"
 
 // crossFileViolation calls into the file-ignored file: the callee's
 // summary still says "order-tainted result", so the send here is flagged

@@ -6,7 +6,7 @@
 //lint:file-ignore detflow fixture: this file is exempt, but its functions must still export real facts
 package fixture
 
-import "vavg/internal/engine/exec"
+import exec "vavg/internal/engine"
 
 // taintedKeys is order-tainted; the file-ignore must not launder its
 // summary.

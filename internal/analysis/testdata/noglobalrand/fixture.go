@@ -7,7 +7,7 @@ import (
 	"math/rand"
 	"time"
 
-	"vavg/internal/engine/exec"
+	exec "vavg/internal/engine"
 )
 
 // vertexBad draws from the global source and the wall clock inside

@@ -6,7 +6,7 @@ package fixture
 import (
 	"math/rand"
 
-	"vavg/internal/engine/exec"
+	exec "vavg/internal/engine"
 	"vavg/internal/scenario" // want "vertex code must not import vavg/internal/scenario"
 )
 

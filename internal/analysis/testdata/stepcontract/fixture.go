@@ -3,9 +3,9 @@
 // return verdicts directly from constructor calls.
 package fixture
 
-import "vavg/internal/engine/exec"
+import exec "vavg/internal/engine"
 
-// turnBlocks calls the goroutine-backend round APIs from a step turn.
+// turnBlocks calls the goroutine runner's round APIs from a step turn.
 func turnBlocks(api *exec.API, inbox []exec.Msg) exec.Step {
 	api.Next()  // want `api\.Next blocks`
 	api.Idle(3) // want `api\.Idle blocks`

@@ -3,7 +3,7 @@
 package fixture
 
 import (
-	"vavg/internal/engine/exec"
+	exec "vavg/internal/engine"
 	"vavg/internal/wire"
 )
 

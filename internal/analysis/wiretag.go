@@ -24,7 +24,7 @@ import (
 //     priorities use the full lane width by design.
 //
 // Lane mixing on one edge (Send and SendInt interleaved to a receiver
-// that only drains one lane) is a dynamic property the cross-backend
+// that only drains one lane) is a dynamic property the cross-form
 // equivalence suite covers; this analyzer checks the encoding statically.
 var Wiretag = &Analyzer{
 	Name:     "wiretag",
@@ -36,7 +36,7 @@ var Wiretag = &Analyzer{
 // tagBitsFloor is the smallest value whose encoding touches the tag byte.
 const tagBitsFloor = int64(1) << 56
 
-// fastLaneValueArg maps the *exec.API fast-lane senders to the index of
+// fastLaneValueArg maps the *engine.API fast-lane senders to the index of
 // their payload argument.
 var fastLaneValueArg = map[string]int{
 	"SendInt":      1,

@@ -10,9 +10,9 @@ import (
 )
 
 // Step (state-machine) forms of OnePlusEta and LegalColoringWC. Each
-// mirrors its blocking counterpart round for round — the cross-backend
+// mirrors its blocking counterpart round for round — the cross-form
 // equivalence suite pins the two forms byte-identical — so the Section
-// 7.8 pair runs goroutine-free on the step backend.
+// 7.8 pair runs goroutine-free on the step runner.
 
 // sleepTo parks the vertex until the turn of global round target,
 // absorbing the accumulated inbox into the partition tracker on wake.

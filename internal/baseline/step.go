@@ -9,7 +9,7 @@ import (
 
 // Step (state-machine) forms of the worst-case baselines. Each turn
 // reproduces one round of the blocking form, so the two forms are
-// byte-identical on every backend.
+// byte-identical.
 
 // startWCDecomp is the step form of wcDecomp; done runs in the settle
 // turn, mirroring wcDecomp's return.

@@ -12,7 +12,7 @@ import (
 // performs before its first receive — and returns the Step that continues
 // it. done is invoked in the turn the subroutine's blocking form returns
 // in, so compositions keep the same round structure and the two forms are
-// byte-identical on every backend.
+// byte-identical.
 
 // StartIteratedLinial is the step form of IteratedLinial. members is
 // accepted for signature parity with the blocking form (it is implied by

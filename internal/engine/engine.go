@@ -1,18 +1,34 @@
 // Package engine simulates the static synchronous message-passing (LOCAL)
 // model of distributed computation used by the paper: an n-vertex graph
 // whose vertices are processors, unbounded-size messages to neighbors each
-// round, all vertices starting simultaneously in round 0.
+// round, all vertices starting simultaneously in round 0. It separates the
+// model's semantics — synchronous rounds, per-directed-edge message slots,
+// per-vertex termination accounting — from the mechanics of how vertex
+// turns are scheduled.
 //
-// The model semantics — rounds, per-directed-edge message slots,
-// termination accounting — live in the execution core under
-// internal/engine/exec, which has two backends: "goroutines" (one
-// goroutine per vertex driven by a single coordinator; the only runner for
-// blocking Programs) and "step" (per-round state machines in sharded flat
-// arrays that park sleeping vertices for free and fast-forward
-// all-sleeping rounds). Options.Backend selects one; by default RunSpec
-// runs the step form when the Spec has one and goroutines otherwise.
-// Backends are execution strategies only: equal seeds produce
-// byte-identical Results on every backend.
+// An algorithm reaches the engine as a Spec in one or both of two
+// execution forms, and RunSpec runs the step form whenever the Spec has
+// one:
+//
+//   - Step (StepProgram): vertices are explicit per-round state machines
+//     in flat per-shard arrays, with no per-vertex goroutine. Sleeping
+//     vertices sit in a timer heap and cost zero scheduler work until a
+//     message arrives for them or their window expires, rounds in which
+//     every live vertex sleeps are fast-forwarded, and terminated vertices
+//     are compacted out. This runner exploits the paper's Lemma 6.1:
+//     per-round cost tracks the number of *due* vertices, which decays
+//     exponentially, not n. See step.go.
+//
+//   - Program: blocking per-vertex code, run on one goroutine per vertex
+//     driven by a single coordinator. Every live vertex costs one wake and
+//     one barrier crossing per round even while it merely waits; it is the
+//     form custom programs are written in (vavg.Simulate) and the
+//     reference the step translations are checked against.
+//
+// Both forms execute byte-identical runs for equal seeds: all mutable run
+// state (PRNG streams, inbox order, round counters, message counts) is
+// per-vertex-indexed and independent of scheduling, which the equivalence
+// tests enforce for every registered algorithm.
 //
 // Termination follows the paper's refinement of Feuilloley's definition:
 // when a Program returns its output, the engine broadcasts that final
@@ -24,107 +40,902 @@
 package engine
 
 import (
-	"vavg/internal/engine/exec"
+	"errors"
+	"fmt"
+	"math/rand"
+	"sync"
+
 	"vavg/internal/graph"
 )
 
-// The vertex-side model types are defined by the execution core; the
-// aliases keep algorithm packages independent of the backend split.
-type (
-	// Msg is a message received from a neighbor. Integer payloads travel
-	// on an allocation-free fast lane (API.SendInt / API.BroadcastInt,
-	// read with Msg.AsInt); arbitrary payloads use API.Send / API.Broadcast
-	// and arrive in Msg.Data.
-	Msg = exec.Msg
-	// Final is the payload automatically broadcast by a vertex in its
-	// last round; Output is the value the vertex's Program returned.
-	Final = exec.Final
-	// Program is the per-vertex code; the value it returns is the vertex
-	// output, broadcast to neighbors in one final counted round.
-	Program = exec.Program
-	// API is the interface a Program uses to act as its vertex.
-	API = exec.API
-	// Result reports the outcome and cost accounting of a run.
-	Result = exec.Result
-	// StepProgram is the state-machine form of a Program: called once per
-	// vertex, it returns the StepFn for the vertex's first turn. The step
-	// backend runs these with no per-vertex goroutine.
-	StepProgram = exec.StepProgram
-	// StepFn is one turn of a step-form program: it receives the messages
-	// delivered since the last turn and returns a Step verdict.
-	StepFn = exec.StepFn
-	// Step is a turn verdict: Continue, Sleep, or Done.
-	Step = exec.Step
-	// Spec bundles an algorithm's blocking form with its optional step
-	// form for RunSpec.
-	Spec = exec.Spec
-	// Adversary is a compiled, immutable fault schedule: per-delivery
-	// message drops plus per-vertex crash/restart windows, all pure
-	// functions of immutable inputs so faulty runs stay byte-reproducible
-	// on every backend. Build one with internal/scenario and normalize it
-	// for the run's graph before use.
-	Adversary = exec.Adversary
-)
+// Msg is a message received from a neighbor. A message travels on one of
+// two lanes: the integer fast lane (sent via SendInt/BroadcastInt, read
+// via AsInt) carries a bare int64 with no heap traffic, while the general
+// lane (Send/Broadcast) carries an arbitrary boxed payload in Data.
+type Msg struct {
+	// From is the sender's vertex ID.
+	From int32
+	// isInt marks a fast-lane message; Int is then the payload and Data
+	// is nil.
+	isInt bool
+	// Int is the fast-lane payload; meaningful only when AsInt reports ok.
+	Int int64
+	// Data is the general-lane payload. A payload of type Final is the
+	// sender's termination announcement.
+	Data any
+}
 
-// Mix64 is the splitmix64 finalizer the adversary layer uses as its
-// counter-based PRNG core, re-exported for the scenario compiler.
-func Mix64(x uint64) uint64 { return exec.Mix64(x) }
+// AsInt returns the fast-lane payload and whether this message used the
+// fast lane. General-lane messages (including Final) report ok=false.
+func (m Msg) AsInt() (int64, bool) { return m.Int, m.isInt }
 
-// Continue ends a step turn; next runs in the following round with the
-// messages delivered this round (the step form of API.Next).
-func Continue(next StepFn) Step { return exec.Continue(next) }
+// Final is the payload automatically broadcast by a vertex in its last
+// round; Output is the value the vertex's Program returned.
+type Final struct {
+	Output any
+}
 
-// Sleep ends a step turn and parks the vertex for k >= 1 counted rounds
-// (the step form of API.Idle).
-func Sleep(k int, next StepFn) Step { return exec.Sleep(k, next) }
-
-// Done ends a step turn and terminates the vertex with output (the step
-// form of returning from a Program).
-func Done(output any) Step { return exec.Done(output) }
-
-// ErrMaxRounds is returned when a run exceeds Options.MaxRounds.
-var ErrMaxRounds = exec.ErrMaxRounds
-
-// ErrUnknownBackend is returned (wrapped) when Options.Backend names no
-// backend; the message lists the valid choices.
-var ErrUnknownBackend = exec.ErrUnknownBackend
+// Program is the per-vertex code. It runs concurrently with all other
+// vertices' Programs and may only interact with them through the API; the
+// value it returns is the vertex's output, broadcast to its neighbors in
+// one final counted round.
+type Program func(api *API) any
 
 // Options configure a run.
 type Options struct {
 	// Seed seeds the per-vertex deterministic PRNGs. Two runs with equal
 	// seeds produce identical executions regardless of scheduling and of
-	// the chosen backend.
+	// the form that runs.
 	Seed int64
 	// MaxRounds aborts the run if the global round count exceeds it,
 	// guarding against livelocked programs. 0 means 4*(n + 64*log2(n) + 64).
 	MaxRounds int
-	// Backend selects the execution backend: "goroutines", "step", or
-	// ""/"auto" — the step backend whenever the algorithm has a step
-	// form, otherwise goroutines. Selecting "step" for an algorithm
-	// without a step form falls back to goroutines.
-	Backend string
 	// Adv is the compiled fault schedule, or nil for the fault-free run.
-	// A nil adversary costs the hot path one pointer test per flush and
-	// zero allocations; a non-nil one must already be normalized for g.
+	// A nil adversary compiles to the existing zero-allocation hot path
+	// (a single pointer test per flush); a non-nil one must have been
+	// normalized for the run's graph (see Adversary.Normalize).
 	Adv *Adversary
 }
 
-// Run executes prog on every vertex of g until all vertices terminate: a
-// blocking Program runs on the goroutines backend whichever backend
-// opts.Backend names, and an unknown name is an error.
+func (o Options) maxRounds(n int) int {
+	if o.MaxRounds != 0 {
+		return o.MaxRounds
+	}
+	lg := 1
+	for 1<<lg < n+2 {
+		lg++
+	}
+	return 4*n + 256*lg + 256
+}
+
+// Result reports the outcome and cost accounting of a run.
+type Result struct {
+	// Rounds[v] is the number of rounds vertex v participated in before
+	// terminating (including its final-output round).
+	Rounds []int32
+	// CommitRounds[v] is the round in which v committed its output via
+	// API.Commit — Feuilloley's first definition, under which a vertex may
+	// keep computing and relaying after fixing its output. For vertices
+	// that never called Commit it equals Rounds[v].
+	CommitRounds []int32
+	// Output[v] is the value v's Program returned.
+	Output []any
+	// TotalRounds is the worst-case complexity of the run: max_v Rounds[v].
+	TotalRounds int
+	// RoundSum is sum_v Rounds[v].
+	RoundSum int64
+	// ActivePerRound[i] is the number of vertices active in round i+1.
+	ActivePerRound []int
+	// Messages is the total number of point-to-point messages delivered.
+	Messages int64
+
+	// The remaining fields are degradation accounting, filled only when
+	// the run carried an Adversary (all zero / nil otherwise).
+
+	// Dropped counts deliveries removed by the adversary's random-loss
+	// process; Messages counts only deliveries that arrived.
+	Dropped int64
+	// LostToCrash counts deliveries killed because an endpoint was
+	// inside its crash outage.
+	LostToCrash int64
+	// Crashed[v] reports that v was crashed and never restarted: its
+	// Output is nil and Rounds[v] is its crash round. Nil without an
+	// adversary.
+	Crashed []bool
+	// CrashedForever and Restarts count the vertices that died for good
+	// and the ones that rebooted.
+	CrashedForever int
+	// Restarts is the number of vertices that crashed and were rebooted
+	// from a fresh init.
+	Restarts int
+
+	// Shards is the number of contiguous shards the step runner used,
+	// one per worker, at most min(GOMAXPROCS, n); 0 when the blocking form
+	// ran on goroutines. Purely informational: Results are invariant in
+	// the shard count.
+	Shards int
+}
+
+// VertexAverage returns RoundSum / n, the paper's vertex-averaged
+// complexity of the execution.
+func (r *Result) VertexAverage() float64 {
+	if len(r.Rounds) == 0 {
+		return 0
+	}
+	return float64(r.RoundSum) / float64(len(r.Rounds))
+}
+
+// CommitAverage returns the node-averaged complexity under Feuilloley's
+// first definition: the mean of the per-vertex output-commitment rounds.
+func (r *Result) CommitAverage() float64 {
+	if len(r.CommitRounds) == 0 {
+		return 0
+	}
+	var sum int64
+	for _, c := range r.CommitRounds {
+		sum += int64(c)
+	}
+	return float64(sum) / float64(len(r.CommitRounds))
+}
+
+// MaxCommit returns the largest per-vertex commitment round.
+func (r *Result) MaxCommit() int {
+	m := 0
+	for _, c := range r.CommitRounds {
+		if int(c) > m {
+			m = int(c)
+		}
+	}
+	return m
+}
+
+// ErrMaxRounds is returned when a run exceeds Options.MaxRounds.
+var ErrMaxRounds = errors.New("engine: exceeded maximum round count")
+
+// Spec describes an algorithm to the engine in one or both execution
+// forms: the blocking per-vertex Program and the equivalent step
+// (state-machine) form. The two forms express the same executions; which
+// one runs is an execution-strategy choice that never changes the Result.
+type Spec struct {
+	// Program is the blocking per-vertex form, or nil for a step-only
+	// Spec.
+	Program Program
+	// Step is the per-round state-machine form, or nil for a
+	// blocking-only Spec.
+	Step StepProgram
+}
+
+// Run executes prog on every vertex of g, one goroutine per vertex, until
+// all vertices terminate.
 func Run(g *graph.Graph, prog Program, opts Options) (*Result, error) {
 	return RunSpec(g, Spec{Program: prog}, opts)
 }
 
-// RunSpec executes spec on the backend selected by opts.Backend,
-// preferring the step form wherever the chosen backend can run it; see
-// Options.Backend for the selection rules. Which form runs is an
-// execution-strategy choice only: equal seeds produce byte-identical
-// Results for both forms on every backend.
+// RunSpec executes spec on g: the step form on the step runner when the
+// Spec has one, otherwise the blocking form on one goroutine per vertex.
+// A Spec with neither form is an error.
 func RunSpec(g *graph.Graph, spec Spec, opts Options) (*Result, error) {
-	return exec.RunSpec(g, spec, opts.Backend, exec.Config{Seed: opts.Seed, MaxRounds: opts.MaxRounds, Adv: opts.Adv})
+	switch {
+	case spec.Step != nil:
+		return runStep(g, spec.Step, opts)
+	case spec.Program != nil:
+		return runGoroutines(g, spec.Program, opts)
+	}
+	return nil, errors.New("engine: empty Spec: no Program and no StepProgram")
 }
 
-// Backends lists the execution backends Options.Backend accepts, besides
-// "auto".
-func Backends() []string { return exec.Names() }
+// cell is one directed-edge message slot, written only by the edge's tail
+// and read only by its head. kind selects the payload lane; a cellEmpty
+// kind marks the slot vacant.
+type cell struct {
+	data any
+	ival int64
+	kind uint8
+}
+
+// cell kinds. Stale cells addressed to already-terminated receivers keep a
+// non-empty kind in the double buffers for the rest of the run (nothing
+// drains them), which is harmless but means kind can never double as
+// per-round bookkeeping.
+const (
+	cellEmpty = uint8(iota)
+	cellAny   // data holds a boxed payload
+	cellInt   // ival holds a fast-lane integer
+)
+
+// runScratch holds the per-run engine allocations that never escape into
+// the Result: the two directed-edge slot slabs (the largest allocation of
+// a run, 2*len(Adj) cells), the flat outbox slabs sliced per vertex by
+// degree, and the per-vertex bookkeeping the runners read at barriers.
+// Recycling them through scratchPool keeps concurrent sweep points from
+// multiplying steady-state allocations by the worker count. Rounds,
+// commitments, and outputs are excluded: Result aliases those arrays, so
+// they must stay owned by the caller.
+type runScratch struct {
+	bufA     []cell
+	bufB     []cell
+	outbox   []cell  // flat per-vertex outboxes: vertex v owns [Off[v], Off[v+1])
+	dirty    []int32 // flat backing for the per-vertex dirty-index lists
+	done     []bool
+	msgCount []int64
+	panics   []vertexPanic
+	// apis and stepFns back the step runner's flat per-vertex machine
+	// state (API handles and pending turns); the goroutine runner leaves
+	// them untouched.
+	apis    []API
+	stepFns []StepFn
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}
+
+// reslice returns s resized to n elements and zeroed, reusing its backing
+// array when the capacity allows.
+func reslice[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// core is the run state shared by both runners: the double-buffered
+// directed-edge slots plus the per-vertex accounting arrays. All arrays
+// are indexed by vertex (or directed-edge position), so no two vertices
+// ever write the same element and results are scheduling-independent.
+type core struct {
+	g        *graph.Graph
+	scratch  *runScratch
+	sendBuf  []cell // written during the current round
+	recvBuf  []cell // holds the previous round's messages
+	done     []bool // set by a vertex when it terminates (read at barriers)
+	rounds   []int32
+	commits  []int32
+	output   []any
+	msgCount []int64
+	panics   []vertexPanic
+	aborted  bool
+	seed     int64
+
+	// Relabel translation (graph.Relabel views, DESIGN.md §11). The engine
+	// runs in the view's cache-friendly vertex space, but every observable
+	// stays in original-ID space: orig maps engine vertex → original ID
+	// (nil when unrelabeled), from[p] is the sender ID collect reports for
+	// slot p (the view's AdjOrig, or g.Adj unrelabeled — branch-free on the
+	// hot path), and slotOrig maps view slots to original directed-edge
+	// positions so the adversary's drop hash sees original slots (nil when
+	// unrelabeled).
+	orig     []int32
+	from     []int32
+	slotOrig []int32
+
+	// Adversary state, nil on fault-free runs: the schedule itself plus
+	// the per-vertex degradation counters. crashed is caller-owned (the
+	// Result aliases it); the counters are summed into the Result at
+	// finish. These allocate only when an adversary is present, keeping
+	// the nil-scenario path on the recycled-scratch fast path.
+	adv       *Adversary
+	crashed   []bool
+	gens      []int32
+	dropCount []int64
+	lostCount []int64
+}
+
+func newCore(g *graph.Graph, opts Options) *core {
+	n := g.N()
+	s := scratchPool.Get().(*runScratch)
+	s.bufA = reslice(s.bufA, len(g.Adj))
+	s.bufB = reslice(s.bufB, len(g.Adj))
+	s.outbox = reslice(s.outbox, len(g.Adj))
+	s.dirty = reslice(s.dirty, len(g.Adj))
+	s.done = reslice(s.done, n)
+	s.msgCount = reslice(s.msgCount, n)
+	s.panics = reslice(s.panics, n)
+	c := &core{
+		g:        g,
+		scratch:  s,
+		done:     s.done,
+		rounds:   make([]int32, n),
+		commits:  make([]int32, n),
+		output:   make([]any, n),
+		msgCount: s.msgCount,
+		panics:   s.panics,
+		seed:     opts.Seed,
+	}
+	c.sendBuf, c.recvBuf = s.bufA, s.bufB
+	c.from = g.Adj
+	if pm := g.Perm; pm != nil {
+		c.orig = pm.Orig
+		c.from = pm.AdjOrig
+		c.slotOrig = pm.SlotOrig
+	}
+	if opts.Adv != nil {
+		c.adv = opts.Adv
+		if g.Perm != nil {
+			// Vertex-keyed fault decisions (crash windows, restarts) must
+			// follow their vertices into the view's ID space; the original
+			// Adversary is shared across a sweep and stays untouched.
+			c.adv = opts.Adv.permuted(g.Perm.New)
+		}
+		c.crashed = make([]bool, n)
+		c.gens = make([]int32, n)
+		c.dropCount = make([]int64, n)
+		c.lostCount = make([]int64, n)
+	}
+	return c
+}
+
+// release returns the run scratch to the pool. Safe only once every
+// vertex goroutine has terminated (finish's callers guarantee that).
+func (c *core) release() {
+	if c.scratch == nil {
+		return
+	}
+	scratchPool.Put(c.scratch)
+	c.scratch = nil
+	c.sendBuf, c.recvBuf, c.done, c.msgCount, c.panics = nil, nil, nil, nil, nil
+}
+
+// swap exchanges the double buffers at a round barrier: what was sent this
+// round becomes receivable.
+func (c *core) swap() {
+	c.sendBuf, c.recvBuf = c.recvBuf, c.sendBuf
+}
+
+// finish audits panics and assembles the Result once every vertex is
+// done, then recycles the run scratch.
+func (c *core) finish(activePerRound []int, maxRounds int) (*Result, error) {
+	defer c.release()
+	n := c.g.N()
+	for v := 0; v < n; v++ {
+		if p := c.panics[v]; p.val != nil {
+			if c.aborted {
+				if _, ok := p.val.(abortSentinel); ok {
+					continue
+				}
+			}
+			id := v
+			if c.orig != nil {
+				id = int(c.orig[v])
+			}
+			return nil, fmt.Errorf("engine: vertex %d panicked in round %d: %v", id, p.round, p.val)
+		}
+	}
+	if c.aborted && c.adv == nil {
+		return nil, fmt.Errorf("%w (%d rounds)", ErrMaxRounds, maxRounds)
+	}
+	if c.orig != nil {
+		c.unmap()
+	}
+	res := &Result{
+		Rounds:         c.rounds,
+		CommitRounds:   c.commits,
+		Output:         c.output,
+		ActivePerRound: activePerRound,
+	}
+	for v := 0; v < n; v++ {
+		if res.CommitRounds[v] == 0 {
+			res.CommitRounds[v] = res.Rounds[v]
+		}
+	}
+	for v := 0; v < n; v++ {
+		if int(c.rounds[v]) > res.TotalRounds {
+			res.TotalRounds = int(c.rounds[v])
+		}
+		res.RoundSum += int64(c.rounds[v])
+		res.Messages += c.msgCount[v]
+	}
+	if c.adv != nil {
+		res.Crashed = c.crashed
+		for v := 0; v < n; v++ {
+			res.Dropped += c.dropCount[v]
+			res.LostToCrash += c.lostCount[v]
+			if c.crashed[v] {
+				res.CrashedForever++
+			}
+			if c.gens[v] > 0 {
+				res.Restarts++
+			}
+		}
+	}
+	if c.aborted {
+		// Under an adversary a livelocked run is a data point, not a
+		// failure: return the partial accounting alongside the error so
+		// degradation experiments can report DNF rows.
+		return res, fmt.Errorf("%w (%d rounds)", ErrMaxRounds, maxRounds)
+	}
+	return res, nil
+}
+
+// unmap permutes the per-vertex Result arrays of a relabeled run back to
+// original vertex indexing. The engine executed in the view's ID space,
+// but Results are part of the observable contract: after this pass they
+// are byte-identical to an unrelabeled run's. Fresh arrays are built once
+// per run (the originals are caller-owned via the Result alias rule).
+func (c *core) unmap() {
+	n := len(c.rounds)
+	rounds := make([]int32, n)
+	commits := make([]int32, n)
+	output := make([]any, n)
+	for v := 0; v < n; v++ {
+		o := c.orig[v]
+		rounds[o] = c.rounds[v]
+		commits[o] = c.commits[v]
+		output[o] = c.output[v]
+	}
+	c.rounds, c.commits, c.output = rounds, commits, output
+	if c.crashed != nil {
+		crashed := make([]bool, n)
+		for v := 0; v < n; v++ {
+			crashed[c.orig[v]] = c.crashed[v]
+		}
+		c.crashed = crashed
+	}
+}
+
+type abortSentinel struct{}
+
+// vertexPanic is a vertex's recorded failure: the recovered value and the
+// 1-based round the vertex was executing (building a step machine counts
+// as round 1, where its first turn runs).
+type vertexPanic struct {
+	val   any
+	round int32
+}
+
+// runtime is the runner-side contract of the API: how a blocking vertex
+// crosses a round barrier (next) and waits out an idle window (idle) —
+// the step runtime rejects both, as step programs cross rounds by
+// returning a verdict — and how a send lands. deliver owns the
+// delivery-slab write for adjacency position p of the sending vertex
+// (slot g.Rev[p], receiver g.Adj[p]). Each slot has a single writer, so
+// direct writes need no locks; the step runner additionally stages
+// cross-shard writes for a deterministic merge at the round barrier and
+// notes each delivery so a sleeping receiver drains its slot in time.
+// deliver is called for every slot write of a round, including
+// overwrites of a slot the same sender already wrote (last write wins),
+// so it must be idempotent per (receiver, round). Message counting stays
+// with the caller.
+type runtime interface {
+	next(a *API, buf []Msg) []Msg
+	idle(a *API, k int, buf []Msg) []Msg
+	deliver(a *API, p int32, c cell)
+}
+
+// API is the interface a Program uses to act as its vertex. All methods
+// must be called only from the Program's own goroutine.
+type API struct {
+	core  *core
+	rt    runtime
+	v     int32
+	rng   *rand.Rand
+	out   []cell  // pending sends indexed by neighbor index (slab-backed)
+	dirty []int32 // touched out indices in send order (slab-backed)
+	bcast bool    // a write-through broadcast was already counted this round
+	inbox []Msg   // receive buffer reused across Next/Idle calls
+	round int32
+	gen   int32 // PRNG incarnation: 0 normally, >0 after adversary restarts
+}
+
+// runVertex executes prog on vertex v, then performs the final counted
+// round: broadcast the output once and terminate completely. done signals
+// the runner's barrier for this vertex.
+func runVertex(rt runtime, c *core, v int32, prog Program, done func()) {
+	runVertexFrom(rt, c, v, prog, done, 0, 0)
+}
+
+// runVertexFrom is runVertex with an explicit starting point: startRound
+// completed rounds already on the clock and PRNG incarnation gen. The
+// (0, 0) case is the normal spawn; adversary restarts reboot a crashed
+// vertex with startRound = the round before its restart round, so its
+// fresh incarnation executes its first round exactly at RestartAt.
+func runVertexFrom(rt runtime, c *core, v int32, prog Program, done func(), startRound, gen int32) {
+	lo, hi := c.g.Off[v], c.g.Off[v+1]
+	api := &API{
+		core:  c,
+		rt:    rt,
+		v:     v,
+		out:   c.scratch.outbox[lo:hi:hi],
+		dirty: c.scratch.dirty[lo:lo:hi],
+		round: startRound,
+		gen:   gen,
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			api.releaseOutbox()
+			if _, crash := p.(crashSentinel); !crash {
+				c.panics[v] = vertexPanic{val: p, round: api.round + 1}
+			}
+			c.done[v] = true
+			done()
+		}
+	}()
+	out := prog(api)
+	api.Broadcast(Final{Output: out})
+	api.flush()
+	api.releaseOutbox()
+	api.round++
+	c.rounds[v] = api.round
+	c.output[v] = out
+	c.done[v] = true
+	done()
+}
+
+// ID returns this vertex's ID (also its identifier in the ID assignment).
+// On a relabeled view this is the original ID — the relabeling is a
+// storage-layout choice, never observable to the algorithm.
+func (a *API) ID() int {
+	if a.core.orig != nil {
+		return int(a.core.orig[a.v])
+	}
+	return int(a.v)
+}
+
+// N returns the number of vertices in the graph; per the model, n is
+// global knowledge.
+func (a *API) N() int { return a.core.g.N() }
+
+// Degree returns this vertex's degree in the input graph.
+func (a *API) Degree() int { return a.core.g.Degree(int(a.v)) }
+
+// NeighborIDs returns this vertex's neighbor IDs in ascending order. The
+// slice aliases shared storage and must not be modified. On a relabeled
+// view the slice is the original-ID adjacency (Relabeling.AdjOrig), which
+// keeps the original ascending order.
+func (a *API) NeighborIDs() []int32 {
+	g := a.core.g
+	return a.core.from[g.Off[a.v]:g.Off[a.v+1]]
+}
+
+// Round returns the number of rounds this vertex has completed.
+func (a *API) Round() int { return int(a.round) }
+
+// NeighborIndex returns the position of vertex id within NeighborIDs, or
+// -1 if id is not a neighbor. The search always runs over original-ID
+// adjacency (NeighborIDs' backing slice), which is ascending on relabeled
+// views too.
+func (a *API) NeighborIndex(id int32) int {
+	return graph.SearchAdj(a.NeighborIDs(), id)
+}
+
+// Rand returns this vertex's deterministic PRNG, created on first use so
+// that programs which never draw pay nothing. The stream is keyed by
+// (run seed, original vertex ID, restart generation) through streamSeed,
+// and is bit-identical to rand.New(rand.NewSource(streamSeed(...))); its
+// lazySource computes only the state words the vertex's draws read, so d
+// draws cost O(d) words instead of math/rand's 607-word seeding.
+func (a *API) Rand() *rand.Rand {
+	if a.rng == nil {
+		id := int64(a.v)
+		if a.core.orig != nil {
+			// The stream is keyed by the ORIGINAL ID: relabeled runs must
+			// draw byte-identical randomness.
+			id = int64(a.core.orig[a.v])
+		}
+		a.rng = rand.New(newLazySource(streamSeed(a.core.seed, id, a.gen)))
+	}
+	return a.rng
+}
+
+// streamSeed derives the PRNG seed of vertex id's incarnation gen from the
+// run seed.
+func streamSeed(seed, id int64, gen int32) int64 {
+	s := seed ^ (id+1)*0x9e3779b97f4a7c
+	if gen > 0 {
+		// A restarted incarnation draws a fresh stream — reusing the
+		// pre-crash stream would correlate the reboot with its own past.
+		// Generation 0 leaves the seed untouched so fault-free runs are
+		// byte-identical to runs built before restarts existed.
+		s ^= (int64(gen) + 1) * 0x632be59bd9b4e019
+	}
+	return s
+}
+
+// Commit records that this vertex has irrevocably chosen its output in
+// the current round, per Feuilloley's first definition: the vertex may
+// keep computing and relaying afterwards, but its commitment round — not
+// its termination round — is what CommitRounds reports. Only the first
+// call takes effect.
+func (a *API) Commit() {
+	if a.core.commits[a.v] == 0 {
+		a.core.commits[a.v] = a.round + 1
+	}
+}
+
+// queue stages c for the k-th neighbor in the vertex's flat outbox slot,
+// recording the slot in the dirty list on first touch. Re-sending to the
+// same neighbor in the same round overwrites in place.
+//
+//vavg:hotpath
+func (a *API) queue(k int, c cell) {
+	if k < 0 || k >= len(a.out) {
+		panic(fmt.Sprintf("engine: vertex %d: neighbor index %d out of range [0,%d)", a.ID(), k, len(a.out)))
+	}
+	if a.out[k].kind == cellEmpty {
+		a.dirty = append(a.dirty, int32(k))
+	}
+	a.out[k] = c
+}
+
+// Send queues data for the k-th neighbor (index into NeighborIDs); it is
+// delivered when the current round completes at the next Next call.
+// Sending again to the same neighbor in the same round overwrites. It
+// panics if k is not a valid neighbor index.
+func (a *API) Send(k int, data any) {
+	a.queue(k, cell{data: data, kind: cellAny})
+}
+
+// SendInt queues the fast-lane integer x for the k-th neighbor. It has
+// Send's delivery semantics (the two lanes share the one per-neighbor
+// slot) but never boxes the payload, so the steady-state message path
+// performs zero allocations.
+func (a *API) SendInt(k int, x int64) {
+	a.queue(k, cell{ival: x, kind: cellInt})
+}
+
+// releaseOutbox vacates any staged sends once the vertex can no longer
+// send (termination or panic), returning the slab slots clean for the
+// next run.
+func (a *API) releaseOutbox() {
+	for _, k := range a.dirty {
+		a.out[k] = cell{}
+	}
+	a.dirty = a.dirty[:0]
+	a.bcast = false
+}
+
+// SendID queues data for the neighbor with vertex ID nbr; it panics if nbr
+// is not a neighbor.
+func (a *API) SendID(nbr int, data any) {
+	a.Send(a.mustNeighborIndex(nbr), data)
+}
+
+// SendIDInt queues the fast-lane integer x for the neighbor with vertex ID
+// nbr; it panics if nbr is not a neighbor.
+func (a *API) SendIDInt(nbr int, x int64) {
+	a.SendInt(a.mustNeighborIndex(nbr), x)
+}
+
+func (a *API) mustNeighborIndex(nbr int) int {
+	k := a.NeighborIndex(int32(nbr))
+	if k < 0 {
+		panic(fmt.Sprintf("engine: vertex %d sending to non-neighbor %d", a.ID(), nbr))
+	}
+	return k
+}
+
+// Broadcast queues data for every neighbor. A broadcast supersedes any
+// per-neighbor sends staged earlier in the round (last write wins on every
+// slot), and is written through to the send buffer directly: the outbox
+// stage exists to let later sends overwrite earlier ones, which a
+// broadcast — covering every slot at once — does not need.
+func (a *API) Broadcast(data any) {
+	a.writeThrough(cell{data: data, kind: cellAny})
+}
+
+// BroadcastInt queues the fast-lane integer x for every neighbor, with
+// Broadcast's write-through semantics and zero allocations.
+func (a *API) BroadcastInt(x int64) {
+	a.writeThrough(cell{ival: x, kind: cellInt})
+}
+
+// writeThrough implements broadcast: cancel staged per-neighbor sends
+// (the broadcast overwrites every slot they could land in) and write c
+// straight into the send buffer. Mid-round writes are safe — each slot has
+// a single writer (this vertex) and is read only after the round barrier
+// swaps the buffers. Message accounting stays per-receiver-per-round: only
+// the first broadcast of a round counts and notifies; overwrites by later
+// broadcasts or re-staged sends are the same message, already counted.
+//
+//vavg:hotpath
+func (a *API) writeThrough(c cell) {
+	if a.core.adv != nil {
+		a.writeThroughAdv(c)
+		return
+	}
+	for _, k := range a.dirty {
+		a.out[k] = cell{}
+	}
+	a.dirty = a.dirty[:0]
+	g := a.core.g
+	lo, hi := g.Off[a.v], g.Off[a.v+1]
+	if a.bcast {
+		for p := lo; p < hi; p++ {
+			a.rt.deliver(a, p, c)
+		}
+		return
+	}
+	a.bcast = true
+	for p := lo; p < hi; p++ {
+		a.rt.deliver(a, p, c)
+	}
+	a.core.msgCount[a.v] += int64(hi - lo)
+}
+
+// flush moves staged sends into the send buffer in ascending neighbor
+// order (the dirty list is sorted so accounting callbacks fire in the
+// same deterministic order on both runners) and closes out the round's
+// broadcast bookkeeping. Each cell is written only by this vertex (the
+// slot is receiver-side position Rev[p] of the directed edge), so delivery
+// needs no locks.
+//
+//vavg:hotpath
+func (a *API) flush() {
+	if a.core.adv != nil {
+		a.flushAdv()
+		return
+	}
+	bcast := a.bcast
+	a.bcast = false
+	if len(a.dirty) == 0 {
+		return
+	}
+	sortInt32(a.dirty)
+	g := a.core.g
+	base := g.Off[a.v]
+	for _, k := range a.dirty {
+		p := base + k
+		a.rt.deliver(a, p, a.out[k])
+		a.out[k] = cell{}
+	}
+	if !bcast {
+		a.core.msgCount[a.v] += int64(len(a.dirty))
+	}
+	a.dirty = a.dirty[:0]
+}
+
+// writeThroughAdv is writeThrough under an adversary: every slot write is
+// filtered by the crash windows and the drop hash. A send staged while
+// executing round w (a.round == w-1) is delivered in round w+1, so the
+// delivery round is a.round+2. Degradation counters follow the Messages
+// rule — only the first broadcast of a round counts; later overwrites of
+// the same slots are the same (already-decided, already-counted) message.
+func (a *API) writeThroughAdv(c cell) {
+	for _, k := range a.dirty {
+		a.out[k] = cell{}
+	}
+	a.dirty = a.dirty[:0]
+	adv := a.core.adv
+	g := a.core.g
+	lo, hi := g.Off[a.v], g.Off[a.v+1]
+	dr := a.round + 2
+	count := !a.bcast
+	a.bcast = true
+	senderDown := adv.inWindow(a.v, dr)
+	delivered := int64(0)
+	for p := lo; p < hi; p++ {
+		switch {
+		case senderDown || adv.inWindow(g.Adj[p], dr):
+			if count {
+				a.core.lostCount[a.v]++
+			}
+		case adv.dropped(a.core.dropSlot(g.Rev[p]), dr):
+			if count {
+				a.core.dropCount[a.v]++
+			}
+		default:
+			a.rt.deliver(a, p, c)
+			if count {
+				delivered++
+			}
+		}
+	}
+	if count {
+		a.core.msgCount[a.v] += delivered
+	}
+}
+
+// flushAdv is flush under an adversary, with writeThroughAdv's filtering
+// and accounting rules. The drop verdict is a pure hash of (slot,
+// delivery round), so a staged send overwriting an earlier broadcast's
+// slot reaches the same decision the broadcast did — the slab never holds
+// a delivery the adversary removed.
+func (a *API) flushAdv() {
+	bcast := a.bcast
+	a.bcast = false
+	if len(a.dirty) == 0 {
+		return
+	}
+	sortInt32(a.dirty)
+	adv := a.core.adv
+	g := a.core.g
+	base := g.Off[a.v]
+	dr := a.round + 2
+	senderDown := adv.inWindow(a.v, dr)
+	delivered := int64(0)
+	for _, k := range a.dirty {
+		p := base + k
+		switch {
+		case senderDown || adv.inWindow(g.Adj[p], dr):
+			if !bcast {
+				a.core.lostCount[a.v]++
+			}
+		case adv.dropped(a.core.dropSlot(g.Rev[p]), dr):
+			if !bcast {
+				a.core.dropCount[a.v]++
+			}
+		default:
+			a.rt.deliver(a, p, a.out[k])
+			if !bcast {
+				delivered++
+			}
+		}
+		a.out[k] = cell{}
+	}
+	if !bcast {
+		a.core.msgCount[a.v] += delivered
+	}
+	a.dirty = a.dirty[:0]
+}
+
+// dropSlot translates a delivery slot for the adversary's drop hash: on a
+// relabeled view the hash must see the ORIGINAL directed-edge position, so
+// faulty relabeled runs drop exactly the deliveries unrelabeled runs do.
+func (c *core) dropSlot(slot int32) int32 {
+	if c.slotOrig != nil {
+		return c.slotOrig[slot]
+	}
+	return slot
+}
+
+// sortInt32 insertion-sorts s in place; dirty lists are degree-bounded and
+// usually already ascending, where insertion sort is branch-cheap.
+//
+//vavg:hotpath
+func sortInt32(s []int32) {
+	for i := 1; i < len(s); i++ {
+		for j := i; j > 0 && s[j] < s[j-1]; j-- {
+			s[j], s[j-1] = s[j-1], s[j]
+		}
+	}
+}
+
+// collect appends this round's inbox (ordered by neighbor index) to buf,
+// clearing the slots it drains.
+//
+//vavg:hotpath
+func (a *API) collect(buf []Msg) []Msg {
+	g := a.core.g
+	from := a.core.from
+	lo, hi := g.Off[a.v], g.Off[a.v+1]
+	for p := lo; p < hi; p++ {
+		c := &a.core.recvBuf[p]
+		if c.kind == cellEmpty {
+			continue
+		}
+		m := Msg{From: from[p]}
+		if c.kind == cellInt {
+			m.Int, m.isInt = c.ival, true
+		} else {
+			m.Data = c.data
+		}
+		buf = append(buf, m)
+		*c = cell{}
+	}
+	return buf
+}
+
+// Next completes the current round (delivering queued sends) and blocks
+// until the next synchronous round begins, returning the messages this
+// vertex received, ordered by neighbor index.
+//
+// The returned slice is a per-vertex buffer reused by the next Next or
+// Idle call; programs that retain messages across rounds must copy them.
+func (a *API) Next() []Msg {
+	a.inbox = a.rt.next(a, a.inbox[:0])
+	return a.inbox
+}
+
+// Idle spends k counted rounds sending nothing and returns every message
+// received during them (in arrival order). Algorithms use it to wait out a
+// scheduled window while remaining active, exactly as waiting vertices do
+// in the paper's RoundSum accounting.
+//
+// Messages accumulate into the vertex's reused receive buffer (see Next),
+// so a long quiet window allocates nothing per round. Step programs use
+// Sleep instead, which parks the vertex for the whole window at no
+// scheduler cost until a message arrives or the window expires.
+func (a *API) Idle(k int) []Msg {
+	a.inbox = a.rt.idle(a, k, a.inbox[:0])
+	return a.inbox
+}

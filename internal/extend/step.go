@@ -9,9 +9,9 @@ import (
 )
 
 // Step (state-machine) forms of the extension-framework programs. Each
-// mirrors its blocking counterpart round for round — the cross-backend
+// mirrors its blocking counterpart round for round — the cross-form
 // equivalence suite pins the two forms byte-identical — so the whole
-// Section 8 family runs goroutine-free on the step backend.
+// Section 8 family runs goroutine-free on the step runner.
 
 // StepProblem is a Problem whose Solve also has a step form.
 type StepProblem interface {

@@ -3,8 +3,7 @@ package forest
 import "vavg/internal/engine"
 
 // Step (state-machine) forms of the decomposition. Each turn reproduces
-// one round of the blocking form, so the two forms are byte-identical on
-// every backend.
+// one round of the blocking form, so the two forms are byte-identical.
 
 // Start drives the decomposition as a step sub-machine, mirroring
 // JoinAndSettle: the entry turn takes the first partition round, every

@@ -31,9 +31,9 @@ type Run struct {
 	Size int
 	// ActivePerRound records the decay of active vertices.
 	ActivePerRound []int
-	// StepShards is the number of contiguous shards the step backend ran
-	// with, one per worker, at most min(GOMAXPROCS, n); 0 on the
-	// goroutines backend. Results are invariant in it — this is layout
+	// StepShards is the number of contiguous shards the step runner ran
+	// with, one per worker, at most min(GOMAXPROCS, n); 0 when a blocking
+	// Program ran on goroutines. Results are invariant in it — this is layout
 	// provenance, not a measure.
 	StepShards int
 

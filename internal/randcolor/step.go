@@ -9,7 +9,7 @@ import (
 // Step (state-machine) forms of the randomized colorings. Every turn
 // reproduces one round of the blocking form — same PRNG draw order, same
 // broadcasts, same termination round — so the two forms are
-// byte-identical on every backend.
+// byte-identical.
 
 // startRandColor begins the Luby-style protocol of randColorLoop as a
 // step sub-machine: it performs the first round's coin flip and tentative

@@ -4,8 +4,8 @@
 // into the engine's compiled Adversary plus the epoch structure a dynamic
 // run needs. Every decision the layer makes (which deliveries drop, which
 // vertices crash) is a pure function of (run seed, scenario seed, spec),
-// so a faulty run is byte-reproducible on every backend at any worker
-// count, exactly like a fault-free one.
+// so a faulty run is byte-reproducible in either execution form at any
+// worker count, exactly like a fault-free one.
 //
 // Randomness discipline: scenario code draws only from the package's own
 // counter-based PRNG, never from api.Rand() — algorithm randomness and
@@ -185,7 +185,7 @@ func probBar(p float64) uint64 {
 
 // Compile builds the engine Adversary for an n-vertex run: the drop
 // threshold, the sampled-plus-explicit crash schedule, both normalized
-// and ready for any backend. A spec with no drop and no crashes compiles
+// and ready for either execution form. A spec with no drop and no crashes compiles
 // to nil — the literal fault-free hot path — even when it carries edge
 // events (those are epoch structure, not engine state; see Epochs).
 func (s *Spec) Compile(n int, runSeed int64) (*engine.Adversary, error) {

@@ -11,7 +11,7 @@ import (
 // window geometry (window remainders, foreign C-blocks, waits for the own
 // segment's C-block) become merged sleeps whose wake turn absorbs exactly
 // the messages the blocking form absorbs round by round, so the two forms
-// are byte-identical on every backend.
+// are byte-identical.
 
 // startWindows is the step form of runPartitionWindows (perWindow nil):
 // one partition advance in the first round of each window, sleeping

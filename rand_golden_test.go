@@ -8,7 +8,7 @@ import (
 )
 
 // TestRandomizedResultsGolden pins the Results of the randomized entries
-// to constants. The cross-backend, relabel and worker-invariance suites
+// to constants. The cross-form, relabel and worker-invariance suites
 // compare runs that all draw from the same API.Rand, so a per-vertex
 // stream that drifted from math/rand's would pass every one of them; this
 // test holds the stream itself fixed (DESIGN.md §1). The grid is forests

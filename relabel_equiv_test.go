@@ -13,7 +13,7 @@ import (
 // TestRelabelEquivalenceRegistry is the relabeling contract (DESIGN.md
 // §11): running any registered algorithm on the RCM-relabeled view of a
 // graph must produce a Result byte-identical to the unrelabeled run —
-// after the engine's index unmapping — on every backend at every
+// after the engine's index unmapping — in both forms at every
 // GOMAXPROCS, faultless and under a drop+crash+restart scenario.
 // Vertex IDs are observable in the LOCAL model (PRNG streams, ID
 // tie-breaks, inbox order, adversary decisions), so this only holds
@@ -22,11 +22,11 @@ import (
 // at GOMAXPROCS=4.
 //
 // The unrelabeled baseline is computed once per (algorithm, fault,
-// backend): the cross-backend contract only covers converged runs — a
-// budget-exhausted (DNF) abort snapshots backend-specific partial-round
-// bookkeeping — so relabeled runs compare against their own backend's
-// base, and worker invariance (gated separately) covers the P axis of
-// that base.
+// form): the cross-form contract only covers converged runs — a
+// budget-exhausted (DNF) abort snapshots runner-specific partial-round
+// bookkeeping — so relabeled runs compare against their own form's base,
+// and worker invariance (gated separately) covers the P axis of that
+// base.
 func TestRelabelEquivalenceRegistry(t *testing.T) {
 	forest := ForestUnion(160, 3, 7)
 	ring := Ring(160)
@@ -37,10 +37,8 @@ func TestRelabelEquivalenceRegistry(t *testing.T) {
 	sc := &Scenario{Drop: 0.1, CrashFrac: 0.03, CrashRound: 4, RestartAfter: 8, Seed: 9,
 		Crashes: []Crash{{V: 1, Round: 2}, {V: 5, Round: 5, Restart: 9}}}
 	points := []int{1, 4, 8}
-	backends := engine.Backends()
 	if testing.Short() {
 		points = []int{1, 4}
-		backends = []string{"step"}
 	}
 	for _, alg := range Algorithms() {
 		g, a := forest, 3
@@ -51,9 +49,9 @@ func TestRelabelEquivalenceRegistry(t *testing.T) {
 		t.Run(alg.Name, func(t *testing.T) {
 			// GOMAXPROCS is process-global: the P axis runs sequentially.
 			p := Params{Arboricity: a, Seed: 11, MaxRounds: 1 << 21}.withDefaults(g)
-			spec := engine.Spec{Program: alg.program(p)}
-			if alg.step != nil {
-				spec.Step = alg.step(p)
+			forms := alg.forms(p)
+			if testing.Short() {
+				forms = forms[1:] // the step form only
 			}
 			for _, fault := range []string{"faultless", "dropcrash"} {
 				opts := engine.Options{Seed: p.Seed, MaxRounds: p.MaxRounds}
@@ -73,25 +71,23 @@ func TestRelabelEquivalenceRegistry(t *testing.T) {
 					res *engine.Result
 					dnf bool
 				}
-				run := func(rg *Graph, backend string) outcome {
-					o := opts
-					o.Backend = backend
-					res, err := engine.RunSpec(rg, spec, o)
+				run := func(rg *Graph, f form) outcome {
+					res, err := engine.RunSpec(rg, f.spec, opts)
 					if res == nil {
-						t.Fatalf("%s %s P=%d: %v", fault, backend, gort.GOMAXPROCS(0), err)
+						t.Fatalf("%s %s P=%d: %v", fault, f.name, gort.GOMAXPROCS(0), err)
 					}
 					res.Shards = 0 // layout provenance, excluded from equivalence
 					return outcome{res, err != nil}
 				}
-				for _, backend := range backends {
-					base := run(g, backend)
+				for _, f := range forms {
+					base := run(g, f)
 					for _, P := range points {
 						old := gort.GOMAXPROCS(P)
-						got := run(views[g], backend)
+						got := run(views[g], f)
 						gort.GOMAXPROCS(old)
 						if got.dnf != base.dnf || !reflect.DeepEqual(base.res, got.res) {
-							t.Errorf("%s backend=%s P=%d: relabeled Result differs from unrelabeled (dnf %v vs %v; messages %d vs %d, roundSum %d vs %d, rounds eq=%v outputs eq=%v)",
-								fault, backend, P, got.dnf, base.dnf,
+							t.Errorf("%s form=%s P=%d: relabeled Result differs from unrelabeled (dnf %v vs %v; messages %d vs %d, roundSum %d vs %d, rounds eq=%v outputs eq=%v)",
+								fault, f.name, P, got.dnf, base.dnf,
 								got.res.Messages, base.res.Messages,
 								got.res.RoundSum, base.res.RoundSum,
 								reflect.DeepEqual(base.res.Rounds, got.res.Rounds),

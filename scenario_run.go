@@ -36,12 +36,8 @@ func (alg Algorithm) runScenario(g *Graph, p Params) (Report, error) {
 	if err != nil {
 		return Report{}, fmt.Errorf("vavg: %s on %s: %w", alg.Name, g.Name, err)
 	}
-	eng := engine.Spec{Program: alg.program(p)}
-	if alg.step != nil {
-		eng.Step = alg.step(p)
-	}
-	res, err := engine.RunSpec(rg, eng, engine.Options{
-		Seed: p.Seed, MaxRounds: p.MaxRounds, Backend: p.Backend, Adv: adv,
+	res, err := engine.RunSpec(rg, engine.Spec{Step: alg.step(p)}, engine.Options{
+		Seed: p.Seed, MaxRounds: p.MaxRounds, Adv: adv,
 	})
 	converged := true
 	if err != nil {
@@ -65,9 +61,7 @@ func (alg Algorithm) runScenario(g *Graph, p Params) (Report, error) {
 
 	rep := metrics.FromResult(alg.Name, cur.Name, cur.N(), cur.M(), p.Arboricity, p.Seed, res)
 	rep.Converged = converged
-	if !p.SkipValidation {
-		alg.degradedAudit(cur, res, &rep)
-	}
+	alg.degradedAudit(cur, res, &rep)
 	return rep, nil
 }
 
@@ -125,7 +119,7 @@ func repairEpoch(alg Algorithm, cur *Graph, p Params, spec *scenario.Spec, i int
 		}
 	}
 	rres, err := engine.RunSpec(cur, engine.Spec{Program: base}, engine.Options{
-		Seed: epochSeed, MaxRounds: repairBudget(res.TotalRounds), Backend: p.Backend, Adv: radv,
+		Seed: epochSeed, MaxRounds: repairBudget(res.TotalRounds), Adv: radv,
 	})
 	if rres == nil {
 		return false

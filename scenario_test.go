@@ -12,7 +12,7 @@ import (
 // TestScenarioZeroFaultIdentity is the zero-overhead contract of the
 // adversarial layer: a zero Scenario (all probabilities 0, no schedules)
 // must produce byte-identical engine Results to a scenario-free run for
-// every registry algorithm on every backend — both through the facade
+// every registry algorithm in both forms — both through the facade
 // (where the zero spec short-circuits to the fault-free path) and through
 // an explicitly compiled zero Adversary driven through the adversary
 // branches of the hot path.
@@ -25,7 +25,7 @@ func TestScenarioZeroFaultIdentity(t *testing.T) {
 	for _, alg := range Algorithms() {
 		alg := alg
 		// Ring-structure and reference algorithms run on their required
-		// topology, as in the cross-backend equivalence suite.
+		// topology, as in the cross-form equivalence suite.
 		g := forests
 		arb := 3
 		if strings.Contains(alg.Name, "ring") || alg.Kind == KindReference {
@@ -34,10 +34,6 @@ func TestScenarioZeroFaultIdentity(t *testing.T) {
 		t.Run(alg.Name, func(t *testing.T) {
 			t.Parallel()
 			p := Params{Arboricity: arb, Seed: 11}.withDefaults(g)
-			spec := engine.Spec{Program: alg.program(p)}
-			if alg.step != nil {
-				spec.Step = alg.step(p)
-			}
 			// An explicitly zero adversary forces the adversary branches of
 			// flush/collect while deciding nothing — it must not perturb a
 			// single byte of the Result.
@@ -45,32 +41,32 @@ func TestScenarioZeroFaultIdentity(t *testing.T) {
 			if err := zero.Normalize(g.N()); err != nil {
 				t.Fatal(err)
 			}
-			for _, backend := range engine.Backends() {
-				plain, err := engine.RunSpec(g, spec, engine.Options{
-					Seed: p.Seed, MaxRounds: p.MaxRounds, Backend: backend,
+			for _, f := range alg.forms(p) {
+				plain, err := engine.RunSpec(g, f.spec, engine.Options{
+					Seed: p.Seed, MaxRounds: p.MaxRounds,
 				})
 				if err != nil {
-					t.Fatalf("backend %s: %v", backend, err)
+					t.Fatalf("%s form: %v", f.name, err)
 				}
-				adv, err := engine.RunSpec(g, spec, engine.Options{
-					Seed: p.Seed, MaxRounds: p.MaxRounds, Backend: backend, Adv: zero,
+				adv, err := engine.RunSpec(g, f.spec, engine.Options{
+					Seed: p.Seed, MaxRounds: p.MaxRounds, Adv: zero,
 				})
 				if err != nil {
-					t.Fatalf("backend %s with zero adversary: %v", backend, err)
+					t.Fatalf("%s form with zero adversary: %v", f.name, err)
 				}
 				// The adversary run reports its (empty) accounting arrays;
 				// blank them before the byte comparison of everything else.
 				if adv.Dropped != 0 || adv.LostToCrash != 0 || adv.CrashedForever != 0 || adv.Restarts != 0 {
-					t.Errorf("backend %s: zero adversary recorded faults: %+v", backend, adv)
+					t.Errorf("%s form: zero adversary recorded faults: %+v", f.name, adv)
 				}
 				for v, c := range adv.Crashed {
 					if c {
-						t.Errorf("backend %s: zero adversary crashed vertex %d", backend, v)
+						t.Errorf("%s form: zero adversary crashed vertex %d", f.name, v)
 					}
 				}
 				adv.Crashed = nil
 				if !reflect.DeepEqual(plain, adv) {
-					t.Errorf("backend %s: zero-adversary Result differs from scenario-free run", backend)
+					t.Errorf("%s form: zero-adversary Result differs from scenario-free run", f.name)
 				}
 			}
 
@@ -103,10 +99,11 @@ func faultScenarios() []*Scenario {
 	}
 }
 
-// TestScenarioEquivalenceAcrossBackends extends the cross-backend
+// TestScenarioEquivalenceAcrossBackends extends the cross-form
 // equivalence contract to faulty runs: the same (run seed, scenario seed,
-// spec) must yield byte-identical engine Results on every backend,
-// whether or not the run converges within its round budget.
+// spec) must yield byte-identical engine Results from the blocking and
+// the step form, whether or not the run converges within its round
+// budget.
 func TestScenarioEquivalenceAcrossBackends(t *testing.T) {
 	oldProcs := gort.GOMAXPROCS(4)
 	defer gort.GOMAXPROCS(oldProcs)
@@ -123,10 +120,6 @@ func TestScenarioEquivalenceAcrossBackends(t *testing.T) {
 			t.Run(alg.Name, func(t *testing.T) {
 				t.Parallel()
 				p := Params{Arboricity: 3, Seed: 11, MaxRounds: 4096}.withDefaults(g)
-				spec := engine.Spec{Program: alg.program(p)}
-				if alg.step != nil {
-					spec.Step = alg.step(p)
-				}
 				adv, err := sc.Clone().Compile(g.N(), p.Seed)
 				if err != nil {
 					t.Fatal(err)
@@ -136,27 +129,24 @@ func TestScenarioEquivalenceAcrossBackends(t *testing.T) {
 					fail bool
 				}
 				var results []outcome
-				for _, backend := range engine.Backends() {
-					res, err := engine.RunSpec(g, spec, engine.Options{
-						Seed: p.Seed, MaxRounds: p.MaxRounds, Backend: backend, Adv: adv,
+				for _, f := range alg.forms(p) {
+					res, err := engine.RunSpec(g, f.spec, engine.Options{
+						Seed: p.Seed, MaxRounds: p.MaxRounds, Adv: adv,
 					})
 					if res == nil {
-						t.Fatalf("scenario %d backend %s: %v", si, backend, err)
+						t.Fatalf("scenario %d %s form: %v", si, f.name, err)
 					}
 					// Shards is layout provenance, excluded from equivalence.
 					res.Shards = 0
 					results = append(results, outcome{res, err != nil})
 				}
-				base := results[0]
-				for i, o := range results[1:] {
-					if o.fail != base.fail || !reflect.DeepEqual(base.res, o.res) {
-						t.Errorf("scenario %d: backend %s Result differs from %s (dnf %v vs %v; messages %d vs %d, dropped %d vs %d, roundSum %d vs %d)",
-							si, engine.Backends()[i+1], engine.Backends()[0],
-							o.fail, base.fail,
-							base.res.Messages, o.res.Messages,
-							base.res.Dropped, o.res.Dropped,
-							base.res.RoundSum, o.res.RoundSum)
-					}
+				base, o := results[0], results[1]
+				if o.fail != base.fail || !reflect.DeepEqual(base.res, o.res) {
+					t.Errorf("scenario %d: step form Result differs from blocking (dnf %v vs %v; messages %d vs %d, dropped %d vs %d, roundSum %d vs %d)",
+						si, o.fail, base.fail,
+						base.res.Messages, o.res.Messages,
+						base.res.Dropped, o.res.Dropped,
+						base.res.RoundSum, o.res.RoundSum)
 				}
 				// The accounting identity under faults: crashed vertices pay
 				// rounds through their crash round and appear in the decay,

@@ -34,7 +34,7 @@ type (
 // accounting can be derived with NewReport.
 func Simulate(g *Graph, prog Program, p Params) (*SimResult, error) {
 	p = p.withDefaults(g)
-	return engine.Run(g, prog, engine.Options{Seed: p.Seed, MaxRounds: p.MaxRounds, Backend: p.Backend})
+	return engine.Run(g, prog, engine.Options{Seed: p.Seed, MaxRounds: p.MaxRounds})
 }
 
 // NewReport derives the paper's measurements from a raw simulation result.
@@ -61,10 +61,8 @@ func ListColoring(g *Graph, p Params, list func(v int) []int) (Report, []int, er
 	rep := NewReport("list-coloring", g, p, res)
 	cols := extend.Colors(res.Output)
 	rep.Colors = len(distinctInts(cols))
-	if !p.SkipValidation {
-		if err := auditListColoring(g, cols, list); err != nil {
-			return rep, cols, err
-		}
+	if err := auditListColoring(g, cols, list); err != nil {
+		return rep, cols, err
 	}
 	return rep, cols, nil
 }

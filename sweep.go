@@ -32,10 +32,7 @@ type SweepResult struct {
 // Sweep measures alg across the given sizes, generating each graph with
 // gen and reporting medians over seeds (nil seeds means {1,2,3}). Sweeps
 // are how the paper's tables are checked empirically; the result exposes
-// the growth-shape diagnostics used by EXPERIMENTS.md. p.Backend selects
-// the engine execution backend for every point of the sweep; the default
-// "auto" runs the goroutine-free step form, which is what makes
-// million-vertex sweep points affordable.
+// the growth-shape diagnostics used by EXPERIMENTS.md.
 //
 // The (size, seed) run points are independent, so they are fanned out
 // across p.SweepWorkers goroutines (0 means GOMAXPROCS; see CachedGen for

@@ -7,10 +7,12 @@
 // best possible worst-case complexity.
 //
 // The package simulates the static synchronous message-passing (LOCAL)
-// model with one goroutine per vertex and exact per-vertex termination
-// accounting. Every algorithm from the paper is available through the
-// Algorithms registry together with the classical worst-case baselines its
-// tables compare against:
+// model with exact per-vertex termination accounting: registry
+// algorithms run as per-round state machines on a sharded step runner,
+// custom blocking programs (Simulate) on one goroutine per vertex. Every
+// algorithm from the paper is available through the Algorithms registry
+// together with the classical worst-case baselines its tables compare
+// against:
 //
 //	g := vavg.ForestUnion(10000, 3, 1)       // arboricity <= 3
 //	alg, _ := vavg.ByName("mis")             // Corollary 8.4
@@ -88,14 +90,6 @@ type Params struct {
 	Seed int64
 	// MaxRounds guards against livelock; 0 means a generous default.
 	MaxRounds int
-	// SkipValidation disables output checking (benchmarks).
-	SkipValidation bool
-	// Backend selects the engine execution backend: "goroutines", "step",
-	// or ""/"auto" (the goroutine-free step backend whenever the algorithm
-	// has a step form, otherwise goroutines). Backends are execution
-	// strategies only — equal seeds yield identical results on all of
-	// them; see engine.Backends for the names.
-	Backend string
 	// Relabel selects the engine's vertex-relabeling layout pass: "rcm"
 	// runs the engine on a reverse Cuthill–McKee view of the graph for
 	// cache locality (DESIGN.md §11), ""/"off"/"none" run the graph as
@@ -118,10 +112,6 @@ type Params struct {
 	// every other parameter.
 	Scenario *scenario.Spec
 }
-
-// Backends lists the engine execution backends Params.Backend can name,
-// besides "auto".
-func Backends() []string { return engine.Backends() }
 
 func (p Params) withDefaults(g *Graph) Params {
 	if p.Eps == 0 {
@@ -189,23 +179,21 @@ type Algorithm struct {
 	// Palette returns the concrete palette budget for validation, or 0 to
 	// skip the budget audit.
 	Palette func(n int, p Params) int
-	// program builds the per-vertex program.
+	// program builds the blocking per-vertex form. Runs execute step, so
+	// program is built only where it runs: as the reference the
+	// equivalence suites pin step to, and inside scenario repair epochs,
+	// which wrap it (see repairEpoch).
 	program func(p Params) engine.Program
 	// step builds the per-round state-machine form of the same program,
-	// or is nil for algorithms not yet migrated. When present, runs
-	// prefer the goroutine-free step backend; the two forms are
-	// byte-identical by construction (the cross-backend equivalence suite
-	// enforces it).
+	// which every run executes on the engine's step runner. The two forms
+	// are byte-identical by construction (the equivalence suites enforce
+	// it).
 	step func(p Params) engine.StepProgram
 }
 
-// HasStep reports whether the algorithm has a step (state-machine) form
-// and therefore runs goroutine-free on the step backend.
-func (alg Algorithm) HasStep() bool { return alg.step != nil }
-
-// Run executes the algorithm on g, validates the output (unless
-// disabled), and reports the paper's measures. Parameters out of range
-// fail with ErrBadParams before any vertex program is built.
+// Run executes the algorithm on g, validates the output, and reports the
+// paper's measures. Parameters out of range fail with ErrBadParams
+// before any vertex program is built.
 func (alg Algorithm) Run(g *Graph, p Params) (Report, error) {
 	p = p.withDefaults(g)
 	if err := p.validate(); err != nil {
@@ -218,18 +206,15 @@ func (alg Algorithm) Run(g *Graph, p Params) (Report, error) {
 	if err != nil {
 		return Report{}, fmt.Errorf("vavg: %s on %s: %w", alg.Name, g.Name, err)
 	}
-	spec := engine.Spec{Program: alg.program(p)}
-	if alg.step != nil {
-		spec.Step = alg.step(p)
-	}
+	spec := engine.Spec{Step: alg.step(p)}
 	// The engine runs on the (possibly relabeled) view; the audit and the
 	// report below keep using g — Results are unmapped to original IDs.
-	res, err := engine.RunSpec(rg, spec, engine.Options{Seed: p.Seed, MaxRounds: p.MaxRounds, Backend: p.Backend})
+	res, err := engine.RunSpec(rg, spec, engine.Options{Seed: p.Seed, MaxRounds: p.MaxRounds})
 	if err != nil {
 		return Report{}, fmt.Errorf("vavg: %s on %s: %w", alg.Name, g.Name, err)
 	}
 	rep := metrics.FromResult(alg.Name, g.Name, g.N(), g.M(), p.Arboricity, p.Seed, res)
-	if err := alg.audit(g, p, res, &rep); err != nil && !p.SkipValidation {
+	if err := alg.audit(g, p, res, &rep); err != nil {
 		return rep, fmt.Errorf("vavg: %s on %s: %w", alg.Name, g.Name, err)
 	}
 	return rep, nil
