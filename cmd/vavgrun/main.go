@@ -36,7 +36,7 @@ func main() {
 		k       = flag.Int("k", 2, "segment count for the §7.5 scheme")
 		c       = flag.Int("c", 4, "constant C for §7.8")
 		eps     = flag.Float64("eps", 2, "partition slack in (0,2]")
-		seed    = flag.Int64("seed", 1, "run seed")
+		seed    = flag.Int64("seed", 1, "run seed (a sweep runs seeds seed, seed+1, seed+2 per size)")
 		relabel = flag.String("relabel", "", "vertex-relabeling layout pass: rcm|off (default off); never changes results")
 		decay   = flag.Bool("decay", false, "print the active-vertex decay")
 		scen    = flag.String("scenario", "", "adversarial scenario, e.g. 'drop=0.25,crashfrac=0.05,crashround=3' or a JSON spec")
@@ -139,7 +139,8 @@ func main() {
 }
 
 // runSweep measures the algorithm across a size sweep and emits CSV or
-// JSON suitable for plotting.
+// JSON suitable for plotting. Each size runs seeds seed, seed+1 and
+// seed+2, so the default -seed 1 gives Sweep's default {1, 2, 3}.
 func runSweep(alg vavg.Algorithm, family, sizesArg, format string, a int, eps float64, k, c int, seed int64, relabel string, workers int, sc *vavg.Scenario) error {
 	var sizes []int
 	gen := graphSource(family, a, seed)
@@ -156,7 +157,8 @@ func runSweep(alg vavg.Algorithm, family, sizesArg, format string, a int, eps fl
 			sizes = append(sizes, v)
 		}
 	}
-	res, err := vavg.Sweep(alg, gen, sizes, nil, vavg.Params{Arboricity: a, Eps: eps, K: k, C: c, Relabel: relabel, SweepWorkers: workers, Scenario: sc})
+	seeds := []int64{seed, seed + 1, seed + 2}
+	res, err := vavg.Sweep(alg, gen, sizes, seeds, vavg.Params{Arboricity: a, Eps: eps, K: k, C: c, Relabel: relabel, SweepWorkers: workers, Scenario: sc})
 	if err != nil {
 		return err
 	}

@@ -15,8 +15,11 @@ import (
 //   - map literals and make(map[...]) — the per-round map staging the
 //     flat outbox refactor removed;
 //   - calls into fmt — formatting allocates and boxes;
-//   - interface boxing: explicit conversions to interface types and
-//     concrete arguments passed to interface-typed parameters;
+//   - interface boxing: explicit conversions to interface types,
+//     concrete arguments passed to interface-typed parameters, and
+//     concrete values declared as or assigned to interface-typed
+//     variables (`var x any = v`, `x = v`), which box even when the box
+//     stays on the stack and the allocation gates see nothing;
 //   - uncapped appends: appends to slices that provably lack reserved
 //     capacity (declared var s []T, empty literals, or two-argument
 //     make). Appends to parameters, struct fields, and three-argument
@@ -62,9 +65,36 @@ func checkHotBody(pass *Pass, body *ast.BlockStmt, uncapped map[types.Object]boo
 			}
 		case *ast.CallExpr:
 			checkHotCall(pass, n, uncapped)
+		case *ast.AssignStmt:
+			if n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs) {
+				for i, lhs := range n.Lhs {
+					checkBoxingStore(pass, pass.TypeOf(lhs), n.Rhs[i])
+				}
+			}
+		case *ast.ValueSpec:
+			if len(n.Names) == len(n.Values) {
+				for i, name := range n.Names {
+					if obj := pass.Info.Defs[name]; obj != nil {
+						checkBoxingStore(pass, obj.Type(), n.Values[i])
+					}
+				}
+			}
 		}
 		return true
 	})
+}
+
+// checkBoxingStore flags a concrete, non-nil value stored into a variable
+// of interface type dst — the implicit conversion boxes it.
+func checkBoxingStore(pass *Pass, dst types.Type, val ast.Expr) {
+	if dst == nil || !types.IsInterface(dst) {
+		return
+	}
+	valT := pass.TypeOf(val)
+	if valT == nil || types.IsInterface(valT) || isUntypedNil(valT) {
+		return
+	}
+	pass.Reportf(val.Pos(), "assignment boxes %s into an interface variable on a //vavg:hotpath function", valT.String())
 }
 
 func checkHotCall(pass *Pass, call *ast.CallExpr, uncapped map[types.Object]bool) {

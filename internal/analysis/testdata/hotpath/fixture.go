@@ -27,6 +27,22 @@ func hotBoxes(x int) {
 	sink(x) // want "boxes int into interface parameter"
 }
 
+// hotBoxesByAssignment stores concrete values into interface-typed
+// variables: the implicit conversion boxes just as an argument does.
+// Interface-to-interface stores and nil convert nothing.
+//
+//vavg:hotpath
+func hotBoxesByAssignment(k int, y any) any {
+	var x any = int64(k) // want "assignment boxes int64 into an interface variable"
+	x = k                // want "assignment boxes int into an interface variable"
+	sink(x)
+	x = y
+	var z any = y
+	z = nil
+	sink(z)
+	return x
+}
+
 // hotCapped appends into a parameter and a preallocated slice — both
 // trusted by the engine's reuse discipline.
 //

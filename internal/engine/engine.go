@@ -245,25 +245,31 @@ const (
 
 // runScratch holds the per-run engine allocations that never escape into
 // the Result: the two directed-edge slot slabs (the largest allocation of
-// a run, 2*len(Adj) cells), the flat outbox slabs sliced per vertex by
-// degree, and the per-vertex bookkeeping the runners read at barriers.
-// Recycling them through scratchPool keeps concurrent sweep points from
-// multiplying steady-state allocations by the worker count. Rounds,
-// commitments, and outputs are excluded: Result aliases those arrays, so
-// they must stay owned by the caller.
+// a run, 2*len(Adj) cells), the flat outbox and inbox slabs sliced per
+// vertex by degree, and the per-vertex bookkeeping the runners read at
+// barriers. Every message buffer of a run is sized from the graph here,
+// so no run grows one by append, whatever its degrees. Recycling them
+// through scratchPool keeps concurrent sweep points from multiplying
+// steady-state allocations by the worker count. Rounds, commitments, and
+// outputs are excluded: Result aliases those arrays, so they must stay
+// owned by the caller.
 type runScratch struct {
 	bufA     []cell
 	bufB     []cell
 	outbox   []cell  // flat per-vertex outboxes: vertex v owns [Off[v], Off[v+1])
 	dirty    []int32 // flat backing for the per-vertex dirty-index lists
+	inbox    []Msg   // flat per-vertex inboxes, carved like outbox (see core.initAPI)
 	done     []bool
 	msgCount []int64
 	panics   []vertexPanic
 	// apis and stepFns back the step runner's flat per-vertex machine
-	// state (API handles and pending turns); the goroutine runner leaves
-	// them untouched.
-	apis    []API
-	stepFns []StepFn
+	// state (API handles and pending turns); lanes and laneSlab back its
+	// cross-shard staging lanes (see stepRuntime.carveLanes). The
+	// goroutine runner leaves all four untouched.
+	apis     []API
+	stepFns  []StepFn
+	lanes    []lane
+	laneSlab []int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}
@@ -328,6 +334,7 @@ func newCore(g *graph.Graph, opts Options) *core {
 	s.bufB = reslice(s.bufB, len(g.Adj))
 	s.outbox = reslice(s.outbox, len(g.Adj))
 	s.dirty = reslice(s.dirty, len(g.Adj))
+	s.inbox = reslice(s.inbox, len(g.Adj))
 	s.done = reslice(s.done, n)
 	s.msgCount = reslice(s.msgCount, n)
 	s.panics = reslice(s.panics, n)
@@ -489,9 +496,9 @@ type vertexPanic struct {
 // returning a verdict — and how a send lands. deliver owns the
 // delivery-slab write for adjacency position p of the sending vertex
 // (slot g.Rev[p], receiver g.Adj[p]). Each slot has a single writer, so
-// direct writes need no locks; the step runner additionally stages
-// cross-shard writes for a deterministic merge at the round barrier and
-// notes each delivery so a sleeping receiver drains its slot in time.
+// direct writes need no locks; the step runner additionally notes each
+// delivery so a sleeping receiver drains its slot in time, staging
+// cross-shard receivers for a deterministic merge at the round barrier.
 // deliver is called for every slot write of a round, including
 // overwrites of a slot the same sender already wrote (last write wins),
 // so it must be idempotent per (receiver, round). Message counting stays
@@ -512,9 +519,29 @@ type API struct {
 	out   []cell  // pending sends indexed by neighbor index (slab-backed)
 	dirty []int32 // touched out indices in send order (slab-backed)
 	bcast bool    // a write-through broadcast was already counted this round
-	inbox []Msg   // receive buffer reused across Next/Idle calls
+	inbox []Msg   // receive buffer reused across Next/Idle calls (slab-backed)
 	round int32
 	gen   int32 // PRNG incarnation: 0 normally, >0 after adversary restarts
+}
+
+// initAPI makes *a vertex v's fresh handle, round rounds into incarnation
+// gen. Its outbox, dirty list and inbox are v's [Off[v], Off[v+1]) windows
+// of the run scratch's flat slabs, each capped at deg(v): an inbox that
+// gathers more than deg(v) messages (a long Sleep or Idle window) spills
+// to the heap through append instead of into the next vertex's window.
+func (c *core) initAPI(a *API, rt runtime, v, round, gen int32) {
+	lo, hi := c.g.Off[v], c.g.Off[v+1]
+	s := c.scratch
+	*a = API{
+		core:  c,
+		rt:    rt,
+		v:     v,
+		out:   s.outbox[lo:hi:hi],
+		dirty: s.dirty[lo:lo:hi],
+		inbox: s.inbox[lo:lo:hi],
+		round: round,
+		gen:   gen,
+	}
 }
 
 // runVertex executes prog on vertex v, then performs the final counted
@@ -530,16 +557,8 @@ func runVertex(rt runtime, c *core, v int32, prog Program, done func()) {
 // vertex with startRound = the round before its restart round, so its
 // fresh incarnation executes its first round exactly at RestartAt.
 func runVertexFrom(rt runtime, c *core, v int32, prog Program, done func(), startRound, gen int32) {
-	lo, hi := c.g.Off[v], c.g.Off[v+1]
-	api := &API{
-		core:  c,
-		rt:    rt,
-		v:     v,
-		out:   c.scratch.outbox[lo:hi:hi],
-		dirty: c.scratch.dirty[lo:lo:hi],
-		round: startRound,
-		gen:   gen,
-	}
+	api := new(API)
+	c.initAPI(api, rt, v, startRound, gen)
 	defer func() {
 		if p := recover(); p != nil {
 			api.releaseOutbox()

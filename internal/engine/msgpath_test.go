@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	gort "runtime"
 	"runtime/debug"
 	"strings"
@@ -23,14 +24,9 @@ func (nopRuntime) deliver(a *API, p int32, c cell)     { a.core.sendBuf[a.core.g
 // stubAPI builds an API wired exactly as runVertex does, without spawning
 // a goroutine.
 func stubAPI(c *core, rt runtime, v int32) *API {
-	lo, hi := c.g.Off[v], c.g.Off[v+1]
-	return &API{
-		core:  c,
-		rt:    rt,
-		v:     v,
-		out:   c.scratch.outbox[lo:hi:hi],
-		dirty: c.scratch.dirty[lo:lo:hi],
-	}
+	a := new(API)
+	c.initAPI(a, rt, v, 0, 0)
+	return a
 }
 
 // TestSendBoundsCheck pins the fail-fast contract: an out-of-range
@@ -283,6 +279,59 @@ func TestSteadyStateAllocsIntegrated(t *testing.T) {
 	}
 }
 
+// TestStepRunAllocsIndependentOfDegree pins the graph-sized message
+// buffers: every inbox is a window of the run scratch's inbox slab and
+// every cross-shard lane a window of its lane slab, so a warm step run in
+// which each vertex broadcasts once and reads its full inbox allocates the
+// same number of objects on a ring (degree 2) as on a forest union of
+// maximum degree 36. Buffers grown by append instead cost O(log deg)
+// objects per vertex and lane.
+func TestStepRunAllocsIndependentOfDegree(t *testing.T) {
+	withShards(t, 2)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	read := func(api *API, inbox []Msg) Step {
+		if len(inbox) != api.Degree() {
+			panic("inbox lost a neighbor's broadcast")
+		}
+		return Done(nil)
+	}
+	broadcast := func(api *API, _ []Msg) Step {
+		api.BroadcastInt(1)
+		return Continue(read)
+	}
+	// Every vertex shares one machine, so the program itself allocates
+	// nothing per vertex; what remains is the engine's own per-vertex
+	// work (boxing each vertex's Final).
+	prog := func(*API) StepFn { return broadcast }
+	// run reports the fewest objects one run allocated over three tries,
+	// so a pool miss (a stale scratch left on another P) cannot pass for
+	// degree-dependent work.
+	run := func(g *graph.Graph) uint64 {
+		best := uint64(math.MaxUint64)
+		for i := 0; i < 3; i++ {
+			var ms gort.MemStats
+			gort.ReadMemStats(&ms)
+			before := ms.Mallocs
+			if _, err := runStep(g, prog, Options{Seed: 1}); err != nil {
+				t.Fatalf("%s: %v", g.Name, err)
+			}
+			gort.ReadMemStats(&ms)
+			best = min(best, ms.Mallocs-before)
+		}
+		return best
+	}
+	ring, forest := graph.Ring(4096), graph.ForestUnion(4096, 8, 3)
+	if d := forest.MaxDegree(); d != 36 {
+		t.Fatalf("forest union max degree %d, want 36", d)
+	}
+	run(forest) // warm the scratch pool at the larger graph's size
+	r, f := run(ring), run(forest)
+	if diff := int64(f) - int64(r); diff > 32 || diff < -32 {
+		t.Errorf("warm step run allocates %d objects on %s but %d on %s; want equal within 32",
+			r, ring.Name, f, forest.Name)
+	}
+}
+
 // benchLane benchmarks one send primitive at a given degree: the center of
 // a star stages/broadcasts to deg neighbors, the barrier is crossed by
 // hand, and every leaf drains its single-slot inbox.
@@ -317,11 +366,12 @@ func benchLane(b *testing.B, deg int, send func(a *API, i int)) {
 }
 
 // BenchmarkLaneMerge measures the staged cross-shard path end to end: a
-// ring's vertices broadcast through stepRuntime.deliver (same-shard
-// writes go direct, shard-boundary ones into the lanes) and every shard
-// runs its batched applyLanes merge. The warm path must be allocation-
-// free — lane buffers, pending lists, and inboxes reach capacity during
-// the first iterations and are reused thereafter.
+// ring's vertices broadcast through stepRuntime.deliver (every slot write
+// goes direct; shard-boundary deliveries also stage their receiver IDs in
+// the lanes) and every shard runs its applyLanes wake sweep. The warm path
+// must be allocation-free — lanes are carved from the cut at setup, and
+// pending lists reach capacity during the first iterations and are reused
+// thereafter.
 func BenchmarkLaneMerge(b *testing.B) {
 	for _, nshards := range []int{2, 8, 64} {
 		b.Run(fmt.Sprintf("shards=%d", nshards), func(b *testing.B) {
@@ -341,7 +391,7 @@ func BenchmarkLaneMerge(b *testing.B) {
 					msgRound: make([]int32, hi-lo),
 				})
 			}
-			rt.lanes = make([]lane, nshards*nshards)
+			rt.carveLanes()
 			apis := make([]*API, n)
 			for v := range apis {
 				apis[v] = stubAPI(c, rt, int32(v))
@@ -370,17 +420,17 @@ func BenchmarkLaneMerge(b *testing.B) {
 }
 
 // BenchmarkLaneFalseSharing measures what the lane header padding buys:
-// two goroutines bump append cursors that either sit on separate cache
-// lines (padded: the real lane layout) or share one (packed: two bare
-// 24-byte slice headers side by side). On a multicore host the packed
+// two goroutines append receiver IDs through cursors that either sit on
+// separate cache lines (padded: the real lane layout) or share one
+// (packed: two bare 24-byte []int32 headers side by side). On a multicore host the packed
 // variant pays coherence ping-pong on the shared line every append; with
 // GOMAXPROCS=1 the goroutines serialize and the two variants coincide —
 // the honest reading on a single-CPU container.
 func BenchmarkLaneFalseSharing(b *testing.B) {
 	const appendsPerOp = 1 << 12
-	bench := func(b *testing.B, cursors [2]*[]laneEntry) {
+	bench := func(b *testing.B, cursors [2]*[]int32) {
 		for _, cur := range cursors {
-			*cur = make([]laneEntry, 0, appendsPerOp)
+			*cur = make([]int32, 0, appendsPerOp)
 		}
 		var wg sync.WaitGroup
 		b.ReportAllocs()
@@ -388,11 +438,11 @@ func BenchmarkLaneFalseSharing(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			wg.Add(2)
 			for w := 0; w < 2; w++ {
-				go func(cur *[]laneEntry) {
+				go func(cur *[]int32) {
 					defer wg.Done()
 					*cur = (*cur)[:0]
 					for k := int32(0); k < appendsPerOp; k++ {
-						*cur = append(*cur, laneEntry{slot: k})
+						*cur = append(*cur, k)
 					}
 				}(cursors[w])
 			}
@@ -401,11 +451,11 @@ func BenchmarkLaneFalseSharing(b *testing.B) {
 	}
 	b.Run("padded", func(b *testing.B) {
 		lanes := make([]lane, 2)
-		bench(b, [2]*[]laneEntry{&lanes[0].buf, &lanes[1].buf})
+		bench(b, [2]*[]int32{&lanes[0].buf, &lanes[1].buf})
 	})
 	b.Run("packed", func(b *testing.B) {
-		var hdrs struct{ a, b []laneEntry }
-		bench(b, [2]*[]laneEntry{&hdrs.a, &hdrs.b})
+		var hdrs struct{ a, b []int32 }
+		bench(b, [2]*[]int32{&hdrs.a, &hdrs.b})
 	})
 }
 

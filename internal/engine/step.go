@@ -33,22 +33,25 @@ import (
 // shard w). Multicore execution splits each round into two
 // barrier-separated phases, both free of locks and atomics:
 //
-//	exec:  each worker runs its shard's due turns. Same-shard deliveries
-//	       write the slab and wake bookkeeping directly (the worker owns
-//	       that state); cross-shard deliveries are appended to the (source
-//	       shard, destination shard) staging lane — a flat append-only
-//	       buffer only this worker writes this phase.
-//	merge: each worker drains the lanes addressed to its shard, applying
-//	       slab writes and wake entries single-threaded, iterating source
+//	exec:  each worker runs its shard's due turns. Every delivery writes
+//	       its slab slot directly: the slot's only writer is the sender,
+//	       and the receiver reads it only after the round barrier.
+//	       Same-shard deliveries also write the wake bookkeeping (the
+//	       worker owns that state); cross-shard deliveries append the
+//	       receiver's ID to the (source shard, destination shard) staging
+//	       lane — a flat buffer, sized from the cut at run start, that only
+//	       this worker writes this phase.
+//	merge: each worker drains the lanes addressed to its shard, noting
+//	       each staged receiver's wake single-threaded, iterating source
 //	       shards in ascending order.
 //
-// Lane entries are appended in ascending sender order (turns run in
-// vertex order) with program-order slot writes per sender, so the merge
-// applies cross-shard deliveries in (source shard, sender vertex, slot)
-// order and last-write-wins slot semantics are preserved exactly.
-// Results are therefore byte-identical at any worker count — and at any
-// shard count, since every observable is keyed by (vertex, round), never
-// by shard layout.
+// A slot is written in program order by its one sender, so last-write-
+// wins slot semantics hold exactly; lane entries are appended in
+// ascending sender order (turns run in vertex order), so the merge notes
+// wakes in (source shard, sender vertex, slot) order. Results are
+// therefore byte-identical at any worker count — and at any shard count,
+// since every observable is keyed by (vertex, round), never by shard
+// layout.
 
 // StepFn is one turn of a step-form vertex program: it receives the
 // messages delivered since its last turn (ordered by neighbor index;
@@ -153,15 +156,6 @@ func heapPop(h *[]idleEntry) idleEntry {
 	return top
 }
 
-// laneEntry is one staged cross-shard delivery: slot is the receiver-side
-// slab index (g.Rev of the directed edge), recv the receiving vertex, c
-// the payload. Entries are zeroed after the merge applies them so pooled
-// payloads are not retained.
-type laneEntry struct {
-	slot, recv int32
-	c          cell
-}
-
 // cacheLine is the assumed coherence-granule size. 64 bytes covers every
 // target this repo runs on (x86-64, arm64 with 64-byte lines; 128-byte-
 // line arm64 parts simply get two-line padding granularity).
@@ -171,21 +165,25 @@ const cacheLine = 64
 // up to the next cache-line boundary.
 const laneHeaderPad = cacheLine - (3*unsafe.Sizeof(uintptr(0)))%cacheLine
 
-// lane is one (source shard, destination shard) staging buffer, padded so
-// no two lane headers share a cache line. The header's len field is an
-// append cursor bumped on every cross-shard delivery of the exec phase;
-// lanes[src*nshards+dst] lays a worker's row of cursors contiguously, so
-// without padding worker A appending to its lane would false-share the
-// line with worker B reading or appending to an adjacent one — measured
-// by BenchmarkLaneFalseSharing. The contract: the size stays an exact
-// cache-line multiple (the assertion below fails the build otherwise);
-// no sync or sync/atomic fields, since lanes are single-writer per phase
-// and a lock or atomic in the header brings back the shared-line traffic
-// the padding removes; and no exported fields, so no writer outside this
-// package, which cannot see that phase-ownership argument, touches a
-// cursor.
+// lane is one (source shard, destination shard) staging buffer of
+// receiver IDs, padded so no two lane headers share a cache line. The
+// sender writes the slab slot itself; the lane only tells the destination
+// shard's merge whose wake bookkeeping to update. buf is a window of the
+// run's lane slab with room for every cut edge from src to dst (see
+// carveLanes), so a round with one delivery per edge never allocates.
+// The header's len field is an append cursor bumped on every cross-shard
+// delivery of the exec phase; lanes[src*nshards+dst] lays a worker's row
+// of cursors contiguously, so without padding worker A appending to its
+// lane would false-share the line with worker B reading or appending to
+// an adjacent one — measured by BenchmarkLaneFalseSharing. The contract:
+// the size stays an exact cache-line multiple (the assertion below fails
+// the build otherwise); no sync or sync/atomic fields, since lanes are
+// single-writer per phase and a lock or atomic in the header brings back
+// the shared-line traffic the padding removes; and no exported fields, so
+// no writer outside this package, which cannot see that phase-ownership
+// argument, touches a cursor.
 type lane struct {
-	buf []laneEntry
+	buf []int32
 	_   [laneHeaderPad]byte
 }
 
@@ -240,12 +238,12 @@ type stepRuntime struct {
 	c         *core
 	shards    []*stepShard
 	shardSize int32
-	// lanes[src*len(shards)+dst] stages the cross-shard deliveries sent
-	// from shard src to shard dst this round. During the exec phase lane
-	// (src, *) is written only by the worker running shard src; during the
-	// merge phase lane (*, dst) is read and truncated only by the worker
-	// merging shard dst. Headers are cache-line padded (see lane). Nil on
-	// single-shard runs.
+	// lanes[src*len(shards)+dst] stages the receivers of the cross-shard
+	// deliveries sent from shard src to shard dst this round. During the
+	// exec phase lane (src, *) is written only by the worker running shard
+	// src; during the merge phase lane (*, dst) is read and truncated only
+	// by the worker merging shard dst. Headers are cache-line padded (see
+	// lane). Nil on single-shard runs.
 	lanes []lane
 	// round is the current global round, written by the coordinator at the
 	// barrier and read by workers during the phases.
@@ -257,23 +255,25 @@ type stepRuntime struct {
 
 func (rt *stepRuntime) shardOf(v int32) *stepShard { return rt.shards[v/rt.shardSize] }
 
-// deliver routes one slot write: same-shard deliveries go straight to the
-// slab and the shard's wake bookkeeping (the calling worker owns both),
-// cross-shard ones are staged in the source→destination lane for the
-// round-barrier merge. No locks, no atomics, on either path.
+// deliver routes one slot write. Every delivery writes its slab slot
+// directly: the slot has one writer (the sender), and the round barrier
+// orders the write before the receiver's read, whichever shard the
+// receiver is in. Same-shard deliveries also update the shard's wake
+// bookkeeping (the calling worker owns it); cross-shard ones stage the
+// receiver in the source→destination lane for the round-barrier merge.
+// No locks, no atomics, on either path.
 //
 //vavg:hotpath
 func (rt *stepRuntime) deliver(a *API, p int32, c cell) {
 	g := a.core.g
 	recv := g.Adj[p]
+	rt.c.sendBuf[g.Rev[p]] = c
 	d := recv / rt.shardSize
-	src := a.v / rt.shardSize
-	if src != d {
+	if src := a.v / rt.shardSize; src != d {
 		l := &rt.lanes[src*int32(len(rt.shards))+d]
-		l.buf = append(l.buf, laneEntry{slot: g.Rev[p], recv: recv, c: c})
+		l.buf = append(l.buf, recv)
 		return
 	}
-	rt.c.sendBuf[g.Rev[p]] = c
 	rt.shards[d].noteDelivery(recv, rt.round+1)
 }
 
@@ -295,38 +295,53 @@ func (s *stepShard) noteDelivery(recv, t int32) {
 	s.pending = append(s.pending, idleEntry{t, recv})
 }
 
-// applyLanes is the merge phase for this destination shard: a k-way
-// ordered merge over the lane blocks addressed to it. Iterating source
-// shards ascending IS that merge — entries within a lane are already in
-// (sender, slot) append order, and a slot can appear in only one lane per
-// round (its sender fixes the source shard), so cross-lane interleaving
-// cannot affect slab contents — giving the deterministic (source shard,
-// sender, slot) order at block-copy cost. Each lane is applied as three
-// batched passes instead of interleaved per-entry work: a slab-write
-// sweep, a wake-bookkeeping sweep in the same entry order (preserving the
-// pending list's arrival order exactly), and one clear() to batch-zero
-// the drained entries (payload cells may hold pointers).
+// applyLanes is the merge phase for this destination shard: one
+// wake-bookkeeping sweep over the lanes addressed to it, in ascending
+// source-shard order and append (sender, slot) order within each lane, so
+// the pending list's arrival order is deterministic. The slab writes
+// already happened in the exec phase; the lanes hold receiver IDs only.
 //
 //vavg:shardmerge
 func (s *stepShard) applyLanes(rt *stepRuntime) {
 	t := rt.round + 1
 	nsh := int32(len(rt.shards))
-	sendBuf := rt.c.sendBuf
 	for src := int32(0); src < nsh; src++ {
 		l := &rt.lanes[src*nsh+s.idx]
-		buf := l.buf
-		if len(buf) == 0 {
-			continue
+		for _, recv := range l.buf {
+			s.noteDelivery(recv, t)
 		}
-		for i := range buf {
-			sendBuf[buf[i].slot] = buf[i].c
-		}
-		for i := range buf {
-			s.noteDelivery(buf[i].recv, t)
-		}
-		clear(buf)
-		l.buf = buf[:0]
+		l.buf = l.buf[:0]
 	}
+}
+
+// carveLanes gives every (source, destination) shard pair a lane window of
+// the run scratch's lane slab with capacity for its cut edges, counted in
+// one O(m) pass. A round delivers at most once per directed edge unless a
+// sender overwrites a slot (a repeated broadcast), and the three-index
+// carve sends that overflow to the heap, never into the neighboring lane.
+func (rt *stepRuntime) carveLanes() {
+	nsh := int32(len(rt.shards))
+	g := rt.c.g
+	cut := make([]int, nsh*nsh)
+	total := 0
+	for _, sh := range rt.shards {
+		row := cut[sh.idx*nsh : (sh.idx+1)*nsh]
+		for _, recv := range g.Adj[g.Off[sh.lo]:g.Off[sh.hi]] {
+			if recv < sh.lo || recv >= sh.hi {
+				row[recv/rt.shardSize]++
+				total++
+			}
+		}
+	}
+	s := rt.c.scratch
+	s.lanes = reslice(s.lanes, len(cut))
+	s.laneSlab = reslice(s.laneSlab, total)
+	off := 0
+	for i, k := range cut {
+		s.lanes[i].buf = s.laneSlab[off : off : off+k]
+		off += k
+	}
+	rt.lanes = s.lanes
 }
 
 // next and idle are the blocking round-crossing calls; step programs
@@ -473,20 +488,12 @@ func (s *stepShard) runRound(rt *stepRuntime, apis []API, w int32) {
 		if s.fns[li] == nil {
 			// No machine yet: the round-1 boot, or an adversary restart's
 			// fresh incarnation (which must re-seed its PRNG stream, hence
-			// the generation stamp after the reset).
-			g := c.g
-			plo, phi := g.Off[v], g.Off[v+1]
-			*a = API{
-				core:  c,
-				rt:    rt,
-				v:     v,
-				out:   c.scratch.outbox[plo:phi:phi],
-				dirty: c.scratch.dirty[plo:plo:phi],
-				round: w - 1,
-			}
+			// its generation).
+			var gen int32
 			if c.gens != nil {
-				a.gen = c.gens[v]
+				gen = c.gens[v]
 			}
+			c.initAPI(a, rt, v, w-1, gen)
 			st, ok = rt.boot(a, s.bootProg)
 		} else {
 			a.round = w - 1
@@ -637,7 +644,7 @@ func runStep(g *graph.Graph, prog StepProgram, opts Options) (*Result, error) {
 	}
 	nshards = len(rt.shards)
 	if nshards > 1 {
-		rt.lanes = make([]lane, nshards*nshards)
+		rt.carveLanes()
 	}
 	if c.adv != nil {
 		rt.restarts = eventCursor{events: c.adv.restarts}

@@ -480,9 +480,11 @@ func randRelayStep(api *API) StepFn {
 	}
 }
 
-// TestStepScratchReuseIsClean interleaves step runs of different sizes so
-// recycled API and StepFn slabs from a larger run are reused by a smaller
-// one; results must match fresh first runs exactly.
+// TestStepScratchReuseIsClean interleaves step runs of different sizes and
+// shard layouts, so the recycled API, StepFn, inbox and lane slabs of one
+// graph and layout are reused by another: every run switches GOMAXPROCS
+// (4 → 2 → 3 → 4 …), and its lanes are carved from a lane slab sized for
+// a different cut. Results must match fresh first runs exactly.
 func TestStepScratchReuseIsClean(t *testing.T) {
 	withShards(t, 4)
 	sprogs := stepTestPrograms()
@@ -495,12 +497,17 @@ func TestStepScratchReuseIsClean(t *testing.T) {
 			base[g.Name+"/"+pn] = mustRunStep(t, g, sprogs[pn], opts)
 		}
 	}
+	layouts := []int{2, 3, 4}
+	runs := 0
 	for pass := 0; pass < 2; pass++ {
 		for i := len(graphs) - 1; i >= 0; i-- {
 			g := graphs[i]
 			for _, pn := range names {
+				p := layouts[runs%len(layouts)]
+				runs++
+				gort.GOMAXPROCS(p)
 				r := mustRunStep(t, g, sprogs[pn], opts)
-				requireEqualResults(t, fmt.Sprintf("reuse%d/%s/%s", pass, g.Name, pn), base[g.Name+"/"+pn], r)
+				requireEqualResults(t, fmt.Sprintf("reuse%d/P=%d/%s/%s", pass, p, g.Name, pn), base[g.Name+"/"+pn], r)
 			}
 		}
 	}
