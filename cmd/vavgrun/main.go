@@ -47,6 +47,9 @@ func main() {
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
+	if *format != "csv" && *format != "json" {
+		fatal(fmt.Errorf("unknown -format %q: want csv|json", *format))
+	}
 
 	var err error
 	if stopProfiles, err = prof.Start(*cpuProf, *memProf); err != nil {
@@ -162,8 +165,10 @@ func runSweep(alg vavg.Algorithm, family, sizesArg, format string, a int, eps fl
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "vertex-avg growth exponent vs log n: %.3f (0 = flat, 1 = Θ(log n))\n",
-		res.VertexAvgGrowth())
+	// The fit needs two distinct sizes; below that it is NaN.
+	if e := res.VertexAvgGrowth(); !math.IsNaN(e) {
+		fmt.Fprintf(os.Stderr, "vertex-avg growth exponent vs log n: %.3f (0 = flat, 1 = Θ(log n))\n", e)
+	}
 	if format == "json" {
 		return res.WriteJSON(os.Stdout)
 	}

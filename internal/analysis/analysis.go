@@ -14,7 +14,7 @@
 // analyzers move those contracts from the dynamic equivalence suite to
 // compile time.
 //
-// Two comment directives are recognized:
+// Three comment directives are recognized:
 //
 //   - //lint:ignore <analyzer> <reason> — placed on the flagged line or on
 //     the line directly above it, suppresses that analyzer's diagnostics
@@ -25,6 +25,9 @@
 //
 //   - //vavg:hotpath in a function's doc comment opts the function into
 //     the hotpath analyzer's allocation checks.
+//
+//   - //vavg:stepform in a function's doc comment opts the function into
+//     the stepcontract analyzer's no-blocking checks.
 package analysis
 
 import (

@@ -21,6 +21,12 @@ import (
 //     Continue(...), Sleep(...), Done(...), or a sub-machine helper —
 //     never from a stored Step value, which hides which constructor ran
 //     and defeats the nil-StepFn panics guarding Continue and Sleep.
+//
+// A value-typed sub-machine's Start and Turn methods run inside a turn
+// too, but return a done flag rather than a Step, so their signature
+// does not identify them. A //vavg:stepform doc-comment directive opts
+// such a function into the no-blocking rules; the verdict rule does not
+// apply to it.
 var Stepcontract = &Analyzer{
 	Name:     "stepcontract",
 	Doc:      "step-form programs must not block and must return verdicts from Continue/Sleep/Done",
@@ -28,14 +34,20 @@ var Stepcontract = &Analyzer{
 	SkipPkgs: []string{enginePath},
 }
 
+// stepformDirective marks a function that runs inside a step turn without
+// returning a Step verdict.
+const stepformDirective = "//vavg:stepform"
+
 func runStepcontract(pass *Pass) {
 	for _, file := range pass.Files {
 		for _, fn := range funcsIn(pass, file) {
-			if !sigIsStepForm(fn.sig) {
-				continue
+			switch {
+			case sigIsStepForm(fn.sig):
+				checkNoBlocking(pass, fn)
+				checkVerdictReturns(pass, fn)
+			case hasDirective(fn.doc, stepformDirective):
+				checkNoBlocking(pass, fn)
 			}
-			checkNoBlocking(pass, fn)
-			checkVerdictReturns(pass, fn)
 		}
 	}
 }

@@ -43,3 +43,23 @@ func turnSuppressed(api *exec.API, inbox []exec.Msg) exec.Step {
 func helperNotStepForm(api *exec.API) []exec.Msg {
 	return api.Next()
 }
+
+// machine is a value-typed sub-machine: its methods run inside the
+// caller's turn but return a done flag, not a Step.
+type machine struct{ ch chan int }
+
+// Turn is marked step-form, so it may not block.
+//
+//vavg:stepform
+func (m *machine) Turn(api *exec.API, inbox []exec.Msg) (done bool) {
+	api.Next() // want `api\.Next blocks`
+	return len(inbox) == 0
+}
+
+// Start is marked step-form, so it may not receive from a channel.
+//
+//vavg:stepform
+func (m *machine) Start(api *exec.API) (done bool) {
+	<-m.ch // want "channel receive in step-form code"
+	return false
+}

@@ -60,6 +60,15 @@ func phaseSplit(n int, eps float64) (t, ell int) {
 // parents within the H-set segment (lo, hi]: neighbors in a later H-set of
 // the segment, or in the same set with a higher ID.
 func SegmentParents(api *engine.API, tr *hpartition.Tracker, lo, hi int32) (members, parents []int) {
+	nm := 0
+	for _, h := range tr.NbrH {
+		if h > lo && h <= hi {
+			nm++
+		}
+	}
+	// One allocation holds both lists: parents is a subset of members.
+	buf := make([]int, 2*nm)
+	members, parents = buf[:0:nm], buf[nm:nm]
 	ids := api.NeighborIDs()
 	my := tr.HIndex
 	for k, h := range tr.NbrH {

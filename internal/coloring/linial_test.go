@@ -219,6 +219,30 @@ func TestLinialMemoAllocs(t *testing.T) {
 	}
 }
 
+// TestKWPhasesMemo checks the kwPhases memo against the unmemoized
+// search, that repeat calls share one backing array, and that the window
+// helpers built on it no longer allocate once warm.
+func TestKWPhasesMemo(t *testing.T) {
+	for _, A := range []int{1, 2, 4, 8, 12, 33} {
+		for _, m := range []int{1, A, A + 1, A + 2, 2 * (A + 1), 30 * (A + 1), 200000} {
+			if got, want := kwPhases(m, A), kwPhasesSearch(m, A); !slices.Equal(got, want) {
+				t.Errorf("kwPhases(%d, %d) = %v, search gives %v", m, A, got, want)
+			}
+		}
+	}
+	a, b := kwPhases(200000, 8), kwPhases(200000, 8)
+	if &a[0] != &b[0] {
+		t.Error("repeat kwPhases call returned a different backing array")
+	}
+	m := LinialFinalPalette(200000, 8)
+	if got := testing.AllocsPerRun(100, func() { KWRounds(m, 8) }); got != 0 {
+		t.Errorf("warm KWRounds: %v allocs/op, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { DeltaPlus1Rounds(200000, 8) }); got != 0 {
+		t.Errorf("warm DeltaPlus1Rounds: %v allocs/op, want 0", got)
+	}
+}
+
 // TestLinialMemoConcurrentColdKeys has 8 goroutines look up keys no other
 // test uses, all at once: every caller must see the search's values, and
 // the schedule callers one shared backing array per key.

@@ -1,0 +1,169 @@
+package coloring
+
+import (
+	"reflect"
+	"testing"
+
+	"vavg/internal/engine"
+	"vavg/internal/graph"
+)
+
+// Step-form twins of the standalone sub-machine tests: each runs the value
+// machine (directly, or through its Start* adaptor) on the graphs of the
+// blocking test and requires a byte-identical Result. One graph of each
+// test is a relabeled view, where the machines' parent and member scans
+// compare original IDs.
+
+// requireSameResult runs the blocking and the step form of one program on
+// g and fails unless their Results are identical.
+func requireSameResult(t *testing.T, g *graph.Graph, prog engine.Program, step engine.StepProgram) {
+	t.Helper()
+	want, err := engine.Run(g, prog, engine.Options{Seed: 1})
+	if err != nil {
+		t.Fatalf("%s blocking: %v", g.Name, err)
+	}
+	got, err := engine.RunSpec(g, engine.Spec{Step: step}, engine.Options{Seed: 1})
+	if err != nil {
+		t.Fatalf("%s step: %v", g.Name, err)
+	}
+	want.Shards, got.Shards = 0, 0
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("%s: step Result differs from blocking (outputs equal: %v, rounds equal: %v, messages %d vs %d)",
+			g.Name, reflect.DeepEqual(want.Output, got.Output), reflect.DeepEqual(want.Rounds, got.Rounds),
+			want.Messages, got.Messages)
+	}
+}
+
+// allMembers lists every neighbor index of the calling vertex.
+func allMembers(api *engine.API) []int {
+	members := make([]int, api.Degree())
+	for k := range members {
+		members[k] = k
+	}
+	return members
+}
+
+// kwVertex drives a KW machine from a test-local StepFn.
+type kwVertex struct {
+	kw KW
+	fn engine.StepFn
+}
+
+func (*kwVertex) Stray(*engine.API, engine.Msg) {}
+
+func (v *kwVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
+	if v.kw.Turn(api, inbox, v) {
+		return engine.Done(v.kw.Color())
+	}
+	return engine.Continue(v.fn)
+}
+
+// TestKWReduceStepStandalone runs KW on TestKWReduceStandalone's graphs.
+// On Ring(30) with m = n there are five KW groups per phase, so a vertex
+// hears colors from other groups' palettes, below and above its own.
+func TestKWReduceStepStandalone(t *testing.T) {
+	for _, g := range []*graph.Graph{graph.Ring(30), graph.Grid(5, 6), graph.Clique(7), graph.Relabel(graph.Grid(5, 6))} {
+		A := g.MaxDegree()
+		m := g.N()
+		prog := func(api *engine.API) any {
+			return KWReduce(api, allMembers(api), api.ID(), m, A, NopSink)
+		}
+		step := func(api *engine.API) engine.StepFn {
+			return func(api *engine.API, _ []engine.Msg) engine.Step {
+				v := &kwVertex{}
+				if v.kw.Start(api, allMembers(api), api.ID(), m, A) {
+					return engine.Done(v.kw.Color())
+				}
+				v.fn = v.turn
+				return engine.Continue(v.fn)
+			}
+		}
+		requireSameResult(t, g, prog, step)
+	}
+}
+
+func TestDeltaPlus1OnSetStepStandalone(t *testing.T) {
+	for _, g := range []*graph.Graph{graph.Ring(40), graph.Clique(9), graph.TriangulatedGrid(6, 6), graph.Relabel(graph.TriangulatedGrid(6, 6))} {
+		A := g.MaxDegree()
+		prog := func(api *engine.API) any {
+			return DeltaPlus1OnSet(api, allMembers(api), A, NopSink)
+		}
+		step := func(api *engine.API) engine.StepFn {
+			return func(api *engine.API, _ []engine.Msg) engine.Step {
+				return StartDeltaPlus1OnSet(api, allMembers(api), A, NopSink,
+					func(c int) engine.Step { return engine.Done(c) })
+			}
+		}
+		requireSameResult(t, g, prog, step)
+	}
+}
+
+func TestIteratedLinialStepStandalone(t *testing.T) {
+	for _, g := range []*graph.Graph{graph.ForestUnion(200, 2, 3), graph.Relabel(graph.ForestUnion(200, 2, 3))} {
+		A := g.MaxDegree() // orientation by ID has out-degree <= Delta here
+		parents := func(api *engine.API) []int {
+			var parents []int
+			for k, id := range api.NeighborIDs() {
+				if int(id) > api.ID() {
+					parents = append(parents, k)
+				}
+			}
+			return parents
+		}
+		prog := func(api *engine.API) any {
+			return IteratedLinial(api, allMembers(api), parents(api), A, NopSink)
+		}
+		step := func(api *engine.API) engine.StepFn {
+			return func(api *engine.API, _ []engine.Msg) engine.Step {
+				return StartIteratedLinial(api, allMembers(api), parents(api), A, NopSink,
+					func(c int) engine.Step { return engine.Done(c) })
+			}
+		}
+		requireSameResult(t, g, prog, step)
+	}
+}
+
+// TestKWOutOfStepAnnouncements gives KW members that announce a color in
+// every round, as a member rebooted out of step by a crash+restart
+// scenario can. The middle vertex of a path chooses in the last round of
+// its phase, after five rounds of announcements 0..4 from both ends, so
+// more colors are taken than it has members; KW must still pick KWReduce's
+// color.
+func TestKWOutOfStepAnnouncements(t *testing.T) {
+	g := graph.Path(3)
+	const A, m, rounds = 2, 6, 6 // one phase of 2(A+1) rounds
+	prog := func(api *engine.API) any {
+		if api.ID() != 1 {
+			for r := 0; r < rounds; r++ {
+				BroadcastChosen(api, kwKind, int32(r))
+				api.Next()
+			}
+			return -1
+		}
+		return KWReduce(api, allMembers(api), 5, m, A, NopSink)
+	}
+	step := func(api *engine.API) engine.StepFn {
+		if api.ID() != 1 {
+			r := 0
+			var announce engine.StepFn
+			announce = func(api *engine.API, _ []engine.Msg) engine.Step {
+				if r == rounds {
+					return engine.Done(-1)
+				}
+				BroadcastChosen(api, kwKind, int32(r))
+				r++
+				return engine.Continue(announce)
+			}
+			return announce
+		}
+		return func(api *engine.API, _ []engine.Msg) engine.Step {
+			v := &kwVertex{}
+			if v.kw.Start(api, allMembers(api), 5, m, A) {
+				return engine.Done(v.kw.Color())
+			}
+			v.fn = v.turn
+			return engine.Continue(v.fn)
+		}
+	}
+	requireSameResult(t, g, prog, step)
+}

@@ -1,6 +1,8 @@
 package coloring
 
 import (
+	"slices"
+
 	"vavg/internal/engine"
 	"vavg/internal/forest"
 	"vavg/internal/hpartition"
@@ -13,136 +15,305 @@ import (
 // it. done is invoked in the turn the subroutine's blocking form returns
 // in, so compositions keep the same round structure and the two forms are
 // byte-identical.
+//
+// The shared sub-machines are value types — Linial, KW and DeltaPlus1 —
+// that a composed algorithm embeds in its per-vertex struct and drives
+// from its own turn, with no closure or escaped variable per vertex.
+// Start does the work the blocking form does before its first receive,
+// and Turn handles one round's inbox and the work up to the next receive;
+// each reports done in the turn the blocking form returns in, after which
+// Color is the result. StartIteratedLinial and StartDeltaPlus1OnSet are
+// thin adaptors over the same machines for closure-built compositions.
 
-// StartIteratedLinial is the step form of IteratedLinial. members is
-// accepted for signature parity with the blocking form (it is implied by
-// parentIdx there too).
+// Strays receives the messages a value machine's turn does not itself
+// understand (Join announcements, terminations, foreign traffic), one at
+// a time and in inbox order: the per-message form of Sink, implemented by
+// the caller's per-vertex struct.
+type Strays interface {
+	Stray(api *engine.API, m engine.Msg)
+}
+
+// Linial is the value-machine form of IteratedLinial.
+type Linial struct {
+	sched        []int
+	parentIdx    []int
+	parentColors []int
+	a, c, step   int
+}
+
+// Start begins Procedure Arb-Linial-Coloring in the caller's turn, with
+// parentIdx the neighbor indices of this vertex's at most A parents. The
+// machine keeps parentIdx, which the caller must not modify.
+//
+//vavg:stepform
+func (l *Linial) Start(api *engine.API, parentIdx []int, A int) (done bool) {
+	*l = Linial{
+		sched:        LinialSchedule(api.N(), A),
+		parentIdx:    parentIdx,
+		parentColors: make([]int, len(parentIdx)),
+		a:            A,
+		c:            api.ID(),
+	}
+	ids := api.NeighborIDs()
+	for j, k := range parentIdx {
+		l.parentColors[j] = int(ids[k])
+	}
+	if len(l.sched) < 2 {
+		return true
+	}
+	return l.advance(api)
+}
+
+// Turn records the parents' colors of the current step and takes the
+// next reduction step.
+//
+//vavg:stepform
+func (l *Linial) Turn(api *engine.API, inbox []engine.Msg, s Strays) (done bool) {
+	ids := api.NeighborIDs()
+	for _, m := range inbox {
+		step, c, ok := asColor(m)
+		if !ok {
+			s.Stray(api, m)
+			continue
+		}
+		if step != l.step {
+			continue
+		}
+		for j, k := range l.parentIdx {
+			if ids[k] == m.From {
+				l.parentColors[j] = c
+				break
+			}
+		}
+	}
+	return l.advance(api)
+}
+
+// advance takes one reduction step and broadcasts the new color, unless
+// the step was the last.
+func (l *Linial) advance(api *engine.API) (done bool) {
+	l.step++
+	l.c = LinialStep(l.sched[l.step-1], l.a, l.c, l.parentColors)
+	if l.step == len(l.sched)-1 {
+		return true // no one needs my color for a further step
+	}
+	broadcastColor(api, l.step, l.c)
+	return false
+}
+
+// Color returns the vertex's color; the final one once the machine is done.
+func (l *Linial) Color() int { return l.c }
+
+// KW is the value-machine form of KWReduce.
+type KW struct {
+	phases  []int
+	members []int
+	// taken lists the colors from base up that members announced this
+	// phase, which the choice must avoid. In lockstep each member
+	// announces once per phase, within the initial capacity; a member
+	// rebooted out of step by a crash can announce in several rounds.
+	taken               []int32
+	a, c                int
+	pi, r               int
+	class, base, chosen int
+}
+
+// Start begins Kuhn-Wattenhofer reduction in the caller's turn: myColor
+// is this vertex's color in a proper m-coloring of the member set
+// (neighbor indices, at most A of them). The machine keeps members, which
+// the caller must not modify.
+//
+//vavg:stepform
+func (k *KW) Start(api *engine.API, members []int, myColor, m, A int) (done bool) {
+	*k = KW{phases: kwPhases(m, A), members: members, a: A, c: myColor}
+	if len(k.phases) == 0 {
+		return true
+	}
+	k.taken = make([]int32, 0, len(members))
+	k.startPhase(api)
+	return false
+}
+
+// Turn records one round's member announcements, then takes the next
+// class round or starts the next phase.
+//
+//vavg:stepform
+func (k *KW) Turn(api *engine.API, inbox []engine.Msg, s Strays) (done bool) {
+	ids := api.NeighborIDs()
+	for _, m := range inbox {
+		c, ok := AsChosen(m, kwKind)
+		if !ok || !k.isMember(ids, m.From) {
+			s.Stray(api, m)
+			continue
+		}
+		// Colors below base cannot change the first free color.
+		if int(c) >= k.base {
+			k.taken = append(k.taken, c)
+		}
+	}
+	k.r++
+	if k.r < 2*(k.a+1) {
+		k.send(api)
+		return false
+	}
+	if k.chosen < 0 {
+		panic("coloring: KW vertex never scheduled (improper input coloring?)")
+	}
+	k.c = k.chosen
+	k.pi++
+	if k.pi == len(k.phases) {
+		return true
+	}
+	k.startPhase(api)
+	return false
+}
+
+func (k *KW) startPhase(api *engine.API) {
+	groupSize := 2 * (k.a + 1)
+	k.class = k.c % groupSize
+	k.base = (k.c / groupSize) * (k.a + 1)
+	k.taken = k.taken[:0]
+	k.chosen = -1
+	k.r = 0
+	k.send(api)
+}
+
+// send picks and announces the first free color in this vertex's class
+// round.
+func (k *KW) send(api *engine.API) {
+	if k.r != k.class {
+		return
+	}
+	c := int32(k.base)
+	for slices.Contains(k.taken, c) {
+		c++
+	}
+	k.chosen = int(c)
+	BroadcastChosen(api, kwKind, c)
+}
+
+// isMember reports whether the sender is in the member set; both sides are
+// original IDs on a relabeled view.
+func (k *KW) isMember(ids []int32, from int32) bool {
+	for _, kk := range k.members {
+		if ids[kk] == from {
+			return true
+		}
+	}
+	return false
+}
+
+// Color returns the vertex's color; the final one once the machine is done.
+func (k *KW) Color() int { return k.c }
+
+// DeltaPlus1 is the value-machine form of DeltaPlus1OnSet: a Linial run
+// oriented by descending ID, then a KW run.
+type DeltaPlus1 struct {
+	lin     Linial
+	kw      KW
+	members []int
+	inKW    bool
+}
+
+// Start begins the (A+1)-coloring of the member set (neighbor indices)
+// in the caller's turn. The machine keeps members, which the caller must
+// not modify.
+//
+//vavg:stepform
+func (d *DeltaPlus1) Start(api *engine.API, members []int, A int) (done bool) {
+	ids := api.NeighborIDs()
+	parents := slices.DeleteFunc(slices.Clone(members), func(k int) bool {
+		return int(ids[k]) <= api.ID()
+	})
+	d.members, d.inKW = members, false
+	if d.lin.Start(api, parents, A) {
+		return d.startKW(api)
+	}
+	return false
+}
+
+// Turn advances the running stage by one round.
+//
+//vavg:stepform
+func (d *DeltaPlus1) Turn(api *engine.API, inbox []engine.Msg, s Strays) (done bool) {
+	if d.inKW {
+		return d.kw.Turn(api, inbox, s)
+	}
+	if d.lin.Turn(api, inbox, s) {
+		return d.startKW(api)
+	}
+	return false
+}
+
+func (d *DeltaPlus1) startKW(api *engine.API) (done bool) {
+	d.inKW = true
+	A := d.lin.a
+	return d.kw.Start(api, d.members, d.lin.Color(), LinialFinalPalette(api.N(), A), A)
+}
+
+// Color returns the vertex's color; the final one, in [0, A+1), once the
+// machine is done.
+func (d *DeltaPlus1) Color() int { return d.kw.Color() }
+
+// colorMachine is what the Start* adaptors drive of a value machine.
+type colorMachine interface {
+	Turn(api *engine.API, inbox []engine.Msg, s Strays) (done bool)
+	Color() int
+}
+
+// machineStep runs a value machine as a StepFn chain for the Start*
+// adaptors: it batches each turn's strays into one Sink call, as the
+// blocking forms do, and hands the final color to done.
+type machineStep struct {
+	m     colorMachine
+	sink  Sink
+	stray []engine.Msg
+	done  func(int) engine.Step
+	fn    engine.StepFn
+}
+
+// startMachine continues a machine whose Start just reported finished:
+// done runs at once if it did, otherwise in the turn the machine ends in.
+func startMachine(m colorMachine, finished bool, sink Sink, done func(int) engine.Step) engine.Step {
+	if finished {
+		return done(m.Color())
+	}
+	s := &machineStep{m: m, sink: sink, done: done}
+	s.fn = s.turn
+	return engine.Continue(s.fn)
+}
+
+// Stray implements Strays.
+func (s *machineStep) Stray(_ *engine.API, m engine.Msg) { s.stray = append(s.stray, m) }
+
+func (s *machineStep) turn(api *engine.API, inbox []engine.Msg) engine.Step {
+	done := s.m.Turn(api, inbox, s)
+	if len(s.stray) > 0 {
+		s.sink(s.stray)
+		s.stray = s.stray[:0]
+	}
+	if done {
+		return s.done(s.m.Color())
+	}
+	return engine.Continue(s.fn)
+}
+
+// StartIteratedLinial is the step form of IteratedLinial, an adaptor over
+// Linial. members is accepted for signature parity with the blocking form
+// (it is implied by parentIdx there too).
 func StartIteratedLinial(api *engine.API, members, parentIdx []int, A int,
 	sink Sink, done func(int) engine.Step) engine.Step {
 	_ = members
-	sched := LinialSchedule(api.N(), A)
-	ids := api.NeighborIDs()
-	parentColors := make([]int, len(parentIdx))
-	for j, k := range parentIdx {
-		parentColors[j] = int(ids[k])
-	}
-	parentOf := make(map[int32]int, len(parentIdx)) // vertex ID -> slot
-	for j, k := range parentIdx {
-		parentOf[ids[k]] = j
-	}
-	c := api.ID()
-	if len(sched) < 2 {
-		return done(c)
-	}
-	step := 0
-	var loop engine.StepFn
-	var advance func(api *engine.API) engine.Step
-	advance = func(api *engine.API) engine.Step {
-		step++
-		c = LinialStep(sched[step-1], A, c, parentColors)
-		if step == len(sched)-1 {
-			return done(c) // no one needs my color for a further step
-		}
-		broadcastColor(api, step, c)
-		return engine.Continue(loop)
-	}
-	loop = func(api *engine.API, inbox []engine.Msg) engine.Step {
-		var stray []engine.Msg
-		for _, m := range inbox {
-			mstep, mc, ok := asColor(m)
-			if !ok {
-				stray = append(stray, m)
-				continue
-			}
-			if j, isParent := parentOf[m.From]; isParent && mstep == step {
-				parentColors[j] = mc
-			}
-		}
-		if len(stray) > 0 {
-			sink(stray)
-		}
-		return advance(api)
-	}
-	return advance(api)
+	l := new(Linial)
+	return startMachine(l, l.Start(api, parentIdx, A), sink, done)
 }
 
-// StartKWReduce is the step form of KWReduce.
-func StartKWReduce(api *engine.API, members []int, myColor, m, A int,
-	sink Sink, done func(int) engine.Step) engine.Step {
-	phases := kwPhases(m, A)
-	if len(phases) == 0 {
-		return done(myColor)
-	}
-	ms := newMemberSet(api, members)
-	c := myColor
-	groupSize := 2 * (A + 1)
-	pi, r := 0, 0
-	var class, base, chosen int
-	var taken map[int]bool
-	var loop engine.StepFn
-	send := func(api *engine.API) engine.Step {
-		if r == class {
-			for cand := base; ; cand++ {
-				if !taken[cand] {
-					chosen = cand
-					break
-				}
-			}
-			BroadcastChosen(api, kwKind, int32(chosen))
-		}
-		return engine.Continue(loop)
-	}
-	startPhase := func(api *engine.API) engine.Step {
-		class = c % groupSize
-		base = (c / groupSize) * (A + 1)
-		taken = make(map[int]bool)
-		chosen = -1
-		r = 0
-		return send(api)
-	}
-	loop = func(api *engine.API, inbox []engine.Msg) engine.Step {
-		var stray []engine.Msg
-		for _, msg := range inbox {
-			mc, ok := AsChosen(msg, kwKind)
-			if !ok || !ms.idx[msg.From] {
-				stray = append(stray, msg)
-				continue
-			}
-			taken[int(mc)] = true
-		}
-		if len(stray) > 0 {
-			sink(stray)
-		}
-		r++
-		if r < groupSize {
-			return send(api)
-		}
-		if chosen < 0 {
-			panic("coloring: KW vertex never scheduled (improper input coloring?)")
-		}
-		c = chosen
-		pi++
-		if pi == len(phases) {
-			return done(c)
-		}
-		return startPhase(api)
-	}
-	return startPhase(api)
-}
-
-// StartDeltaPlus1OnSet is the step form of DeltaPlus1OnSet.
+// StartDeltaPlus1OnSet is the step form of DeltaPlus1OnSet, an adaptor
+// over DeltaPlus1.
 func StartDeltaPlus1OnSet(api *engine.API, members []int, A int,
 	sink Sink, done func(int) engine.Step) engine.Step {
-	ids := api.NeighborIDs()
-	var parents []int
-	for _, k := range members {
-		if int(ids[k]) > api.ID() {
-			parents = append(parents, k)
-		}
-	}
-	return StartIteratedLinial(api, members, parents, A, sink, func(c int) engine.Step {
-		return StartKWReduce(api, members, c, LinialFinalPalette(api.N(), A), A, sink, done)
-	})
+	d := new(DeltaPlus1)
+	return startMachine(d, d.Start(api, members, A), sink, done)
 }
 
 // StartCVForests is the step form of CVForests.

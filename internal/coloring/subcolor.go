@@ -1,6 +1,8 @@
 package coloring
 
 import (
+	"sync"
+
 	"vavg/internal/engine"
 	"vavg/internal/wire"
 )
@@ -8,7 +10,8 @@ import (
 // Sink consumes messages that a coloring subroutine receives but does not
 // itself understand (Join announcements, terminations, foreign traffic).
 // Composed algorithms pass their partition tracker's Absorb here so that
-// active-degree accounting stays correct while a subroutine runs.
+// active-degree accounting stays correct while a subroutine runs. Like an
+// inbox, msgs is valid only during the call.
 type Sink func(msgs []engine.Msg)
 
 // NopSink ignores stray messages.
@@ -121,9 +124,26 @@ func IteratedLinialRounds(n, A int) int {
 	return steps - 1
 }
 
+// kwPhasesMemo memoizes kwPhases like linialScheduleMemo: every vertex of
+// a run needs the same schedule, at boot (through KWRounds) and in KW.
+var kwPhasesMemo sync.Map // linialKey{m, A} -> []int
+
 // kwPhases returns the palette sizes at the start of each KW halving
-// phase, beginning at m and ending when the palette is at most A+1.
+// phase, beginning at m and ending when the palette is at most A+1. The
+// schedule is memoized per (m, A): repeat calls return the same backing
+// array, which callers must treat as read-only.
 func kwPhases(m, A int) []int {
+	key := linialKey{m, A}
+	if v, ok := kwPhasesMemo.Load(key); ok {
+		return v.([]int)
+	}
+	// LoadOrStore, so that racing first callers all return one array.
+	v, _ := kwPhasesMemo.LoadOrStore(key, kwPhasesSearch(m, A))
+	return v.([]int)
+}
+
+// kwPhasesSearch is kwPhases without the memo.
+func kwPhasesSearch(m, A int) []int {
 	var phases []int
 	for m > A+1 {
 		phases = append(phases, m)

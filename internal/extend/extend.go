@@ -49,7 +49,13 @@ func (f *finals) absorb(api *engine.API, msgs []engine.Msg) {
 
 // sameSetMembers returns the neighbor indices in this vertex's own H-set.
 func sameSetMembers(tr *hpartition.Tracker) []int {
-	var members []int
+	n := 0
+	for _, h := range tr.NbrH {
+		if h == tr.HIndex {
+			n++
+		}
+	}
+	members := make([]int, 0, n)
 	for k, h := range tr.NbrH {
 		if h == tr.HIndex {
 			members = append(members, k)

@@ -118,52 +118,99 @@ func (p listColorProblem) StartSolve(api *engine.API, ctx *HSetContext) engine.S
 	})
 }
 
+// frameworkVertex is one vertex of FrameworkStep until it hands off to
+// StartSolve: its partition tracker, the finals it has heard, its H-set
+// context and the set's (A+1)-coloring, driven by one StepFn that
+// dispatches on phase.
+type frameworkVertex struct {
+	api   *engine.API
+	p     StepProblem
+	w     int // iteration window width
+	tr    hpartition.Tracker
+	fin   finals
+	ctx   HSetContext
+	dp1   coloring.DeltaPlus1
+	phase fwPhase
+	fn    engine.StepFn // v.turn, bound once
+}
+
+type fwPhase uint8
+
+const (
+	fwWindow fwPhase = iota // partition advance at the top of a window
+	fwTail                  // sleep through the window's remainder
+	fwJoined                // the join round's tail
+	fwSettle                // settle round: build the context, start coloring
+	fwColor                 // (A+1)-coloring of the H-set
+)
+
 // FrameworkStep is the step form of Framework.
 func FrameworkStep(a int, eps float64, p StepProblem) engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
-		A := hpartition.ParamA(a, eps)
-		W := FrameworkWindow(api.N(), a, eps, p)
-		tr := hpartition.NewTracker(api, a, eps)
-		fin := newFinals()
-		sink := func(ms []engine.Msg) { tr.Absorb(api, ms); fin.absorb(api, ms) }
-
-		settle := func(api *engine.API, inbox []engine.Msg) engine.Step {
-			sink(inbox)
-			ctx := &HSetContext{
-				A:       A,
-				Tracker: tr,
-				Members: sameSetMembers(tr),
-				Finals:  fin.byIdx,
-				Sink:    sink,
-			}
-			return coloring.StartDeltaPlus1OnSet(api, ctx.Members, A, sink, func(c int) engine.Step {
-				ctx.SetColor = c
-				return p.StartSolve(api, ctx)
-			})
+		v := &frameworkVertex{
+			api: api,
+			p:   p,
+			w:   FrameworkWindow(api.N(), a, eps, p),
+			fin: finals{byIdx: map[int]any{}},
 		}
-		js1 := func(api *engine.API, inbox []engine.Msg) engine.Step {
-			sink(inbox)
-			return engine.Continue(settle)
-		}
-		var window, tail engine.StepFn
-		window = func(api *engine.API, inbox []engine.Msg) engine.Step {
-			sink(inbox)
-			if tr.Advance(api) {
-				return engine.Continue(js1)
-			}
-			return engine.Continue(tail)
-		}
-		tail = func(api *engine.API, inbox []engine.Msg) engine.Step {
-			sink(inbox)
-			return engine.Sleep(W-1, window)
-		}
-		return func(api *engine.API, _ []engine.Msg) engine.Step {
-			if tr.Advance(api) {
-				return engine.Continue(js1)
-			}
-			return engine.Continue(tail)
-		}
+		v.tr.Init(api, a, eps)
+		v.fn = v.turn
+		return v.fn
 	}
+}
+
+func (v *frameworkVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
+	if v.phase == fwColor {
+		if v.dp1.Turn(api, inbox, v) {
+			return v.solve(api)
+		}
+		return engine.Continue(v.fn)
+	}
+	// Every other phase absorbs its whole inbox.
+	v.sink(inbox)
+	switch v.phase {
+	case fwWindow:
+		v.phase = fwTail
+		if v.tr.Advance(api) {
+			v.phase = fwJoined
+		}
+		return engine.Continue(v.fn)
+	case fwTail:
+		v.phase = fwWindow
+		return engine.Sleep(v.w-1, v.fn)
+	case fwJoined:
+		v.phase = fwSettle
+		return engine.Continue(v.fn)
+	}
+	v.ctx = HSetContext{
+		A:       v.tr.A,
+		Tracker: &v.tr,
+		Members: sameSetMembers(&v.tr),
+		Finals:  v.fin.byIdx,
+		Sink:    v.sink,
+	}
+	v.phase = fwColor
+	if v.dp1.Start(api, v.ctx.Members, v.ctx.A) {
+		return v.solve(api)
+	}
+	return engine.Continue(v.fn)
+}
+
+// solve hands the colored H-set to the problem.
+func (v *frameworkVertex) solve(api *engine.API) engine.Step {
+	v.ctx.SetColor = v.dp1.Color()
+	return v.p.StartSolve(api, &v.ctx)
+}
+
+// sink feeds messages to the partition bookkeeping and the finals.
+func (v *frameworkVertex) sink(msgs []engine.Msg) {
+	v.tr.Absorb(v.api, msgs)
+	v.fin.absorb(v.api, msgs)
+}
+
+// Stray sinks a message the coloring machine does not understand.
+func (v *frameworkVertex) Stray(_ *engine.API, m engine.Msg) {
+	v.sink([]engine.Msg{m})
 }
 
 // DeltaPlus1Step is the step form of DeltaPlus1.

@@ -67,7 +67,8 @@ type Join struct {
 }
 
 // Tracker is the per-vertex state of Procedure Partition, for use inside
-// larger vertex programs. The zero value is not usable; call NewTracker.
+// larger vertex programs. The zero value is not usable; call NewTracker,
+// or Init on a Tracker embedded by value in a per-vertex struct.
 type Tracker struct {
 	// A is the active-degree threshold.
 	A int
@@ -82,7 +83,14 @@ type Tracker struct {
 
 // NewTracker initializes partition state for the calling vertex.
 func NewTracker(api *engine.API, a int, eps float64) *Tracker {
-	return &Tracker{
+	t := new(Tracker)
+	t.Init(api, a, eps)
+	return t
+}
+
+// Init (re)initializes t as the calling vertex's partition state.
+func (t *Tracker) Init(api *engine.API, a int, eps float64) {
+	*t = Tracker{
 		A:         ParamA(a, eps),
 		NbrH:      make([]int32, api.Degree()),
 		activeDeg: api.Degree(),

@@ -95,7 +95,8 @@ func Sweep(alg Algorithm, gen func(n int) *Graph, sizes []int, seeds []int64, p 
 
 // VertexAvgGrowth fits vertexAvg ~ c * (log n)^e over the sweep and
 // returns e: a flat (O(1)-like) series fits e near 0, a Theta(log n)
-// series fits e near 1.
+// series fits e near 1. A sweep of fewer than two distinct sizes has no
+// slope to fit, and VertexAvgGrowth returns NaN.
 func (s *SweepResult) VertexAvgGrowth() float64 {
 	xs := make([]float64, len(s.Points))
 	ys := make([]float64, len(s.Points))
