@@ -43,6 +43,27 @@ func hotBoxesByAssignment(k int, y any) any {
 	return x
 }
 
+type slot struct {
+	data any
+	ival int64
+}
+
+// hotBoxesByField stores concrete values into an interface-typed field of
+// a struct composite literal, keyed or positional: the field store boxes
+// just as an assignment does. Interface values, nil and non-interface
+// fields convert nothing.
+//
+//vavg:hotpath
+func hotBoxesByField(k int, y any) []slot {
+	return []slot{
+		{data: k},            // want "composite literal boxes int into interface field data"
+		{int64(k), int64(k)}, // want "composite literal boxes int64 into interface field data"
+		{data: y, ival: 1},
+		{data: nil},
+		{ival: int64(k)},
+	}
+}
+
 // hotCapped appends into a parameter and a preallocated slice — both
 // trusted by the engine's reuse discipline.
 //

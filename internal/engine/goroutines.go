@@ -12,17 +12,11 @@ type goRuntime struct {
 	wake []chan struct{}
 }
 
-// deliver writes the slab slot directly: every vertex has its own
-// goroutine and is woken every round regardless, so no wake bookkeeping
-// is needed.
-//
-//vavg:hotpath
-func (rt *goRuntime) deliver(a *API, p int32, c cell) {
-	a.core.sendBuf[a.core.g.Rev[p]] = c
-}
+// delivered needs no wake bookkeeping: every vertex has its own goroutine
+// and is woken every round regardless.
+func (rt *goRuntime) delivered(*API, int32) {}
 
 func (rt *goRuntime) next(a *API, buf []Msg) []Msg {
-	a.flush()
 	a.round++
 	rt.c.rounds[a.v] = a.round
 	rt.wg.Done()
@@ -78,7 +72,11 @@ func runGoroutines(g *graph.Graph, prog Program, opts Options) (*Result, error) 
 	round := 0
 	for {
 		round++
-		activePerRound = append(activePerRound, len(active))
+		if !c.aborted {
+			// An aborted run wakes its vertices once more only to unwind
+			// them; that wake executes no round and gets no entry.
+			activePerRound = append(activePerRound, len(active))
+		}
 		rt.wg.Wait() // all active vertices finished this round
 
 		// Drop vertices that terminated this round.
@@ -102,7 +100,7 @@ func runGoroutines(g *graph.Graph, prog Program, opts Options) (*Result, error) 
 		}
 		// Reboot vertices whose restart round is the one just woken: the
 		// fresh incarnation is spawned after the buffer swap so its first
-		// flush writes the live send buffer, and it joins the active list so
+		// send writes the live send buffer, and it joins the active list so
 		// the next ActivePerRound entry counts it. An aborted run reboots
 		// nobody (matching the step runner's degradation accounting).
 		if c.aborted {

@@ -46,9 +46,10 @@ import (
 //	       shards in ascending order.
 //
 // A slot is written in program order by its one sender, so last-write-
-// wins slot semantics hold exactly; lane entries are appended in
+// wins slot semantics hold exactly; a receiver is staged once per slot and
+// round, on the slot's first write, and lane entries are appended in
 // ascending sender order (turns run in vertex order), so the merge notes
-// wakes in (source shard, sender vertex, slot) order. Results are
+// wakes in (source shard, sender vertex, first write) order. Results are
 // therefore byte-identical at any worker count — and at any shard count,
 // since every observable is keyed by (vertex, round), never by shard
 // layout.
@@ -172,7 +173,8 @@ const laneHeaderPad = cacheLine - (3*unsafe.Sizeof(uintptr(0)))%cacheLine
 // sender writes the slab slot itself; the lane only tells the destination
 // shard's merge whose wake bookkeeping to update. buf is a window of the
 // run's lane slab with room for every cut edge from src to dst (see
-// carveLanes), so a round with one delivery per edge never allocates.
+// carveLanes); a receiver is staged at most once per slot and round, so a
+// round never outgrows the window and never allocates.
 // The header's len field is an append cursor bumped on every cross-shard
 // delivery of the exec phase; lanes[src*nshards+dst] lays a worker's row
 // of cursors contiguously, so without padding worker A appending to its
@@ -257,19 +259,14 @@ type stepRuntime struct {
 
 func (rt *stepRuntime) shardOf(v int32) *stepShard { return rt.shards[v/rt.shardSize] }
 
-// deliver routes one slot write. Every delivery writes its slab slot
-// directly: the slot has one writer (the sender), and the round barrier
-// orders the write before the receiver's read, whichever shard the
-// receiver is in. Same-shard deliveries also update the shard's wake
-// bookkeeping (the calling worker owns it); cross-shard ones stage the
-// receiver in the source→destination lane for the round-barrier merge.
-// No locks, no atomics, on either path.
+// delivered notes one delivery to recv, whose slab slot the sender has
+// already written (see API.put). Same-shard receivers get their wake
+// bookkeeping updated directly (the calling worker owns it); cross-shard
+// ones are staged in the source→destination lane for the round-barrier
+// merge. No locks, no atomics, on either path.
 //
 //vavg:hotpath
-func (rt *stepRuntime) deliver(a *API, p int32, c cell) {
-	g := a.core.g
-	recv := g.Adj[p]
-	rt.c.sendBuf[g.Rev[p]] = c
+func (rt *stepRuntime) delivered(a *API, recv int32) {
 	d := recv / rt.shardSize
 	if src := a.v / rt.shardSize; src != d {
 		l := &rt.lanes[src*int32(len(rt.shards))+d]
@@ -318,9 +315,10 @@ func (s *stepShard) applyLanes(rt *stepRuntime) {
 
 // carveLanes gives every (source, destination) shard pair a lane window of
 // the run scratch's lane slab with capacity for its cut edges, counted in
-// one O(m) pass. A round delivers at most once per directed edge unless a
-// sender overwrites a slot (a repeated broadcast), and the three-index
-// carve sends that overflow to the heap, never into the neighboring lane.
+// one O(m) pass. A round stages each receiver at most once per directed
+// edge (rewrites of a slot are not staged again), so a lane never
+// outgrows its window; the three-index carve would send any overflow to
+// the heap, never into the neighboring lane.
 func (rt *stepRuntime) carveLanes() {
 	nsh := int32(len(rt.shards))
 	g := rt.c.g
@@ -375,7 +373,6 @@ func (rt *stepRuntime) turn(a *API, fn StepFn) (st Step, ok bool) {
 
 func (rt *stepRuntime) trap(a *API, ok *bool) {
 	if p := recover(); p != nil {
-		a.releaseOutbox()
 		rt.c.panics[a.v] = vertexPanic{val: p, round: a.round + 1}
 		rt.c.done[a.v] = true
 		*ok = false
@@ -423,9 +420,8 @@ func (s *stepShard) runRound(rt *stepRuntime, apis []API, w int32) {
 		}
 	}
 	// Mass wakes are normal (a whole segment's window expiring at once
-	// wakes O(n) sleepers in one round), so this must be a real sort —
-	// the insertion sort used for degree-bounded dirty lists would be
-	// quadratic here.
+	// wakes O(n) sleepers in one round), so this must be a real sort: an
+	// insertion sort would be quadratic here.
 	slices.Sort(s.woken)
 	// Drain this round's deliveries into still-sleeping receivers' inboxes
 	// (in delivery-round order, so a later wake sees the same accumulated
@@ -508,17 +504,14 @@ func (s *stepShard) runRound(rt *stepRuntime, apis []API, w int32) {
 		switch {
 		case st.done:
 			// The exact final-round sequence of runVertex: broadcast the
-			// output, deliver, terminate.
+			// output, terminate.
 			a.Broadcast(Final{Output: st.out})
-			a.flush()
-			a.releaseOutbox()
 			a.round++
 			c.rounds[v] = a.round
 			c.output[v] = st.out
 			c.done[v] = true
 			s.live--
 		case st.sleep > 1:
-			a.flush()
 			a.round++
 			c.rounds[v] = a.round
 			// The window's messages accumulate into a fresh inbox (the turn
@@ -529,7 +522,6 @@ func (s *stepShard) runRound(rt *stepRuntime, apis []API, w int32) {
 			s.wakeAt[li] = e
 			heapPush(&s.timers, idleEntry{e, v})
 		default:
-			a.flush()
 			a.round++
 			c.rounds[v] = a.round
 			s.fns[li] = st.next

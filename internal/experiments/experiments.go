@@ -491,7 +491,7 @@ func runRingReference(cfg Config) error {
 			ln = 2048
 		}
 		g := vavg.RingShuffled(ln, int64(ln))
-		res, err := engine.Run(g, baseline.LeaderElectionRing(),
+		res, err := engine.RunSpec(g, engine.Spec{Step: baseline.LeaderElectionRingStep()},
 			engine.Options{Seed: 1, MaxRounds: 64 * ln})
 		if err != nil {
 			return err

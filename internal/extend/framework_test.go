@@ -2,6 +2,7 @@ package extend
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"vavg/internal/check"
@@ -79,5 +80,52 @@ func TestListColoringDegPlusOneIsDeltaPlus1(t *testing.T) {
 	}
 	if err := check.VertexColoring(g, Colors(res.Output), g.MaxDegree()+1); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestListColoringStepMatchesBlocking pins ListColoringStep, the form
+// vavg.ListColoring runs, to the blocking ListColoring on caller-supplied
+// lists that are not a prefix of the palette: strided, offset per vertex,
+// overlapping between neighbors, and reversed on odd vertices, so the
+// list order (the first untaken color wins) matters too. Results must be
+// equal apart from Shards, which records the step runner's layout.
+func TestListColoringStepMatchesBlocking(t *testing.T) {
+	graphs := []*graph.Graph{
+		graph.ForestUnion(300, 3, 7),
+		graph.Gnm(200, 600, 3),
+		graph.Star(50),
+		graph.Grid(12, 12),
+	}
+	for _, g := range graphs {
+		list := func(v int) []int {
+			out := make([]int, g.Degree(v)+1)
+			for i := range out {
+				out[i] = (v%4)*3 + 2*i
+			}
+			if v%2 == 1 {
+				slices.Reverse(out)
+			}
+			return out
+		}
+		a := graph.Degeneracy(g) // an upper bound on the arboricity
+		for _, seed := range []int64{1, 9} {
+			opts := engine.Options{Seed: seed, MaxRounds: 1 << 20}
+			want, err := engine.Run(g, ListColoring(a, 2, list), opts)
+			if err != nil {
+				t.Fatalf("%s seed %d blocking: %v", g.Name, seed, err)
+			}
+			got, err := engine.RunSpec(g, engine.Spec{Step: ListColoringStep(a, 2, list)}, opts)
+			if err != nil {
+				t.Fatalf("%s seed %d step: %v", g.Name, seed, err)
+			}
+			got.Shards = 0
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("%s seed %d: step Result differs from blocking (RoundSum %d vs %d, Messages %d vs %d)",
+					g.Name, seed, want.RoundSum, got.RoundSum, want.Messages, got.Messages)
+			}
+			if err := check.VertexColoring(g, Colors(got.Output), 0); err != nil {
+				t.Errorf("%s seed %d: %v", g.Name, seed, err)
+			}
+		}
 	}
 }

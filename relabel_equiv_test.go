@@ -22,11 +22,9 @@ import (
 // at GOMAXPROCS=4.
 //
 // The unrelabeled baseline is computed once per (algorithm, fault,
-// form): the cross-form contract only covers converged runs — a
-// budget-exhausted (DNF) abort snapshots runner-specific partial-round
-// bookkeeping — so relabeled runs compare against their own form's base,
-// and worker invariance (gated separately) covers the P axis of that
-// base.
+// form), so relabeled runs compare against their own form's base: form
+// agreement, DNF runs included, is gated by the cross-form suites, and
+// worker invariance (gated separately) covers the P axis of that base.
 func TestRelabelEquivalenceRegistry(t *testing.T) {
 	forest := ForestUnion(160, 3, 7)
 	ring := Ring(160)

@@ -77,11 +77,11 @@ func repairBudget(base int) int {
 }
 
 // repairEpoch re-executes one epoch's affected vertices on the updated
-// graph. Every other vertex is frozen: its program immediately returns
-// its prior output, so it terminates in one round after re-broadcasting
-// that output to its (possibly new) neighbors — the surviving state the
-// affected region recomputes against. Crashed-forever vertices stay
-// frozen at nil. The repair reuses the scenario's drop probability with
+// graph, running the algorithm's step form. Every other vertex is frozen:
+// its first turn returns Done with its prior output, so it terminates in
+// one round after re-broadcasting that output to its (possibly new)
+// neighbors — the surviving state the affected region recomputes
+// against. Crashed-forever vertices stay frozen at nil. The repair reuses the scenario's drop probability with
 // an epoch-derived seed, so losses stay i.i.d. across epochs yet the
 // whole dynamic run remains a pure function of (seeds, spec).
 //
@@ -101,10 +101,13 @@ func repairEpoch(alg Algorithm, cur *Graph, p Params, spec *scenario.Spec, i int
 		}
 	}
 	prior := res.Output
-	prog := alg.program(p)
-	base := func(api *engine.API) any {
+	prog := alg.step(p)
+	frozenTurn := func(api *engine.API, _ []engine.Msg) engine.Step {
+		return engine.Done(prior[api.ID()])
+	}
+	base := func(api *engine.API) engine.StepFn {
 		if frozen[api.ID()] {
-			return prior[api.ID()]
+			return frozenTurn
 		}
 		return prog(api)
 	}
@@ -118,7 +121,7 @@ func repairEpoch(alg Algorithm, cur *Graph, p Params, spec *scenario.Spec, i int
 			return false
 		}
 	}
-	rres, err := engine.RunSpec(cur, engine.Spec{Program: base}, engine.Options{
+	rres, err := engine.RunSpec(cur, engine.Spec{Step: base}, engine.Options{
 		Seed: epochSeed, MaxRounds: repairBudget(res.TotalRounds), Adv: radv,
 	})
 	if rres == nil {

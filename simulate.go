@@ -47,14 +47,15 @@ func NewReport(name string, g *Graph, p Params, res *SimResult) Report {
 // through the general extension framework (Theorem 8.2): every vertex v
 // ends with a color from list(v), which must contain at least deg(v)+1
 // colors, adjacent vertices differ, and the vertex-averaged complexity is
-// a function of the arboricity rather than of Delta. The outputs are
-// validated before returning.
+// a function of the arboricity rather than of Delta. It runs the
+// framework's step form, and the outputs are validated before returning.
 func ListColoring(g *Graph, p Params, list func(v int) []int) (Report, []int, error) {
 	p = p.withDefaults(g)
 	if err := p.validate(); err != nil {
 		return Report{}, nil, err
 	}
-	res, err := Simulate(g, extend.ListColoring(p.Arboricity, p.Eps, list), p)
+	spec := engine.Spec{Step: extend.ListColoringStep(p.Arboricity, p.Eps, list)}
+	res, err := engine.RunSpec(g, spec, engine.Options{Seed: p.Seed, MaxRounds: p.MaxRounds})
 	if err != nil {
 		return Report{}, nil, err
 	}

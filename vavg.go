@@ -179,10 +179,9 @@ type Algorithm struct {
 	// Palette returns the concrete palette budget for validation, or 0 to
 	// skip the budget audit.
 	Palette func(n int, p Params) int
-	// program builds the blocking per-vertex form. Runs execute step, so
-	// program is built only where it runs: as the reference the
-	// equivalence suites pin step to, and inside scenario repair epochs,
-	// which wrap it (see repairEpoch).
+	// program builds the blocking per-vertex form. Every run executes
+	// step, scenario repair epochs included (see repairEpoch), so program
+	// is built only as the reference the equivalence suites pin step to.
 	program func(p Params) engine.Program
 	// step builds the per-round state-machine form of the same program,
 	// which every run executes on the engine's step runner. The two forms
