@@ -31,7 +31,6 @@ package arbdefect
 
 import (
 	"math"
-	"sort"
 
 	"vavg/internal/coloring"
 	"vavg/internal/engine"
@@ -86,13 +85,7 @@ func stage(api *engine.API, tr *hpartition.Tracker, prm Params, lo, hi int32, sy
 
 	// Per-set (A+1)-coloring, all sets of the stage in parallel.
 	i := tr.HIndex
-	var members []int
-	for k, h := range tr.NbrH {
-		if h == i {
-			members = append(members, k)
-		}
-	}
-	setColor := coloring.DeltaPlus1OnSet(api, members, A, sink)
+	setColor := coloring.DeltaPlus1OnSet(api, coloring.SetMembers(tr), A, sink)
 	nbrSet := map[int]int{}
 	coloring.BroadcastChosen(api, stageKind, int32(setColor))
 	for _, m := range api.Next() {
@@ -113,12 +106,6 @@ func stage(api *engine.API, tr *hpartition.Tracker, prm Params, lo, hi int32, sy
 			parents = append(parents, k)
 		}
 	}
-	stageMember := map[int]bool{}
-	for k, h := range tr.NbrH {
-		if h > lo && h <= hi {
-			stageMember[k] = true
-		}
-	}
 
 	// Arbdefective levels along the orientation.
 	k := prm.classK()
@@ -130,8 +117,8 @@ func stage(api *engine.API, tr *hpartition.Tracker, prm Params, lo, hi int32, sy
 	path := int64(0)
 	// choices[k][l] is neighbor k's class choice at level l; paths[k][l]
 	// the path it announced alongside.
-	choices := make(map[int][]int32, len(stageMember))
-	paths := make(map[int][]int64, len(stageMember))
+	choices := map[int][]int32{}
+	paths := map[int][]int64{}
 	recv := func(msgs []engine.Msg) {
 		for _, m := range msgs {
 			cm, ok := m.Data.(classMsg)
@@ -196,40 +183,9 @@ func stage(api *engine.API, tr *hpartition.Tracker, prm Params, lo, hi int32, sy
 	for api.Round() < waveEnd {
 		recv(api.Next())
 	}
-	// Sorted members: leafMembers parameterizes the iterated-Linial
-	// coloring below, so its order must not inherit map-iteration order.
-	ordered := make([]int, 0, len(stageMember))
-	for kk := range stageMember {
-		ordered = append(ordered, kk)
-	}
-	sort.Ints(ordered)
-	var leafMembers []int
-	for _, kk := range ordered {
-		same := true
-		for l := 0; l < numLevels; l++ {
-			if len(paths[kk]) <= l || paths[kk][l]*int64(k)+int64(choices[kk][l]) !=
-				pathPrefix(path, k, numLevels, l+1) {
-				same = false
-				break
-			}
-		}
-		if same {
-			leafMembers = append(leafMembers, kk)
-		}
-	}
-	leafParents := parents
-	c := coloring.IteratedLinial(api, leafMembers, leafParents, prm.C, sink)
+	c := coloring.IteratedLinial(api, parents, prm.C, sink)
 	P := coloring.LinialFinalPalette(n, prm.C)
 	return base + int(path)*P + c
-}
-
-// pathPrefix returns the first `depth` choices of path (which has
-// numLevels choices in base k), re-encoded as a path value.
-func pathPrefix(path int64, k, numLevels, depth int) int64 {
-	for i := depth; i < numLevels; i++ {
-		path /= int64(k)
-	}
-	return path
 }
 
 const stageKind = 5
@@ -261,22 +217,9 @@ func OnePlusEta(a int, eps float64, C int) engine.Program {
 	return func(api *engine.API) any {
 		n := api.N()
 		prm := Params{A: a, Eps: eps, C: C}
-		A := hpartition.ParamA(a, eps)
 		tr := hpartition.NewTracker(api, a, eps)
-		r := int(math.Ceil(2 * math.Log2(math.Max(2, math.Log2(float64(max(n, 4)))))))
-		ell := hpartition.EllBound(n, eps)
-		if r > ell {
-			r = ell
-		}
-		dp1 := coloring.DeltaPlus1Rounds(n, A)
-		numLevels := prm.levels(A)
+		r, ell, hSync, rSync := schedule(n, prm)
 		block := StageBlock(n, prm)
-
-		// Stage schedules (identical at every vertex).
-		hSync := r + 2
-		hEnd := hSync + dp1 + 1 + numLevels*((A+1)*r+3) + 2 +
-			coloring.IteratedLinialRounds(n, prm.C) + 2
-		rSync := maxInt(ell+2, hEnd)
 
 		for int32(api.Round()) < int32(r) && tr.HIndex == 0 {
 			tr.Step(api)
@@ -300,11 +243,19 @@ func OnePlusEta(a int, eps float64, C int) engine.Program {
 	}
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+// schedule returns OnePlusEta's round schedule, identical at every
+// vertex: the vertices that join in the first r partition rounds form H,
+// the partition completes by round ell, and the stages of H and of the
+// residual start their colorings in rounds hSync and rSync.
+func schedule(n int, prm Params) (r, ell, hSync, rSync int) {
+	A := hpartition.ParamA(prm.A, prm.Eps)
+	r = int(math.Ceil(2 * math.Log2(math.Max(2, math.Log2(float64(max(n, 4)))))))
+	ell = hpartition.EllBound(n, prm.Eps)
+	r = min(r, ell)
+	hSync = r + 2
+	hEnd := hSync + coloring.DeltaPlus1Rounds(n, A) + 1 + prm.levels(A)*((A+1)*r+3) + 2 +
+		coloring.IteratedLinialRounds(n, prm.C) + 2
+	return r, ell, hSync, max(ell+2, hEnd)
 }
 
 // LegalColoringWC is the worst-case counterpart of OnePlusEta: Procedure

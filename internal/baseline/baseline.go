@@ -38,14 +38,7 @@ import (
 // settle round, then local orientation and labeling.
 func wcDecomp(api *engine.API, a int, eps float64) *forest.Decomp {
 	d := forest.NewDecomp(api, a, eps)
-	ell := hpartition.EllBound(api.N(), eps)
-	for d.Tr.HIndex == 0 {
-		d.StepJoin(api)
-	}
-	for api.Round() < ell {
-		d.Tr.Absorb(api, api.Next())
-	}
-	d.Settle(api)
+	d.JoinAndSettle(api, hpartition.EllBound(api.N(), eps))
 	return d
 }
 
@@ -64,13 +57,7 @@ func ForestDecompositionWC(a int, eps float64) engine.Program {
 // every vertex.
 func ArbLinialWC(a int, eps float64) engine.Program {
 	return func(api *engine.API) any {
-		d := wcDecomp(api, a, eps)
-		ids := api.NeighborIDs()
-		parents := make([]int, len(d.OutIdx))
-		for j, k := range d.OutIdx {
-			parents[j] = int(ids[k])
-		}
-		return coloring.LinialStep(api.N(), d.Tr.A, api.ID(), parents)
+		return coloring.LinialFromIDs(api, wcDecomp(api, a, eps))
 	}
 }
 
@@ -80,14 +67,7 @@ func ArbLinialWC(a int, eps float64) engine.Program {
 func IteratedArbLinialWC(a int, eps float64) engine.Program {
 	return func(api *engine.API) any {
 		d := wcDecomp(api, a, eps)
-		var members, parents []int
-		for k := 0; k < api.Degree(); k++ {
-			members = append(members, k)
-		}
-		for _, k := range d.OutIdx {
-			parents = append(parents, k)
-		}
-		return coloring.IteratedLinial(api, members, parents, d.Tr.A,
+		return coloring.IteratedLinial(api, d.OutIdx, d.Tr.A,
 			func(ms []engine.Msg) { d.Tr.Absorb(api, ms) })
 	}
 }
@@ -98,34 +78,7 @@ func IteratedArbLinialWC(a int, eps float64) engine.Program {
 func ArbColorWC(a int, eps float64) engine.Program {
 	return func(api *engine.API) any {
 		d := wcDecomp(api, a, eps)
-		parentFinal := map[int]int{}
-		for {
-			ready := true
-			for _, k := range d.OutIdx {
-				if _, ok := parentFinal[k]; !ok {
-					ready = false
-					break
-				}
-			}
-			if ready {
-				used := map[int]bool{}
-				for _, k := range d.OutIdx {
-					used[parentFinal[k]] = true
-				}
-				for c := 0; ; c++ {
-					if !used[c] {
-						return c
-					}
-				}
-			}
-			for _, m := range api.Next() {
-				if f, ok := m.Data.(engine.Final); ok {
-					if c, ok := f.Output.(int); ok {
-						parentFinal[api.NeighborIndex(m.From)] = c
-					}
-				}
-			}
-		}
+		return coloring.RecolorWave(api, d.OutIdx, 0)
 	}
 }
 
@@ -135,15 +88,8 @@ func ArbColorWC(a int, eps float64) engine.Program {
 func MISByColoringWC(a int, eps float64) engine.Program {
 	return func(api *engine.API) any {
 		d := wcDecomp(api, a, eps)
-		var members, parents []int
-		for k := 0; k < api.Degree(); k++ {
-			members = append(members, k)
-		}
-		for _, k := range d.OutIdx {
-			parents = append(parents, k)
-		}
 		sink := func(ms []engine.Msg) { d.Tr.Absorb(api, ms) }
-		c := coloring.IteratedLinial(api, members, parents, d.Tr.A, sink)
+		c := coloring.IteratedLinial(api, d.OutIdx, d.Tr.A, sink)
 		palette := coloring.LinialFinalPalette(api.N(), d.Tr.A)
 		inMIS, dominated := false, false
 		for cls := 0; cls < palette; cls++ {

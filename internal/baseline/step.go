@@ -11,147 +11,155 @@ import (
 // reproduces one round of the blocking form, so the two forms are
 // byte-identical.
 
-// startWCDecomp is the step form of wcDecomp; done runs in the settle
-// turn, mirroring wcDecomp's return.
-func startWCDecomp(api *engine.API, a int, eps float64,
-	done func(d *forest.Decomp) engine.Step) engine.Step {
-	d := forest.NewDecomp(api, a, eps)
-	return d.StartWC(api, hpartition.EllBound(api.N(), eps), func() engine.Step {
-		return done(d)
-	})
+// wcVertex is one vertex of the step forms built on the worst-case
+// decomposition: the decomposition, then what its algorithm runs after
+// it, driven by one StepFn that dispatches on phase.
+type wcVertex struct {
+	alg   wcAlg
+	ell   int // the partition bound, where every vertex settles
+	d     forest.Decomp
+	lin   coloring.Linial
+	wave  coloring.Wave
+	phase wcPhase
+	// The MIS sweep's current class, and its class count.
+	cls, palette     int
+	inMIS, dominated bool
+	fn               engine.StepFn // v.turn, bound once
+}
+
+// wcAlg is the algorithm a wcVertex runs after the decomposition.
+type wcAlg uint8
+
+const (
+	wcForest   wcAlg = iota // forest-decomp-wc: the decomposition itself
+	wcOneStep               // arblinial-wc: one local Linial step
+	wcIterated              // iterated-arblinial-wc: iterated Linial
+	wcArbColor              // arbcolor-wc: the recolor wave
+	wcMIS                   // mis-wc: iterated Linial, then the class sweep
+)
+
+type wcPhase uint8
+
+const (
+	wcDecompose wcPhase = iota // the worst-case decomposition
+	wcLinial                   // iterated Linial along the orientation
+	wcWave                     // recolor wave along the orientation
+	wcSweep                    // MIS color-class sweep
+)
+
+// wcStep builds the step form that runs alg after the worst-case
+// decomposition.
+func wcStep(alg wcAlg, a int, eps float64) engine.StepProgram {
+	return func(api *engine.API) engine.StepFn {
+		v := &wcVertex{alg: alg, ell: hpartition.EllBound(api.N(), eps)}
+		v.d.Tr.Init(api, a, eps)
+		v.fn = v.turn
+		return v.fn
+	}
+}
+
+func (v *wcVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
+	switch v.phase {
+	case wcDecompose:
+		if wait, done := v.d.Turn(api, inbox, v.ell); !done {
+			return engine.Sleep(wait, v.fn)
+		}
+		return v.settled(api)
+	case wcLinial:
+		if v.lin.Turn(api, inbox, v) {
+			return v.colored(api)
+		}
+		return engine.Continue(v.fn)
+	case wcWave:
+		return v.recolor(v.wave.Turn(api, inbox))
+	}
+	for _, m := range inbox {
+		if _, ok := coloring.AsChosen(m, wcMISKind); ok {
+			v.dominated = true
+		}
+	}
+	v.cls++
+	if v.cls == v.palette {
+		return engine.Done(v.inMIS)
+	}
+	return v.sweep(api)
+}
+
+// settled starts what the algorithm runs on the settled decomposition.
+func (v *wcVertex) settled(api *engine.API) engine.Step {
+	switch v.alg {
+	case wcForest:
+		return engine.Done(v.d.Output(api))
+	case wcOneStep:
+		return engine.Done(coloring.LinialFromIDs(api, &v.d))
+	case wcArbColor:
+		v.phase = wcWave
+		return v.recolor(v.wave.Start(v.d.OutIdx, 0))
+	}
+	v.phase = wcLinial
+	if v.lin.Start(api, v.d.OutIdx, v.d.Tr.A) {
+		return v.colored(api)
+	}
+	return engine.Continue(v.fn)
+}
+
+// colored ends iterated Linial: with its color, or with the MIS sweep
+// over its color classes.
+func (v *wcVertex) colored(api *engine.API) engine.Step {
+	if v.alg == wcIterated {
+		return engine.Done(v.lin.Color())
+	}
+	v.phase = wcSweep
+	v.palette = coloring.LinialFinalPalette(api.N(), v.d.Tr.A)
+	return v.sweep(api)
+}
+
+// sweep takes one class round: in its own class an undominated vertex
+// joins the MIS.
+func (v *wcVertex) sweep(api *engine.API) engine.Step {
+	if v.cls == v.lin.Color() && !v.dominated {
+		v.inMIS = true
+		coloring.BroadcastChosen(api, wcMISKind, 1)
+	}
+	return engine.Continue(v.fn)
+}
+
+// recolor terminates with the wave's color once it is done.
+func (v *wcVertex) recolor(done bool) engine.Step {
+	if done {
+		return engine.Done(v.wave.Color())
+	}
+	return engine.Continue(v.fn)
+}
+
+// Stray absorbs a message the Linial machine does not understand.
+func (v *wcVertex) Stray(api *engine.API, m engine.Msg) {
+	v.d.Tr.Absorb(api, []engine.Msg{m})
 }
 
 // ForestDecompositionWCStep is the step form of ForestDecompositionWC.
 func ForestDecompositionWCStep(a int, eps float64) engine.StepProgram {
-	return func(api *engine.API) engine.StepFn {
-		return func(api *engine.API, _ []engine.Msg) engine.Step {
-			return startWCDecomp(api, a, eps, func(d *forest.Decomp) engine.Step {
-				return engine.Done(d.Output(api))
-			})
-		}
-	}
+	return wcStep(wcForest, a, eps)
 }
 
 // ArbLinialWCStep is the step form of ArbLinialWC.
 func ArbLinialWCStep(a int, eps float64) engine.StepProgram {
-	return func(api *engine.API) engine.StepFn {
-		return func(api *engine.API, _ []engine.Msg) engine.Step {
-			return startWCDecomp(api, a, eps, func(d *forest.Decomp) engine.Step {
-				ids := api.NeighborIDs()
-				parents := make([]int, len(d.OutIdx))
-				for j, k := range d.OutIdx {
-					parents[j] = int(ids[k])
-				}
-				return engine.Done(coloring.LinialStep(api.N(), d.Tr.A, api.ID(), parents))
-			})
-		}
-	}
+	return wcStep(wcOneStep, a, eps)
 }
 
 // IteratedArbLinialWCStep is the step form of IteratedArbLinialWC.
 func IteratedArbLinialWCStep(a int, eps float64) engine.StepProgram {
-	return func(api *engine.API) engine.StepFn {
-		return func(api *engine.API, _ []engine.Msg) engine.Step {
-			return startWCDecomp(api, a, eps, func(d *forest.Decomp) engine.Step {
-				var members, parents []int
-				for k := 0; k < api.Degree(); k++ {
-					members = append(members, k)
-				}
-				parents = append(parents, d.OutIdx...)
-				return coloring.StartIteratedLinial(api, members, parents, d.Tr.A,
-					func(ms []engine.Msg) { d.Tr.Absorb(api, ms) },
-					func(c int) engine.Step { return engine.Done(c) })
-			})
-		}
-	}
+	return wcStep(wcIterated, a, eps)
 }
 
 // ArbColorWCStep is the step form of ArbColorWC.
 func ArbColorWCStep(a int, eps float64) engine.StepProgram {
-	return func(api *engine.API) engine.StepFn {
-		return func(api *engine.API, _ []engine.Msg) engine.Step {
-			return startWCDecomp(api, a, eps, func(d *forest.Decomp) engine.Step {
-				parentFinal := map[int]int{}
-				var wait engine.StepFn
-				var check func(api *engine.API) engine.Step
-				check = func(api *engine.API) engine.Step {
-					ready := true
-					for _, k := range d.OutIdx {
-						if _, ok := parentFinal[k]; !ok {
-							ready = false
-							break
-						}
-					}
-					if ready {
-						used := map[int]bool{}
-						for _, k := range d.OutIdx {
-							used[parentFinal[k]] = true
-						}
-						for c := 0; ; c++ {
-							if !used[c] {
-								return engine.Done(c)
-							}
-						}
-					}
-					return engine.Continue(wait)
-				}
-				wait = func(api *engine.API, inbox []engine.Msg) engine.Step {
-					for _, m := range inbox {
-						if f, ok := m.Data.(engine.Final); ok {
-							if c, ok := f.Output.(int); ok {
-								parentFinal[api.NeighborIndex(m.From)] = c
-							}
-						}
-					}
-					return check(api)
-				}
-				return check(api)
-			})
-		}
-	}
+	return wcStep(wcArbColor, a, eps)
 }
 
 // MISByColoringWCStep is the step form of MISByColoringWC.
 func MISByColoringWCStep(a int, eps float64) engine.StepProgram {
-	return func(api *engine.API) engine.StepFn {
-		return func(api *engine.API, _ []engine.Msg) engine.Step {
-			return startWCDecomp(api, a, eps, func(d *forest.Decomp) engine.Step {
-				var members, parents []int
-				for k := 0; k < api.Degree(); k++ {
-					members = append(members, k)
-				}
-				parents = append(parents, d.OutIdx...)
-				sink := func(ms []engine.Msg) { d.Tr.Absorb(api, ms) }
-				return coloring.StartIteratedLinial(api, members, parents, d.Tr.A, sink,
-					func(c int) engine.Step {
-						palette := coloring.LinialFinalPalette(api.N(), d.Tr.A)
-						inMIS, dominated := false, false
-						cls := 0
-						var recv engine.StepFn
-						send := func(api *engine.API) engine.Step {
-							if cls == c && !dominated {
-								inMIS = true
-								coloring.BroadcastChosen(api, wcMISKind, 1)
-							}
-							return engine.Continue(recv)
-						}
-						recv = func(api *engine.API, inbox []engine.Msg) engine.Step {
-							for _, m := range inbox {
-								if _, ok := coloring.AsChosen(m, wcMISKind); ok {
-									dominated = true
-								}
-							}
-							cls++
-							if cls == palette {
-								return engine.Done(inMIS)
-							}
-							return send(api)
-						}
-						return send(api)
-					})
-			})
-		}
-	}
+	return wcStep(wcMIS, a, eps)
 }
 
 // LubyMISStep is the step form of LubyMIS.

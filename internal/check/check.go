@@ -116,6 +116,9 @@ func MaximalMatching(g *graph.Graph, matched []int32) error {
 	}
 	for u := 0; u < g.N(); u++ {
 		p := matched[u]
+		if int(p) >= g.N() {
+			return fmt.Errorf("check: vertex %d matched to %d, outside [0,%d)", u, p, g.N())
+		}
 		if p >= 0 {
 			if int(matched[p]) != u {
 				return fmt.Errorf("check: matching not symmetric at %d<->%d", u, p)

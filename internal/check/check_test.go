@@ -78,6 +78,12 @@ func TestMaximalMatching(t *testing.T) {
 	if err := MaximalMatching(g, []int32{2, 3, 0, 1}); err == nil {
 		t.Error("non-adjacent pairing accepted")
 	}
+	// An out-of-range partner is an error naming the vertex and partner,
+	// not an index panic.
+	err := MaximalMatching(graph.Path(4), []int32{7, -1, -1, -1})
+	if err == nil || !strings.Contains(err.Error(), "vertex 0 matched to 7") {
+		t.Errorf("out-of-range partner: got %v, want an error naming vertex 0 and partner 7", err)
+	}
 }
 
 func TestHPartition(t *testing.T) {

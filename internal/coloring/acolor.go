@@ -62,12 +62,7 @@ func AColorLogLog(a int, eps float64) engine.Program {
 		i := tr.HIndex
 		// Settle round: same-iteration joins arrive.
 		tr.Absorb(api, api.Next())
-		var members []int
-		for k, h := range tr.NbrH {
-			if h == i {
-				members = append(members, k)
-			}
-		}
+		members := SetMembers(tr)
 		c := DeltaPlus1OnSet(api, members, sch.A, sink)
 		// Exchange the Delta+1 colors within the set to orient by color.
 		setColor := map[int]int{} // neighbor index -> its set color
@@ -93,7 +88,6 @@ func AColorLogLog(a int, eps float64) engine.Program {
 		}
 		// Parents within the segment: later H-set, or same set with higher
 		// Delta+1 color.
-		parentFinal := map[int]int{} // neighbor index -> final color
 		var parents []int
 		for k, h := range tr.NbrH {
 			if h <= segLo || h > segHi {
@@ -103,35 +97,7 @@ func AColorLogLog(a int, eps float64) engine.Program {
 				parents = append(parents, k)
 			}
 		}
-		for {
-			ready := true
-			for _, k := range parents {
-				if _, ok := parentFinal[k]; !ok {
-					ready = false
-					break
-				}
-			}
-			if ready {
-				used := map[int]bool{}
-				for _, k := range parents {
-					used[parentFinal[k]] = true
-				}
-				for cand := base; ; cand++ {
-					if !used[cand] {
-						return cand
-					}
-				}
-			}
-			for _, m := range api.Next() {
-				f, ok := m.Data.(engine.Final)
-				if !ok {
-					continue
-				}
-				if col, ok := f.Output.(int); ok {
-					parentFinal[api.NeighborIndex(m.From)] = col
-				}
-			}
-		}
+		return RecolorWave(api, parents, base)
 	}
 }
 

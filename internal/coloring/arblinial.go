@@ -22,14 +22,21 @@ import (
 func ArbLinialO1(a int, eps float64) engine.Program {
 	return func(api *engine.API) any {
 		d := forest.NewDecomp(api, a, eps)
-		d.JoinAndSettle(api)
-		parents := make([]int, len(d.OutIdx))
-		ids := api.NeighborIDs()
-		for j, k := range d.OutIdx {
-			parents[j] = int(ids[k])
-		}
-		return LinialStep(api.N(), d.Tr.A, api.ID(), parents)
+		d.JoinAndSettle(api, 0)
+		return LinialFromIDs(api, d)
 	}
+}
+
+// LinialFromIDs is the one Arb-Linial-Coloring step a vertex takes once
+// its decomposition d has settled: the parents' current colors are their
+// IDs, so the step is purely local.
+func LinialFromIDs(api *engine.API, d *forest.Decomp) int {
+	ids := api.NeighborIDs()
+	parents := make([]int, len(d.OutIdx))
+	for j, k := range d.OutIdx {
+		parents[j] = int(ids[k])
+	}
+	return LinialStep(api.N(), d.Tr.A, api.ID(), parents)
 }
 
 // ArbLinialO1Palette returns the palette bound of ArbLinialO1.
@@ -59,28 +66,40 @@ func phaseSplit(n int, eps float64) (t, ell int) {
 // SegmentParents returns the neighbor indices that are this vertex's
 // parents within the H-set segment (lo, hi]: neighbors in a later H-set of
 // the segment, or in the same set with a higher ID.
-func SegmentParents(api *engine.API, tr *hpartition.Tracker, lo, hi int32) (members, parents []int) {
+func SegmentParents(api *engine.API, tr *hpartition.Tracker, lo, hi int32) []int {
 	nm := 0
 	for _, h := range tr.NbrH {
 		if h > lo && h <= hi {
 			nm++
 		}
 	}
-	// One allocation holds both lists: parents is a subset of members.
-	buf := make([]int, 2*nm)
-	members, parents = buf[:0:nm], buf[nm:nm]
+	// One allocation: the parents are a subset of the segment neighbors.
+	parents := make([]int, 0, nm)
 	ids := api.NeighborIDs()
 	my := tr.HIndex
 	for k, h := range tr.NbrH {
-		if h <= lo || h > hi {
-			continue
-		}
-		members = append(members, k)
-		if h > my || (h == my && int(ids[k]) > api.ID()) {
+		if h > lo && h <= hi && (h > my || h == my && int(ids[k]) > api.ID()) {
 			parents = append(parents, k)
 		}
 	}
-	return members, parents
+	return parents
+}
+
+// SetMembers returns the neighbor indices in this vertex's own H-set.
+func SetMembers(tr *hpartition.Tracker) []int {
+	n := 0
+	for _, h := range tr.NbrH {
+		if h == tr.HIndex {
+			n++
+		}
+	}
+	members := make([]int, 0, n)
+	for k, h := range tr.NbrH {
+		if h == tr.HIndex {
+			members = append(members, k)
+		}
+	}
+	return members
 }
 
 // TwoPhaseA2 is the algorithm of Section 7.3: an O(a^2)-coloring with
@@ -122,8 +141,8 @@ func TwoPhaseA2(a int, eps float64) engine.Program {
 		}
 		// Settle round: the segment's last joins announce themselves.
 		tr.Absorb(api, api.Next())
-		members, parents := SegmentParents(api, tr, segLo, segHi)
-		c := IteratedLinial(api, members, parents, A, func(ms []engine.Msg) { tr.Absorb(api, ms) })
+		parents := SegmentParents(api, tr, segLo, segHi)
+		c := IteratedLinial(api, parents, A, func(ms []engine.Msg) { tr.Absorb(api, ms) })
 		return c + (phase-1)*P
 	}
 }

@@ -8,11 +8,11 @@ import (
 	"vavg/internal/graph"
 )
 
-// Step-form twins of the standalone sub-machine tests: each runs the value
-// machine (directly, or through its Start* adaptor) on the graphs of the
-// blocking test and requires a byte-identical Result. One graph of each
-// test is a relabeled view, where the machines' parent and member scans
-// compare original IDs.
+// Step-form twins of the standalone sub-machine tests: each runs a value
+// machine from a test-local vertex on the graphs of the blocking test (or
+// of its blocking helper) and requires a byte-identical Result. One graph
+// of each test is a relabeled view, where the machines' parent and member
+// scans compare original IDs.
 
 // requireSameResult runs the blocking and the step form of one program on
 // g and fails unless their Results are identical.
@@ -43,17 +43,35 @@ func allMembers(api *engine.API) []int {
 	return members
 }
 
-// kwVertex drives a KW machine from a test-local StepFn.
-type kwVertex struct {
-	kw KW
+// testMachine is what machineVertex drives of a coloring machine.
+type testMachine interface {
+	Turn(api *engine.API, inbox []engine.Msg, s Strays) (done bool)
+	Color() int
+}
+
+// machineVertex drives a coloring machine from a test-local StepFn.
+type machineVertex struct {
+	m  testMachine
 	fn engine.StepFn
 }
 
-func (*kwVertex) Stray(*engine.API, engine.Msg) {}
+// startVertex continues a machine whose Start reported finished: the
+// vertex terminates with its color at once if it did, otherwise in the
+// turn the machine ends in.
+func startVertex(m testMachine, finished bool) engine.Step {
+	if finished {
+		return engine.Done(m.Color())
+	}
+	v := &machineVertex{m: m}
+	v.fn = v.turn
+	return engine.Continue(v.fn)
+}
 
-func (v *kwVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
-	if v.kw.Turn(api, inbox, v) {
-		return engine.Done(v.kw.Color())
+func (*machineVertex) Stray(*engine.API, engine.Msg) {}
+
+func (v *machineVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
+	if v.m.Turn(api, inbox, v) {
+		return engine.Done(v.m.Color())
 	}
 	return engine.Continue(v.fn)
 }
@@ -70,12 +88,8 @@ func TestKWReduceStepStandalone(t *testing.T) {
 		}
 		step := func(api *engine.API) engine.StepFn {
 			return func(api *engine.API, _ []engine.Msg) engine.Step {
-				v := &kwVertex{}
-				if v.kw.Start(api, allMembers(api), api.ID(), m, A) {
-					return engine.Done(v.kw.Color())
-				}
-				v.fn = v.turn
-				return engine.Continue(v.fn)
+				kw := new(KW)
+				return startVertex(kw, kw.Start(api, allMembers(api), api.ID(), m, A))
 			}
 		}
 		requireSameResult(t, g, prog, step)
@@ -90,8 +104,8 @@ func TestDeltaPlus1OnSetStepStandalone(t *testing.T) {
 		}
 		step := func(api *engine.API) engine.StepFn {
 			return func(api *engine.API, _ []engine.Msg) engine.Step {
-				return StartDeltaPlus1OnSet(api, allMembers(api), A, NopSink,
-					func(c int) engine.Step { return engine.Done(c) })
+				dp := new(DeltaPlus1)
+				return startVertex(dp, dp.Start(api, allMembers(api), A))
 			}
 		}
 		requireSameResult(t, g, prog, step)
@@ -111,12 +125,57 @@ func TestIteratedLinialStepStandalone(t *testing.T) {
 			return parents
 		}
 		prog := func(api *engine.API) any {
-			return IteratedLinial(api, allMembers(api), parents(api), A, NopSink)
+			return IteratedLinial(api, parents(api), A, NopSink)
 		}
 		step := func(api *engine.API) engine.StepFn {
 			return func(api *engine.API, _ []engine.Msg) engine.Step {
-				return StartIteratedLinial(api, allMembers(api), parents(api), A, NopSink,
-					func(c int) engine.Step { return engine.Done(c) })
+				l := new(Linial)
+				return startVertex(l, l.Start(api, parents(api), A))
+			}
+		}
+		requireSameResult(t, g, prog, step)
+	}
+}
+
+// waveVertex drives a Wave machine from a test-local StepFn.
+type waveVertex struct {
+	w  Wave
+	fn engine.StepFn
+}
+
+func (v *waveVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
+	if v.w.Turn(api, inbox) {
+		return engine.Done(v.w.Color())
+	}
+	return engine.Continue(v.fn)
+}
+
+// TestRecolorWaveStepStandalone runs Wave against RecolorWave, oriented by
+// ID: a vertex waits for its higher-ID neighbors, so the wave runs down
+// from the local ID maxima, and every color is at least base.
+func TestRecolorWaveStepStandalone(t *testing.T) {
+	const base = 3
+	for _, g := range []*graph.Graph{graph.Ring(30), graph.TriangulatedGrid(6, 6), graph.Relabel(graph.TriangulatedGrid(6, 6))} {
+		parents := func(api *engine.API) []int {
+			var parents []int
+			for k, id := range api.NeighborIDs() {
+				if int(id) > api.ID() {
+					parents = append(parents, k)
+				}
+			}
+			return parents
+		}
+		prog := func(api *engine.API) any {
+			return RecolorWave(api, parents(api), base)
+		}
+		step := func(api *engine.API) engine.StepFn {
+			return func(api *engine.API, _ []engine.Msg) engine.Step {
+				v := new(waveVertex)
+				if v.w.Start(parents(api), base) {
+					return engine.Done(v.w.Color())
+				}
+				v.fn = v.turn
+				return engine.Continue(v.fn)
 			}
 		}
 		requireSameResult(t, g, prog, step)
@@ -157,12 +216,8 @@ func TestKWOutOfStepAnnouncements(t *testing.T) {
 			return announce
 		}
 		return func(api *engine.API, _ []engine.Msg) engine.Step {
-			v := &kwVertex{}
-			if v.kw.Start(api, allMembers(api), 5, m, A) {
-				return engine.Done(v.kw.Color())
-			}
-			v.fn = v.turn
-			return engine.Continue(v.fn)
+			kw := new(KW)
+			return startVertex(kw, kw.Start(api, allMembers(api), 5, m, A))
 		}
 	}
 	requireSameResult(t, g, prog, step)

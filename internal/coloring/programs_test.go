@@ -143,15 +143,13 @@ func TestIteratedLinialStandalone(t *testing.T) {
 	g := graph.ForestUnion(200, 2, 3)
 	A := g.MaxDegree() // orientation by ID has out-degree <= Delta here
 	prog := func(api *engine.API) any {
-		members := make([]int, api.Degree())
 		var parents []int
-		for k := range members {
-			members[k] = k
-			if int(api.NeighborIDs()[k]) > api.ID() {
+		for k, id := range api.NeighborIDs() {
+			if int(id) > api.ID() {
 				parents = append(parents, k)
 			}
 		}
-		return IteratedLinial(api, members, parents, A, NopSink)
+		return IteratedLinial(api, parents, A, NopSink)
 	}
 	res, err := engine.Run(g, prog, engine.Options{Seed: 1})
 	if err != nil {

@@ -1,6 +1,7 @@
 package coloring
 
 import (
+	"math"
 	"slices"
 
 	"vavg/internal/engine"
@@ -9,21 +10,19 @@ import (
 )
 
 // Step (state-machine) forms of the coloring subroutines and algorithms.
-// Each Start* constructor begins a sub-machine inside the caller's current
-// turn — performing exactly the local work and sends the blocking form
-// performs before its first receive — and returns the Step that continues
-// it. done is invoked in the turn the subroutine's blocking form returns
-// in, so compositions keep the same round structure and the two forms are
+// Each reproduces its blocking form round for round, so the two forms are
 // byte-identical.
 //
-// The shared sub-machines are value types — Linial, KW and DeltaPlus1 —
+// The sub-machines are value types — Linial, KW, DeltaPlus1 and Wave —
 // that a composed algorithm embeds in its per-vertex struct and drives
 // from its own turn, with no closure or escaped variable per vertex.
 // Start does the work the blocking form does before its first receive,
 // and Turn handles one round's inbox and the work up to the next receive;
 // each reports done in the turn the blocking form returns in, after which
-// Color is the result. StartIteratedLinial and StartDeltaPlus1OnSet are
-// thin adaptors over the same machines for closure-built compositions.
+// Color is the result. A vertex is one struct whose turn method, bound
+// once at construction, dispatches on a phase field. StartCVForests, which
+// the edge programs of Section 8 and the ring baseline compose as a
+// continuation, is the one sub-procedure not yet a value machine.
 
 // Strays receives the messages a value machine's turn does not itself
 // understand (Join announcements, terminations, foreign traffic), one at
@@ -255,67 +254,6 @@ func (d *DeltaPlus1) startKW(api *engine.API) (done bool) {
 // machine is done.
 func (d *DeltaPlus1) Color() int { return d.kw.Color() }
 
-// colorMachine is what the Start* adaptors drive of a value machine.
-type colorMachine interface {
-	Turn(api *engine.API, inbox []engine.Msg, s Strays) (done bool)
-	Color() int
-}
-
-// machineStep runs a value machine as a StepFn chain for the Start*
-// adaptors: it batches each turn's strays into one Sink call, as the
-// blocking forms do, and hands the final color to done.
-type machineStep struct {
-	m     colorMachine
-	sink  Sink
-	stray []engine.Msg
-	done  func(int) engine.Step
-	fn    engine.StepFn
-}
-
-// startMachine continues a machine whose Start just reported finished:
-// done runs at once if it did, otherwise in the turn the machine ends in.
-func startMachine(m colorMachine, finished bool, sink Sink, done func(int) engine.Step) engine.Step {
-	if finished {
-		return done(m.Color())
-	}
-	s := &machineStep{m: m, sink: sink, done: done}
-	s.fn = s.turn
-	return engine.Continue(s.fn)
-}
-
-// Stray implements Strays.
-func (s *machineStep) Stray(_ *engine.API, m engine.Msg) { s.stray = append(s.stray, m) }
-
-func (s *machineStep) turn(api *engine.API, inbox []engine.Msg) engine.Step {
-	done := s.m.Turn(api, inbox, s)
-	if len(s.stray) > 0 {
-		s.sink(s.stray)
-		s.stray = s.stray[:0]
-	}
-	if done {
-		return s.done(s.m.Color())
-	}
-	return engine.Continue(s.fn)
-}
-
-// StartIteratedLinial is the step form of IteratedLinial, an adaptor over
-// Linial. members is accepted for signature parity with the blocking form
-// (it is implied by parentIdx there too).
-func StartIteratedLinial(api *engine.API, members, parentIdx []int, A int,
-	sink Sink, done func(int) engine.Step) engine.Step {
-	_ = members
-	l := new(Linial)
-	return startMachine(l, l.Start(api, parentIdx, A), sink, done)
-}
-
-// StartDeltaPlus1OnSet is the step form of DeltaPlus1OnSet, an adaptor
-// over DeltaPlus1.
-func StartDeltaPlus1OnSet(api *engine.API, members []int, A int,
-	sink Sink, done func(int) engine.Step) engine.Step {
-	d := new(DeltaPlus1)
-	return startMachine(d, d.Start(api, members, A), sink, done)
-}
-
 // StartCVForests is the step form of CVForests.
 func StartCVForests(api *engine.API, numLabels int, parentIdx []int,
 	sink Sink, done func([]int32) engine.Step) engine.Step {
@@ -414,207 +352,319 @@ func StartCVForests(api *engine.API, numLabels int, parentIdx []int,
 	return engine.Continue(shiftA)
 }
 
+// noFinal marks a Wave parent whose final color has not arrived.
+const noFinal = math.MinInt
+
+// Wave is the value-machine form of RecolorWave.
+type Wave struct {
+	parents []int
+	// finals[j] is parent j's final color, or noFinal until it arrives.
+	finals           []int
+	base, missing, c int
+}
+
+// Start begins the wave: this vertex will take the first color from base
+// up that none of parents (neighbor indices) took, and reports done at
+// once if it has no parents. The machine keeps parents, which the caller
+// must not modify.
+//
+//vavg:stepform
+func (w *Wave) Start(parents []int, base int) (done bool) {
+	*w = Wave{parents: parents, finals: make([]int, len(parents)), base: base, missing: len(parents)}
+	for j := range w.finals {
+		w.finals[j] = noFinal
+	}
+	return w.choose()
+}
+
+// Turn records the parents' final colors and chooses once all are known.
+//
+//vavg:stepform
+func (w *Wave) Turn(api *engine.API, inbox []engine.Msg) (done bool) {
+	ids := api.NeighborIDs()
+	for _, m := range inbox {
+		f, ok := m.Data.(engine.Final)
+		if !ok {
+			continue
+		}
+		c, ok := f.Output.(int)
+		if !ok {
+			continue
+		}
+		for j, k := range w.parents {
+			if ids[k] == m.From {
+				if w.finals[j] == noFinal {
+					w.missing--
+				}
+				w.finals[j] = c
+				break
+			}
+		}
+	}
+	return w.choose()
+}
+
+// choose takes the first color from base up that no parent took, once
+// every parent's final color is known.
+func (w *Wave) choose() (done bool) {
+	if w.missing > 0 {
+		return false
+	}
+	w.c = w.base
+	for slices.Contains(w.finals, w.c) {
+		w.c++
+	}
+	return true
+}
+
+// Color returns the vertex's color once the machine is done.
+func (w *Wave) Color() int { return w.c }
+
+// SetColorParents returns the neighbor indices that are this vertex's
+// parents under the orientation of Sections 7.4, 7.7 and 7.8: toward a
+// neighbor in a later H-set of the segment (lo, hi], or in its own set
+// with a set color above c (setColor is by neighbor index).
+func SetColorParents(tr *hpartition.Tracker, lo, hi int32, setColor []int32, c int) []int {
+	var parents []int
+	for k, h := range tr.NbrH {
+		if h > lo && h <= hi && (h > tr.HIndex || h == tr.HIndex && int(setColor[k]) > c) {
+			parents = append(parents, k)
+		}
+	}
+	return parents
+}
+
+// arbLinialO1Vertex is one vertex of ArbLinialO1Step.
+type arbLinialO1Vertex struct {
+	d  forest.Decomp
+	fn engine.StepFn // v.turn, bound once
+}
+
 // ArbLinialO1Step is the step form of ArbLinialO1.
 func ArbLinialO1Step(a int, eps float64) engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
-		return func(api *engine.API, _ []engine.Msg) engine.Step {
-			d := forest.NewDecomp(api, a, eps)
-			return d.Start(api, func() engine.Step {
-				ids := api.NeighborIDs()
-				parents := make([]int, len(d.OutIdx))
-				for j, k := range d.OutIdx {
-					parents[j] = int(ids[k])
-				}
-				return engine.Done(LinialStep(api.N(), d.Tr.A, api.ID(), parents))
-			})
-		}
+		v := new(arbLinialO1Vertex)
+		v.d.Tr.Init(api, a, eps)
+		v.fn = v.turn
+		return v.fn
 	}
 }
+
+func (v *arbLinialO1Vertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
+	if wait, done := v.d.Turn(api, inbox, 0); !done {
+		return engine.Sleep(wait, v.fn)
+	}
+	return engine.Done(LinialFromIDs(api, &v.d))
+}
+
+// a2Vertex is one vertex of TwoPhaseA2Step: its partition tracker and its
+// segment's Arb-Linial run, driven by one StepFn that dispatches on phase.
+type a2Vertex struct {
+	tr     hpartition.Tracker
+	lin    Linial
+	t, ell int // phase-1 partition rounds, and the partition bound
+	p      int // per-phase palette: phase 2 colors with [p, 2p)
+	phase2 bool
+	phase  a2Phase
+	fn     engine.StepFn // v.turn, bound once
+}
+
+type a2Phase uint8
+
+const (
+	a2Part   a2Phase = iota // partition rounds until the vertex joins
+	a2Settle                // settle round once the segment formed
+	a2Color                 // Arb-Linial on the segment
+)
 
 // TwoPhaseA2Step is the step form of TwoPhaseA2.
 func TwoPhaseA2Step(a int, eps float64) engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
-		n := api.N()
-		tr := hpartition.NewTracker(api, a, eps)
-		A := tr.A
-		t, ell := phaseSplit(n, eps)
-		P := LinialFinalPalette(n, A)
-		sink := func(ms []engine.Msg) { tr.Absorb(api, ms) }
-
-		phase := 1
-		segLo, segHi := int32(0), int32(t)
-		waitEnd := t
-
-		settle := func(api *engine.API, inbox []engine.Msg) engine.Step {
-			tr.Absorb(api, inbox)
-			members, parents := SegmentParents(api, tr, segLo, segHi)
-			return StartIteratedLinial(api, members, parents, A, sink, func(c int) engine.Step {
-				return engine.Done(c + (phase-1)*P)
-			})
-		}
-		// The blocking form idles to the segment boundary and settles one
-		// round later; a single sleep accumulates the same absorbs.
-		joined := func(api *engine.API) engine.Step {
-			k := waitEnd + 1 - api.Round()
-			if k < 1 {
-				k = 1
-			}
-			return engine.Sleep(k, settle)
-		}
-		var phase2 engine.StepFn
-		phase2 = func(api *engine.API, inbox []engine.Msg) engine.Step {
-			tr.Absorb(api, inbox)
-			if tr.HIndex != 0 {
-				return joined(api)
-			}
-			tr.Advance(api)
-			return engine.Continue(phase2)
-		}
-		var phase1 engine.StepFn
-		phase1 = func(api *engine.API, inbox []engine.Msg) engine.Step {
-			tr.Absorb(api, inbox)
-			if tr.HIndex != 0 {
-				return joined(api)
-			}
-			if int32(api.Round()) < int32(t) {
-				tr.Advance(api)
-				return engine.Continue(phase1)
-			}
-			phase = 2
-			segLo, segHi = int32(t), int32(ell)
-			waitEnd = ell
-			tr.Advance(api)
-			return engine.Continue(phase2)
-		}
-		return phase1
+		v := new(a2Vertex)
+		v.tr.Init(api, a, eps)
+		v.t, v.ell = phaseSplit(api.N(), eps)
+		v.p = LinialFinalPalette(api.N(), v.tr.A)
+		v.fn = v.turn
+		return v.fn
 	}
 }
+
+func (v *a2Vertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
+	if v.phase == a2Color {
+		if v.lin.Turn(api, inbox, v) {
+			return v.done()
+		}
+		return engine.Continue(v.fn)
+	}
+	v.tr.Absorb(api, inbox)
+	lo, hi := v.segment()
+	switch {
+	case v.phase == a2Settle:
+		v.phase = a2Color
+		if v.lin.Start(api, SegmentParents(api, &v.tr, lo, hi), v.tr.A) {
+			return v.done()
+		}
+		return engine.Continue(v.fn)
+	case v.tr.HIndex != 0:
+		// The blocking form idles to the segment boundary and settles one
+		// round later; a single sleep accumulates the same absorbs.
+		v.phase = a2Settle
+		return engine.Sleep(max(1, int(hi)+1-api.Round()), v.fn)
+	}
+	if api.Round() >= v.t {
+		v.phase2 = true
+	}
+	v.tr.Advance(api)
+	return engine.Continue(v.fn)
+}
+
+// segment returns the H-index range of the vertex's phase segment.
+func (v *a2Vertex) segment() (lo, hi int32) {
+	if v.phase2 {
+		return int32(v.t), int32(v.ell)
+	}
+	return 0, int32(v.t)
+}
+
+// done terminates with the Arb-Linial color in the phase's palette block.
+func (v *a2Vertex) done() engine.Step {
+	c := v.lin.Color()
+	if v.phase2 {
+		c += v.p
+	}
+	return engine.Done(c)
+}
+
+// Stray absorbs a message the Linial machine does not understand.
+func (v *a2Vertex) Stray(api *engine.API, m engine.Msg) {
+	v.tr.Absorb(api, []engine.Msg{m})
+}
+
+// aColorVertex is one vertex of AColorLogLogStep: its partition tracker,
+// its H-set's (A+1)-coloring and its segment's recolor wave, driven by one
+// StepFn that dispatches on phase.
+type aColorVertex struct {
+	sch      AColorSchedule
+	tr       hpartition.Tracker
+	dp1      DeltaPlus1
+	wave     Wave
+	members  []int   // same-set neighbor indices
+	setColor []int32 // set colors by neighbor index, 0 if unheard
+	phase    aColorPhase
+	fn       engine.StepFn // v.turn, bound once
+}
+
+type aColorPhase uint8
+
+const (
+	acWindow   aColorPhase = iota // partition advance at the top of a window
+	acTail                        // sleep through the window's remainder
+	acJoined                      // the join round's tail
+	acSettle                      // settle round: start the H-set's coloring
+	acColor                       // (A+1)-coloring of the H-set
+	acExchange                    // set colors arrive; wait for the wave
+	acWake                        // first round of the segment's wave
+	acWave                        // recolor wave
+)
 
 // AColorLogLogStep is the step form of AColorLogLog.
 func AColorLogLogStep(a int, eps float64) engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
-		n := api.N()
-		sch := NewAColorSchedule(n, a, eps)
-		tr := hpartition.NewTracker(api, a, eps)
-		sink := func(ms []engine.Msg) { tr.Absorb(api, ms) }
-
-		var i int32
-		var c int
-		var members []int
-		setColor := map[int]int{} // neighbor index -> its set color
-
-		greedy := func(api *engine.API) engine.Step {
-			segLo, segHi, base := int32(0), int32(sch.T), 0
-			if int(i) > sch.T {
-				segLo, segHi, base = int32(sch.T), int32(sch.Ell), sch.A+1
-			}
-			parentFinal := map[int]int{} // neighbor index -> final color
-			var parents []int
-			for k, h := range tr.NbrH {
-				if h <= segLo || h > segHi {
-					continue
-				}
-				if h > i || (h == i && setColor[k] > c) {
-					parents = append(parents, k)
-				}
-			}
-			var wait engine.StepFn
-			var check func(api *engine.API) engine.Step
-			check = func(api *engine.API) engine.Step {
-				ready := true
-				for _, k := range parents {
-					if _, ok := parentFinal[k]; !ok {
-						ready = false
-						break
-					}
-				}
-				if ready {
-					used := map[int]bool{}
-					for _, k := range parents {
-						used[parentFinal[k]] = true
-					}
-					for cand := base; ; cand++ {
-						if !used[cand] {
-							return engine.Done(cand)
-						}
-					}
-				}
-				return engine.Continue(wait)
-			}
-			wait = func(api *engine.API, inbox []engine.Msg) engine.Step {
-				for _, m := range inbox {
-					f, ok := m.Data.(engine.Final)
-					if !ok {
-						continue
-					}
-					if col, ok := f.Output.(int); ok {
-						parentFinal[api.NeighborIndex(m.From)] = col
-					}
-				}
-				return check(api)
-			}
-			return check(api)
-		}
-		wake := func(api *engine.API, inbox []engine.Msg) engine.Step {
-			tr.Absorb(api, inbox)
-			return greedy(api)
-		}
-		exch := func(api *engine.API, inbox []engine.Msg) engine.Step {
-			ms := newMemberSet(api, members)
-			var stray []engine.Msg
-			for _, m := range inbox {
-				if mc, ok := AsChosen(m, dp1Kind); ok && ms.idx[m.From] {
-					setColor[api.NeighborIndex(m.From)] = int(mc)
-					continue
-				}
-				stray = append(stray, m)
-			}
-			sink(stray)
-			start := sch.S1
-			if int(i) > sch.T {
-				start = sch.S2
-			}
-			if api.Round() < start {
-				return engine.Sleep(start-api.Round(), wake)
-			}
-			return greedy(api)
-		}
-		settle := func(api *engine.API, inbox []engine.Msg) engine.Step {
-			tr.Absorb(api, inbox)
-			i = tr.HIndex
-			for k, h := range tr.NbrH {
-				if h == i {
-					members = append(members, k)
-				}
-			}
-			return StartDeltaPlus1OnSet(api, members, sch.A, sink, func(col int) engine.Step {
-				c = col
-				// Exchange the Delta+1 colors within the set to orient by color.
-				BroadcastChosen(api, dp1Kind, int32(c))
-				return engine.Continue(exch)
-			})
-		}
-		js1 := func(api *engine.API, inbox []engine.Msg) engine.Step {
-			tr.Absorb(api, inbox)
-			return engine.Continue(settle)
-		}
-		var window, tail engine.StepFn
-		window = func(api *engine.API, inbox []engine.Msg) engine.Step {
-			tr.Absorb(api, inbox)
-			if tr.Advance(api) {
-				return engine.Continue(js1)
-			}
-			return engine.Continue(tail)
-		}
-		tail = func(api *engine.API, inbox []engine.Msg) engine.Step {
-			tr.Absorb(api, inbox)
-			return engine.Sleep(sch.W-1, window)
-		}
-		return func(api *engine.API, _ []engine.Msg) engine.Step {
-			if tr.Advance(api) {
-				return engine.Continue(js1)
-			}
-			return engine.Continue(tail)
-		}
+		v := &aColorVertex{sch: NewAColorSchedule(api.N(), a, eps)}
+		v.tr.Init(api, a, eps)
+		v.fn = v.turn
+		return v.fn
 	}
+}
+
+func (v *aColorVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
+	switch v.phase {
+	case acColor:
+		if v.dp1.Turn(api, inbox, v) {
+			return v.exchange(api)
+		}
+		return engine.Continue(v.fn)
+	case acExchange:
+		return v.setColors(api, inbox)
+	case acWave:
+		return v.recolor(v.wave.Turn(api, inbox))
+	}
+	v.tr.Absorb(api, inbox)
+	switch v.phase {
+	case acWindow:
+		v.phase = acTail
+		if v.tr.Advance(api) {
+			v.phase = acJoined
+		}
+		return engine.Continue(v.fn)
+	case acTail:
+		v.phase = acWindow
+		return engine.Sleep(v.sch.W-1, v.fn)
+	case acJoined:
+		v.phase = acSettle
+		return engine.Continue(v.fn)
+	case acSettle:
+		v.members = SetMembers(&v.tr)
+		v.phase = acColor
+		if v.dp1.Start(api, v.members, v.sch.A) {
+			return v.exchange(api)
+		}
+		return engine.Continue(v.fn)
+	}
+	return v.startWave(api)
+}
+
+// exchange announces the set color within the H-set, to orient by color.
+func (v *aColorVertex) exchange(api *engine.API) engine.Step {
+	BroadcastChosen(api, dp1Kind, int32(v.dp1.Color()))
+	v.phase = acExchange
+	return engine.Continue(v.fn)
+}
+
+// setColors records the members' set colors, then sleeps to the round the
+// segment's recolor wave starts in.
+func (v *aColorVertex) setColors(api *engine.API, inbox []engine.Msg) engine.Step {
+	v.setColor = make([]int32, api.Degree())
+	for _, m := range inbox {
+		if mc, ok := AsChosen(m, dp1Kind); ok {
+			if k := api.NeighborIndex(m.From); slices.Contains(v.members, k) {
+				v.setColor[k] = mc
+				continue
+			}
+		}
+		v.Stray(api, m)
+	}
+	start := v.sch.S1
+	if int(v.tr.HIndex) > v.sch.T {
+		start = v.sch.S2
+	}
+	if api.Round() < start {
+		v.phase = acWake
+		return engine.Sleep(start-api.Round(), v.fn)
+	}
+	return v.startWave(api)
+}
+
+// startWave recolors the segment from its palette block: phase 1 from 0,
+// phase 2 from A+1.
+func (v *aColorVertex) startWave(api *engine.API) engine.Step {
+	lo, hi, base := int32(0), int32(v.sch.T), 0
+	if int(v.tr.HIndex) > v.sch.T {
+		lo, hi, base = int32(v.sch.T), int32(v.sch.Ell), v.sch.A+1
+	}
+	v.phase = acWave
+	return v.recolor(v.wave.Start(SetColorParents(&v.tr, lo, hi, v.setColor, v.dp1.Color()), base))
+}
+
+// recolor terminates with the wave's color once it is done.
+func (v *aColorVertex) recolor(done bool) engine.Step {
+	if done {
+		return engine.Done(v.wave.Color())
+	}
+	return engine.Continue(v.fn)
+}
+
+// Stray absorbs a message the coloring machines do not understand.
+func (v *aColorVertex) Stray(api *engine.API, m engine.Msg) {
+	v.tr.Absorb(api, []engine.Msg{m})
 }

@@ -69,14 +69,13 @@ func newMemberSet(api *engine.API, members []int) memberSet {
 }
 
 // IteratedLinial runs Procedure Arb-Linial-Coloring on a synchronized set
-// of vertices: the caller's instance consists of the neighbor indices in
-// members (its neighbors participating in the instance), of which
-// parentIdx are its parents under an acyclic orientation with out-degree
-// at most A. Initial colors are vertex IDs (a proper n-coloring). All
-// instance vertices must start in the same round and run in lockstep. The
-// routine performs IteratedLinialRounds(n, A) exchanges and returns the
-// final color, in [0, LinialFinalPalette(n, A)).
-func IteratedLinial(api *engine.API, members, parentIdx []int, A int, sink Sink) int {
+// of vertices: parentIdx are the neighbor indices of the caller's parents
+// under an acyclic orientation of the instance with out-degree at most A.
+// Initial colors are vertex IDs (a proper n-coloring). All instance
+// vertices must start in the same round and run in lockstep. The routine
+// performs IteratedLinialRounds(n, A) exchanges and returns the final
+// color, in [0, LinialFinalPalette(n, A)).
+func IteratedLinial(api *engine.API, parentIdx []int, A int, sink Sink) int {
 	sched := LinialSchedule(api.N(), A)
 	ids := api.NeighborIDs()
 	parentColors := make([]int, len(parentIdx))
@@ -237,6 +236,42 @@ func DeltaPlus1OnSet(api *engine.API, members []int, A int, sink Sink) int {
 			parents = append(parents, k)
 		}
 	}
-	c := IteratedLinial(api, members, parents, A, sink)
+	c := IteratedLinial(api, parents, A, sink)
 	return KWReduce(api, members, c, LinialFinalPalette(api.N(), A), A, sink)
+}
+
+// RecolorWave is the recolor wave of Sections 7.4 and 7.7 and of Procedure
+// Arb-Color: the vertex waits until every parent (a neighbor index) has
+// terminated with an int color, then returns the first color >= base that
+// no parent took. Along an acyclic orientation the wave takes as many
+// rounds as the longest path.
+func RecolorWave(api *engine.API, parents []int, base int) int {
+	parentFinal := map[int]int{} // neighbor index -> final color
+	for {
+		ready := true
+		for _, k := range parents {
+			if _, ok := parentFinal[k]; !ok {
+				ready = false
+				break
+			}
+		}
+		if ready {
+			used := map[int]bool{}
+			for _, k := range parents {
+				used[parentFinal[k]] = true
+			}
+			for c := base; ; c++ {
+				if !used[c] {
+					return c
+				}
+			}
+		}
+		for _, m := range api.Next() {
+			if f, ok := m.Data.(engine.Final); ok {
+				if c, ok := f.Output.(int); ok {
+					parentFinal[api.NeighborIndex(m.From)] = c
+				}
+			}
+		}
+	}
 }

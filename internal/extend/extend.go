@@ -47,23 +47,6 @@ func (f *finals) absorb(api *engine.API, msgs []engine.Msg) {
 	}
 }
 
-// sameSetMembers returns the neighbor indices in this vertex's own H-set.
-func sameSetMembers(tr *hpartition.Tracker) []int {
-	n := 0
-	for _, h := range tr.NbrH {
-		if h == tr.HIndex {
-			n++
-		}
-	}
-	members := make([]int, 0, n)
-	for k, h := range tr.NbrH {
-		if h == tr.HIndex {
-			members = append(members, k)
-		}
-	}
-	return members
-}
-
 // classSweep runs numClasses one-round turns over the proper set-coloring
 // myClass of the member set. In its own turn the vertex calls act, which
 // may broadcast; every round's messages are passed to observe.

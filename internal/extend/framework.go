@@ -74,7 +74,7 @@ func Framework(a int, eps float64, p Problem) engine.Program {
 		ctx := &HSetContext{
 			A:       A,
 			Tracker: tr,
-			Members: sameSetMembers(tr),
+			Members: coloring.SetMembers(tr),
 			Finals:  fin.byIdx,
 			Sink:    sink,
 		}

@@ -185,7 +185,7 @@ func (v *frameworkVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step 
 	v.ctx = HSetContext{
 		A:       v.tr.A,
 		Tracker: &v.tr,
-		Members: sameSetMembers(&v.tr),
+		Members: coloring.SetMembers(&v.tr),
 		Finals:  v.fin.byIdx,
 		Sink:    v.sink,
 	}

@@ -32,37 +32,26 @@ type Output struct {
 }
 
 // Decomp is the per-vertex composable state: a partition Tracker plus the
-// orientation and labels computed at settle time. Composed algorithms
-// embed it and call JoinAndSettle (or drive StepJoin/Settle themselves).
+// orientation and labels computed at settle time. Blocking programs call
+// JoinAndSettle; step forms embed a Decomp by value, Init its Tracker, and
+// drive its Turn from their own turn.
 type Decomp struct {
-	Tr *hpartition.Tracker
+	Tr hpartition.Tracker
 	// OutIdx lists neighbor indices of outgoing edges (the "parents" of
 	// this vertex under the orientation), ascending.
 	OutIdx []int
 	// OutLabels[j] is the label of the j-th outgoing edge (j+1 by
 	// construction, kept explicit for clarity).
 	OutLabels []int32
+
+	at decompAt // what the next Turn does
 }
 
 // NewDecomp initializes decomposition state.
 func NewDecomp(api *engine.API, a int, eps float64) *Decomp {
-	return &Decomp{Tr: hpartition.NewTracker(api, a, eps)}
-}
-
-// StepJoin runs one partition round; see hpartition.Tracker.Step.
-func (d *Decomp) StepJoin(api *engine.API) (joined bool, msgs []engine.Msg) {
-	return d.Tr.Step(api)
-}
-
-// Settle runs the settle round that follows joining: it absorbs the
-// same-round Join announcements and computes this vertex's outgoing edges
-// and labels. Must be called exactly once, in the round right after the
-// vertex joined. Returns the settle-round messages for further processing.
-func (d *Decomp) Settle(api *engine.API) []engine.Msg {
-	msgs := api.Next()
-	d.Tr.Absorb(api, msgs)
-	d.computeOrientation(api)
-	return msgs
+	d := new(Decomp)
+	d.Tr.Init(api, a, eps)
+	return d
 }
 
 // computeOrientation classifies each incident edge. Outgoing edges point
@@ -108,17 +97,23 @@ func (d *Decomp) Parents(api *engine.API) []int32 {
 	return ps
 }
 
-// JoinAndSettle runs partition rounds until the vertex joins, then the
-// settle round. It returns the number of partition rounds used.
-func (d *Decomp) JoinAndSettle(api *engine.API) int {
+// JoinAndSettle runs partition rounds until the vertex joins, idles to
+// round ell, then runs the settle round. ell is 0 for Procedure
+// Parallelized-Forest-Decomposition, whose settle round follows the join
+// round, and the partition bound hpartition.EllBound for the classical
+// Procedure Forest-Decomposition, whose vertices all settle together.
+func (d *Decomp) JoinAndSettle(api *engine.API, ell int) {
 	for {
-		joined, _ := d.StepJoin(api)
-		if joined {
+		if joined, _ := d.Tr.Step(api); joined {
 			break
 		}
 	}
-	d.Settle(api)
-	return d.Tr.RoundsDone()
+	for api.Round() < ell {
+		d.Tr.Absorb(api, api.Next())
+	}
+	// Settle round: the Joins of the previous round arrive.
+	d.Tr.Absorb(api, api.Next())
+	d.computeOrientation(api)
 }
 
 // Output assembles the per-vertex Output of the decomposition.
@@ -139,7 +134,7 @@ func (d *Decomp) Output(api *engine.API) Output {
 func Program(a int, eps float64) engine.Program {
 	return func(api *engine.API) any {
 		d := NewDecomp(api, a, eps)
-		d.JoinAndSettle(api)
+		d.JoinAndSettle(api, 0)
 		return d.Output(api)
 	}
 }

@@ -1,6 +1,7 @@
 package forest
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -111,7 +112,7 @@ func TestDecompOutHelper(t *testing.T) {
 	g := graph.Path(4)
 	prog := func(api *engine.API) any {
 		d := NewDecomp(api, 1, 2)
-		d.JoinAndSettle(api)
+		d.JoinAndSettle(api, 0)
 		labels := 0
 		for k := 0; k < api.Degree(); k++ {
 			if _, ok := d.Out(k); ok {
@@ -128,5 +129,59 @@ func TestDecompOutHelper(t *testing.T) {
 	}
 	if _, err := engine.Run(g, prog, engine.Options{}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// decompVertex drives the decomposition machine on the schedule ell from
+// a test-local StepFn.
+type decompVertex struct {
+	d   Decomp
+	ell int
+	fn  engine.StepFn
+}
+
+func (v *decompVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
+	if wait, done := v.d.Turn(api, inbox, v.ell); !done {
+		return engine.Sleep(wait, v.fn)
+	}
+	return engine.Done(v.d.Output(api))
+}
+
+// TestDecompStepStandalone runs the decomposition machine against
+// JoinAndSettle on the parallelized schedule (ell 0) and on the worst-case
+// one (ell the partition bound, where every vertex waits), and requires
+// byte-identical Results. One graph is a relabeled view.
+func TestDecompStepStandalone(t *testing.T) {
+	const a, eps = 2, 1.0
+	for _, g := range []*graph.Graph{graph.ForestUnion(200, a, 3), graph.Relabel(graph.ForestUnion(200, a, 3))} {
+		for _, ell := range []int{0, hpartition.EllBound(g.N(), eps)} {
+			prog := func(api *engine.API) any {
+				d := NewDecomp(api, a, eps)
+				d.JoinAndSettle(api, ell)
+				return d.Output(api)
+			}
+			step := func(api *engine.API) engine.StepFn {
+				v := &decompVertex{ell: ell}
+				v.d.Tr.Init(api, a, eps)
+				v.fn = v.turn
+				return v.fn
+			}
+			want, err := engine.Run(g, prog, engine.Options{Seed: 1})
+			if err != nil {
+				t.Fatalf("%s ell=%d blocking: %v", g.Name, ell, err)
+			}
+			got, err := engine.RunSpec(g, engine.Spec{Step: step}, engine.Options{Seed: 1})
+			if err != nil {
+				t.Fatalf("%s ell=%d step: %v", g.Name, ell, err)
+			}
+			want.Shards, got.Shards = 0, 0
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("%s ell=%d: step Result differs from blocking (outputs equal: %v, rounds equal: %v)",
+					g.Name, ell, reflect.DeepEqual(want.Output, got.Output), reflect.DeepEqual(want.Rounds, got.Rounds))
+			}
+			if ell > 0 && got.TotalRounds <= ell {
+				t.Errorf("%s ell=%d: worst-case schedule ended in round %d", g.Name, ell, got.TotalRounds)
+			}
+		}
 	}
 }

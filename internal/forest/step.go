@@ -5,72 +5,62 @@ import "vavg/internal/engine"
 // Step (state-machine) forms of the decomposition. Each turn reproduces
 // one round of the blocking form, so the two forms are byte-identical.
 
-// Start drives the decomposition as a step sub-machine, mirroring
-// JoinAndSettle: the entry turn takes the first partition round, every
-// following turn absorbs and takes another until the vertex joins, and the
-// two post-join rounds (the join round's tail absorb, then the settle
-// round) end with the orientation computed. done runs in the settle turn.
-func (d *Decomp) Start(api *engine.API, done func() engine.Step) engine.Step {
-	settle2 := func(api *engine.API, inbox []engine.Msg) engine.Step {
-		d.Tr.Absorb(api, inbox)
-		d.computeOrientation(api)
-		return done()
-	}
-	settle1 := func(api *engine.API, inbox []engine.Msg) engine.Step {
-		d.Tr.Absorb(api, inbox)
-		return engine.Continue(settle2)
-	}
-	var join engine.StepFn
-	join = func(api *engine.API, inbox []engine.Msg) engine.Step {
-		d.Tr.Absorb(api, inbox)
+// decompAt is what a Decomp's next Turn does.
+type decompAt uint8
+
+const (
+	decompJoin   decompAt = iota // partition advance
+	decompJoined                 // the join round's tail
+	decompSettle                 // settle round: compute the orientation
+)
+
+// Turn is the step form of JoinAndSettle(api, ell) as a value machine. It
+// absorbs inbox into the tracker and takes the decomposition's next step:
+// a partition advance every turn until the vertex joins, then the join
+// round's tail, then the settle round, which computes the orientation.
+// It returns the rounds until its next turn, or done in the settle turn,
+// the turn JoinAndSettle returns in. A Decomp whose Tracker was just
+// initialized takes the first partition advance in its first Turn, with
+// an empty inbox.
+//
+//vavg:stepform
+func (d *Decomp) Turn(api *engine.API, inbox []engine.Msg, ell int) (wait int, done bool) {
+	d.Tr.Absorb(api, inbox)
+	switch d.at {
+	case decompJoin:
 		if d.Tr.Advance(api) {
-			return engine.Continue(settle1)
+			d.at = decompJoined
 		}
-		return engine.Continue(join)
+		return 1, false
+	case decompJoined:
+		// The blocking form idles to round ell and settles one round
+		// later; a single sleep accumulates the same absorbs.
+		d.at = decompSettle
+		return max(1, ell+1-api.Round()), false
 	}
-	if d.Tr.Advance(api) {
-		return engine.Continue(settle1)
-	}
-	return engine.Continue(join)
+	d.computeOrientation(api)
+	return 0, true
 }
 
-// StartWC drives the worst-case schedule of the classical procedure
-// (baseline.wcDecomp): partition rounds until the vertex joins, one merged
-// sleep to the global bound ell, then the settle round. done runs in the
-// settle turn.
-func (d *Decomp) StartWC(api *engine.API, ell int, done func() engine.Step) engine.Step {
-	settle := func(api *engine.API, inbox []engine.Msg) engine.Step {
-		d.Tr.Absorb(api, inbox)
-		d.computeOrientation(api)
-		return done()
-	}
-	var join engine.StepFn
-	join = func(api *engine.API, inbox []engine.Msg) engine.Step {
-		d.Tr.Absorb(api, inbox)
-		if d.Tr.HIndex != 0 {
-			// The blocking form idles to round ell and settles one round
-			// later; a single sleep accumulates the same absorbs.
-			k := ell + 1 - api.Round()
-			if k < 1 {
-				k = 1
-			}
-			return engine.Sleep(k, settle)
-		}
-		d.Tr.Advance(api)
-		return engine.Continue(join)
-	}
-	d.Tr.Advance(api)
-	return engine.Continue(join)
+// vertex is one vertex of StepProgram.
+type vertex struct {
+	d  Decomp
+	fn engine.StepFn // v.turn, bound once
 }
 
 // StepProgram is the step form of Program.
 func StepProgram(a int, eps float64) engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
-		return func(api *engine.API, _ []engine.Msg) engine.Step {
-			d := NewDecomp(api, a, eps)
-			return d.Start(api, func() engine.Step {
-				return engine.Done(d.Output(api))
-			})
-		}
+		v := new(vertex)
+		v.d.Tr.Init(api, a, eps)
+		v.fn = v.turn
+		return v.fn
 	}
+}
+
+func (v *vertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
+	if wait, done := v.d.Turn(api, inbox, 0); !done {
+		return engine.Sleep(wait, v.fn)
+	}
+	return engine.Done(v.d.Output(api))
 }

@@ -147,12 +147,6 @@ func nbrIndex(api *engine.API, from int32) int {
 	return lo
 }
 
-// Eligible reports whether the vertex would join the H-set in the next
-// partition round (it is active and has at most A active neighbors).
-func (t *Tracker) Eligible() bool {
-	return t.HIndex == 0 && t.activeDeg <= t.A
-}
-
 // Advance executes the decision half of one partition round: if the
 // vertex is eligible it joins H-set number (t.round+1), broadcasting the
 // join on the integer fast lane, and Advance reports true. Step-form
@@ -184,9 +178,6 @@ func (t *Tracker) Step(api *engine.API) (joined bool, msgs []engine.Msg) {
 	t.Absorb(api, msgs)
 	return joined, msgs
 }
-
-// RoundsDone returns how many partition rounds this vertex has executed.
-func (t *Tracker) RoundsDone() int { return int(t.round) }
 
 // Program is standalone Procedure Partition: each vertex runs partition
 // rounds until it joins an H-set and terminates with its H-index (an int)

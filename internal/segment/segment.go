@@ -133,21 +133,14 @@ func (p *Plan) TotalHSets() int {
 // joins an H-set, honoring the plan's window geometry: one partition step
 // in the first round of each window, idling (and absorbing) otherwise,
 // including through C-blocks of segments it does not belong to. It
-// returns after the join round; perWindow, if non-nil, runs during the
-// windows of other vertices' H-sets and must consume exactly W-1 rounds
-// (the default idles).
-func (p *Plan) runPartitionWindows(api *engine.API, tr *hpartition.Tracker, perWindow func()) {
+// returns after the join round.
+func (p *Plan) runPartitionWindows(api *engine.API, tr *hpartition.Tracker) {
 	for s := range p.SegLen {
 		for m := 0; m < p.SegLen[s]; m++ {
-			joined, _ := tr.Step(api)
-			if joined {
+			if joined, _ := tr.Step(api); joined {
 				return
 			}
-			if perWindow != nil {
-				perWindow()
-			} else {
-				tr.Absorb(api, api.Idle(p.W-1))
-			}
+			tr.Absorb(api, api.Idle(p.W-1))
 		}
 		// C-block of segment s: this vertex is still active, so it idles.
 		tr.Absorb(api, api.Idle(p.CWidth[s]))
@@ -174,14 +167,14 @@ func KA2Coloring(a, k int, eps float64) engine.Program {
 		n := api.N()
 		plan := NewPlan(n, a, k, eps, 2, 0, coloring.IteratedLinialRounds(n, hpartition.ParamA(a, eps)))
 		tr := hpartition.NewTracker(api, a, eps)
-		plan.runPartitionWindows(api, tr, nil)
+		plan.runPartitionWindows(api, tr)
 		s, lo, hi := plan.SegmentOf(int(tr.HIndex))
 		// Settle round (second round of this vertex's window).
 		tr.Absorb(api, api.Next())
 		// Wait for the segment's C-block.
 		idleUntil(api, tr, plan.cStart[s])
-		members, parents := coloring.SegmentParents(api, tr, lo, hi)
-		c := coloring.IteratedLinial(api, members, parents, plan.A,
+		parents := coloring.SegmentParents(api, tr, lo, hi)
+		c := coloring.IteratedLinial(api, parents, plan.A,
 			func(ms []engine.Msg) { tr.Absorb(api, ms) })
 		P := coloring.LinialFinalPalette(n, plan.A)
 		return c + s*P
@@ -213,18 +206,12 @@ func KAColoring(a, k int, eps float64) engine.Program {
 		plan := NewPlan(n, a, k, eps, windowW, A+1, 2)
 		tr := hpartition.NewTracker(api, a, eps)
 		sink := func(ms []engine.Msg) { tr.Absorb(api, ms) }
-		plan.runPartitionWindows(api, tr, nil)
+		plan.runPartitionWindows(api, tr)
 		i := tr.HIndex
 		s, lo, hi := plan.SegmentOf(int(i))
 		// Settle, then Delta+1-color the H-set and exchange set colors.
 		tr.Absorb(api, api.Next())
-		var members []int
-		for kk, h := range tr.NbrH {
-			if h == i {
-				members = append(members, kk)
-			}
-		}
-		c := coloring.DeltaPlus1OnSet(api, members, A, sink)
+		c := coloring.DeltaPlus1OnSet(api, coloring.SetMembers(tr), A, sink)
 		setColor := map[int]int{}
 		coloring.BroadcastChosen(api, segKind, int32(c))
 		for _, m := range api.Next() {
@@ -249,35 +236,7 @@ func KAColoring(a, k int, eps float64) engine.Program {
 				parents = append(parents, kk)
 			}
 		}
-		base := s * (A + 1)
-		parentFinal := map[int]int{}
-		for {
-			ready := true
-			for _, kk := range parents {
-				if _, ok := parentFinal[kk]; !ok {
-					ready = false
-					break
-				}
-			}
-			if ready {
-				used := map[int]bool{}
-				for _, kk := range parents {
-					used[parentFinal[kk]] = true
-				}
-				for cand := base; ; cand++ {
-					if !used[cand] {
-						return cand
-					}
-				}
-			}
-			for _, m := range api.Next() {
-				if f, ok := m.Data.(engine.Final); ok {
-					if col, ok := f.Output.(int); ok {
-						parentFinal[api.NeighborIndex(m.From)] = col
-					}
-				}
-			}
-		}
+		return coloring.RecolorWave(api, parents, s*(A+1))
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 // the messages the blocking form absorbs round by round, so the two forms
 // are byte-identical.
 
-// windowWalk is the step form of runPartitionWindows (perWindow nil) as a
-// value machine: one partition advance in the first round of each window,
-// sleeping through window remainders and foreign C-blocks. Its zero value
+// windowWalk is the step form of runPartitionWindows as a value machine:
+// one partition advance in the first round of each window, sleeping
+// through window remainders and foreign C-blocks. Its zero value
 // stands at the top of the first window: the walk's first Turn, with an
 // empty inbox, takes the first partition advance.
 type windowWalk struct {
@@ -63,34 +63,6 @@ func (w *windowWalk) Turn(api *engine.API, inbox []engine.Msg, p *Plan, tr *hpar
 		w.at = walkJoined
 	}
 	return 1, false
-}
-
-// walkStep runs a windowWalk as a StepFn chain for startWindows.
-type walkStep struct {
-	walk windowWalk
-	p    *Plan
-	tr   *hpartition.Tracker
-	done func(api *engine.API) engine.Step
-	fn   engine.StepFn
-}
-
-func (s *walkStep) turn(api *engine.API, inbox []engine.Msg) engine.Step {
-	wait, done := s.walk.Turn(api, inbox, s.p, s.tr)
-	if done {
-		return s.done(api)
-	}
-	return engine.Sleep(wait, s.fn)
-}
-
-// startWindows is the step form of runPartitionWindows (perWindow nil), an
-// adaptor over windowWalk: the first partition advance runs in the
-// caller's turn, and done runs in the turn after the join round's tail
-// absorb — the turn the blocking form returns in.
-func (p *Plan) startWindows(api *engine.API, tr *hpartition.Tracker,
-	done func(api *engine.API) engine.Step) engine.Step {
-	s := &walkStep{p: p, tr: tr, done: done}
-	s.fn = s.turn
-	return s.turn(api, nil)
 }
 
 // ka2Vertex is one vertex of KA2Step: its partition tracker, window walk
@@ -159,9 +131,8 @@ func (v *ka2Vertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
 
 // color starts Arb-Linial on the segment.
 func (v *ka2Vertex) color(api *engine.API) engine.Step {
-	_, parents := coloring.SegmentParents(api, &v.tr, v.lo, v.hi)
 	v.phase = ka2Color
-	if v.lin.Start(api, parents, v.plan.A) {
+	if v.lin.Start(api, coloring.SegmentParents(api, &v.tr, v.lo, v.hi), v.plan.A) {
 		return v.done()
 	}
 	return engine.Continue(v.fn)
@@ -177,111 +148,120 @@ func (v *ka2Vertex) Stray(api *engine.API, m engine.Msg) {
 	v.tr.Absorb(api, []engine.Msg{m})
 }
 
+// kaVertex is one vertex of KAStep: its partition tracker, window walk,
+// H-set (A+1)-coloring and segment recolor wave, driven by one StepFn that
+// dispatches on phase.
+type kaVertex struct {
+	plan     *Plan
+	tr       hpartition.Tracker
+	walk     windowWalk
+	dp1      coloring.DeltaPlus1
+	wave     coloring.Wave
+	setColor []int32 // set colors by neighbor index, 0 if unheard
+	seg      int
+	lo, hi   int32
+	phase    kaPhase
+	fn       engine.StepFn // v.turn, bound once
+}
+
+type kaPhase uint8
+
+const (
+	kaWalk     kaPhase = iota // partition windows, through the join round's tail
+	kaSettle                  // settle round: start the H-set's coloring
+	kaColor                   // (A+1)-coloring of the H-set
+	kaExchange                // set colors arrive; wait for the C-block
+	kaWake                    // first round of the segment's C-block
+	kaWave                    // recolor wave
+)
+
 // KAStep is the step form of KAColoring.
 func KAStep(a, k int, eps float64) engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
 		n := api.N()
 		A := hpartition.ParamA(a, eps)
 		windowW := 3 + coloring.DeltaPlus1Rounds(n, A)
-		plan := NewPlan(n, a, k, eps, windowW, A+1, 2)
-		tr := hpartition.NewTracker(api, a, eps)
-		sink := func(ms []engine.Msg) { tr.Absorb(api, ms) }
-
-		var i int32
-		var seg int
-		var lo, hi int32
-		var members []int
-		var c int
-		setColor := map[int]int{}
-
-		greedy := func(api *engine.API) engine.Step {
-			// Parents within the segment: later H-set, or same set with a
-			// higher Delta+1 color.
-			var parents []int
-			for kk, h := range tr.NbrH {
-				if h <= lo || h > hi {
-					continue
-				}
-				if h > i || (h == i && setColor[kk] > c) {
-					parents = append(parents, kk)
-				}
-			}
-			base := seg * (A + 1)
-			parentFinal := map[int]int{}
-			var wait engine.StepFn
-			var check func(api *engine.API) engine.Step
-			check = func(api *engine.API) engine.Step {
-				ready := true
-				for _, kk := range parents {
-					if _, ok := parentFinal[kk]; !ok {
-						ready = false
-						break
-					}
-				}
-				if ready {
-					used := map[int]bool{}
-					for _, kk := range parents {
-						used[parentFinal[kk]] = true
-					}
-					for cand := base; ; cand++ {
-						if !used[cand] {
-							return engine.Done(cand)
-						}
-					}
-				}
-				return engine.Continue(wait)
-			}
-			wait = func(api *engine.API, inbox []engine.Msg) engine.Step {
-				for _, m := range inbox {
-					if f, ok := m.Data.(engine.Final); ok {
-						if col, ok := f.Output.(int); ok {
-							parentFinal[api.NeighborIndex(m.From)] = col
-						}
-					}
-				}
-				return check(api)
-			}
-			return check(api)
-		}
-		wake := func(api *engine.API, inbox []engine.Msg) engine.Step {
-			tr.Absorb(api, inbox)
-			return greedy(api)
-		}
-		exch := func(api *engine.API, inbox []engine.Msg) engine.Step {
-			for _, m := range inbox {
-				if mc, ok := coloring.AsChosen(m, segKind); ok {
-					if kk := api.NeighborIndex(m.From); tr.NbrH[kk] == i {
-						setColor[kk] = int(mc)
-						continue
-					}
-				}
-				tr.Absorb(api, []engine.Msg{m})
-			}
-			if api.Round() < plan.cStart[seg] {
-				return engine.Sleep(plan.cStart[seg]-api.Round(), wake)
-			}
-			return greedy(api)
-		}
-		settle := func(api *engine.API, inbox []engine.Msg) engine.Step {
-			tr.Absorb(api, inbox)
-			i = tr.HIndex
-			seg, lo, hi = plan.SegmentOf(int(i))
-			for kk, h := range tr.NbrH {
-				if h == i {
-					members = append(members, kk)
-				}
-			}
-			return coloring.StartDeltaPlus1OnSet(api, members, A, sink,
-				func(col int) engine.Step {
-					c = col
-					coloring.BroadcastChosen(api, segKind, int32(c))
-					return engine.Continue(exch)
-				})
-		}
-		return func(api *engine.API, _ []engine.Msg) engine.Step {
-			return plan.startWindows(api, tr, func(api *engine.API) engine.Step {
-				return engine.Continue(settle)
-			})
-		}
+		v := &kaVertex{plan: NewPlan(n, a, k, eps, windowW, A+1, 2)}
+		v.tr.Init(api, a, eps)
+		v.fn = v.turn
+		return v.fn
 	}
+}
+
+func (v *kaVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
+	switch v.phase {
+	case kaWalk:
+		wait, done := v.walk.Turn(api, inbox, v.plan, &v.tr)
+		if !done {
+			return engine.Sleep(wait, v.fn)
+		}
+		v.phase = kaSettle
+		return engine.Continue(v.fn)
+	case kaSettle:
+		v.tr.Absorb(api, inbox)
+		v.seg, v.lo, v.hi = v.plan.SegmentOf(int(v.tr.HIndex))
+		v.phase = kaColor
+		if v.dp1.Start(api, coloring.SetMembers(&v.tr), v.plan.A) {
+			return v.exchange(api)
+		}
+		return engine.Continue(v.fn)
+	case kaColor:
+		if v.dp1.Turn(api, inbox, v) {
+			return v.exchange(api)
+		}
+		return engine.Continue(v.fn)
+	case kaExchange:
+		return v.setColors(api, inbox)
+	case kaWake:
+		v.tr.Absorb(api, inbox)
+		return v.startWave(api)
+	}
+	return v.recolor(v.wave.Turn(api, inbox))
+}
+
+// exchange announces the set color within the H-set, to orient by color.
+func (v *kaVertex) exchange(api *engine.API) engine.Step {
+	coloring.BroadcastChosen(api, segKind, int32(v.dp1.Color()))
+	v.phase = kaExchange
+	return engine.Continue(v.fn)
+}
+
+// setColors records the set colors of the H-set, then sleeps to the
+// segment's C-block.
+func (v *kaVertex) setColors(api *engine.API, inbox []engine.Msg) engine.Step {
+	v.setColor = make([]int32, api.Degree())
+	for _, m := range inbox {
+		if mc, ok := coloring.AsChosen(m, segKind); ok {
+			if kk := api.NeighborIndex(m.From); v.tr.NbrH[kk] == v.tr.HIndex {
+				v.setColor[kk] = mc
+				continue
+			}
+		}
+		v.Stray(api, m)
+	}
+	if start := v.plan.cStart[v.seg]; api.Round() < start {
+		v.phase = kaWake
+		return engine.Sleep(start-api.Round(), v.fn)
+	}
+	return v.startWave(api)
+}
+
+// startWave recolors the segment from its palette block.
+func (v *kaVertex) startWave(api *engine.API) engine.Step {
+	parents := coloring.SetColorParents(&v.tr, v.lo, v.hi, v.setColor, v.dp1.Color())
+	v.phase = kaWave
+	return v.recolor(v.wave.Start(parents, v.seg*(v.plan.A+1)))
+}
+
+// recolor terminates with the wave's color once it is done.
+func (v *kaVertex) recolor(done bool) engine.Step {
+	if done {
+		return engine.Done(v.wave.Color())
+	}
+	return engine.Continue(v.fn)
+}
+
+// Stray absorbs a message the coloring machines do not understand.
+func (v *kaVertex) Stray(api *engine.API, m engine.Msg) {
+	v.tr.Absorb(api, []engine.Msg{m})
 }

@@ -8,12 +8,16 @@ import (
 )
 
 // TestStepMachineAllocsPerVertex is the allocation budget of the step
-// forms built from the shared sub-machines (the partition tracker, the
-// window walk, Arb-Linial and KW): a warm 2-shard step run of `ka2` and of
-// `mis` allocates one struct per vertex, its bound StepFn and the
-// machines' slices, not a chain of closures and escaped variables. Each
-// bound sits about 20% above the measured 6.0 and 19.0 objects per
-// vertex; closure-built vertices cost 30.0 and 72.8.
+// forms built from value machines (the partition tracker, the window walk,
+// the decomposition, Arb-Linial, KW, the recolor wave and the Section 7.8
+// stage): a warm 2-shard step run allocates one struct per vertex, its
+// bound StepFn and the machines' slices, not a chain of closures and
+// escaped variables. Each bound sits about 20% above the measured objects
+// per vertex; closure-built, the same entries allocated 30.0 (ka2), 72.8
+// (mis), 71.4 (one-plus-eta), 67.4 (legal-coloring-wc), 38.6 (a-loglog),
+// 38.4 (ka), 28.6 (mis-wc), 17.9 (a2-loglog), 19.0 (arbcolor-wc), 21.6
+// (iterated-arblinial-wc), 16.9 (forest-decomp and forest-decomp-wc) and
+// 14.9 (arblinial-o1 and arblinial-wc).
 func TestStepMachineAllocsPerVertex(t *testing.T) {
 	defer gort.GOMAXPROCS(gort.GOMAXPROCS(2))
 	cases := []struct {
@@ -22,8 +26,20 @@ func TestStepMachineAllocsPerVertex(t *testing.T) {
 		a     int
 		bound float64 // objects per vertex
 	}{
-		{"ka2", Ring(4096), 2, 7},
-		{"mis", ForestUnion(4096, 3, 7), 3, 22},
+		{"ka2", Ring(4096), 2, 7},                                 // 6.0
+		{"mis", ForestUnion(4096, 3, 7), 3, 22},                   // 19.0
+		{"one-plus-eta", ForestUnion(4096, 3, 7), 3, 16},          // 13.5
+		{"legal-coloring-wc", ForestUnion(4096, 3, 7), 3, 16},     // 13.5
+		{"a-loglog", ForestUnion(4096, 3, 7), 3, 15},              // 12.4
+		{"ka", ForestUnion(4096, 3, 7), 3, 15},                    // 12.4
+		{"mis-wc", ForestUnion(4096, 3, 7), 3, 11},                // 8.9
+		{"a2-loglog", ForestUnion(4096, 3, 7), 3, 7},              // 5.9
+		{"arbcolor-wc", ForestUnion(4096, 3, 7), 3, 11},           // 8.9
+		{"iterated-arblinial-wc", ForestUnion(4096, 3, 7), 3, 11}, // 8.9
+		{"forest-decomp", ForestUnion(4096, 3, 7), 3, 13},         // 10.9
+		{"forest-decomp-wc", ForestUnion(4096, 3, 7), 3, 13},      // 10.9
+		{"arblinial-o1", ForestUnion(4096, 3, 7), 3, 11},          // 8.9
+		{"arblinial-wc", ForestUnion(4096, 3, 7), 3, 11},          // 8.9
 	}
 	for _, c := range cases {
 		alg, err := ByName(c.alg)
