@@ -11,6 +11,7 @@ func Ring(n int) *Graph {
 		panic("graph: ring needs n >= 3")
 	}
 	b := NewBuilder(n)
+	b.reserve(n)
 	for i := 0; i < n; i++ {
 		b.AddEdge(i, (i+1)%n)
 	}
@@ -30,6 +31,7 @@ func RingShuffled(n int, seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
 	perm := rng.Perm(n)
 	b := NewBuilder(n)
+	b.reserve(n)
 	for i := 0; i < n; i++ {
 		b.AddEdge(perm[i], perm[(i+1)%n])
 	}
@@ -42,6 +44,7 @@ func RingShuffled(n int, seed int64) *Graph {
 // Path returns the n-vertex path, arboricity 1.
 func Path(n int) *Graph {
 	b := NewBuilder(n)
+	b.reserve(n - 1)
 	for i := 0; i+1 < n; i++ {
 		b.AddEdge(i, i+1)
 	}
@@ -56,6 +59,7 @@ func Path(n int) *Graph {
 // degree-dependent ones.
 func Star(n int) *Graph {
 	b := NewBuilder(n)
+	b.reserve(n - 1)
 	for i := 1; i < n; i++ {
 		b.AddEdge(0, i)
 	}
@@ -72,6 +76,7 @@ func StarForest(n, k int) *Graph {
 		panic("graph: star forest needs k >= 1")
 	}
 	b := NewBuilder(n)
+	b.reserve(n - 1)
 	prevCenter := -1
 	for c := 0; c < n; c += k + 1 {
 		for l := c + 1; l <= c+k && l < n; l++ {
@@ -92,6 +97,7 @@ func StarForest(n, k int) *Graph {
 // (heap-indexed), arboricity 1.
 func CompleteBinaryTree(n int) *Graph {
 	b := NewBuilder(n)
+	b.reserve(n - 1)
 	for i := 1; i < n; i++ {
 		b.AddEdge(i, (i-1)/2)
 	}
@@ -106,6 +112,7 @@ func CompleteBinaryTree(n int) *Graph {
 func RandomTree(n int, seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
 	b := NewBuilder(n)
+	b.reserve(n - 1)
 	for i := 1; i < n; i++ {
 		b.AddEdge(i, rng.Intn(i))
 	}
@@ -118,6 +125,7 @@ func RandomTree(n int, seed int64) *Graph {
 // Grid returns the w x h grid graph, planar, arboricity <= 2.
 func Grid(w, h int) *Graph {
 	b := NewBuilder(w * h)
+	b.reserve((w-1)*h + w*(h-1))
 	id := func(x, y int) int { return y*w + x }
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
@@ -139,6 +147,7 @@ func Grid(w, h int) *Graph {
 // planar, arboricity <= 3. A stand-in for planar triangulations.
 func TriangulatedGrid(w, h int) *Graph {
 	b := NewBuilder(w * h)
+	b.reserve((w-1)*h + w*(h-1) + (w-1)*(h-1))
 	id := func(x, y int) int { return y*w + x }
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
@@ -170,6 +179,7 @@ func ForestUnion(n, a int, seed int64) *Graph {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	b := NewBuilder(n)
+	b.reserve(a * (n - 1))
 	perm := make([]int, n)
 	for f := 0; f < a; f++ {
 		for i := range perm {
@@ -198,6 +208,7 @@ func Gnm(n, m int, seed int64) *Graph {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	b := NewBuilder(n)
+	b.reserve(m)
 	seen := make(map[Edge]bool, m)
 	for len(seen) < m {
 		u, v := rng.Intn(n), rng.Intn(n)
@@ -222,6 +233,7 @@ func Gnm(n, m int, seed int64) *Graph {
 // Clique returns the complete graph K_n, arboricity ceil(n/2).
 func Clique(n int) *Graph {
 	b := NewBuilder(n)
+	b.reserve(n * (n - 1) / 2)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			b.AddEdge(i, j)
@@ -242,6 +254,7 @@ func CliquePlusForest(n, k int, seed int64) *Graph {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	b := NewBuilder(n)
+	b.reserve(k*(k-1)/2 + n - k)
 	for i := 0; i < k; i++ {
 		for j := i + 1; j < k; j++ {
 			b.AddEdge(i, j)
@@ -264,6 +277,7 @@ func CliquePlusForest(n, k int, seed int64) *Graph {
 func Hypercube(d int) *Graph {
 	n := 1 << d
 	b := NewBuilder(n)
+	b.reserve(d * n / 2)
 	for u := 0; u < n; u++ {
 		for bit := 0; bit < d; bit++ {
 			v := u ^ (1 << bit)
@@ -282,6 +296,7 @@ func Hypercube(d int) *Graph {
 // spine vertex, arboricity 1.
 func Caterpillar(n int) *Graph {
 	b := NewBuilder(n)
+	b.reserve(n - 1)
 	spine := (n + 1) / 2
 	for i := 0; i+1 < spine; i++ {
 		b.AddEdge(i, i+1)
@@ -301,6 +316,7 @@ func Caterpillar(n int) *Graph {
 func RandomRegularish(n, d int, seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
 	b := NewBuilder(n)
+	b.reserve((d + 1) / 2 * (n / 2 * 2))
 	perm := make([]int, n)
 	for r := 0; r < (d+1)/2; r++ {
 		for i := range perm {
@@ -337,6 +353,7 @@ func KaryTree(n, k int) *Graph {
 		panic("graph: k-ary tree needs k >= 2")
 	}
 	b := NewBuilder(n)
+	b.reserve(n - 1)
 	for i := 1; i < n; i++ {
 		b.AddEdge(i, (i-1)/k)
 	}
