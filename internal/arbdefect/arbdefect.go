@@ -81,7 +81,7 @@ func stage(api *engine.API, tr *hpartition.Tracker, prm Params, lo, hi int32, sy
 	n := api.N()
 	A := hpartition.ParamA(prm.A, prm.Eps)
 	sink := func(ms []engine.Msg) { tr.Absorb(api, ms) }
-	idleUntil(api, tr, syncStart)
+	tr.AbsorbUntil(api, syncStart)
 
 	// Per-set (A+1)-coloring, all sets of the stage in parallel.
 	i := tr.HIndex
@@ -190,12 +190,6 @@ func stage(api *engine.API, tr *hpartition.Tracker, prm Params, lo, hi int32, sy
 
 const stageKind = 5
 
-func idleUntil(api *engine.API, tr *hpartition.Tracker, round int) {
-	for api.Round() < round {
-		tr.Absorb(api, api.Next())
-	}
-}
-
 // StageBlock returns the palette block size of one stage: k^levels leaf
 // classes times the O(C^2) leaf palette.
 func StageBlock(n int, prm Params) int {
@@ -225,9 +219,7 @@ func OnePlusEta(a int, eps float64, C int) engine.Program {
 			tr.Step(api)
 		}
 		if tr.HIndex != 0 {
-			for api.Round() < r {
-				tr.Absorb(api, api.Next())
-			}
+			tr.AbsorbUntil(api, r)
 			tr.Absorb(api, api.Next()) // settle
 			return stage(api, tr, prm, 0, int32(r), hSync, 0)
 		}
@@ -235,9 +227,7 @@ func OnePlusEta(a int, eps float64, C int) engine.Program {
 		for tr.HIndex == 0 {
 			tr.Step(api)
 		}
-		for api.Round() < ell {
-			tr.Absorb(api, api.Next())
-		}
+		tr.AbsorbUntil(api, ell)
 		tr.Absorb(api, api.Next()) // settle
 		return stage(api, tr, prm, int32(r), int32(ell), rSync, block)
 	}
@@ -274,9 +264,7 @@ func LegalColoringWC(a int, eps float64, C int) engine.Program {
 		for tr.HIndex == 0 {
 			tr.Step(api)
 		}
-		for api.Round() < ell {
-			tr.Absorb(api, api.Next())
-		}
+		tr.AbsorbUntil(api, ell)
 		tr.Absorb(api, api.Next()) // settle
 		return stage(api, tr, prm, 0, int32(ell), ell+2, 0)
 	}

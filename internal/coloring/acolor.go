@@ -83,9 +83,7 @@ func AColorLogLog(a int, eps float64) engine.Program {
 		if int(i) > sch.T {
 			segLo, segHi, start, base = int32(sch.T), int32(sch.Ell), sch.S2, sch.A+1
 		}
-		for api.Round() < start {
-			tr.Absorb(api, api.Next())
-		}
+		tr.AbsorbUntil(api, start)
 		// Parents within the segment: later H-set, or same set with higher
 		// Delta+1 color.
 		var parents []int

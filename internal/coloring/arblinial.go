@@ -130,14 +130,10 @@ func TwoPhaseA2(a int, eps float64) engine.Program {
 			for tr.HIndex == 0 {
 				tr.Step(api)
 			}
-			for api.Round() < ell {
-				tr.Absorb(api, api.Next())
-			}
+			tr.AbsorbUntil(api, ell)
 		} else {
 			// Phase 1: wait for the rest of the segment to form.
-			for api.Round() < t {
-				tr.Absorb(api, api.Next())
-			}
+			tr.AbsorbUntil(api, t)
 		}
 		// Settle round: the segment's last joins announce themselves.
 		tr.Absorb(api, api.Next())

@@ -133,6 +133,15 @@ func (t *Tracker) Absorb(api *engine.API, msgs []engine.Msg) {
 	}
 }
 
+// AbsorbUntil blocks until the vertex has completed round rounds,
+// absorbing every batch it receives on the way. Blocking programs call it
+// to wait for the next phase of a schedule fixed in advance.
+func (t *Tracker) AbsorbUntil(api *engine.API, round int) {
+	for api.Round() < round {
+		t.Absorb(api, api.Next())
+	}
+}
+
 func nbrIndex(api *engine.API, from int32) int {
 	ids := api.NeighborIDs()
 	lo, hi := 0, len(ids)

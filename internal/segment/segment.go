@@ -148,13 +148,6 @@ func (p *Plan) runPartitionWindows(api *engine.API, tr *hpartition.Tracker) {
 	panic("segment: vertex failed to join within the planned partition rounds")
 }
 
-// idleUntil absorbs rounds until the vertex has completed `round` rounds.
-func idleUntil(api *engine.API, tr *hpartition.Tracker, round int) {
-	for api.Round() < round {
-		tr.Absorb(api, api.Next())
-	}
-}
-
 // KA2Coloring is the algorithm of Section 7.6: an O(k*a^2)-vertex-coloring
 // with O(log^(k) n) vertex-averaged complexity, for 2 <= k <= Rho(n).
 // Algorithm A is null, algorithm B is the forest-decomposition orientation
@@ -172,7 +165,7 @@ func KA2Coloring(a, k int, eps float64) engine.Program {
 		// Settle round (second round of this vertex's window).
 		tr.Absorb(api, api.Next())
 		// Wait for the segment's C-block.
-		idleUntil(api, tr, plan.cStart[s])
+		tr.AbsorbUntil(api, plan.cStart[s])
 		parents := coloring.SegmentParents(api, tr, lo, hi)
 		c := coloring.IteratedLinial(api, parents, plan.A,
 			func(ms []engine.Msg) { tr.Absorb(api, ms) })
@@ -224,7 +217,7 @@ func KAColoring(a, k int, eps float64) engine.Program {
 			tr.Absorb(api, []engine.Msg{m})
 		}
 
-		idleUntil(api, tr, plan.cStart[s])
+		tr.AbsorbUntil(api, plan.cStart[s])
 		// Parents within the segment: later H-set, or same set with a
 		// higher Delta+1 color.
 		var parents []int
