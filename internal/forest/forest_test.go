@@ -108,24 +108,25 @@ func TestEveryEdgeLabeledExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestDecompOutHelper checks that Output reports the settled orientation:
+// one label per outgoing edge in OutIdx, keyed by the out-neighbor's ID,
+// and the labels 1..len(OutIdx) in OutIdx order.
 func TestDecompOutHelper(t *testing.T) {
 	g := graph.Path(4)
 	prog := func(api *engine.API) any {
 		d := NewDecomp(api, 1, 2)
 		d.JoinAndSettle(api, 0)
-		labels := 0
-		for k := 0; k < api.Degree(); k++ {
-			if _, ok := d.Out(k); ok {
-				labels++
+		out := d.Output(api)
+		if len(out.Labels) != len(d.OutIdx) {
+			t.Errorf("vertex %d: %d labels for %d outgoing edges", api.ID(), len(out.Labels), len(d.OutIdx))
+		}
+		ids := api.NeighborIDs()
+		for j, k := range d.OutIdx {
+			if got := out.Labels[ids[k]]; got != int32(j+1) {
+				t.Errorf("vertex %d: edge to %d labeled %d, want %d", api.ID(), ids[k], got, j+1)
 			}
 		}
-		if labels != len(d.OutIdx) {
-			t.Errorf("Out() disagrees with OutIdx")
-		}
-		if len(d.Parents(api)) != len(d.OutIdx) {
-			t.Errorf("Parents length mismatch")
-		}
-		return d.Output(api)
+		return out
 	}
 	if _, err := engine.Run(g, prog, engine.Options{}); err != nil {
 		t.Fatal(err)
