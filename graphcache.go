@@ -62,10 +62,10 @@ func FileGen(path string) func(n int) *Graph {
 
 // relabelViews memoizes graph.Relabel views by source graph identity.
 // Sweeps fan many (algorithm, size, seed) points over one shared *Graph,
-// and the RCM pass plus view construction is an O(m log m) preprocessing
-// step — paying it once per graph mirrors the generated-graph cache's
-// sharing discipline. Views are as immutable as their sources and safe to
-// share across concurrent runs.
+// and the RCM pass plus view construction walks the whole graph (O(n+m)
+// plus the sort of each BFS frontier) — paying it once per graph mirrors
+// the generated-graph cache's sharing discipline. Views are as immutable
+// as their sources and safe to share across concurrent runs.
 var relabelViews = struct {
 	sync.Mutex
 	m map[*Graph]*Graph
