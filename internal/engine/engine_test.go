@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -204,24 +205,76 @@ func TestVertexPanicPropagates(t *testing.T) {
 	}
 }
 
+// TestMessageOverwriteWithinRound pins last-write-wins on one slot across
+// lanes: vertex 0 writes its only slot twice in round 1 (or writes it and
+// terminates, whose Final rewrites it), and vertex 1 must receive only the
+// last payload, in both forms. Payloads live outside the cell (the any
+// column, the sender's finals entry), so a rewrite that changes lanes must
+// still hide the earlier lane's payload.
 func TestMessageOverwriteWithinRound(t *testing.T) {
 	g := graph.Path(2)
-	prog := func(api *API) any {
-		if api.ID() == 0 {
-			api.Send(0, "first")
-			api.Send(0, "second")
+	cases := []struct {
+		name  string
+		write func(api *API) // vertex 0's round-1 writes
+		final bool           // vertex 0 terminates in round 1 with output "out"
+		want  string
+	}{
+		{"any-any", func(api *API) { api.Send(0, "first"); api.Send(0, "second") }, false, "any:second"},
+		{"any-int", func(api *API) { api.Send(0, "first"); api.SendInt(0, 2) }, false, "int:2"},
+		{"int-any", func(api *API) { api.SendInt(0, 1); api.Send(0, "second") }, false, "any:second"},
+		{"broadcast-int", func(api *API) { api.Broadcast("first"); api.BroadcastInt(2) }, false, "int:2"},
+		{"int-broadcast", func(api *API) { api.BroadcastInt(1); api.Broadcast("second") }, false, "any:second"},
+		{"broadcast-final", func(api *API) { api.Broadcast("first") }, true, "final:out"},
+		{"int-final", func(api *API) { api.SendInt(0, 1) }, true, "final:out"},
+	}
+	describe := func(inbox []Msg) string {
+		if len(inbox) != 1 {
+			return fmt.Sprintf("%d messages", len(inbox))
+		}
+		m := inbox[0]
+		if x, ok := m.AsInt(); ok {
+			return fmt.Sprintf("int:%d", x)
+		}
+		if f, ok := m.Data.(Final); ok {
+			return fmt.Sprintf("final:%v", f.Output)
+		}
+		return fmt.Sprintf("any:%v", m.Data)
+	}
+	for _, tc := range cases {
+		prog := func(api *API) any {
+			if api.ID() == 1 {
+				return describe(api.Next())
+			}
+			tc.write(api)
+			if tc.final {
+				return "out"
+			}
 			api.Next()
 			return nil
 		}
-		msgs := api.Next()
-		return msgs[0].Data
-	}
-	res, err := Run(g, prog, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Output[1] != "second" {
-		t.Errorf("got %v, want overwrite semantics", res.Output[1])
+		step := func(api *API) StepFn {
+			if api.ID() == 1 {
+				return func(*API, []Msg) Step {
+					return Continue(func(_ *API, inbox []Msg) Step { return Done(describe(inbox)) })
+				}
+			}
+			return func(api *API, _ []Msg) Step {
+				tc.write(api)
+				if tc.final {
+					return Done("out")
+				}
+				return Continue(func(*API, []Msg) Step { return Done(nil) })
+			}
+		}
+		for _, f := range forms(prog, step) {
+			res, err := RunSpec(g, f.spec, Options{})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", tc.name, f.name, err)
+			}
+			if res.Output[1] != tc.want {
+				t.Errorf("%s/%s: vertex 1 received %v, want %s", tc.name, f.name, res.Output[1], tc.want)
+			}
+		}
 	}
 }
 

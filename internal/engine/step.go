@@ -31,7 +31,10 @@ import (
 //
 // Vertices are split into one contiguous shard per worker (worker w drives
 // shard w). Multicore execution splits each round into two
-// barrier-separated phases, both free of locks and atomics:
+// barrier-separated phases, both free of locks and atomics but one: each
+// general-lane Send or Broadcast passes the sync.Once that sizes the any
+// column (core.anyColumn), an atomic load that takes its lock only on the
+// run's first such call:
 //
 //	exec:  each worker runs its shard's due turns. Every delivery writes
 //	       its slab slot directly: the slot's only writer is the sender,
@@ -344,6 +347,31 @@ func (rt *stepRuntime) carveLanes() {
 	rt.lanes = s.lanes
 }
 
+// A shard carves intsPerVertex int32 and eventsPerVertex idleEntry
+// elements per vertex from the run scratch's shard slabs (see carve).
+const (
+	intsPerVertex   = 5 // active, woken, runBuf, wakeAt, msgRound
+	eventsPerVertex = 2 // timers, pending
+)
+
+// carve gives the shard its per-run lists as windows of the run scratch's
+// zeroed shard slabs, one window of k = hi-lo elements per list, so a run
+// makes none of them and grows none by append. k bounds every list:
+// active, woken and runBuf hold each shard vertex at most once a round;
+// pending holds at most one entry per vertex between drains, since
+// msgRound dedupes it per delivery round and nextEventRound never skips a
+// round with a pending entry; timers holds one live entry per sleeper,
+// plus a stale one per crashed sleeper, an excess the three-index carve
+// spills to the heap rather than into the next window.
+func (s *stepShard) carve(sc *runScratch) {
+	k := s.hi - s.lo
+	ints := sc.shardInts[intsPerVertex*s.lo : intsPerVertex*s.hi]
+	evs := sc.shardEvents[eventsPerVertex*s.lo : eventsPerVertex*s.hi]
+	s.active, s.woken, s.runBuf = ints[:0:k], ints[k:k:2*k], ints[2*k:2*k:3*k]
+	s.wakeAt, s.msgRound = ints[3*k:4*k:4*k], ints[4*k:5*k:5*k]
+	s.timers, s.pending = evs[:0:k], evs[k:k:2*k]
+}
+
 // next and idle are the blocking round-crossing calls; step programs
 // cross rounds by returning a Step verdict instead.
 func (rt *stepRuntime) next(*API, []Msg) []Msg {
@@ -505,7 +533,7 @@ func (s *stepShard) runRound(rt *stepRuntime, apis []API, w int32) {
 		case st.done:
 			// The exact final-round sequence of runVertex: broadcast the
 			// output, terminate.
-			a.Broadcast(Final{Output: st.out})
+			a.final(st.out)
 			a.round++
 			c.rounds[v] = a.round
 			c.output[v] = st.out
@@ -599,6 +627,8 @@ func runStep(g *graph.Graph, prog StepProgram, opts Options) (*Result, error) {
 	c := newCore(g, opts)
 	c.scratch.apis = reslice(c.scratch.apis, n)
 	c.scratch.stepFns = reslice(c.scratch.stepFns, n)
+	c.scratch.shardInts = reslice(c.scratch.shardInts, intsPerVertex*n)
+	c.scratch.shardEvents = reslice(c.scratch.shardEvents, eventsPerVertex*n)
 	apis := c.scratch.apis
 
 	// One contiguous shard per worker, at most min(GOMAXPROCS, n) of them
@@ -623,18 +653,17 @@ func runStep(g *graph.Graph, prog StepProgram, opts Options) (*Result, error) {
 		if c.adv != nil {
 			crashes = eventCursor{events: shardEvents(c.adv.crashes, int32(lo), int32(hi))}
 		}
-		rt.shards = append(rt.shards, &stepShard{
+		sh := &stepShard{
 			idx:      int32(len(rt.shards)),
 			lo:       int32(lo),
 			hi:       int32(hi),
 			fns:      c.scratch.stepFns[lo:hi:hi],
-			active:   make([]int32, 0, hi-lo),
-			wakeAt:   make([]int32, hi-lo),
-			msgRound: make([]int32, hi-lo),
 			live:     hi - lo,
 			bootProg: prog,
 			crashes:  crashes,
-		})
+		}
+		sh.carve(c.scratch)
+		rt.shards = append(rt.shards, sh)
 	}
 	nshards = len(rt.shards)
 	if nshards > 1 {

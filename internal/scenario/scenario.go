@@ -328,15 +328,15 @@ func Apply(g *graph.Graph, events []EdgeEvent) *graph.Graph {
 		}
 		edges = append(edges, e)
 	}
-	for e := range add {
-		edges = append(edges, e)
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
+	// The inserted edges follow in event order, each once. The CSR that
+	// FromEdges builds does not depend on the order of its input.
+	for _, e := range events {
+		ge := graph.Edge{U: int32(e.U), V: int32(e.V)}
+		if e.Insert && add[ge] {
+			edges = append(edges, ge)
+			delete(add, ge)
 		}
-		return edges[i].V < edges[j].V
-	})
+	}
 	ng := graph.FromEdges(g.N(), edges)
 	ng.Name = g.Name
 	ng.ArborBound = g.ArborBound
