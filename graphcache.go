@@ -80,7 +80,7 @@ func relabelFor(g *Graph, p Params) (*Graph, error) {
 		return g, nil
 	case "rcm":
 	default:
-		return nil, fmt.Errorf("unknown Relabel mode %q (valid: off, rcm)", p.Relabel)
+		return nil, fmt.Errorf("%w: unknown Relabel mode %q (valid: off, rcm)", ErrBadParams, p.Relabel)
 	}
 	relabelViews.Lock()
 	defer relabelViews.Unlock()

@@ -89,7 +89,7 @@ func sigHasAPIParam(sig *types.Signature) bool {
 
 // sigIsStepForm reports whether sig is step-turn code: it receives the
 // vertex API and produces an engine.Step verdict. This matches StepFn
-// itself and the Start* sub-machine helpers that return a turn verdict.
+// itself and the vertex-struct helpers a turn returns its verdict through.
 func sigIsStepForm(sig *types.Signature) bool {
 	if !sigHasAPIParam(sig) {
 		return false

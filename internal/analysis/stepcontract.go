@@ -8,17 +8,18 @@ import (
 
 // Stepcontract enforces the step runner's execution model on step-form
 // code: any function that takes the *engine.API handle and produces an
-// engine.Step verdict (StepFns themselves and the Start* sub-machine
-// helpers). The step driver invokes these on a shard worker with no
-// per-vertex goroutine, so a turn must run to completion without ever
-// blocking, and it must cross rounds only by returning a verdict:
+// engine.Step verdict (StepFns themselves and the vertex-struct helpers
+// a turn returns its verdict through). The step driver invokes these on
+// a shard worker with no per-vertex goroutine, so a turn must run to
+// completion without ever blocking, and it must cross rounds only by
+// returning a verdict:
 //
 //   - api.Next and api.Idle are forbidden — they park a goroutine the
 //     step runner does not have; the step forms are Continue and Sleep;
 //   - goroutine launches, channel operations, select, time.Sleep, and
 //     sync.WaitGroup.Wait are forbidden for the same reason;
 //   - every return must produce its verdict directly from a call —
-//     Continue(...), Sleep(...), Done(...), or a sub-machine helper —
+//     Continue(...), Sleep(...), Done(...), or a helper that returns one —
 //     never from a stored Step value, which hides which constructor ran
 //     and defeats the nil-StepFn panics guarding Continue and Sleep.
 //

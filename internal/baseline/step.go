@@ -162,59 +162,105 @@ func MISByColoringWCStep(a int, eps float64) engine.StepProgram {
 	return wcStep(wcMIS, a, eps)
 }
 
+// lubyVertex is one vertex of LubyMISStep.
+type lubyVertex struct {
+	p     int64 // this phase's priority
+	phase lubyPhase
+	fn    engine.StepFn // v.turn, bound once
+}
+
+type lubyPhase uint8
+
+const (
+	lubyDraw  lubyPhase = iota // draw and broadcast a priority
+	lubyBest                   // join if no neighbor drew higher
+	lubyFinal                  // leave if a neighbor joined
+)
+
 // LubyMISStep is the step form of LubyMIS.
 func LubyMISStep() engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
-		var p int64
-		var bestTurn, finalTurn engine.StepFn
-		draw := func(api *engine.API) engine.Step {
-			p = api.Rand().Int63()
-			api.BroadcastInt(p)
-			return engine.Continue(bestTurn)
-		}
-		bestTurn = func(api *engine.API, inbox []engine.Msg) engine.Step {
-			best := true
-			for _, m := range inbox {
-				if q, ok := m.AsInt(); ok {
-					if q > p || (q == p && int(m.From) > api.ID()) {
-						best = false
-					}
+		v := new(lubyVertex)
+		v.fn = v.turn
+		return v.fn
+	}
+}
+
+func (v *lubyVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
+	switch v.phase {
+	case lubyBest:
+		best := true
+		for _, m := range inbox {
+			if q, ok := m.AsInt(); ok {
+				if q > v.p || (q == v.p && int(m.From) > api.ID()) {
+					best = false
 				}
 			}
-			if best {
-				return engine.Done(true)
-			}
-			return engine.Continue(finalTurn)
 		}
-		finalTurn = func(api *engine.API, inbox []engine.Msg) engine.Step {
-			// Learn which neighbors joined this phase.
-			for _, m := range inbox {
-				if f, ok := m.Data.(engine.Final); ok {
-					if in, ok := f.Output.(bool); ok && in {
-						return engine.Done(false)
-					}
+		if best {
+			return engine.Done(true)
+		}
+		v.phase = lubyFinal
+		return engine.Continue(v.fn)
+	case lubyFinal:
+		// Learn which neighbors joined this phase.
+		for _, m := range inbox {
+			if f, ok := m.Data.(engine.Final); ok {
+				if in, ok := f.Output.(bool); ok && in {
+					return engine.Done(false)
 				}
 			}
-			return draw(api)
-		}
-		return func(api *engine.API, _ []engine.Msg) engine.Step {
-			return draw(api)
 		}
 	}
+	v.p = api.Rand().Int63()
+	api.BroadcastInt(v.p)
+	v.phase = lubyBest
+	return engine.Continue(v.fn)
+}
+
+// ringVertex is one vertex of Ring3ColoringStep.
+type ringVertex struct {
+	cv      coloring.CV
+	parents [2]int // forest 1's parent: the successor
+	started bool
+	fn      engine.StepFn // v.turn, bound once
 }
 
 // Ring3ColoringStep is the step form of Ring3Coloring.
 func Ring3ColoringStep() engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
-		return func(api *engine.API, _ []engine.Msg) engine.Step {
-			n := api.N()
-			succ := (api.ID() + 1) % n
-			k := api.NeighborIndex(int32(succ))
-			parentIdx := []int{-1, k}
-			return coloring.StartCVForests(api, 1, parentIdx, coloring.NopSink,
-				func(cv []int32) engine.Step { return engine.Done(int(cv[1])) })
-		}
+		v := new(ringVertex)
+		v.fn = v.turn
+		return v.fn
 	}
+}
+
+func (v *ringVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
+	if !v.started {
+		v.started = true
+		succ := (api.ID() + 1) % api.N()
+		v.parents = [2]int{-1, api.NeighborIndex(int32(succ))}
+		v.cv.Start(api, 1, v.parents[:])
+		return engine.Continue(v.fn)
+	}
+	if v.cv.Turn(api, inbox, v) {
+		return engine.Done(int(v.cv.Colors()[1]))
+	}
+	return engine.Continue(v.fn)
+}
+
+// Stray ignores a message the Cole-Vishkin machine does not understand.
+func (*ringVertex) Stray(*engine.API, engine.Msg) {}
+
+// leaderVertex is one vertex of LeaderElectionRingStep.
+type leaderVertex struct {
+	my                int32
+	phase             int32
+	replies           int
+	candidate, leader bool
+	started, done     bool
+	outLeft, outRight []hsMsg
+	fn                engine.StepFn // v.turn, bound once
 }
 
 // LeaderElectionRingStep is the step form of LeaderElectionRing.
@@ -223,104 +269,102 @@ func LeaderElectionRingStep() engine.StepProgram {
 		if api.Degree() != 2 {
 			panic("baseline: leader election requires a cycle")
 		}
-		left, right := 0, 1
-		my := int32(api.ID())
+		v := &leaderVertex{my: int32(api.ID()), candidate: true}
+		v.fn = v.turn
+		return v.fn
+	}
+}
 
-		candidate := true
-		phase := int32(0)
-		replies := 0
-		leader := false
-		var outLeft, outRight []hsMsg
+// The ring ports: neighbor indices 0 and 1.
+const leftPort, rightPort = 0, 1
 
-		launch := func() {
-			hops := int32(1) << phase
-			outLeft = append(outLeft, hsMsg{Kind: 0, ID: my, Hops: hops, Phase: phase})
-			outRight = append(outRight, hsMsg{Kind: 0, ID: my, Hops: hops, Phase: phase})
-			replies = 0
+func (v *leaderVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
+	switch {
+	case v.done:
+		return engine.Done(LeaderOutput{Leader: v.leader})
+	case !v.started:
+		v.started = true
+		v.launch()
+		v.send(api)
+		return engine.Continue(v.fn)
+	}
+	my := v.my
+	for _, m := range inbox {
+		fromLeft := api.NeighborIndex(m.From) == leftPort
+		batch, ok := m.Data.(hsBatch)
+		if !ok {
+			continue
 		}
-		send := func(api *engine.API) {
-			if len(outLeft) > 0 {
-				api.Send(left, hsBatch{Msgs: outLeft})
-			}
-			if len(outRight) > 0 {
-				api.Send(right, hsBatch{Msgs: outRight})
-			}
-			outLeft, outRight = nil, nil
+		fwd := &v.outRight // continue travel away from arrival side
+		back := &v.outLeft
+		if !fromLeft {
+			fwd, back = &v.outLeft, &v.outRight
 		}
-		end := func(api *engine.API, _ []engine.Msg) engine.Step {
-			return engine.Done(LeaderOutput{Leader: leader})
-		}
-		var loop engine.StepFn
-		loop = func(api *engine.API, inbox []engine.Msg) engine.Step {
-			done := false
-			for _, m := range inbox {
-				fromLeft := api.NeighborIndex(m.From) == left
-				batch, ok := m.Data.(hsBatch)
-				if !ok {
-					continue
-				}
-				fwd := &outRight // continue travel away from arrival side
-				back := &outLeft
-				if !fromLeft {
-					fwd, back = &outLeft, &outRight
-				}
-				for _, h := range batch.Msgs {
-					switch h.Kind {
-					case 0: // probe
-						switch {
-						case h.ID == my:
-							// Our own probe circumnavigated: we are leader.
-							leader, candidate = true, true
-							api.Commit()
-							*fwd = append(*fwd, hsMsg{Kind: 2, ID: my})
-							done = true
-						case h.ID > my:
-							if candidate {
-								candidate = false
-								api.Commit()
-							}
-							if h.Hops > 1 {
-								*fwd = append(*fwd, hsMsg{Kind: 0, ID: h.ID, Hops: h.Hops - 1, Phase: h.Phase})
-							} else {
-								*back = append(*back, hsMsg{Kind: 1, ID: h.ID, Phase: h.Phase})
-							}
-						default:
-							// Smaller candidate: swallow the probe.
-						}
-					case 1: // reply
-						if h.ID == my {
-							if candidate && h.Phase == phase {
-								replies++
-							}
-						} else {
-							*fwd = append(*fwd, h)
-						}
-					case 2: // completion wave
-						if h.ID != my {
-							*fwd = append(*fwd, h)
-							api.Commit()
-							done = true
-						}
+		for _, h := range batch.Msgs {
+			switch h.Kind {
+			case 0: // probe
+				switch {
+				case h.ID == my:
+					// Our own probe circumnavigated: we are leader.
+					v.leader, v.candidate = true, true
+					api.Commit()
+					*fwd = append(*fwd, hsMsg{Kind: 2, ID: my})
+					v.done = true
+				case h.ID > my:
+					if v.candidate {
+						v.candidate = false
+						api.Commit()
 					}
+					if h.Hops > 1 {
+						*fwd = append(*fwd, hsMsg{Kind: 0, ID: h.ID, Hops: h.Hops - 1, Phase: h.Phase})
+					} else {
+						*back = append(*back, hsMsg{Kind: 1, ID: h.ID, Phase: h.Phase})
+					}
+				default:
+					// Smaller candidate: swallow the probe.
+				}
+			case 1: // reply
+				if h.ID == my {
+					if v.candidate && h.Phase == v.phase {
+						v.replies++
+					}
+				} else {
+					*fwd = append(*fwd, h)
+				}
+			case 2: // completion wave
+				if h.ID != my {
+					*fwd = append(*fwd, h)
+					api.Commit()
+					v.done = true
 				}
 			}
-			if done {
-				// Flush any last relayed messages (the completion wave) in
-				// one final round before terminating.
-				send(api)
-				return engine.Continue(end)
-			}
-			if candidate && !leader && replies == 2 {
-				phase++
-				launch()
-			}
-			send(api)
-			return engine.Continue(loop)
-		}
-		return func(api *engine.API, _ []engine.Msg) engine.Step {
-			launch()
-			send(api)
-			return engine.Continue(loop)
 		}
 	}
+	// Once done, flush any last relayed messages (the completion wave) in
+	// one final round before terminating.
+	if !v.done && v.candidate && !v.leader && v.replies == 2 {
+		v.phase++
+		v.launch()
+	}
+	v.send(api)
+	return engine.Continue(v.fn)
+}
+
+// launch queues this phase's probes in both directions.
+func (v *leaderVertex) launch() {
+	hops := int32(1) << v.phase
+	v.outLeft = append(v.outLeft, hsMsg{Kind: 0, ID: v.my, Hops: hops, Phase: v.phase})
+	v.outRight = append(v.outRight, hsMsg{Kind: 0, ID: v.my, Hops: hops, Phase: v.phase})
+	v.replies = 0
+}
+
+// send flushes the queued messages; the batches keep their slices.
+func (v *leaderVertex) send(api *engine.API) {
+	if len(v.outLeft) > 0 {
+		api.Send(leftPort, hsBatch{Msgs: v.outLeft})
+	}
+	if len(v.outRight) > 0 {
+		api.Send(rightPort, hsBatch{Msgs: v.outRight})
+	}
+	v.outLeft, v.outRight = nil, nil
 }

@@ -182,6 +182,66 @@ func TestRecolorWaveStepStandalone(t *testing.T) {
 	}
 }
 
+// cvParents returns TestCVForestsStandalone's forests: a vertex's
+// out-edges to higher IDs, labeled by rank up to numLabels.
+func cvParents(api *engine.API, numLabels int) []int {
+	parentIdx := make([]int, numLabels+1)
+	for j := range parentIdx {
+		parentIdx[j] = -1
+	}
+	label := 0
+	for k, id := range api.NeighborIDs() {
+		if int(id) > api.ID() && label < numLabels {
+			label++
+			parentIdx[label] = k
+		}
+	}
+	return parentIdx
+}
+
+// cvVertex drives a CV machine from a test-local StepFn.
+type cvVertex struct {
+	cv CV
+	fn engine.StepFn
+}
+
+func (*cvVertex) Stray(*engine.API, engine.Msg) {}
+
+func (v *cvVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
+	if v.cv.Turn(api, inbox, v) {
+		return engine.Done(v.cv.Colors())
+	}
+	return engine.Continue(v.fn)
+}
+
+// TestCVForestsStepStandalone runs CV against CVForests on
+// TestCVForestsStandalone's forests, and on a ring with one label, where
+// every vertex but the maximum has a parent.
+func TestCVForestsStepStandalone(t *testing.T) {
+	cases := []struct {
+		g      *graph.Graph
+		labels int
+	}{
+		{graph.ForestUnion(300, 3, 21), 12},
+		{graph.Ring(30), 1},
+		{graph.Relabel(graph.ForestUnion(300, 3, 21)), 12},
+	}
+	for _, c := range cases {
+		prog := func(api *engine.API) any {
+			return CVForests(api, c.labels, cvParents(api, c.labels), NopSink)
+		}
+		step := func(api *engine.API) engine.StepFn {
+			return func(api *engine.API, _ []engine.Msg) engine.Step {
+				v := new(cvVertex)
+				v.cv.Start(api, c.labels, cvParents(api, c.labels))
+				v.fn = v.turn
+				return engine.Continue(v.fn)
+			}
+		}
+		requireSameResult(t, c.g, prog, step)
+	}
+}
+
 // TestKWOutOfStepAnnouncements gives KW members that announce a color in
 // every round, as a member rebooted out of step by a crash+restart
 // scenario can. The middle vertex of a path chooses in the last round of

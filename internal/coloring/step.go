@@ -13,16 +13,15 @@ import (
 // Each reproduces its blocking form round for round, so the two forms are
 // byte-identical.
 //
-// The sub-machines are value types — Linial, KW, DeltaPlus1 and Wave —
-// that a composed algorithm embeds in its per-vertex struct and drives
-// from its own turn, with no closure or escaped variable per vertex.
-// Start does the work the blocking form does before its first receive,
-// and Turn handles one round's inbox and the work up to the next receive;
-// each reports done in the turn the blocking form returns in, after which
-// Color is the result. A vertex is one struct whose turn method, bound
-// once at construction, dispatches on a phase field. StartCVForests, which
-// the edge programs of Section 8 and the ring baseline compose as a
-// continuation, is the one sub-procedure not yet a value machine.
+// The sub-machines are value types — Linial, KW, DeltaPlus1, Wave and
+// CV — that a composed algorithm embeds in its per-vertex struct and
+// drives from its own turn, with no closure or escaped variable per
+// vertex. Start does the work the blocking form does before its first
+// receive, and Turn handles one round's inbox and the work up to the next
+// receive; each reports done in the turn the blocking form returns in,
+// after which Color (CV: Colors) is the result. A vertex is one struct
+// whose turn method, bound once at construction, dispatches on a phase
+// field.
 
 // Strays receives the messages a value machine's turn does not itself
 // understand (Join announcements, terminations, foreign traffic), one at
@@ -254,103 +253,111 @@ func (d *DeltaPlus1) startKW(api *engine.API) (done bool) {
 // machine is done.
 func (d *DeltaPlus1) Color() int { return d.kw.Color() }
 
-// StartCVForests is the step form of CVForests.
-func StartCVForests(api *engine.API, numLabels int, parentIdx []int,
-	sink Sink, done func([]int32) engine.Step) engine.Step {
-	n := api.N()
-	colors := make([]int32, numLabels+1) // 1-based labels
-	for j := range colors {
-		colors[j] = int32(api.ID())
+// cvRemoved lists the classes CVForests' shift-down rounds remove, in
+// order.
+var cvRemoved = [...]int32{5, 4, 3}
+
+// CV is the value-machine form of CVForests.
+type CV struct {
+	parentIdx []int
+	// colors, parentColors and preShift are indexed by forest label.
+	colors, parentColors, preShift []int32
+	steps, r                       int // bit-reduction steps, and exchanges heard
+}
+
+// Start begins the Cole-Vishkin colorings of numLabels forests in the
+// caller's turn and broadcasts the initial colors; parentIdx[j] is the
+// neighbor index of this vertex's parent in forest j, or -1. The machine
+// keeps parentIdx, which the caller must not modify.
+//
+//vavg:stepform
+func (cv *CV) Start(api *engine.API, numLabels int, parentIdx []int) {
+	l := numLabels + 1 // 1-based labels
+	buf := make([]int32, 3*l)
+	*cv = CV{
+		parentIdx:    parentIdx,
+		colors:       buf[:l:l],
+		parentColors: buf[l : 2*l : 2*l],
+		preShift:     buf[2*l:],
+		steps:        CVSteps(api.N()),
 	}
-	parentColors := make([]int32, numLabels+1)
-	send := func(api *engine.API) {
-		api.Broadcast(cvForestMsg{Colors: append([]int32(nil), colors...)})
+	for j := range cv.colors {
+		cv.colors[j] = int32(api.ID())
 	}
-	process := func(api *engine.API, inbox []engine.Msg) {
-		var stray []engine.Msg
-		for _, m := range inbox {
-			cm, ok := m.Data.(cvForestMsg)
-			if !ok {
-				stray = append(stray, m)
-				continue
+	cv.send(api)
+}
+
+// Turn records the parents' colors of one exchange, then takes the next
+// bit-reduction, shift-down or class-removal step.
+//
+//vavg:stepform
+func (cv *CV) Turn(api *engine.API, inbox []engine.Msg, s Strays) (done bool) {
+	for _, m := range inbox {
+		cm, ok := m.Data.(cvForestMsg)
+		if !ok {
+			s.Stray(api, m)
+			continue
+		}
+		k := api.NeighborIndex(m.From)
+		for j := 1; j < len(cv.colors); j++ {
+			if cv.parentIdx[j] == k && j < len(cm.Colors) {
+				cv.parentColors[j] = cm.Colors[j]
 			}
-			k := api.NeighborIndex(m.From)
-			for j := 1; j <= numLabels; j++ {
-				if parentIdx[j] == k && j < len(cm.Colors) {
-					parentColors[j] = cm.Colors[j]
-				}
-			}
-		}
-		if len(stray) > 0 {
-			sink(stray)
 		}
 	}
-	steps := CVSteps(n)
-	s := 0
-	removed := []int32{5, 4, 3}
-	ri := 0
-	preShift := make([]int32, numLabels+1)
-	var reduce, shiftA, shiftB engine.StepFn
-	reduce = func(api *engine.API, inbox []engine.Msg) engine.Step {
-		process(api, inbox)
-		for j := 1; j <= numLabels; j++ {
-			cp := parentColors[j]
-			if parentIdx[j] < 0 {
-				cp = colors[j] ^ 1
+	cv.r++
+	switch shift := cv.r - cv.steps; {
+	case shift <= 0:
+		for j := 1; j < len(cv.colors); j++ {
+			cp := cv.parentColors[j]
+			if cv.parentIdx[j] < 0 {
+				cp = cv.colors[j] ^ 1
 			}
-			colors[j] = cvStep(colors[j], cp)
+			cv.colors[j] = cvStep(cv.colors[j], cp)
 		}
-		s++
-		send(api)
-		if s < steps {
-			return engine.Continue(reduce)
-		}
-		return engine.Continue(shiftA)
-	}
-	shiftA = func(api *engine.API, inbox []engine.Msg) engine.Step {
-		process(api, inbox)
-		for j := 1; j <= numLabels; j++ {
-			preShift[j] = colors[j]
-			if parentIdx[j] < 0 {
+	case shift%2 == 1:
+		for j := 1; j < len(cv.colors); j++ {
+			cv.preShift[j] = cv.colors[j]
+			if cv.parentIdx[j] < 0 {
 				// Root: pick a color in {0,1,2} different from its own.
-				colors[j] = (colors[j] + 1) % 3
+				cv.colors[j] = (cv.colors[j] + 1) % 3
 			} else {
-				colors[j] = parentColors[j]
+				cv.colors[j] = cv.parentColors[j]
 			}
 		}
-		send(api)
-		return engine.Continue(shiftB)
-	}
-	shiftB = func(api *engine.API, inbox []engine.Msg) engine.Step {
-		process(api, inbox)
-		for j := 1; j <= numLabels; j++ {
-			if colors[j] != removed[ri] {
+	default:
+		removed := cvRemoved[shift/2-1]
+		for j := 1; j < len(cv.colors); j++ {
+			if cv.colors[j] != removed {
 				continue
 			}
-			forbidden := [2]int32{preShift[j], -1}
-			if parentIdx[j] >= 0 {
-				forbidden[1] = parentColors[j]
+			forbidden := [2]int32{cv.preShift[j], -1}
+			if cv.parentIdx[j] >= 0 {
+				forbidden[1] = cv.parentColors[j]
 			}
 			for c := int32(0); c < 3; c++ {
 				if c != forbidden[0] && c != forbidden[1] {
-					colors[j] = c
+					cv.colors[j] = c
 					break
 				}
 			}
 		}
-		ri++
-		if ri == len(removed) {
-			return done(colors[:numLabels+1])
+		if shift == 2*len(cvRemoved) {
+			return true
 		}
-		send(api)
-		return engine.Continue(shiftA)
 	}
-	send(api)
-	if steps > 0 {
-		return engine.Continue(reduce)
-	}
-	return engine.Continue(shiftA)
+	cv.send(api)
+	return false
 }
+
+// send broadcasts a copy of the current colors.
+func (cv *CV) send(api *engine.API) {
+	api.Broadcast(cvForestMsg{Colors: slices.Clone(cv.colors)})
+}
+
+// Colors returns the vertex's color in each forest by 1-based label; in
+// {0,1,2} once the machine is done. The caller must not modify it.
+func (cv *CV) Colors() []int32 { return cv.colors }
 
 // noFinal marks a Wave parent whose final color has not arrived.
 const noFinal = math.MinInt

@@ -68,10 +68,10 @@ type StepFn func(api *API, inbox []Msg) Step
 
 // StepProgram builds a vertex's state machine: it is called once per
 // vertex before round 1 and returns the StepFn for the vertex's first
-// turn (invoked in round 1 with an empty inbox). Per-vertex state lives in
-// the closure, or in a per-vertex struct whose method value, bound once
-// at construction, is the StepFn (binding it on every turn would allocate
-// on every turn); the API handle stays valid for the whole run.
+// turn (invoked in round 1 with an empty inbox). Per-vertex state lives
+// in one struct whose method value, bound once at construction, is the
+// StepFn of every turn (binding it on every turn would allocate on every
+// turn); the API handle stays valid for the whole run.
 type StepProgram func(api *API) StepFn
 
 // Step is the verdict a StepFn returns for one turn.

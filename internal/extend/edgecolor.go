@@ -46,10 +46,10 @@ func (st *edgeState) usedList() []int32 {
 	return sortedKeys(st.used)
 }
 
-// serveRequests assigns a color to every edgeRequest in msgs, in tail-ID
+// serve assigns a color to every edgeRequest in msgs, in tail-ID
 // order, choosing the smallest color free at both endpoints, and replies
 // with edgeAssign.
-func (st *edgeState) serveRequests(api *engine.API, msgs []engine.Msg) {
+func (st *edgeState) serve(api *engine.API, msgs []engine.Msg) {
 	reqs := map[int32]edgeRequest{}
 	for _, m := range msgs {
 		if r, ok := m.Data.(edgeRequest); ok {
@@ -70,9 +70,9 @@ func (st *edgeState) serveRequests(api *engine.API, msgs []engine.Msg) {
 	}
 }
 
-// recordAssign stores the color the head picked for this vertex's pending
+// record stores the color the head picked for this vertex's pending
 // request, if present in msgs.
-func (st *edgeState) recordAssign(msgs []engine.Msg, head int32) {
+func (st *edgeState) record(msgs []engine.Msg, head int32) {
 	for _, m := range msgs {
 		if x, ok := m.AsInt(); ok && wire.Tag(x) == wire.TagAssign && m.From == head {
 			st.used[int32(wire.Payload(x))] = true
@@ -107,7 +107,7 @@ func EdgeColoring(a int, eps float64) engine.Program {
 			for j := 1; j <= A; j++ {
 				reqs := api.Next()
 				sink(reqs)
-				st.serveRequests(api, reqs)
+				st.serve(api, reqs)
 				sink(api.Next())
 			}
 		}
@@ -147,11 +147,11 @@ func EdgeColoring(a int, eps float64) engine.Program {
 				}
 				reqs := api.Next()
 				sink(reqs)
-				st.serveRequests(api, reqs)
+				st.serve(api, reqs)
 				msgs := api.Next()
 				sink(msgs)
 				if mine {
-					st.recordAssign(msgs, ids[intraParent[j]])
+					st.record(msgs, ids[intraParent[j]])
 				}
 			}
 		}
@@ -165,7 +165,7 @@ func EdgeColoring(a int, eps float64) engine.Program {
 			msgs := api.Next()
 			sink(msgs)
 			if mine {
-				st.recordAssign(msgs, ids[interOut[j]])
+				st.record(msgs, ids[interOut[j]])
 			}
 		}
 		return EdgeOutput{Assigned: st.assigned}

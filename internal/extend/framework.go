@@ -28,8 +28,6 @@ type Problem interface {
 type HSetContext struct {
 	// A is the partition threshold (within-set degrees are at most A).
 	A int
-	// Tracker is the partition state; Tracker.NbrH classifies neighbors.
-	Tracker *hpartition.Tracker
 	// Members lists same-set neighbor indices.
 	Members []int
 	// SetColor is this vertex's color in a proper (A+1)-coloring of the
@@ -73,7 +71,6 @@ func Framework(a int, eps float64, p Problem) engine.Program {
 		sink(api.Next()) // settle
 		ctx := &HSetContext{
 			A:       A,
-			Tracker: tr,
 			Members: coloring.SetMembers(tr),
 			Finals:  fin.byIdx,
 			Sink:    sink,
@@ -174,10 +171,4 @@ func (p listColorProblem) Solve(api *engine.API, ctx *HSetContext) any {
 // the instance list(v) = {0..deg(v)}.
 func ListColoring(a int, eps float64, list func(v int) []int) engine.Program {
 	return Framework(a, eps, listColorProblem{list: list})
-}
-
-// MISFramework is an alias of MIS kept for symmetry with the framework
-// tests; both are the misProblem instance of Framework.
-func MISFramework(a int, eps float64) engine.Program {
-	return MIS(a, eps)
 }

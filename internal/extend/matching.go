@@ -32,9 +32,9 @@ type matchState struct {
 	partner int32 // -1 while unmatched
 }
 
-// serveProposals accepts at most one proposal from msgs if this vertex is
+// serve accepts at most one proposal from msgs if this vertex is
 // still unmatched, preferring the lowest proposer ID.
-func (st *matchState) serveProposals(api *engine.API, msgs []engine.Msg) {
+func (st *matchState) serve(api *engine.API, msgs []engine.Msg) {
 	if st.partner >= 0 {
 		return
 	}
@@ -52,8 +52,8 @@ func (st *matchState) serveProposals(api *engine.API, msgs []engine.Msg) {
 	}
 }
 
-// recordAccept marks this vertex matched if head accepted its proposal.
-func (st *matchState) recordAccept(msgs []engine.Msg, head int32) {
+// record marks this vertex matched if head accepted its proposal.
+func (st *matchState) record(msgs []engine.Msg, head int32) {
 	for _, m := range msgs {
 		if hasTag(m, wire.TagAccept) && m.From == head {
 			st.partner = head
@@ -85,7 +85,7 @@ func MaximalMatching(a int, eps float64) engine.Program {
 			for j := 1; j <= A; j++ {
 				reqs := api.Next()
 				sink(reqs)
-				st.serveProposals(api, reqs)
+				st.serve(api, reqs)
 				sink(api.Next())
 			}
 		}
@@ -125,11 +125,11 @@ func MaximalMatching(a int, eps float64) engine.Program {
 				}
 				reqs := api.Next()
 				sink(reqs)
-				st.serveProposals(api, reqs)
+				st.serve(api, reqs)
 				msgs := api.Next()
 				sink(msgs)
 				if mine {
-					st.recordAccept(msgs, head)
+					st.record(msgs, head)
 				}
 			}
 		}
@@ -144,7 +144,7 @@ func MaximalMatching(a int, eps float64) engine.Program {
 			msgs := api.Next()
 			sink(msgs)
 			if mine {
-				st.recordAccept(msgs, head)
+				st.record(msgs, head)
 			}
 		}
 		return st.partner

@@ -13,123 +13,113 @@ import (
 // equivalence suite pins the two forms byte-identical — so the whole
 // Section 8 family runs goroutine-free on the step runner.
 
-// StepProblem is a Problem whose Solve also has a step form.
-type StepProblem interface {
+// sweepProblem is a Problem whose Solve is a class sweep (classSweep):
+// the H-set's color classes take one-round turns, and a vertex acts in
+// its own. The step form's framework vertex takes the sweep's turns
+// itself; the problem supplies only the per-vertex state.
+type sweepProblem interface {
 	Problem
-	// StartSolve begins the step form of Solve inside the caller's current
-	// turn — the turn the H-set's (A+1)-coloring finished in — and must
-	// terminate with engine.Done carrying Solve's output, in the turn the
-	// blocking Solve returns in.
-	StartSolve(api *engine.API, ctx *HSetContext) engine.Step
+	// sweep returns the vertex's sweep state, in the turn the blocking
+	// Solve starts in; finals are the neighbor finals heard so far.
+	sweep(finals map[int]any) sweeper
 }
 
-// startClassSweep is the step form of classSweep: act runs inside the
-// vertex's own class turn, every round's inbox reaches observe, and done
-// fires in the turn the blocking sweep returns in.
-func startClassSweep(api *engine.API, numClasses, myClass int, act func(),
-	observe func([]engine.Msg), done func() engine.Step) engine.Step {
-	cls := 0
-	var loop engine.StepFn
-	loop = func(api *engine.API, inbox []engine.Msg) engine.Step {
-		observe(inbox)
-		cls++
-		if cls == numClasses {
-			return done()
-		}
-		if cls == myClass {
-			act()
-		}
-		return engine.Continue(loop)
-	}
-	if cls == myClass {
-		act()
-	}
-	return engine.Continue(loop)
+// sweeper is one vertex's part in a class sweep.
+type sweeper interface {
+	// act runs in the vertex's own class turn, and may broadcast.
+	act(api *engine.API)
+	// observe sees every message of the sweep's rounds, in inbox order.
+	observe(m engine.Msg)
+	// output is the vertex's output once the sweep ends.
+	output() any
 }
 
-// StartSolve is the step form of misProblem.Solve.
-func (misProblem) StartSolve(api *engine.API, ctx *HSetContext) engine.Step {
-	dominated := func() bool {
-		for _, out := range ctx.Finals {
-			if in, ok := out.(bool); ok && in {
-				return true
-			}
-		}
-		return false
-	}
-	inMIS := false
-	domBySameSet := false
-	return startClassSweep(api, ctx.A+1, ctx.SetColor, func() {
-		if !dominated() && !domBySameSet {
-			inMIS = true
-			coloring.BroadcastChosen(api, sweepKind, 1)
-		}
-	}, func(msgs []engine.Msg) {
-		for _, m := range msgs {
-			if c, ok := coloring.AsChosen(m, sweepKind); ok && c == 1 {
-				domBySameSet = true
-			}
-		}
-		ctx.Sink(msgs)
-	}, func() engine.Step {
-		return engine.Done(inMIS)
-	})
+func (misProblem) sweep(finals map[int]any) sweeper { return &misSweep{finals: finals} }
+
+// misSweep is a vertex's state in misProblem's sweep.
+type misSweep struct {
+	finals           map[int]any // the framework's, still growing
+	in, domBySameSet bool
 }
 
-// StartSolve is the step form of listColorProblem.Solve.
-func (p listColorProblem) StartSolve(api *engine.API, ctx *HSetContext) engine.Step {
-	list := p.list
-	if list == nil {
-		list = func(v int) []int {
-			out := make([]int, api.Degree()+1)
-			for i := range out {
-				out[i] = i
-			}
-			return out
+func (s *misSweep) act(api *engine.API) {
+	for _, out := range s.finals {
+		if in, ok := out.(bool); ok && in {
+			return // dominated by an earlier set
 		}
 	}
-	taken := map[int]bool{}
-	for _, out := range ctx.Finals {
+	if !s.domBySameSet {
+		s.in = true
+		coloring.BroadcastChosen(api, sweepKind, 1)
+	}
+}
+
+func (s *misSweep) observe(m engine.Msg) {
+	if c, ok := coloring.AsChosen(m, sweepKind); ok && c == 1 {
+		s.domBySameSet = true
+	}
+}
+
+func (s *misSweep) output() any { return s.in }
+
+func (p listColorProblem) sweep(finals map[int]any) sweeper {
+	s := &listSweep{list: p.list, taken: map[int]bool{}, color: -1}
+	for _, out := range finals {
 		if c, ok := out.(int); ok {
-			taken[c] = true
+			s.taken[c] = true
 		}
 	}
-	myColor := -1
-	return startClassSweep(api, ctx.A+1, ctx.SetColor, func() {
-		for _, c := range list(api.ID()) {
-			if !taken[c] {
-				myColor = c
+	return s
+}
+
+// listSweep is a vertex's state in listColorProblem's sweep.
+type listSweep struct {
+	list  func(v int) []int // nil: {0..deg(v)}
+	taken map[int]bool
+	color int
+}
+
+func (s *listSweep) act(api *engine.API) {
+	if s.list == nil {
+		for c := 0; c <= api.Degree() && s.color < 0; c++ {
+			if !s.taken[c] {
+				s.color = c
+			}
+		}
+	} else {
+		for _, c := range s.list(api.ID()) {
+			if !s.taken[c] {
+				s.color = c
 				break
 			}
 		}
-		if myColor < 0 {
-			panic("extend: list exhausted (|L(v)| >= deg(v)+1 violated)")
-		}
-		coloring.BroadcastChosen(api, sweepKind, int32(myColor))
-	}, func(msgs []engine.Msg) {
-		for _, m := range msgs {
-			if c, ok := coloring.AsChosen(m, sweepKind); ok {
-				taken[int(c)] = true
-			}
-		}
-		ctx.Sink(msgs)
-	}, func() engine.Step {
-		return engine.Done(myColor)
-	})
+	}
+	if s.color < 0 {
+		panic("extend: list exhausted (|L(v)| >= deg(v)+1 violated)")
+	}
+	coloring.BroadcastChosen(api, sweepKind, int32(s.color))
 }
 
-// frameworkVertex is one vertex of FrameworkStep until it hands off to
-// StartSolve: its partition tracker, the finals it has heard, its H-set
-// context and the set's (A+1)-coloring, driven by one StepFn that
-// dispatches on phase.
+func (s *listSweep) observe(m engine.Msg) {
+	if c, ok := coloring.AsChosen(m, sweepKind); ok {
+		s.taken[int(c)] = true
+	}
+}
+
+func (s *listSweep) output() any { return s.color }
+
+// frameworkVertex is one vertex of the framework's step form: its
+// partition tracker, the finals it has heard, the H-set's (A+1)-coloring
+// and the problem's class sweep, driven by one StepFn that dispatches on
+// phase.
 type frameworkVertex struct {
-	api   *engine.API
-	p     StepProblem
+	p     sweepProblem
 	w     int // iteration window width
 	tr    hpartition.Tracker
 	fin   finals
-	ctx   HSetContext
 	dp1   coloring.DeltaPlus1
+	sw    sweeper
+	cls   int // the sweep's current class
 	phase fwPhase
 	fn    engine.StepFn // v.turn, bound once
 }
@@ -140,15 +130,15 @@ const (
 	fwWindow fwPhase = iota // partition advance at the top of a window
 	fwTail                  // sleep through the window's remainder
 	fwJoined                // the join round's tail
-	fwSettle                // settle round: build the context, start coloring
+	fwSettle                // settle round: start the H-set's coloring
 	fwColor                 // (A+1)-coloring of the H-set
+	fwSweep                 // the problem's class sweep
 )
 
-// FrameworkStep is the step form of Framework.
-func FrameworkStep(a int, eps float64, p StepProblem) engine.StepProgram {
+// frameworkStep is the step form of Framework.
+func frameworkStep(a int, eps float64, p sweepProblem) engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
 		v := &frameworkVertex{
-			api: api,
 			p:   p,
 			w:   FrameworkWindow(api.N(), a, eps, p),
 			fin: finals{byIdx: map[int]any{}},
@@ -162,12 +152,12 @@ func FrameworkStep(a int, eps float64, p StepProblem) engine.StepProgram {
 func (v *frameworkVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
 	if v.phase == fwColor {
 		if v.dp1.Turn(api, inbox, v) {
-			return v.solve(api)
+			return v.startSweep(api)
 		}
 		return engine.Continue(v.fn)
 	}
 	// Every other phase absorbs its whole inbox.
-	v.sink(inbox)
+	v.sink(api, inbox)
 	switch v.phase {
 	case fwWindow:
 		v.phase = fwTail
@@ -181,250 +171,283 @@ func (v *frameworkVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step 
 	case fwJoined:
 		v.phase = fwSettle
 		return engine.Continue(v.fn)
+	case fwSettle:
+		v.phase = fwColor
+		if v.dp1.Start(api, coloring.SetMembers(&v.tr), v.tr.A) {
+			return v.startSweep(api)
+		}
+		return engine.Continue(v.fn)
 	}
-	v.ctx = HSetContext{
-		A:       v.tr.A,
-		Tracker: &v.tr,
-		Members: coloring.SetMembers(&v.tr),
-		Finals:  v.fin.byIdx,
-		Sink:    v.sink,
+	for _, m := range inbox {
+		v.sw.observe(m)
 	}
-	v.phase = fwColor
-	if v.dp1.Start(api, v.ctx.Members, v.ctx.A) {
-		return v.solve(api)
+	v.cls++
+	if v.cls == v.tr.A+1 {
+		return engine.Done(v.sw.output())
+	}
+	return v.sweepTurn(api)
+}
+
+// startSweep hands the colored H-set to the problem's class sweep.
+func (v *frameworkVertex) startSweep(api *engine.API) engine.Step {
+	v.sw = v.p.sweep(v.fin.byIdx)
+	v.phase = fwSweep
+	return v.sweepTurn(api)
+}
+
+// sweepTurn acts in the vertex's own class turn.
+func (v *frameworkVertex) sweepTurn(api *engine.API) engine.Step {
+	if v.cls == v.dp1.Color() {
+		v.sw.act(api)
 	}
 	return engine.Continue(v.fn)
 }
 
-// solve hands the colored H-set to the problem.
-func (v *frameworkVertex) solve(api *engine.API) engine.Step {
-	v.ctx.SetColor = v.dp1.Color()
-	return v.p.StartSolve(api, &v.ctx)
-}
-
 // sink feeds messages to the partition bookkeeping and the finals.
-func (v *frameworkVertex) sink(msgs []engine.Msg) {
-	v.tr.Absorb(v.api, msgs)
-	v.fin.absorb(v.api, msgs)
+func (v *frameworkVertex) sink(api *engine.API, msgs []engine.Msg) {
+	v.tr.Absorb(api, msgs)
+	v.fin.absorb(api, msgs)
 }
 
 // Stray sinks a message the coloring machine does not understand.
-func (v *frameworkVertex) Stray(_ *engine.API, m engine.Msg) {
-	v.sink([]engine.Msg{m})
+func (v *frameworkVertex) Stray(api *engine.API, m engine.Msg) {
+	v.sink(api, []engine.Msg{m})
 }
 
 // DeltaPlus1Step is the step form of DeltaPlus1.
 func DeltaPlus1Step(a int, eps float64) engine.StepProgram {
-	return FrameworkStep(a, eps, listColorProblem{})
+	return frameworkStep(a, eps, listColorProblem{})
 }
 
 // MISStep is the step form of MIS.
 func MISStep(a int, eps float64) engine.StepProgram {
-	return FrameworkStep(a, eps, misProblem{})
+	return frameworkStep(a, eps, misProblem{})
 }
 
 // ListColoringStep is the step form of ListColoring.
 func ListColoringStep(a int, eps float64, list func(v int) []int) engine.StepProgram {
-	return FrameworkStep(a, eps, listColorProblem{list: list})
+	return frameworkStep(a, eps, listColorProblem{list: list})
 }
 
-// edgeRole parameterizes the shared state machine of the two edge
-// programs (edge coloring and maximal matching): both run the identical
-// window and subphase schedule and differ only in what travels on an
-// edge's request/assign exchange.
-type edgeRole struct {
+// edgeRole is what distinguishes the two edge programs (edge coloring
+// and maximal matching) on their shared window and subphase schedule:
+// what travels on an edge's request/assign exchange.
+type edgeRole interface {
 	// serve handles the requests in one round's inbox as the assigner.
-	serve func(api *engine.API, msgs []engine.Msg)
+	serve(api *engine.API, msgs []engine.Msg)
 	// wants reports whether this vertex still requests on its own edges
 	// (matching stops proposing once matched; coloring always wants).
-	wants func() bool
+	wants() bool
 	// send issues this vertex's request to the edge's head.
-	send func(api *engine.API, head int32)
+	send(api *engine.API, head int32)
 	// record processes the head's reply to this vertex's request.
-	record func(msgs []engine.Msg, head int32)
+	record(msgs []engine.Msg, head int32)
 	// output is the vertex's final output.
-	output func() any
+	output() any
 }
 
+func (*edgeState) wants() bool { return true }
+
+func (st *edgeState) send(api *engine.API, head int32) {
+	api.SendID(int(head), edgeRequest{Used: st.usedList()})
+}
+
+func (st *edgeState) output() any { return EdgeOutput{Assigned: st.assigned} }
+
+func (st *matchState) wants() bool { return st.partner < 0 }
+
+func (*matchState) send(api *engine.API, head int32) {
+	api.SendIDInt(int(head), proposeMsg)
+}
+
+func (st *matchState) output() any { return st.partner }
+
+// edgeVertex is one vertex of the edge programs' step form (see the
+// blocking forms for the round schedule): its partition tracker, its
+// role, the forest labels and Cole-Vishkin colorings of its member
+// window, and the position in the window's two-round subphases, driven
+// by one StepFn that dispatches on phase.
+type edgeVertex struct {
+	role edgeRole
+	tr   hpartition.Tracker
+	cv   coloring.CV
+	// intraParent and interOut map a label to a neighbor index, or -1.
+	intraParent, interOut []int
+	j                     int   // the subphase's label
+	c                     int32 // the intra subphase's CV color class
+	mine                  bool  // this vertex requested in the subphase
+	head                  int32 // the requested edge's head
+	stage                 edgeStage
+	phase                 edgePhase
+	fn                    engine.StepFn // v.turn, bound once
+}
+
+// edgeStage is the window part whose subphases the vertex takes.
+type edgeStage uint8
+
+const (
+	edActive edgeStage = iota // an active window: serve inter-set requests
+	edIntra                   // member window: intra-set subphases
+	edInter                   // member window: inter-set subphases
+)
+
+type edgePhase uint8
+
+const (
+	edWindow  edgePhase = iota // partition advance at the top of a window
+	edTail                     // sleep to the window's inter-set subphases
+	edRequest                  // a subphase's request round
+	edReply                    // a subphase's reply round
+	edJoined                   // the join round's tail
+	edSettle                   // settle round: labels, start the CV colorings
+	edCV                       // Cole-Vishkin forest 3-colorings
+)
+
 // edgeProgramStep is the step form of the shared skeleton of EdgeColoring
-// and MaximalMatching (see the blocking forms for the round schedule).
-func edgeProgramStep(a int, eps float64, mk func(api *engine.API) edgeRole) engine.StepProgram {
+// and MaximalMatching; newRole builds a vertex's role.
+func edgeProgramStep(a int, eps float64, newRole func() edgeRole) engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
-		A := hpartition.ParamA(a, eps)
-		cvr := coloring.CVForestRounds(api.N())
-		W := EdgeColoringWindow(api.N(), a, eps)
-		tr := hpartition.NewTracker(api, a, eps)
-		role := mk(api)
-		sink := func(ms []engine.Msg) { tr.Absorb(api, ms) }
+		v := &edgeVertex{role: newRole()}
+		v.tr.Init(api, a, eps)
+		v.fn = v.turn
+		return v.fn
+	}
+}
 
-		// Member-window state, filled in the settle turn.
-		var ids []int32
-		var cv []int32
-		var intraParent, interOut []int
-		var j int
-		var c int32
-		var mine bool
-		var head int32
+func (v *edgeVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
+	if v.phase == edCV {
+		if v.cv.Turn(api, inbox, v) {
+			v.stage, v.j, v.c = edIntra, 1, 0
+			return v.subphase(api)
+		}
+		return engine.Continue(v.fn)
+	}
+	v.tr.Absorb(api, inbox)
+	switch v.phase {
+	case edWindow:
+		return v.window(api)
+	case edTail:
+		// Blocking form: Idle(1+cvr+6A) then the first serve Next.
+		v.phase, v.j = edRequest, 1
+		return engine.Sleep(2+coloring.CVForestRounds(api.N())+6*v.tr.A, v.fn)
+	case edRequest:
+		if v.stage != edInter {
+			v.role.serve(api, inbox)
+		}
+		v.phase = edReply
+		return engine.Continue(v.fn)
+	case edReply:
+		if v.mine {
+			v.role.record(inbox, v.head)
+		}
+		return v.nextSubphase(api)
+	case edJoined:
+		v.phase = edSettle
+		return engine.Continue(v.fn)
+	}
+	v.settle(api)
+	v.phase = edCV
+	v.cv.Start(api, v.tr.A, v.intraParent)
+	return engine.Continue(v.fn)
+}
 
-		var intraRecv1, intraRecv2, interRecv1, interRecv2 engine.StepFn
-		var startIntra, startInter func(api *engine.API) engine.Step
-		startIntra = func(api *engine.API) engine.Step {
-			if j > A {
-				j = 1
-				return startInter(api)
-			}
-			mine = intraParent[j] >= 0 && cv[j] == c && role.wants()
-			if mine {
-				head = ids[intraParent[j]]
-				role.send(api, head)
-			}
-			return engine.Continue(intraRecv1)
-		}
-		intraRecv1 = func(api *engine.API, inbox []engine.Msg) engine.Step {
-			sink(inbox)
-			role.serve(api, inbox)
-			return engine.Continue(intraRecv2)
-		}
-		intraRecv2 = func(api *engine.API, inbox []engine.Msg) engine.Step {
-			sink(inbox)
-			if mine {
-				role.record(inbox, head)
-			}
-			c++
-			if c == 3 {
-				c = 0
-				j++
-			}
-			return startIntra(api)
-		}
-		startInter = func(api *engine.API) engine.Step {
-			if j > A {
-				return engine.Done(role.output())
-			}
-			mine = interOut[j] >= 0 && role.wants()
-			if mine {
-				head = ids[interOut[j]]
-				role.send(api, head)
-			}
-			return engine.Continue(interRecv1)
-		}
-		interRecv1 = func(api *engine.API, inbox []engine.Msg) engine.Step {
-			sink(inbox)
-			return engine.Continue(interRecv2)
-		}
-		interRecv2 = func(api *engine.API, inbox []engine.Msg) engine.Step {
-			sink(inbox)
-			if mine {
-				role.record(inbox, head)
-			}
-			j++
-			return startInter(api)
-		}
-		settle := func(api *engine.API, inbox []engine.Msg) engine.Step {
-			sink(inbox)
-			ids = api.NeighborIDs()
-			my := tr.HIndex
-			intraParent = make([]int, A+1)
-			interOut = make([]int, A+1)
-			for l := range intraParent {
-				intraParent[l] = -1
-				interOut[l] = -1
-			}
-			label := 0
-			for k, h := range tr.NbrH {
-				switch {
-				case h == 0:
-					label++
-					interOut[label] = k
-				case h == my && int(ids[k]) > api.ID():
-					label++
-					intraParent[label] = k
-				}
-			}
-			if label > A {
-				panic(fmt.Sprintf("extend: vertex %d out-degree %d exceeds A=%d", api.ID(), label, A))
-			}
-			return coloring.StartCVForests(api, A, intraParent, sink, func(colors []int32) engine.Step {
-				cv = colors
-				j, c = 1, 0
-				return startIntra(api)
-			})
-		}
-		js1 := func(api *engine.API, inbox []engine.Msg) engine.Step {
-			sink(inbox)
-			return engine.Continue(settle)
-		}
+// window takes the partition step at the top of a window.
+func (v *edgeVertex) window(api *engine.API) engine.Step {
+	v.phase = edTail
+	if v.tr.Advance(api) {
+		v.phase = edJoined
+	}
+	return engine.Continue(v.fn)
+}
 
-		// Active-window body: idle through settle+CV+intra, then serve the
-		// A inter-set subphases as head.
-		var jj int
-		var windowTop func(api *engine.API) engine.Step
-		var tailA, serveFn, afterFn engine.StepFn
-		tailA = func(api *engine.API, inbox []engine.Msg) engine.Step {
-			sink(inbox)
-			if A == 0 {
-				return engine.Sleep(W-1, func(api *engine.API, inbox []engine.Msg) engine.Step {
-					sink(inbox)
-					return windowTop(api)
-				})
-			}
-			jj = 1
-			// Blocking form: Idle(1+cvr+6A) then the first serve Next.
-			return engine.Sleep(2+cvr+6*A, serveFn)
-		}
-		serveFn = func(api *engine.API, inbox []engine.Msg) engine.Step {
-			sink(inbox)
-			role.serve(api, inbox)
-			return engine.Continue(afterFn)
-		}
-		afterFn = func(api *engine.API, inbox []engine.Msg) engine.Step {
-			sink(inbox)
-			jj++
-			if jj <= A {
-				return engine.Continue(serveFn)
-			}
-			return windowTop(api)
-		}
-		windowTop = func(api *engine.API) engine.Step {
-			if tr.Advance(api) {
-				return engine.Continue(js1)
-			}
-			return engine.Continue(tailA)
-		}
-		return func(api *engine.API, _ []engine.Msg) engine.Step {
-			return windowTop(api)
+// settle labels the member's out-edges: intra-set edges toward higher
+// IDs, and edges to still-active neighbors.
+func (v *edgeVertex) settle(api *engine.API) {
+	A := v.tr.A
+	ids := api.NeighborIDs()
+	labels := make([]int, 2*(A+1))
+	v.intraParent, v.interOut = labels[:A+1], labels[A+1:]
+	for l := range labels {
+		labels[l] = -1
+	}
+	label := 0
+	for k, h := range v.tr.NbrH {
+		switch {
+		case h == 0:
+			label++
+			v.interOut[label] = k
+		case h == v.tr.HIndex && int(ids[k]) > api.ID():
+			label++
+			v.intraParent[label] = k
 		}
 	}
+	if label > A {
+		panic(fmt.Sprintf("extend: vertex %d out-degree %d exceeds A=%d", api.ID(), label, A))
+	}
+}
+
+// nextSubphase moves past a finished subphase: an active window serves
+// labels 1..A, then tops the next window; a member window takes the
+// intra-set subphases (label, CV class), then the inter-set ones.
+func (v *edgeVertex) nextSubphase(api *engine.API) engine.Step {
+	switch v.stage {
+	case edActive:
+		v.j++
+		if v.j > v.tr.A {
+			return v.window(api)
+		}
+		v.phase = edRequest
+		return engine.Continue(v.fn)
+	case edIntra:
+		v.c++
+		if v.c == 3 {
+			v.c = 0
+			v.j++
+		}
+	default:
+		v.j++
+	}
+	return v.subphase(api)
+}
+
+// subphase starts a member subphase: the vertex requests on its label-j
+// edge if the subphase is its own.
+func (v *edgeVertex) subphase(api *engine.API) engine.Step {
+	if v.stage == edIntra && v.j > v.tr.A {
+		v.stage, v.j = edInter, 1
+	}
+	var out int
+	if v.stage == edIntra {
+		out = v.intraParent[v.j]
+		v.mine = out >= 0 && v.cv.Colors()[v.j] == v.c && v.role.wants()
+	} else {
+		if v.j > v.tr.A {
+			return engine.Done(v.role.output())
+		}
+		out = v.interOut[v.j]
+		v.mine = out >= 0 && v.role.wants()
+	}
+	if v.mine {
+		v.head = api.NeighborIDs()[out]
+		v.role.send(api, v.head)
+	}
+	v.phase = edRequest
+	return engine.Continue(v.fn)
+}
+
+// Stray absorbs a message the Cole-Vishkin machine does not understand.
+func (v *edgeVertex) Stray(api *engine.API, m engine.Msg) {
+	v.tr.Absorb(api, []engine.Msg{m})
 }
 
 // EdgeColoringStep is the step form of EdgeColoring.
 func EdgeColoringStep(a int, eps float64) engine.StepProgram {
-	return edgeProgramStep(a, eps, func(api *engine.API) edgeRole {
-		st := &edgeState{used: map[int32]bool{}, assigned: map[int32]int32{}}
-		return edgeRole{
-			serve: st.serveRequests,
-			wants: func() bool { return true },
-			send: func(api *engine.API, head int32) {
-				api.SendID(int(head), edgeRequest{Used: st.usedList()})
-			},
-			record: st.recordAssign,
-			output: func() any { return EdgeOutput{Assigned: st.assigned} },
-		}
+	return edgeProgramStep(a, eps, func() edgeRole {
+		return &edgeState{used: map[int32]bool{}, assigned: map[int32]int32{}}
 	})
 }
 
 // MaximalMatchingStep is the step form of MaximalMatching.
 func MaximalMatchingStep(a int, eps float64) engine.StepProgram {
-	return edgeProgramStep(a, eps, func(api *engine.API) edgeRole {
-		st := &matchState{partner: -1}
-		return edgeRole{
-			serve: st.serveProposals,
-			wants: func() bool { return st.partner < 0 },
-			send: func(api *engine.API, head int32) {
-				api.SendIDInt(int(head), proposeMsg)
-			},
-			record: st.recordAccept,
-			output: func() any { return st.partner },
-		}
-	})
+	return edgeProgramStep(a, eps, func() edgeRole { return &matchState{partner: -1} })
 }

@@ -9,23 +9,41 @@ import (
 // previous turn, then take the same join decision the blocking loop body
 // takes — so the step and goroutine executions are byte-identical.
 
+// vertex is one vertex of StepProgram.
+type vertex struct {
+	t  Tracker
+	fn engine.StepFn // v.turn, bound once
+}
+
 // StepProgram is the step form of Program: standalone Procedure Partition
 // with the Join announcement carried by the engine's Final broadcast.
 func StepProgram(a int, eps float64) engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
-		t := NewTracker(api, a, eps)
-		var fn engine.StepFn
-		fn = func(api *engine.API, inbox []engine.Msg) engine.Step {
-			t.Absorb(api, inbox)
-			t.round++
-			if t.activeDeg <= t.A {
-				// Terminating output doubles as the Join announcement.
-				return engine.Done(Join{Index: t.round})
-			}
-			return engine.Continue(fn)
-		}
-		return fn
+		v := new(vertex)
+		v.t.Init(api, a, eps)
+		v.fn = v.turn
+		return v.fn
 	}
+}
+
+func (v *vertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
+	v.t.Absorb(api, inbox)
+	v.t.round++
+	if v.t.activeDeg <= v.t.A {
+		// Terminating output doubles as the Join announcement.
+		return engine.Done(Join{Index: v.t.round})
+	}
+	return engine.Continue(v.fn)
+}
+
+// generalVertex is one vertex of GeneralStepProgram.
+type generalVertex struct {
+	eps       float64
+	seen      []bool // by neighbor index: terminated
+	activeDeg int
+	phase, r  int // doubling phase, and rounds taken in it
+	index     int32
+	fn        engine.StepFn // v.turn, bound once
 }
 
 // GeneralStepProgram is the step form of GeneralProgram: the
@@ -35,30 +53,29 @@ func GeneralStepProgram(eps float64) engine.StepProgram {
 		panic("hpartition: eps must be in (0,2]")
 	}
 	return func(api *engine.API) engine.StepFn {
-		activeDeg := api.Degree()
-		seen := make(map[int32]bool, api.Degree())
-		index := int32(0)
-		phase := 1
-		r := 0
-		var fn engine.StepFn
-		fn = func(api *engine.API, inbox []engine.Msg) engine.Step {
-			for _, m := range inbox {
-				if _, ok := m.Data.(engine.Final); ok && !seen[m.From] {
-					seen[m.From] = true
-					activeDeg--
-				}
-			}
-			if r == generalPhaseLen(phase, eps) {
-				phase++
-				r = 0
-			}
-			r++
-			index++
-			if activeDeg <= GeneralThreshold(phase, eps) {
-				return engine.Done(GeneralJoin{Index: index, Phase: int32(phase)})
-			}
-			return engine.Continue(fn)
-		}
-		return fn
+		v := &generalVertex{eps: eps, seen: make([]bool, api.Degree()), activeDeg: api.Degree(), phase: 1}
+		v.fn = v.turn
+		return v.fn
 	}
+}
+
+func (v *generalVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
+	for _, m := range inbox {
+		if _, ok := m.Data.(engine.Final); ok {
+			if k := api.NeighborIndex(m.From); !v.seen[k] {
+				v.seen[k] = true
+				v.activeDeg--
+			}
+		}
+	}
+	if v.r == generalPhaseLen(v.phase, v.eps) {
+		v.phase++
+		v.r = 0
+	}
+	v.r++
+	v.index++
+	if v.activeDeg <= GeneralThreshold(v.phase, v.eps) {
+		return engine.Done(GeneralJoin{Index: v.index, Phase: int32(v.phase)})
+	}
+	return engine.Continue(v.fn)
 }

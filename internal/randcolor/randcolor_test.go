@@ -1,12 +1,14 @@
 package randcolor
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"vavg/internal/check"
 	"vavg/internal/engine"
 	"vavg/internal/graph"
+	"vavg/internal/hpartition"
 )
 
 func colorsOf(t *testing.T, res *engine.Result) []int {
@@ -157,4 +159,42 @@ func TestALogLogPhase2Exercised(t *testing.T) {
 		t.Fatal("no vertex used the phase-2 palette block; phase 2 untested")
 	}
 	t.Logf("phase-2 vertices: %d of %d", reached, g.N())
+}
+
+// TestALogLogStepPhase2MatchesBlocking pins ALogLogStep's phase 2, which
+// the registry's cross-form suites barely reach (their forests finish the
+// partition within t rounds), to the blocking ALogLog. With a = 1 and
+// eps = 0.25, A = 3 and the partition peels a grid one boundary layer per
+// round, so most vertices finish the partition after round t and color
+// on the shared block, each refreshing its forbidden offsets before its
+// first draw. Results must be equal apart from Shards.
+func TestALogLogStepPhase2MatchesBlocking(t *testing.T) {
+	for _, g := range []*graph.Graph{graph.Grid(30, 30), graph.Relabel(graph.Grid(30, 30))} {
+		for _, seed := range []int64{1, 2} {
+			opts := engine.Options{Seed: seed, MaxRounds: 1 << 20}
+			want, err := engine.Run(g, ALogLog(1, 0.25), opts)
+			if err != nil {
+				t.Fatalf("%s seed %d blocking: %v", g.Name, seed, err)
+			}
+			got, err := engine.RunSpec(g, engine.Spec{Step: ALogLogStep(1, 0.25)}, opts)
+			if err != nil {
+				t.Fatalf("%s seed %d step: %v", g.Name, seed, err)
+			}
+			got.Shards = 0
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("%s seed %d: step Result differs from blocking (RoundSum %d vs %d)",
+					g.Name, seed, want.RoundSum, got.RoundSum)
+			}
+			base := phase1T(g.N(), hpartition.EllBound(g.N(), 0.25)) * 4 // A+1 = 4
+			phase2 := 0
+			for _, c := range colorsOf(t, got) {
+				if c >= base {
+					phase2++
+				}
+			}
+			if phase2 == 0 {
+				t.Fatalf("%s seed %d: no vertex colored on the phase-2 block", g.Name, seed)
+			}
+		}
+	}
 }

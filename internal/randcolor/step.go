@@ -1,6 +1,8 @@
 package randcolor
 
 import (
+	"math"
+
 	"vavg/internal/engine"
 	"vavg/internal/hpartition"
 	"vavg/internal/wire"
@@ -11,70 +13,45 @@ import (
 // broadcasts, same termination round — so the two forms are
 // byte-identical.
 
-// startRandColor begins the Luby-style protocol of randColorLoop as a
-// step sub-machine: it performs the first round's coin flip and tentative
-// broadcast immediately (within the caller's current turn, exactly where
-// the blocking loop's first iteration runs) and returns the Step that
-// continues the protocol. done is invoked — in the turn the color is
-// secured — to produce the caller's continuation.
-func startRandColor(api *engine.API, size int, forbidden map[int32]bool,
-	rival func(nbrIdx int) bool, extra func([]engine.Msg),
-	done func(int32) engine.Step) engine.Step {
-	var cand int32
-	draw := func(api *engine.API) {
-		cand = -1
-		if api.Rand().Intn(2) == 1 {
-			free := make([]int32, 0, size)
-			for c := int32(0); c < int32(size); c++ {
-				if !forbidden[c] {
-					free = append(free, c)
-				}
-			}
-			if len(free) == 0 {
-				panic("randcolor: palette exhausted (invariant violated)")
-			}
-			cand = free[api.Rand().Intn(len(free))]
-			api.BroadcastInt(wire.Pack(wire.TagTent, int64(cand)))
-		}
-	}
-	var loop engine.StepFn
-	loop = func(api *engine.API, inbox []engine.Msg) engine.Step {
-		extra(inbox)
-		conflict := false
-		for _, m := range inbox {
-			if x, ok := m.AsInt(); ok && wire.Tag(x) == wire.TagTent &&
-				int32(wire.Payload(x)) == cand && rival(api.NeighborIndex(m.From)) {
-				conflict = true
-			}
-		}
-		if cand >= 0 && !conflict && !forbidden[cand] {
-			return done(cand)
-		}
-		draw(api)
-		return engine.Continue(loop)
-	}
-	draw(api)
-	return engine.Continue(loop)
+// noFinal marks a neighbor whose final color has not arrived.
+const noFinal = math.MinInt32
+
+// vertex is one vertex of DeltaPlus1Step or ALogLogStep: the Luby-style
+// protocol of randColorLoop on one palette block and, for ALogLog, the
+// partition and the neighbors' final colors that choose the block and
+// the rivals. One StepFn dispatches on phase.
+type vertex struct {
+	aloglog bool
+	tr      hpartition.Tracker
+	// finals[k] is neighbor k's flat final color, or noFinal (ALogLog).
+	finals []int32
+	// forbidden marks the block's offsets owned by finished rivals.
+	forbidden []bool
+	cand      int32 // this round's candidate offset, or -1
+	base      int32 // the block's first color
+	t         int   // ALogLog's phase-1 partition rounds
+	phase2    bool  // coloring on ALogLog's shared phase-2 block
+	phase     phase
+	fn        engine.StepFn // v.turn, bound once
 }
+
+type phase uint8
+
+const (
+	dp1Start  phase = iota // DeltaPlus1's first turn
+	alPart1                // ALogLog phase 1: partition rounds
+	alSettle1              // settle round of a phase-1 H-set
+	alPart2                // ALogLog phase 2: finish the partition
+	alWait                 // wait for active and later-set neighbors to finalize
+	colorLoop              // the protocol's rounds
+)
 
 // DeltaPlus1Step is the step form of DeltaPlus1.
 func DeltaPlus1Step() engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
-		return func(api *engine.API, _ []engine.Msg) engine.Step {
-			forbidden := map[int32]bool{}
-			extra := func(msgs []engine.Msg) {
-				for _, m := range msgs {
-					if f, ok := m.Data.(engine.Final); ok {
-						if c, ok := finalColor(f.Output); ok {
-							forbidden[c] = true
-						}
-					}
-				}
-			}
-			return startRandColor(api, api.Degree()+1, forbidden,
-				func(int) bool { return true }, extra,
-				func(c int32) engine.Step { return engine.Done(int(c)) })
-		}
+		v := new(vertex)
+		v.fn = v.turn
+		return v.fn
 	}
 }
 
@@ -82,104 +59,165 @@ func DeltaPlus1Step() engine.StepProgram {
 // blocking wait loop unrolled into one turn per round.
 func ALogLogStep(a int, eps float64) engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
-		n := api.N()
-		A := hpartition.ParamA(a, eps)
-		ell := hpartition.EllBound(n, eps)
-		t := phase1T(n, ell)
-		tr := hpartition.NewTracker(api, a, eps)
-
-		finals := map[int]int32{} // neighbor index -> flat final color
-		absorb := func(msgs []engine.Msg) {
-			tr.Absorb(api, msgs)
-			for _, m := range msgs {
-				if f, ok := m.Data.(engine.Final); ok {
-					if c, ok := finalColor(f.Output); ok {
-						finals[api.NeighborIndex(m.From)] = c
-					}
-				}
-			}
+		v := &vertex{aloglog: true, finals: make([]int32, api.Degree()), phase: alPart1}
+		v.tr.Init(api, a, eps)
+		v.t = phase1T(api.N(), hpartition.EllBound(api.N(), eps))
+		for k := range v.finals {
+			v.finals[k] = noFinal
 		}
-
-		// Phase 1 sets color on their private block as soon as they settle.
-		settle1 := func(api *engine.API, inbox []engine.Msg) engine.Step {
-			absorb(inbox)
-			i := tr.HIndex
-			base := int32(i-1) * int32(A+1)
-			forbidden := map[int32]bool{}
-			extra := func(msgs []engine.Msg) {
-				absorb(msgs)
-				for k, f := range finals {
-					if tr.NbrH[k] == i && f >= base && f < base+int32(A+1) {
-						forbidden[f-base] = true
-					}
-				}
-			}
-			return startRandColor(api, A+1, forbidden,
-				func(k int) bool { return tr.NbrH[k] == i }, extra,
-				func(c int32) engine.Step { return engine.Done(int(base + c)) })
-		}
-
-		// Phase 2: once joined, wait for every still-active or later-set
-		// neighbor to finalize, then color on the shared block.
-		base2 := int32(t) * int32(A+1)
-		var waitReady engine.StepFn
-		tryReady := func(api *engine.API) engine.Step {
-			j := tr.HIndex
-			ready := true
-			for k, h := range tr.NbrH {
-				if h != 0 && h <= j {
-					continue
-				}
-				if _, done := finals[k]; !done {
-					ready = false
-					break
-				}
-			}
-			if !ready {
-				return engine.Continue(waitReady)
-			}
-			forbidden := map[int32]bool{}
-			extra := func(msgs []engine.Msg) {
-				absorb(msgs)
-				for k, f := range finals {
-					if tr.NbrH[k] > int32(t) && f >= base2 {
-						forbidden[f-base2] = true
-					}
-				}
-			}
-			extra(nil)
-			return startRandColor(api, A+1, forbidden,
-				func(k int) bool { return tr.NbrH[k] > int32(t) }, extra,
-				func(c int32) engine.Step { return engine.Done(int(base2 + c)) })
-		}
-		waitReady = func(api *engine.API, inbox []engine.Msg) engine.Step {
-			absorb(inbox)
-			return tryReady(api)
-		}
-		var phase2 engine.StepFn
-		phase2 = func(api *engine.API, inbox []engine.Msg) engine.Step {
-			absorb(inbox)
-			if tr.HIndex == 0 {
-				tr.Advance(api)
-				return engine.Continue(phase2)
-			}
-			return tryReady(api)
-		}
-
-		// Phase 1: t partition rounds; joiners settle one round, then color.
-		var phase1 engine.StepFn
-		phase1 = func(api *engine.API, inbox []engine.Msg) engine.Step {
-			absorb(inbox)
-			if tr.HIndex != 0 {
-				return engine.Continue(settle1)
-			}
-			if int32(api.Round()) < int32(t) {
-				tr.Advance(api)
-				return engine.Continue(phase1)
-			}
-			tr.Advance(api)
-			return engine.Continue(phase2)
-		}
-		return phase1
+		v.fn = v.turn
+		return v.fn
 	}
+}
+
+func (v *vertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
+	v.absorb(api, inbox)
+	switch v.phase {
+	case dp1Start:
+		v.start(api.Degree()+1, 0)
+		v.draw(api)
+		return engine.Continue(v.fn)
+	case alPart1:
+		if v.tr.HIndex != 0 {
+			v.phase = alSettle1
+			return engine.Continue(v.fn)
+		}
+		if api.Round() >= v.t {
+			v.phase = alPart2
+		}
+		v.tr.Advance(api)
+		return engine.Continue(v.fn)
+	case alSettle1:
+		// Phase 1 colors on its set's private block and draws its first
+		// candidate before it refreshes the forbidden offsets.
+		v.start(v.tr.A+1, int32(v.tr.HIndex-1)*int32(v.tr.A+1))
+		v.draw(api)
+		return engine.Continue(v.fn)
+	case alPart2:
+		if v.tr.HIndex == 0 {
+			v.tr.Advance(api)
+			return engine.Continue(v.fn)
+		}
+		v.phase = alWait
+	case colorLoop:
+		v.refresh()
+		conflict := false
+		for _, m := range inbox {
+			if x, ok := m.AsInt(); ok && wire.Tag(x) == wire.TagTent &&
+				int32(wire.Payload(x)) == v.cand && v.rival(api.NeighborIndex(m.From)) {
+				conflict = true
+			}
+		}
+		if v.cand >= 0 && !conflict && !v.forbidden[v.cand] {
+			return engine.Done(int(v.base + v.cand))
+		}
+		v.draw(api)
+		return engine.Continue(v.fn)
+	}
+	// alWait: phase 2 colors on the shared block once every still-active
+	// or later-set neighbor has finalized, refreshing before its first
+	// draw.
+	for k, h := range v.tr.NbrH {
+		if (h == 0 || h > v.tr.HIndex) && v.finals[k] == noFinal {
+			return engine.Continue(v.fn)
+		}
+	}
+	v.phase2 = true
+	v.start(v.tr.A+1, int32(v.t)*int32(v.tr.A+1))
+	v.refresh()
+	v.draw(api)
+	return engine.Continue(v.fn)
+}
+
+// start enters the protocol on the block of size colors from base.
+func (v *vertex) start(size int, base int32) {
+	v.forbidden = make([]bool, size)
+	v.base = base
+	v.phase = colorLoop
+}
+
+// absorb records one round's partition traffic and final colors:
+// DeltaPlus1 forbids every final color at once, ALogLog files them by
+// neighbor for refresh.
+func (v *vertex) absorb(api *engine.API, msgs []engine.Msg) {
+	if v.aloglog {
+		v.tr.Absorb(api, msgs)
+	}
+	for _, m := range msgs {
+		f, ok := m.Data.(engine.Final)
+		if !ok {
+			continue
+		}
+		c, ok := finalColor(f.Output)
+		switch {
+		case !ok:
+		case v.aloglog:
+			v.finals[api.NeighborIndex(m.From)] = c
+		default:
+			v.forbid(c)
+		}
+	}
+}
+
+// refresh forbids the block's offsets that ALogLog's finished rivals own.
+func (v *vertex) refresh() {
+	if !v.aloglog {
+		return
+	}
+	for k, f := range v.finals {
+		if f != noFinal && f >= v.base && v.rival(k) {
+			v.forbid(f - v.base)
+		}
+	}
+}
+
+// forbid marks a block offset as taken; offsets outside the block are
+// never drawn, so they need no mark.
+func (v *vertex) forbid(c int32) {
+	if c >= 0 && int(c) < len(v.forbidden) {
+		v.forbidden[c] = true
+	}
+}
+
+// rival reports whether neighbor k competes for this vertex's block: in
+// DeltaPlus1 every neighbor, in ALogLog the vertex's own phase-1 set or
+// the later phase-2 sets.
+func (v *vertex) rival(k int) bool {
+	switch {
+	case !v.aloglog:
+		return true
+	case v.phase2:
+		return v.tr.NbrH[k] > int32(v.t)
+	}
+	return v.tr.NbrH[k] == v.tr.HIndex
+}
+
+// draw flips the round's coin and, on heads, broadcasts a uniform offset
+// among the free ones as the candidate.
+func (v *vertex) draw(api *engine.API) {
+	v.cand = -1
+	if api.Rand().Intn(2) == 0 {
+		return
+	}
+	free := 0
+	for _, taken := range v.forbidden {
+		if !taken {
+			free++
+		}
+	}
+	if free == 0 {
+		panic("randcolor: palette exhausted (invariant violated)")
+	}
+	i := api.Rand().Intn(free)
+	for c, taken := range v.forbidden {
+		if taken {
+			continue
+		}
+		if i == 0 {
+			v.cand = int32(c)
+			break
+		}
+		i--
+	}
+	api.BroadcastInt(wire.Pack(wire.TagTent, int64(v.cand)))
 }

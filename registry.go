@@ -16,11 +16,6 @@ import (
 	"vavg/internal/segment"
 )
 
-// collectEdgeColors adapts extend.CollectEdgeColors for the audit.
-func collectEdgeColors(g *Graph, outputs []any) (map[graph.Edge]int, error) {
-	return extend.CollectEdgeColors(g, outputs)
-}
-
 var registry = []Algorithm{
 	{
 		Name:           "partition",

@@ -113,6 +113,20 @@ func TestBadParamsRejected(t *testing.T) {
 			return err
 		}
 	}
+	// ListColoring and Simulate have no degraded audit, so they reject
+	// any fault scenario.
+	listColoring := func(p Params) func() error {
+		return func() error {
+			_, _, err := ListColoring(g, p, func(v int) []int { return []int{0, 1, 2, 3, 4, 5, 6, 7} })
+			return err
+		}
+	}
+	simulate := func(p Params) func() error {
+		return func() error {
+			_, err := Simulate(g, func(*API) any { return 0 }, p)
+			return err
+		}
+	}
 	ka2, _ := ByName("ka2")
 	cases := []struct {
 		name string
@@ -131,10 +145,12 @@ func TestBadParamsRejected(t *testing.T) {
 			_, err := Sweep(ka2, func(n int) *Graph { return ForestUnion(n, 2, 1) }, []int{64, 128}, nil, Params{K: 1})
 			return err
 		}, false},
-		{"list-coloring eps=5", func() error {
-			_, _, err := ListColoring(g, Params{Eps: 5}, func(v int) []int { return []int{0, 1, 2, 3, 4, 5, 6, 7} })
-			return err
-		}, false},
+		{"list-coloring eps=5", listColoring(Params{Eps: 5}), false},
+		{"list-coloring relabel=bogus", listColoring(Params{Relabel: "bogus"}), false},
+		{"list-coloring under a scenario", listColoring(Params{Scenario: &Scenario{Drop: 0.5}}), false},
+		{"partition relabel=bogus", run("partition", Params{Relabel: "bogus"}), false},
+		{"simulate relabel=bogus", simulate(Params{Relabel: "bogus"}), false},
+		{"simulate under a scenario", simulate(Params{Scenario: &Scenario{Drop: 0.5}}), false},
 		{"mis eps=2", run("mis", Params{Eps: 2}), true},
 		{"ka2 k=2", run("ka2", Params{K: 2}), true},
 		{"one-plus-eta C=1", run("one-plus-eta", Params{C: 1}), true},

@@ -31,10 +31,25 @@ type (
 
 // Simulate runs a custom vertex Program on g in the synchronous
 // message-passing model and returns the raw result; Report-style
-// accounting can be derived with NewReport.
+// accounting can be derived with NewReport. It honors Params.Relabel; a
+// non-zero Params.Scenario is an ErrBadParams.
 func Simulate(g *Graph, prog Program, p Params) (*SimResult, error) {
 	p = p.withDefaults(g)
-	return engine.Run(g, prog, engine.Options{Seed: p.Seed, MaxRounds: p.MaxRounds})
+	rg, err := faultFreeGraph(g, p)
+	if err != nil {
+		return nil, err
+	}
+	return engine.Run(rg, prog, engine.Options{Seed: p.Seed, MaxRounds: p.MaxRounds})
+}
+
+// faultFreeGraph resolves the graph Simulate and ListColoring run on,
+// relabeled as Params.Relabel asks. Neither entry point has a degraded
+// audit for a fault scenario, so a non-zero Scenario is an ErrBadParams.
+func faultFreeGraph(g *Graph, p Params) (*Graph, error) {
+	if p.Scenario != nil && !p.Scenario.IsZero() {
+		return nil, fmt.Errorf("%w: Scenario is supported by Algorithm.Run and Sweep only", ErrBadParams)
+	}
+	return relabelFor(g, p)
 }
 
 // NewReport derives the paper's measurements from a raw simulation result.
@@ -49,13 +64,19 @@ func NewReport(name string, g *Graph, p Params, res *SimResult) Report {
 // colors, adjacent vertices differ, and the vertex-averaged complexity is
 // a function of the arboricity rather than of Delta. It runs the
 // framework's step form, and the outputs are validated before returning.
+// It honors Params.Relabel; a non-zero Params.Scenario is an
+// ErrBadParams.
 func ListColoring(g *Graph, p Params, list func(v int) []int) (Report, []int, error) {
 	p = p.withDefaults(g)
 	if err := p.validate(); err != nil {
 		return Report{}, nil, err
 	}
+	rg, err := faultFreeGraph(g, p)
+	if err != nil {
+		return Report{}, nil, err
+	}
 	spec := engine.Spec{Step: extend.ListColoringStep(p.Arboricity, p.Eps, list)}
-	res, err := engine.RunSpec(g, spec, engine.Options{Seed: p.Seed, MaxRounds: p.MaxRounds})
+	res, err := engine.RunSpec(rg, spec, engine.Options{Seed: p.Seed, MaxRounds: p.MaxRounds})
 	if err != nil {
 		return Report{}, nil, err
 	}

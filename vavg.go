@@ -29,6 +29,7 @@ import (
 
 	"vavg/internal/check"
 	"vavg/internal/engine"
+	"vavg/internal/extend"
 	"vavg/internal/forest"
 	"vavg/internal/graph"
 	"vavg/internal/hpartition"
@@ -239,7 +240,7 @@ func (alg Algorithm) audit(g *Graph, p Params, res *engine.Result, rep *Report) 
 		}
 		return check.VertexColoring(g, cols, budget)
 	case KindEdgeColoring:
-		colors, err := collectEdgeColors(g, res.Output)
+		colors, err := extend.CollectEdgeColors(g, res.Output)
 		if err != nil {
 			return err
 		}
