@@ -70,10 +70,10 @@ func (s *stageRun) Start(api *engine.API, tr *hpartition.Tracker, prm Params, lo
 		k:     prm.classK(), levels: prm.levels(A),
 	}
 	// Per-set (A+1)-coloring, all sets of the stage in parallel.
-	if s.dp1.Start(api, coloring.SetMembers(tr), A) {
-		return s.exchange(api)
+	if wait, done := s.dp1.Start(api, coloring.SetMembers(tr), A); !done {
+		return wait, false
 	}
-	return 1, false
+	return s.exchange(api)
 }
 
 // Turn advances the stage by one round.
@@ -82,10 +82,10 @@ func (s *stageRun) Start(api *engine.API, tr *hpartition.Tracker, prm Params, lo
 func (s *stageRun) Turn(api *engine.API, inbox []engine.Msg) (wait int, done bool) {
 	switch s.at {
 	case stColor:
-		if s.dp1.Turn(api, inbox, s) {
-			return s.exchange(api)
+		if wait, done := s.dp1.Turn(api, inbox, s); !done {
+			return wait, false
 		}
-		return 1, false
+		return s.exchange(api)
 	case stExchange:
 		return s.orient(api, inbox)
 	case stLeaf:

@@ -2,6 +2,7 @@ package coloring
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"vavg/internal/engine"
@@ -45,35 +46,55 @@ func allMembers(api *engine.API) []int {
 
 // testMachine is what machineVertex drives of a coloring machine.
 type testMachine interface {
-	Turn(api *engine.API, inbox []engine.Msg, s Strays) (done bool)
+	Turn(api *engine.API, inbox []engine.Msg, s Strays) (wait int, done bool)
 	Color() int
 }
 
-// machineVertex drives a coloring machine from a test-local StepFn.
-type machineVertex struct {
-	m  testMachine
-	fn engine.StepFn
+// everyTurn drives a Linial machine, which takes a turn every round, as a
+// testMachine.
+type everyTurn struct{ *Linial }
+
+func (l everyTurn) Turn(api *engine.API, inbox []engine.Msg, s Strays) (wait int, done bool) {
+	return 1, l.Linial.Turn(api, inbox, s)
 }
 
-// startVertex continues a machine whose Start reported finished: the
-// vertex terminates with its color at once if it did, otherwise in the
-// turn the machine ends in.
-func startVertex(m testMachine, finished bool) engine.Step {
+// machineVertex drives a coloring machine from a test-local StepFn,
+// sleeping for the waits the machine returns. turns counts the turns
+// after Start.
+type machineVertex struct {
+	m     testMachine
+	turns int
+	// ended, if set, sees the turn count as the vertex terminates.
+	ended func(turns int)
+	fn    engine.StepFn
+}
+
+// start continues a machine whose Start returned (wait, finished): the
+// vertex terminates with its color at once if it finished, otherwise in
+// the turn the machine ends in.
+func (v *machineVertex) start(wait int, finished bool) engine.Step {
 	if finished {
-		return engine.Done(m.Color())
+		return v.done()
 	}
-	v := &machineVertex{m: m}
 	v.fn = v.turn
-	return engine.Continue(v.fn)
+	return engine.Sleep(wait, v.fn)
 }
 
 func (*machineVertex) Stray(*engine.API, engine.Msg) {}
 
 func (v *machineVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
-	if v.m.Turn(api, inbox, v) {
-		return engine.Done(v.m.Color())
+	v.turns++
+	if wait, done := v.m.Turn(api, inbox, v); !done {
+		return engine.Sleep(wait, v.fn)
 	}
-	return engine.Continue(v.fn)
+	return v.done()
+}
+
+func (v *machineVertex) done() engine.Step {
+	if v.ended != nil {
+		v.ended(v.turns)
+	}
+	return engine.Done(v.m.Color())
 }
 
 // TestKWReduceStepStandalone runs KW on TestKWReduceStandalone's graphs.
@@ -89,10 +110,43 @@ func TestKWReduceStepStandalone(t *testing.T) {
 		step := func(api *engine.API) engine.StepFn {
 			return func(api *engine.API, _ []engine.Msg) engine.Step {
 				kw := new(KW)
-				return startVertex(kw, kw.Start(api, allMembers(api), api.ID(), m, A))
+				return (&machineVertex{m: kw}).start(kw.Start(api, allMembers(api), api.ID(), m, A))
 			}
 		}
 		requireSameResult(t, g, prog, step)
+	}
+}
+
+// TestKWStepTurns pins the turns KW sleeps through, on
+// TestKWReduceStepStandalone's graphs: a vertex takes at most two turns
+// per phase after Start, the phase boundary and its class round, where
+// an every-round machine takes 2(A+1). The Result stays KWReduce's.
+// Clique(7) has no phase (m = A+1), and its vertices finish in Start.
+func TestKWStepTurns(t *testing.T) {
+	for _, g := range []*graph.Graph{graph.Ring(30), graph.Grid(5, 6), graph.Clique(7), graph.Relabel(graph.Grid(5, 6))} {
+		A := g.MaxDegree()
+		m := g.N()
+		phases := len(kwPhases(m, A))
+		turns := make([]int, g.N()) // by original ID; -1 until the vertex ends
+		for id := range turns {
+			turns[id] = -1
+		}
+		prog := func(api *engine.API) any {
+			return KWReduce(api, allMembers(api), api.ID(), m, A, NopSink)
+		}
+		step := func(api *engine.API) engine.StepFn {
+			return func(api *engine.API, _ []engine.Msg) engine.Step {
+				kw := new(KW)
+				id := api.ID()
+				v := &machineVertex{m: kw, ended: func(n int) { turns[id] = n }}
+				return v.start(kw.Start(api, allMembers(api), id, m, A))
+			}
+		}
+		requireSameResult(t, g, prog, step)
+		if lo, hi := slices.Min(turns), slices.Max(turns); lo < 0 || hi > 2*phases {
+			t.Errorf("%s: vertices took %d to %d turns after Start over %d KW phases of %d rounds, want 0 to %d",
+				g.Name, lo, hi, phases, 2*(A+1), 2*phases)
+		}
 	}
 }
 
@@ -105,7 +159,7 @@ func TestDeltaPlus1OnSetStepStandalone(t *testing.T) {
 		step := func(api *engine.API) engine.StepFn {
 			return func(api *engine.API, _ []engine.Msg) engine.Step {
 				dp := new(DeltaPlus1)
-				return startVertex(dp, dp.Start(api, allMembers(api), A))
+				return (&machineVertex{m: dp}).start(dp.Start(api, allMembers(api), A))
 			}
 		}
 		requireSameResult(t, g, prog, step)
@@ -130,7 +184,7 @@ func TestIteratedLinialStepStandalone(t *testing.T) {
 		step := func(api *engine.API) engine.StepFn {
 			return func(api *engine.API, _ []engine.Msg) engine.Step {
 				l := new(Linial)
-				return startVertex(l, l.Start(api, parents(api), A))
+				return (&machineVertex{m: everyTurn{l}}).start(1, l.Start(api, parents(api), A))
 			}
 		}
 		requireSameResult(t, g, prog, step)
@@ -277,7 +331,7 @@ func TestKWOutOfStepAnnouncements(t *testing.T) {
 		}
 		return func(api *engine.API, _ []engine.Msg) engine.Step {
 			kw := new(KW)
-			return startVertex(kw, kw.Start(api, allMembers(api), 5, m, A))
+			return (&machineVertex{m: kw}).start(kw.Start(api, allMembers(api), 5, m, A))
 		}
 	}
 	requireSameResult(t, g, prog, step)

@@ -17,11 +17,15 @@ import (
 // CV — that a composed algorithm embeds in its per-vertex struct and
 // drives from its own turn, with no closure or escaped variable per
 // vertex. Start does the work the blocking form does before its first
-// receive, and Turn handles one round's inbox and the work up to the next
-// receive; each reports done in the turn the blocking form returns in,
-// after which Color (CV: Colors) is the result. A vertex is one struct
-// whose turn method, bound once at construction, dispatches on a phase
-// field.
+// receive, and Turn handles the inbox delivered since the machine's
+// previous turn and the work up to the next receive that matters; each
+// reports done in the turn the blocking form returns in, after which
+// Color (CV: Colors) is the result. Linial, Wave and CV take a turn every
+// round. KW and DeltaPlus1, like forest.Decomp, also return the rounds
+// until their next turn, which the caller passes to engine.Sleep: a KW
+// vertex only listens in most rounds of a phase, and it sleeps through
+// them, reading their messages in one inbox. A vertex is one struct whose
+// turn method, bound once at construction, dispatches on a phase field.
 
 // Strays receives the messages a value machine's turn does not itself
 // understand (Join announcements, terminations, foreign traffic), one at
@@ -102,7 +106,15 @@ func (l *Linial) advance(api *engine.API) (done bool) {
 // Color returns the vertex's color; the final one once the machine is done.
 func (l *Linial) Color() int { return l.c }
 
-// KW is the value-machine form of KWReduce.
+// KW is the value-machine form of KWReduce. A vertex takes two turns per
+// phase: the phase-boundary turn, which ends the previous phase and starts
+// this one, and its own class turn, which picks and announces its color.
+// It sleeps through the phase's other rounds, in which it only listens:
+// what it does with their messages does not depend on which turn reads
+// them. The boundary turn stays even when the class turns of two phases
+// could be joined by one sleep, because a message carries no round: the
+// previous phase's late announcements must not reach the next phase's
+// taken list.
 type KW struct {
 	phases  []int
 	members []int
@@ -110,33 +122,36 @@ type KW struct {
 	// phase, which the choice must avoid. In lockstep each member
 	// announces once per phase, within the initial capacity; a member
 	// rebooted out of step by a crash can announce in several rounds.
-	taken               []int32
-	a, c                int
-	pi, r               int
-	class, base, chosen int
+	taken []int32
+	a, c  int
+	pi    int
+	// r is the phase round of the next turn: the class round, or 2(A+1)
+	// for the boundary with the next phase.
+	r           int
+	class, base int
 }
 
 // Start begins Kuhn-Wattenhofer reduction in the caller's turn: myColor
 // is this vertex's color in a proper m-coloring of the member set
 // (neighbor indices, at most A of them). The machine keeps members, which
-// the caller must not modify.
+// the caller must not modify. Start and Turn return the rounds until the
+// next turn, or done in the turn KWReduce returns in.
 //
 //vavg:stepform
-func (k *KW) Start(api *engine.API, members []int, myColor, m, A int) (done bool) {
+func (k *KW) Start(api *engine.API, members []int, myColor, m, A int) (wait int, done bool) {
 	*k = KW{phases: kwPhases(m, A), members: members, a: A, c: myColor}
 	if len(k.phases) == 0 {
-		return true
+		return 0, true
 	}
 	k.taken = make([]int32, 0, len(members))
-	k.startPhase(api)
-	return false
+	return k.startPhase(api), false
 }
 
-// Turn records one round's member announcements, then takes the next
-// class round or starts the next phase.
+// Turn records the member announcements delivered since the previous
+// turn, then takes the class round or starts the next phase.
 //
 //vavg:stepform
-func (k *KW) Turn(api *engine.API, inbox []engine.Msg, s Strays) (done bool) {
+func (k *KW) Turn(api *engine.API, inbox []engine.Msg, s Strays) (wait int, done bool) {
 	ids := api.NeighborIDs()
 	for _, m := range inbox {
 		c, ok := AsChosen(m, kwKind)
@@ -149,45 +164,41 @@ func (k *KW) Turn(api *engine.API, inbox []engine.Msg, s Strays) (done bool) {
 			k.taken = append(k.taken, c)
 		}
 	}
-	k.r++
-	if k.r < 2*(k.a+1) {
-		k.send(api)
-		return false
+	if k.r == k.class {
+		return k.choose(api), false
 	}
-	if k.chosen < 0 {
-		panic("coloring: KW vertex never scheduled (improper input coloring?)")
-	}
-	k.c = k.chosen
 	k.pi++
 	if k.pi == len(k.phases) {
-		return true
+		return 0, true
 	}
-	k.startPhase(api)
-	return false
+	return k.startPhase(api), false
 }
 
-func (k *KW) startPhase(api *engine.API) {
+// startPhase starts a phase in its round 0 and returns the rounds until
+// the class round.
+func (k *KW) startPhase(api *engine.API) (wait int) {
 	groupSize := 2 * (k.a + 1)
 	k.class = k.c % groupSize
 	k.base = (k.c / groupSize) * (k.a + 1)
 	k.taken = k.taken[:0]
-	k.chosen = -1
-	k.r = 0
-	k.send(api)
+	if k.class == 0 {
+		return k.choose(api)
+	}
+	k.r = k.class
+	return k.class
 }
 
-// send picks and announces the first free color in this vertex's class
-// round.
-func (k *KW) send(api *engine.API) {
-	if k.r != k.class {
-		return
-	}
+// choose picks and announces the first free color in the vertex's class
+// round, and returns the rounds until the phase boundary.
+func (k *KW) choose(api *engine.API) (wait int) {
 	c := int32(k.base)
 	for slices.Contains(k.taken, c) {
 		c++
 	}
-	k.chosen = int(c)
+	k.c = int(c)
 	BroadcastChosen(api, kwKind, c)
+	k.r = 2 * (k.a + 1)
+	return k.r - k.class
 }
 
 // isMember reports whether the sender is in the member set; both sides are
@@ -215,10 +226,12 @@ type DeltaPlus1 struct {
 
 // Start begins the (A+1)-coloring of the member set (neighbor indices)
 // in the caller's turn. The machine keeps members, which the caller must
-// not modify.
+// not modify. Start and Turn return the rounds until the next turn: one
+// while Linial runs, KW's waits after. They report done in the turn
+// DeltaPlus1OnSet returns in.
 //
 //vavg:stepform
-func (d *DeltaPlus1) Start(api *engine.API, members []int, A int) (done bool) {
+func (d *DeltaPlus1) Start(api *engine.API, members []int, A int) (wait int, done bool) {
 	ids := api.NeighborIDs()
 	parents := slices.DeleteFunc(slices.Clone(members), func(k int) bool {
 		return int(ids[k]) <= api.ID()
@@ -227,23 +240,23 @@ func (d *DeltaPlus1) Start(api *engine.API, members []int, A int) (done bool) {
 	if d.lin.Start(api, parents, A) {
 		return d.startKW(api)
 	}
-	return false
+	return 1, false
 }
 
-// Turn advances the running stage by one round.
+// Turn advances the running stage.
 //
 //vavg:stepform
-func (d *DeltaPlus1) Turn(api *engine.API, inbox []engine.Msg, s Strays) (done bool) {
+func (d *DeltaPlus1) Turn(api *engine.API, inbox []engine.Msg, s Strays) (wait int, done bool) {
 	if d.inKW {
 		return d.kw.Turn(api, inbox, s)
 	}
 	if d.lin.Turn(api, inbox, s) {
 		return d.startKW(api)
 	}
-	return false
+	return 1, false
 }
 
-func (d *DeltaPlus1) startKW(api *engine.API) (done bool) {
+func (d *DeltaPlus1) startKW(api *engine.API) (wait int, done bool) {
 	d.inKW = true
 	A := d.lin.a
 	return d.kw.Start(api, d.members, d.lin.Color(), LinialFinalPalette(api.N(), A), A)
@@ -587,10 +600,10 @@ func AColorLogLogStep(a int, eps float64) engine.StepProgram {
 func (v *aColorVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
 	switch v.phase {
 	case acColor:
-		if v.dp1.Turn(api, inbox, v) {
-			return v.exchange(api)
+		if wait, done := v.dp1.Turn(api, inbox, v); !done {
+			return engine.Sleep(wait, v.fn)
 		}
-		return engine.Continue(v.fn)
+		return v.exchange(api)
 	case acExchange:
 		return v.setColors(api, inbox)
 	case acWave:
@@ -613,10 +626,10 @@ func (v *aColorVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
 	case acSettle:
 		v.members = SetMembers(&v.tr)
 		v.phase = acColor
-		if v.dp1.Start(api, v.members, v.sch.A) {
-			return v.exchange(api)
+		if wait, done := v.dp1.Start(api, v.members, v.sch.A); !done {
+			return engine.Sleep(wait, v.fn)
 		}
-		return engine.Continue(v.fn)
+		return v.exchange(api)
 	}
 	return v.startWave(api)
 }

@@ -2,6 +2,7 @@ package extend
 
 import (
 	"fmt"
+	"slices"
 
 	"vavg/internal/coloring"
 	"vavg/internal/engine"
@@ -50,6 +51,9 @@ func (st *edgeState) usedList() []int32 {
 // order, choosing the smallest color free at both endpoints, and replies
 // with edgeAssign.
 func (st *edgeState) serve(api *engine.API, msgs []engine.Msg) {
+	if !slices.ContainsFunc(msgs, isEdgeRequest) {
+		return // most serve rounds carry no request
+	}
 	reqs := map[int32]edgeRequest{}
 	for _, m := range msgs {
 		if r, ok := m.Data.(edgeRequest); ok {
@@ -68,6 +72,11 @@ func (st *edgeState) serve(api *engine.API, msgs []engine.Msg) {
 		st.assigned[tail] = color
 		api.SendIDInt(int(tail), wire.Pack(wire.TagAssign, int64(color)))
 	}
+}
+
+func isEdgeRequest(m engine.Msg) bool {
+	_, ok := m.Data.(edgeRequest)
+	return ok
 }
 
 // record stores the color the head picked for this vertex's pending

@@ -25,23 +25,30 @@
 package extend
 
 import (
-	"sort"
+	"slices"
 
 	"vavg/internal/coloring"
 	"vavg/internal/engine"
 	"vavg/internal/hpartition"
 )
 
-// finals records the terminal outputs announced by neighbors.
+// finals records the terminal outputs announced by neighbors. A zero
+// finals makes its map on the first Final it absorbs: most vertices of
+// the step framework terminate before they hear one.
 type finals struct {
 	byIdx map[int]any
 }
 
+// newFinals returns finals whose map exists from the start, for callers
+// that hand the map out before the first Final arrives.
 func newFinals() *finals { return &finals{byIdx: map[int]any{}} }
 
 func (f *finals) absorb(api *engine.API, msgs []engine.Msg) {
 	for _, m := range msgs {
 		if fin, ok := m.Data.(engine.Final); ok {
+			if f.byIdx == nil {
+				f.byIdx = map[int]any{}
+			}
 			f.byIdx[api.NeighborIndex(m.From)] = fin.Output
 		}
 	}
@@ -114,6 +121,6 @@ func sortedKeys[V any](m map[int32]V) []int32 {
 	for k := range m {
 		ks = append(ks, k)
 	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
+	slices.Sort(ks)
 	return ks
 }

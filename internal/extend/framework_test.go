@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"vavg/internal/check"
+	"vavg/internal/coloring"
 	"vavg/internal/engine"
 	"vavg/internal/graph"
+	"vavg/internal/hpartition"
 )
 
 // TestMISFrameworkMatchesDirectImplementation pins MISStep, whose
@@ -31,6 +33,86 @@ func TestMISFrameworkMatchesDirectImplementation(t *testing.T) {
 	if !reflect.DeepEqual(direct, step) {
 		t.Errorf("step MIS differs from the blocking framework (outputs equal: %v, rounds equal: %v)",
 			reflect.DeepEqual(direct.Output, step.Output), reflect.DeepEqual(direct.Rounds, step.Rounds))
+	}
+}
+
+// TestFrameworkStepTurns pins the turns the framework vertex sleeps
+// through, on ForestUnion(300, 3, 5) for both registry problems. A
+// test-local wrapper around the bound turn method counts each turn under
+// the phase it starts in. The H-set's coloring takes at most
+// IteratedLinialRounds + 2·len(KW phases) turns, where an every-round
+// machine takes IteratedLinialRounds + KWRounds; the class sweep takes at
+// most 2 turns after the one it starts in, where an every-round sweep
+// takes A+1. The Results stay the blocking forms'.
+func TestFrameworkStepTurns(t *testing.T) {
+	g := graph.ForestUnion(300, 3, 5)
+	const a, eps = 3, 2.0
+	A := hpartition.ParamA(a, eps)
+	phases := coloring.KWRounds(coloring.LinialFinalPalette(g.N(), A), A) / (2 * (A + 1))
+	colorMax := coloring.IteratedLinialRounds(g.N(), A) + 2*phases
+	opts := engine.Options{Seed: 4, MaxRounds: 1 << 20}
+	for _, c := range []struct {
+		name     string
+		blocking engine.Program
+		p        sweepProblem
+	}{
+		{"mis", MIS(a, eps), misProblem{}},
+		{"deltaplus1", DeltaPlus1(a, eps), listColorProblem{}},
+	} {
+		colorTurns := make([]int, g.N()) // by vertex ID
+		sweepTurns := make([]int, g.N())
+		step := func(api *engine.API) engine.StepFn {
+			v := newFrameworkVertex(api, a, eps, c.p)
+			turn, id := v.fn, api.ID()
+			v.fn = func(api *engine.API, inbox []engine.Msg) engine.Step {
+				switch v.phase {
+				case fwColor:
+					colorTurns[id]++
+				case fwSweep:
+					sweepTurns[id]++
+				}
+				return turn(api, inbox)
+			}
+			return v.fn
+		}
+		want, err := engine.Run(g, c.blocking, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := engine.RunSpec(g, engine.Spec{Step: step}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.Shards = 0
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("%s: turn-counted step Result differs from blocking (RoundSum %d vs %d, Messages %d vs %d)",
+				c.name, want.RoundSum, got.RoundSum, want.Messages, got.Messages)
+		}
+		if n := slices.Max(colorTurns); n > colorMax {
+			t.Errorf("%s: a vertex took %d coloring turns, want at most %d", c.name, n, colorMax)
+		}
+		switch n := slices.Max(sweepTurns); {
+		case n > 2:
+			t.Errorf("%s: a vertex took %d sweep turns after the first, want at most 2 (sweep of %d classes)", c.name, n, A+1)
+		case n == 0:
+			t.Errorf("%s: no vertex took a sweep turn after the first", c.name)
+		}
+	}
+}
+
+// TestMISSweepReadsFinalsMadeMidSweep pins misSweep to the framework's
+// finals, not to the map they held when the sweep started: the step
+// framework makes the map on the first Final, which can arrive during the
+// sweep. In lockstep runs no Final arrives during a sweep (earlier H-sets
+// end in earlier windows, and a set's members end together), so no
+// run-level suite reaches this.
+func TestMISSweepReadsFinalsMadeMidSweep(t *testing.T) {
+	var fin finals
+	s := misProblem{}.sweep(&fin)
+	fin.byIdx = map[int]any{0: true} // a neighbor's Final, as absorb records it
+	s.act(nil)                       // dominated: returns before it would broadcast
+	if s.output().(bool) {
+		t.Error("sweep joined the MIS although a neighbor's Final reported it in")
 	}
 }
 

@@ -20,30 +20,33 @@ import (
 type sweepProblem interface {
 	Problem
 	// sweep returns the vertex's sweep state, in the turn the blocking
-	// Solve starts in; finals are the neighbor finals heard so far.
-	sweep(finals map[int]any) sweeper
+	// Solve starts in; fin holds the neighbor finals heard so far, and
+	// keeps growing during the sweep.
+	sweep(fin *finals) sweeper
 }
 
 // sweeper is one vertex's part in a class sweep.
 type sweeper interface {
 	// act runs in the vertex's own class turn, and may broadcast.
 	act(api *engine.API)
-	// observe sees every message of the sweep's rounds, in inbox order.
+	// observe sees every message of the sweep's rounds, in inbox order,
+	// before the turn acts: those of the classes the vertex slept through
+	// arrive together in its next turn.
 	observe(m engine.Msg)
 	// output is the vertex's output once the sweep ends.
 	output() any
 }
 
-func (misProblem) sweep(finals map[int]any) sweeper { return &misSweep{finals: finals} }
+func (misProblem) sweep(fin *finals) sweeper { return &misSweep{fin: fin} }
 
 // misSweep is a vertex's state in misProblem's sweep.
 type misSweep struct {
-	finals           map[int]any // the framework's, still growing
+	fin              *finals // the framework's, still growing
 	in, domBySameSet bool
 }
 
 func (s *misSweep) act(api *engine.API) {
-	for _, out := range s.finals {
+	for _, out := range s.fin.byIdx {
 		if in, ok := out.(bool); ok && in {
 			return // dominated by an earlier set
 		}
@@ -62,9 +65,9 @@ func (s *misSweep) observe(m engine.Msg) {
 
 func (s *misSweep) output() any { return s.in }
 
-func (p listColorProblem) sweep(finals map[int]any) sweeper {
+func (p listColorProblem) sweep(fin *finals) sweeper {
 	s := &listSweep{list: p.list, taken: map[int]bool{}, color: -1}
-	for _, out := range finals {
+	for _, out := range fin.byIdx {
 		if c, ok := out.(int); ok {
 			s.taken[c] = true
 		}
@@ -119,7 +122,7 @@ type frameworkVertex struct {
 	fin   finals
 	dp1   coloring.DeltaPlus1
 	sw    sweeper
-	cls   int // the sweep's current class
+	cls   int // the sweep class of the next turn
 	phase fwPhase
 	fn    engine.StepFn // v.turn, bound once
 }
@@ -138,23 +141,24 @@ const (
 // frameworkStep is the step form of Framework.
 func frameworkStep(a int, eps float64, p sweepProblem) engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
-		v := &frameworkVertex{
-			p:   p,
-			w:   FrameworkWindow(api.N(), a, eps, p),
-			fin: finals{byIdx: map[int]any{}},
-		}
-		v.tr.Init(api, a, eps)
-		v.fn = v.turn
-		return v.fn
+		return newFrameworkVertex(api, a, eps, p).fn
 	}
+}
+
+// newFrameworkVertex builds a vertex of frameworkStep with its turn bound.
+func newFrameworkVertex(api *engine.API, a int, eps float64, p sweepProblem) *frameworkVertex {
+	v := &frameworkVertex{p: p, w: FrameworkWindow(api.N(), a, eps, p)}
+	v.tr.Init(api, a, eps)
+	v.fn = v.turn
+	return v
 }
 
 func (v *frameworkVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
 	if v.phase == fwColor {
-		if v.dp1.Turn(api, inbox, v) {
-			return v.startSweep(api)
+		if wait, done := v.dp1.Turn(api, inbox, v); !done {
+			return engine.Sleep(wait, v.fn)
 		}
-		return engine.Continue(v.fn)
+		return v.startSweep(api)
 	}
 	// Every other phase absorbs its whole inbox.
 	v.sink(api, inbox)
@@ -173,34 +177,42 @@ func (v *frameworkVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step 
 		return engine.Continue(v.fn)
 	case fwSettle:
 		v.phase = fwColor
-		if v.dp1.Start(api, coloring.SetMembers(&v.tr), v.tr.A) {
-			return v.startSweep(api)
+		if wait, done := v.dp1.Start(api, coloring.SetMembers(&v.tr), v.tr.A); !done {
+			return engine.Sleep(wait, v.fn)
 		}
-		return engine.Continue(v.fn)
+		return v.startSweep(api)
 	}
 	for _, m := range inbox {
 		v.sw.observe(m)
 	}
-	v.cls++
 	if v.cls == v.tr.A+1 {
 		return engine.Done(v.sw.output())
 	}
 	return v.sweepTurn(api)
 }
 
-// startSweep hands the colored H-set to the problem's class sweep.
+// startSweep hands the colored H-set to the problem's class sweep, in the
+// turn of its class 0.
 func (v *frameworkVertex) startSweep(api *engine.API) engine.Step {
-	v.sw = v.p.sweep(v.fin.byIdx)
+	v.sw = v.p.sweep(&v.fin)
 	v.phase = fwSweep
 	return v.sweepTurn(api)
 }
 
-// sweepTurn acts in the vertex's own class turn.
+// sweepTurn takes the sweep turn of class v.cls: the vertex acts if the
+// class is its own, then sleeps to its next sweep turn, its own class
+// turn if that is still ahead and the sweep's end otherwise. In the
+// classes in between it only listens.
 func (v *frameworkVertex) sweepTurn(api *engine.API) engine.Step {
-	if v.cls == v.dp1.Color() {
+	at, own := v.cls, v.dp1.Color()
+	if at == own {
 		v.sw.act(api)
 	}
-	return engine.Continue(v.fn)
+	v.cls = v.tr.A + 1
+	if own > at && own < v.cls {
+		v.cls = own
+	}
+	return engine.Sleep(v.cls-at, v.fn)
 }
 
 // sink feeds messages to the partition bookkeeping and the finals.

@@ -201,15 +201,15 @@ func (v *kaVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
 		v.tr.Absorb(api, inbox)
 		v.seg, v.lo, v.hi = v.plan.SegmentOf(int(v.tr.HIndex))
 		v.phase = kaColor
-		if v.dp1.Start(api, coloring.SetMembers(&v.tr), v.plan.A) {
-			return v.exchange(api)
+		if wait, done := v.dp1.Start(api, coloring.SetMembers(&v.tr), v.plan.A); !done {
+			return engine.Sleep(wait, v.fn)
 		}
-		return engine.Continue(v.fn)
+		return v.exchange(api)
 	case kaColor:
-		if v.dp1.Turn(api, inbox, v) {
-			return v.exchange(api)
+		if wait, done := v.dp1.Turn(api, inbox, v); !done {
+			return engine.Sleep(wait, v.fn)
 		}
-		return engine.Continue(v.fn)
+		return v.exchange(api)
 	case kaExchange:
 		return v.setColors(api, inbox)
 	case kaWake:

@@ -109,7 +109,10 @@ func TestScenarioEquivalenceAcrossBackends(t *testing.T) {
 	defer gort.GOMAXPROCS(oldProcs)
 
 	g := ForestUnion(160, 3, 7)
-	algs := []string{"partition", "forest-decomp", "mis", "matching", "ka"}
+	// Every entry that runs KW, whose step form sleeps through most of a
+	// phase, is listed: which turn reads which phase's announcements is
+	// what a fault-free run pins least.
+	algs := []string{"partition", "forest-decomp", "mis", "matching", "ka", "deltaplus1-det", "a-loglog", "one-plus-eta"}
 	for _, name := range algs {
 		alg, err := ByName(name)
 		if err != nil {
