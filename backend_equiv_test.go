@@ -4,7 +4,6 @@ import (
 	"math"
 	"reflect"
 	gort "runtime"
-	"strings"
 	"testing"
 
 	"vavg/internal/engine"
@@ -53,9 +52,8 @@ func TestCrossBackendEquivalenceRegistry(t *testing.T) {
 		{"gnm", func() *Graph { return Gnm(140, 420, 9) }, 0},
 	}
 	for _, alg := range Algorithms() {
-		ringOnly := strings.Contains(alg.Name, "ring") || alg.Kind == KindReference
 		for _, fam := range families {
-			if ringOnly && fam.name != "ring" {
+			if alg.RingOnly && fam.name != "ring" {
 				continue
 			}
 			if testing.Short() && fam.name != "ring" && fam.name != "forests" {
@@ -124,7 +122,7 @@ func TestStepWorkerInvarianceRegistry(t *testing.T) {
 	}
 	for _, alg := range Algorithms() {
 		g, a := forest, 3
-		if strings.Contains(alg.Name, "ring") || alg.Kind == KindReference {
+		if alg.RingOnly {
 			g, a = ring, 2
 		}
 		alg, g, a := alg, g, a

@@ -225,26 +225,31 @@ func RunSpec(g *graph.Graph, spec Spec, opts Options) (*Result, error) {
 	return nil, errors.New("engine: empty Spec: no Program and no StepProgram")
 }
 
-// cell is one directed-edge message slot, written only by the edge's tail
-// and read only by its head. kind selects the payload lane; a cellEmpty
-// kind marks the slot vacant. round stamps the round the tail last wrote
-// the slot in (its API.round+1), which is how put tells the slot's first
-// write of a round, the counted message, from a rewrite. A cell holds no
-// pointer, so the two cell slabs are 16 bytes per directed edge that the
-// GC never scans: a general-lane payload sits at the same slot of the
-// core's any column, and a Final in its sender's finals entry. Keeping
-// the three fields in one struct keeps a put to one cache line.
+// cell is one directed-edge message slot. Slots are sender-indexed: the
+// cell of edge u→v sits at u's adjacency position p of v (Adj[p] == v,
+// inside u's [Off[u], Off[u+1]) window), so u's sends, broadcasts and
+// Final all write u's own window, and v's collect reads it through the
+// reverse-edge index, at Rev[q] for its own position q of u. kind selects
+// the payload lane; a cellEmpty kind marks a slot not yet written in the
+// run, or a delivery the adversary removed. round stamps the round the
+// sender last wrote the slot in (its API.round+1): put compares it with
+// the writer's round to tell the slot's first write of a round, the
+// counted message, from a rewrite, and collect accepts a cell only when
+// it carries the round the inbox was sent in. A cell holds no pointer, so
+// the two cell slabs are 16 bytes per directed edge that the GC never
+// scans: a general-lane payload sits at the same slot of the core's any
+// column, and a Final in its sender's finals entry. Keeping the three
+// fields in one struct keeps a put to one cache line.
 type cell struct {
 	ival  int64
 	round int32
 	kind  uint8
 }
 
-// cell kinds. Stale cells addressed to already-terminated receivers keep a
-// non-empty kind in the double buffers for the rest of the run (nothing
-// drains them). That is harmless: a stale cell was written at least two
-// rounds before any later write to its slot, so its stamp never matches
-// the writer's round, and reslice zeroes every stamp between runs.
+// cell kinds. No reader clears a cell: a cell from an earlier round stays
+// in its slab until its sender writes the slot again, and collect skips it
+// by its stamp, which never equals the round being collected. reslice
+// zeroes every stamp between runs.
 const (
 	cellEmpty = uint8(iota)
 	cellAny   // the any column holds the payload at this slot
@@ -256,9 +261,11 @@ const (
 // the Result, recycled through scratchPool so that concurrent sweep points
 // do not multiply steady-state allocations by the worker count:
 //
-//   - the two pointer-free cell slabs, 2*len(Adj) cells, and the two
-//     general-lane payload columns paired with them, sized only on a
-//     run's first Send or Broadcast (see core.anyColumn);
+//   - the two pointer-free cell slabs, 2*len(Adj) cells indexed by the
+//     sender's adjacency position, the two per-vertex send-stamp arrays
+//     swapped with them, and the two general-lane payload columns paired
+//     with them, sized only on a run's first Send or Broadcast (see
+//     core.anyColumn);
 //   - the flat []Msg inbox slab, sliced per vertex by degree, the only
 //     pointerful per-edge slab a run always allocates;
 //   - per-vertex state: the boxed Finals receivers read, and the done
@@ -277,6 +284,8 @@ const (
 type runScratch struct {
 	bufA     []cell
 	bufB     []cell
+	stampA   []int32
+	stampB   []int32
 	anyA     []any
 	anyB     []any
 	inbox    []Msg // flat per-vertex inboxes: v owns [Off[v], Off[v+1]) (see core.initAPI)
@@ -317,6 +326,14 @@ type core struct {
 	scratch *runScratch
 	sendBuf []cell // written during the current round
 	recvBuf []cell // holds the previous round's messages
+	// sendStamp[u] is the last round u delivered a message in through
+	// sendBuf; recvStamp is its previous-round twin, swapped with the cell
+	// slabs. collect skips a neighbor whose stamp is not the round it
+	// collects without touching the neighbor's cells. One array would not
+	// do: a neighbor that sends again in the collecting round would hide
+	// the previous round's message.
+	sendStamp []int32
+	recvStamp []int32
 	// sendAny and recvAny are the general-lane payload columns, indexed
 	// like the cell slabs and swapped with them; both stay nil until
 	// anyOnce allocates them on the run's first Send or Broadcast.
@@ -336,11 +353,11 @@ type core struct {
 	// Relabel translation (graph.Relabel views, DESIGN.md §11). The engine
 	// runs in the view's cache-friendly vertex space, but every observable
 	// stays in original-ID space: orig maps engine vertex → original ID
-	// (nil when unrelabeled), from[p] is the sender ID collect reports for
-	// slot p (the view's AdjOrig, or g.Adj unrelabeled — branch-free on the
-	// hot path), and slotOrig maps view slots to original directed-edge
-	// positions so the adversary's drop hash sees original slots (nil when
-	// unrelabeled).
+	// (nil when unrelabeled), from[q] is the sender ID collect reports for
+	// the neighbor at adjacency position q (the view's AdjOrig, or g.Adj
+	// unrelabeled — branch-free on the hot path), and slotOrig maps view
+	// slots to original directed-edge positions so the adversary's drop
+	// hash sees original slots (nil when unrelabeled).
 	orig     []int32
 	from     []int32
 	slotOrig []int32
@@ -362,6 +379,8 @@ func newCore(g *graph.Graph, opts Options) *core {
 	s := scratchPool.Get().(*runScratch)
 	s.bufA = reslice(s.bufA, len(g.Adj))
 	s.bufB = reslice(s.bufB, len(g.Adj))
+	s.stampA = reslice(s.stampA, n)
+	s.stampB = reslice(s.stampB, n)
 	s.inbox = reslice(s.inbox, len(g.Adj))
 	s.finals = reslice(s.finals, n)
 	s.done = reslice(s.done, n)
@@ -380,6 +399,7 @@ func newCore(g *graph.Graph, opts Options) *core {
 		seed:     opts.Seed,
 	}
 	c.sendBuf, c.recvBuf = s.bufA, s.bufB
+	c.sendStamp, c.recvStamp = s.stampA, s.stampB
 	c.from = g.Adj
 	if pm := g.Perm; pm != nil {
 		c.orig = pm.Orig
@@ -411,6 +431,7 @@ func (c *core) release() {
 	scratchPool.Put(c.scratch)
 	c.scratch = nil
 	c.sendBuf, c.recvBuf, c.sendAny, c.recvAny = nil, nil, nil, nil
+	c.sendStamp, c.recvStamp = nil, nil
 	c.finals, c.done, c.msgCount, c.panics = nil, nil, nil, nil
 }
 
@@ -418,6 +439,7 @@ func (c *core) release() {
 // round becomes receivable.
 func (c *core) swap() {
 	c.sendBuf, c.recvBuf = c.recvBuf, c.sendBuf
+	c.sendStamp, c.recvStamp = c.recvStamp, c.sendStamp
 	c.sendAny, c.recvAny = c.recvAny, c.sendAny
 }
 
@@ -789,36 +811,39 @@ func (a *API) final(out any) {
 }
 
 // put is the one write path of every send: it writes c for adjacency
-// position p of the sending vertex (slot g.Rev[p], receiver g.Adj[p])
-// straight into the send buffer, and returns the slot, or -1 when the
-// delivery was removed, so a general-lane sender knows where to store its
-// payload in the any column. The write needs no lock and may land
+// position p of the sending vertex (receiver g.Adj[p]) straight into slot
+// p of the send buffer, inside the sender's own window, and returns p, or
+// -1 when the delivery was removed, so a general-lane sender knows where
+// to store its payload in the any column. A broadcast or a Final thus
+// writes one contiguous run of cells. The write needs no lock and may land
 // mid-round: each slot has a single writer, this vertex, and its receiver
 // reads it only after the round barrier swaps the buffers. The model
 // allows one message per directed edge and round, so only the slot's
-// first write of the round is the message — counted, and announced to the
-// runtime through delivered — while later writes in the same round
-// overwrite its payload (last write wins) and count nothing.
+// first write of the round is the message — counted, stamped into the
+// sender's send stamp, and announced to the runtime through delivered —
+// while later writes in the same round overwrite its payload (last write
+// wins) and count nothing.
 //
 // Under an adversary the first write also decides the delivery's fate. A
 // send written while executing round w (a.round == w-1) is delivered in
 // round w+1, so the crash windows and the drop hash see delivery round
 // a.round+2; both verdicts are pure functions of (slot, delivery round)
-// and the schedule. A removed delivery leaves the slot empty but stamped,
-// so a rewrite in the same round neither resurrects nor recounts it.
+// and the schedule. The drop hash keys on the receiver-side slot Rev[p],
+// the numbering the seeded fault decisions and their golden counts use. A
+// removed delivery leaves the slot empty but stamped, so a rewrite in the
+// same round neither resurrects nor recounts it.
 //
 //vavg:hotpath
 func (a *API) put(p int32, c cell) int32 {
 	co := a.core
-	r := co.g.Rev[p]
-	slot := &co.sendBuf[r]
+	slot := &co.sendBuf[p]
 	c.round = a.round + 1
 	if slot.round == c.round {
 		if slot.kind == cellEmpty {
 			return -1
 		}
 		*slot = c
-		return r
+		return p
 	}
 	recv := co.g.Adj[p]
 	if adv := co.adv; adv != nil {
@@ -828,16 +853,17 @@ func (a *API) put(p int32, c cell) int32 {
 			*slot = cell{round: c.round}
 			co.lostCount[a.v]++
 			return -1
-		case adv.dropped(co.dropSlot(r), dr):
+		case adv.dropped(co.dropSlot(co.g.Rev[p]), dr):
 			*slot = cell{round: c.round}
 			co.dropCount[a.v]++
 			return -1
 		}
 	}
 	*slot = c
+	co.sendStamp[a.v] = c.round
 	co.msgCount[a.v]++
 	a.rt.delivered(a, recv)
-	return r
+	return p
 }
 
 // dropSlot translates a delivery slot for the adversary's drop hash: on a
@@ -850,22 +876,32 @@ func (c *core) dropSlot(slot int32) int32 {
 	return slot
 }
 
-// collect appends this round's inbox (ordered by neighbor index) to buf,
-// clearing the slots it drains and the any-column entries it reads. A
-// Final's payload is its sender's finals entry: slot p's sender is Adj[p].
+// collect appends the messages sent to this vertex in round sent (ordered
+// by neighbor index) to buf. The cell of the neighbor at position q sits in
+// that neighbor's window at Rev[q]; collect reads it only when the
+// neighbor's send stamp says it delivered something in round sent, and
+// accepts it only when the cell's own stamp is sent too, so it never
+// clears a cell and never mistakes an older one for news. It nils the
+// any-column entries it reads, so the column does not keep a delivered
+// payload alive. A Final's payload is its sender's finals entry.
 //
 //vavg:hotpath
-func (a *API) collect(buf []Msg) []Msg {
+func (a *API) collect(buf []Msg, sent int32) []Msg {
 	co := a.core
 	g := co.g
 	from := co.from
 	lo, hi := g.Off[a.v], g.Off[a.v+1]
-	for p := lo; p < hi; p++ {
-		c := &co.recvBuf[p]
-		if c.kind == cellEmpty {
+	for q := lo; q < hi; q++ {
+		u := g.Adj[q]
+		if co.recvStamp[u] != sent {
 			continue
 		}
-		m := Msg{From: from[p]}
+		p := g.Rev[q]
+		c := &co.recvBuf[p]
+		if c.round != sent || c.kind == cellEmpty {
+			continue
+		}
+		m := Msg{From: from[q]}
 		switch c.kind {
 		case cellInt:
 			m.Int, m.isInt = c.ival, true
@@ -873,10 +909,9 @@ func (a *API) collect(buf []Msg) []Msg {
 			m.Data = co.recvAny[p]
 			co.recvAny[p] = nil
 		default:
-			m.Data = co.finals[g.Adj[p]]
+			m.Data = co.finals[u]
 		}
 		buf = append(buf, m)
-		*c = cell{}
 	}
 	return buf
 }

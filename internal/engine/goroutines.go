@@ -32,7 +32,7 @@ func (rt *goRuntime) next(a *API, buf []Msg) []Msg {
 		rt.c.crashed[a.v] = true
 		panic(crashSentinel{})
 	}
-	return a.collect(buf)
+	return a.collect(buf, a.round)
 }
 
 func (rt *goRuntime) idle(a *API, k int, buf []Msg) []Msg {

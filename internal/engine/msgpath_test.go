@@ -6,6 +6,7 @@ import (
 	"reflect"
 	gort "runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -116,6 +117,198 @@ func TestCellLayout(t *testing.T) {
 	if path := pointerPath(reflect.TypeOf(cell{}), "cell"); path != "" {
 		t.Errorf("cell holds a pointer-bearing field %s", path)
 	}
+}
+
+// cellWrites returns the indices at which two snapshots of a cell slab
+// differ.
+func cellWrites(before, after []cell) []int32 {
+	var w []int32
+	for i := range before {
+		if before[i] != after[i] {
+			w = append(w, int32(i))
+		}
+	}
+	return w
+}
+
+// TestSendsWriteSenderWindow pins the sender-indexed slot layout: a send
+// writes exactly its own adjacency position, a broadcast and a Final
+// exactly the sender's [Off[v], Off[v+1]) window, all in the send buffer,
+// and collect writes no cell of either slab, yet every receiver reads
+// each message back through Rev, once.
+func TestSendsWriteSenderWindow(t *testing.T) {
+	g := graph.ForestUnion(64, 3, 2)
+	c := newCore(g, Options{})
+	defer c.release()
+	apis := make([]*API, g.N())
+	for v := range apis {
+		apis[v] = stubAPI(c, nopRuntime{}, int32(v))
+	}
+	snapshot := func() (send, recv []cell) {
+		return slices.Clone(c.sendBuf), slices.Clone(c.recvBuf)
+	}
+	// barrier crosses a round by hand and collects every inbox, failing
+	// if a collect writes a cell; it returns the messages by receiver.
+	barrier := func(label string) map[int32]Msg {
+		for _, a := range apis {
+			a.round++
+		}
+		c.swap()
+		send, recv := snapshot()
+		got := map[int32]Msg{}
+		for _, a := range apis {
+			for _, m := range a.collect(nil, a.round) {
+				if _, dup := got[a.v]; dup {
+					t.Errorf("%s: vertex %d received a second message %+v", label, a.v, m)
+				}
+				got[a.v] = m
+			}
+		}
+		if w := cellWrites(send, c.sendBuf); w != nil {
+			t.Errorf("%s: collect wrote send-buffer cells %v", label, w)
+		}
+		if w := cellWrites(recv, c.recvBuf); w != nil {
+			t.Errorf("%s: collect wrote receive-buffer cells %v", label, w)
+		}
+		return got
+	}
+	var v int32
+	for g.Degree(int(v)) < 3 {
+		v++
+	}
+	lo, hi := g.Off[v], g.Off[v+1]
+	var window []int32
+	for p := lo; p < hi; p++ {
+		window = append(window, p)
+	}
+	intMsg := func(x int64) Msg { return Msg{From: v, isInt: true, Int: x} }
+	ops := []struct {
+		name  string
+		do    func(a *API)
+		slots []int32
+		want  func(p int32) Msg // the message the receiver of slot p gets
+	}{
+		{"BroadcastInt", func(a *API) { a.BroadcastInt(7) }, window, func(int32) Msg { return intMsg(7) }},
+		// Two rounds on, the same buffer still holds the broadcast's cells
+		// in the slots this round leaves alone; their stamps keep them out.
+		{"SendInt+Send", func(a *API) {
+			a.SendInt(0, 5)
+			a.Send(2, "x")
+		}, []int32{lo, lo + 2}, func(p int32) Msg {
+			if p == lo {
+				return intMsg(5)
+			}
+			return Msg{From: v, Data: "x"}
+		}},
+		{"Broadcast", func(a *API) { a.Broadcast("y") }, window, func(int32) Msg { return Msg{From: v, Data: "y"} }},
+		{"final", func(a *API) { a.final(9) }, window, func(int32) Msg { return Msg{From: v, Data: Final{Output: 9}} }},
+	}
+	for _, op := range ops {
+		send, recv := snapshot()
+		op.do(apis[v])
+		if w := cellWrites(send, c.sendBuf); !slices.Equal(w, op.slots) {
+			t.Errorf("%s by vertex %d wrote send-buffer cells %v, want %v", op.name, v, w, op.slots)
+		}
+		if w := cellWrites(recv, c.recvBuf); w != nil {
+			t.Errorf("%s by vertex %d wrote receive-buffer cells %v", op.name, v, w)
+		}
+		want := map[int32]Msg{}
+		for _, p := range op.slots {
+			want[g.Adj[p]] = op.want(p)
+		}
+		if got := barrier(op.name); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: received %+v, want %+v", op.name, got, want)
+		}
+		// The cells stay in the slab, but the next round's collect must not
+		// deliver them again.
+		if got := barrier(op.name + " (quiet round)"); len(got) > 0 {
+			t.Errorf("%s: a quiet round delivered %+v", op.name, got)
+		}
+	}
+}
+
+// TestSendStampParityAcrossShards covers the double-buffered send stamps.
+// On two shards, u's worker can take u's round-w+1 turn, and send to v
+// again, before v's worker collects v's round-w+1 inbox, which must still
+// hold u's round-w message: a single send-stamp array shared by both
+// rounds would then read u's stamp as w+1 and skip it. The first part
+// drives that interleaving by hand; the second runs it on two shards of
+// the step runner, where the race detector also sees a shared array, and
+// requires the goroutine runner's Result.
+func TestSendStampParityAcrossShards(t *testing.T) {
+	g := graph.Path(4)
+	c := newCore(g, Options{})
+	apis := make([]*API, g.N())
+	for v := range apis {
+		apis[v] = stubAPI(c, nopRuntime{}, int32(v))
+	}
+	u, v := apis[1], apis[2]
+	k := u.NeighborIndex(2)
+	u.SendInt(k, 10) // round 1
+	for w := int64(2); w <= 4; w++ {
+		for _, a := range apis {
+			a.round++
+		}
+		c.swap()
+		// u's round-w turn runs before v collects the round w-1 sends, as
+		// another shard's worker may order them.
+		u.SendInt(k, 10*w)
+		v.inbox = v.collect(v.inbox[:0], v.round)
+		want := []Msg{{From: 1, isInt: true, Int: 10 * (w - 1)}}
+		if !slices.Equal(v.inbox, want) {
+			t.Errorf("round %d: vertex 2 collected %+v, want %+v", w, v.inbox, want)
+		}
+	}
+	c.release()
+
+	// End to end: every vertex of a path split into two shards sends its
+	// round number to both neighbors each round and checks that the next
+	// round's inbox holds both of them.
+	withShards(t, 2)
+	const rounds = 64
+	h := graph.Path(64)
+	check := func(api *API, inbox []Msg, r int) {
+		if r == 1 {
+			return
+		}
+		if len(inbox) != api.Degree() {
+			panic(fmt.Sprintf("round %d: vertex %d got %d messages, want %d", r, api.ID(), len(inbox), api.Degree()))
+		}
+		for _, m := range inbox {
+			if x, ok := m.AsInt(); !ok || x != int64(r-1) {
+				panic(fmt.Sprintf("round %d: vertex %d got %+v from %d, want %d", r, api.ID(), m, m.From, r-1))
+			}
+		}
+	}
+	prog := func(api *API) any {
+		var inbox []Msg
+		for r := 1; r <= rounds; r++ {
+			check(api, inbox, r)
+			api.BroadcastInt(int64(r))
+			inbox = api.Next()
+		}
+		return len(inbox)
+	}
+	step := func(api *API) StepFn {
+		r := 0
+		var fn StepFn
+		fn = func(api *API, inbox []Msg) Step {
+			r++
+			if r > rounds {
+				return Done(len(inbox))
+			}
+			check(api, inbox, r)
+			api.BroadcastInt(int64(r))
+			return Continue(fn)
+		}
+		return fn
+	}
+	want := mustRunGoroutines(t, h, prog, Options{Seed: 1})
+	got := mustRunStep(t, h, step, Options{Seed: 1})
+	if got.Shards != 2 {
+		t.Fatalf("step run used %d shards, want 2", got.Shards)
+	}
+	requireEqualResults(t, "send stamps on two shards", want, got)
 }
 
 // pointerPath returns the path of the first pointer-bearing component of
@@ -265,7 +458,7 @@ func TestMessagePathAllocs(t *testing.T) {
 			}
 			c.swap()
 			for _, a := range apis {
-				a.inbox = a.collect(a.inbox[:0])
+				a.inbox = a.collect(a.inbox[:0], a.round)
 			}
 		}
 		var bad int64
@@ -564,7 +757,7 @@ func benchLane(b *testing.B, deg int, send func(a *API, i int)) {
 		center.round++
 		c.swap()
 		for _, l := range leaves {
-			l.inbox = l.collect(l.inbox[:0])
+			l.inbox = l.collect(l.inbox[:0], center.round)
 			for _, m := range l.inbox {
 				if x, ok := m.AsInt(); ok {
 					sink += x

@@ -280,12 +280,11 @@ func (rt *stepRuntime) delivered(a *API, recv int32) {
 }
 
 // noteDelivery marks receiver recv as having a message deliverable in
-// round t so a sleeping receiver's slots are drained in time (the double
-// buffers recycle a slot after two rounds, so an undrained delivery would
-// be lost or misread). Deduplicated to one pending entry per (recv, t);
-// entries for receivers that turn out to be active or terminated are
-// dropped at drain time. Callers must own the shard for the current
-// phase.
+// round t so a sleeping receiver collects it in time (collect accepts only
+// the previous round's cells, so an undrained delivery would be lost).
+// Deduplicated to one pending entry per (recv, t); entries for receivers
+// that turn out to be active or terminated are dropped at drain time.
+// Callers must own the shard for the current phase.
 //
 //vavg:hotpath
 func (s *stepShard) noteDelivery(recv, t int32) {
@@ -466,7 +465,7 @@ func (s *stepShard) runRound(rt *stepRuntime, apis []API, w int32) {
 		}
 		if s.wakeAt[e.v-s.lo] > w {
 			a := &apis[e.v]
-			a.inbox = a.collect(a.inbox)
+			a.inbox = a.collect(a.inbox, w-1)
 		}
 	}
 	s.pending = keep
@@ -488,12 +487,12 @@ func (s *stepShard) runRound(rt *stepRuntime, apis []API, w int32) {
 				v = s.active[ai]
 				ai++
 				a := &apis[v]
-				a.inbox = a.collect(a.inbox[:0])
+				a.inbox = a.collect(a.inbox[:0], w-1)
 			} else {
 				v = s.woken[wi]
 				wi++
 				a := &apis[v]
-				a.inbox = a.collect(a.inbox)
+				a.inbox = a.collect(a.inbox, w-1)
 			}
 			s.runBuf = append(s.runBuf, v)
 		}

@@ -381,6 +381,7 @@ var registry = []Algorithm{
 		VertexAvgBound: "Θ(log* n)",
 		ColorBound:     "3",
 		Palette:        func(int, Params) int { return 3 },
+		RingOnly:       true,
 		program: func(Params) engine.Program {
 			return baseline.Ring3Coloring()
 		},
@@ -395,6 +396,7 @@ var registry = []Algorithm{
 		Kind:           KindReference,
 		Deterministic:  true,
 		VertexAvgBound: "O(log n) commitment",
+		RingOnly:       true,
 		program: func(Params) engine.Program {
 			return baseline.LeaderElectionRing()
 		},

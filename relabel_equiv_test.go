@@ -3,7 +3,6 @@ package vavg
 import (
 	"reflect"
 	gort "runtime"
-	"strings"
 	"testing"
 
 	"vavg/internal/engine"
@@ -40,7 +39,7 @@ func TestRelabelEquivalenceRegistry(t *testing.T) {
 	}
 	for _, alg := range Algorithms() {
 		g, a := forest, 3
-		if strings.Contains(alg.Name, "ring") || alg.Kind == KindReference {
+		if alg.RingOnly {
 			g, a = ring, 2
 		}
 		alg, g, a := alg, g, a

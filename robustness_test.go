@@ -3,7 +3,6 @@ package vavg
 import (
 	"errors"
 	"math"
-	"strings"
 	"testing"
 	"time"
 
@@ -46,7 +45,7 @@ func awkwardGraphs() []*Graph {
 // demands validated outputs.
 func TestRegistryOnAwkwardGraphs(t *testing.T) {
 	for _, alg := range Algorithms() {
-		if strings.Contains(alg.Name, "ring") || alg.Kind == KindReference {
+		if alg.RingOnly {
 			continue
 		}
 		alg := alg
@@ -97,13 +96,31 @@ func TestUnderestimatedArboricityAborts(t *testing.T) {
 	}
 }
 
-// TestBadParamsRejected checks that ε, k and C out of range fail with
-// ErrBadParams on every entry point, without a panic and without a hang
-// (unchecked, C = -3 spins forever in a vertex boot and ε = 5 panics while
-// general-partition is built), and that the boundary values still run.
+// ringPair returns two disjoint k-cycles: every degree is 2, yet the
+// graph is not one cycle.
+func ringPair(k int) *Graph {
+	var edges []Edge
+	for c := 0; c < 2; c++ {
+		for i := 0; i < k; i++ {
+			u, v := int32(c*k+i), int32(c*k+(i+1)%k)
+			edges = append(edges, Edge{U: min(u, v), V: max(u, v)})
+		}
+	}
+	g := graph.FromEdges(2*k, edges)
+	g.Name = "two rings"
+	return g
+}
+
+// TestBadParamsRejected checks that ε, k and C out of range, and a
+// ring-only entry on a graph that is not one cycle, fail with ErrBadParams
+// on every entry point, without a panic and without a hang (unchecked,
+// C = -3 spins forever in a vertex boot, ε = 5 panics while
+// general-partition is built, ring-3color on a forest fails only in the
+// audit and leader-ring on a path panics in a vertex), and that the
+// boundary values still run.
 func TestBadParamsRejected(t *testing.T) {
 	g := ForestUnion(200, 2, 1)
-	run := func(name string, p Params) func() error {
+	runOn := func(name string, g *Graph, p Params) func() error {
 		return func() error {
 			alg, err := ByName(name)
 			if err != nil {
@@ -113,6 +130,7 @@ func TestBadParamsRejected(t *testing.T) {
 			return err
 		}
 	}
+	run := func(name string, p Params) func() error { return runOn(name, g, p) }
 	// ListColoring and Simulate have no degraded audit, so they reject
 	// any fault scenario.
 	listColoring := func(p Params) func() error {
@@ -151,6 +169,18 @@ func TestBadParamsRejected(t *testing.T) {
 		{"partition relabel=bogus", run("partition", Params{Relabel: "bogus"}), false},
 		{"simulate relabel=bogus", simulate(Params{Relabel: "bogus"}), false},
 		{"simulate under a scenario", simulate(Params{Scenario: &Scenario{Drop: 0.5}}), false},
+		{"ring-3color on forests", run("ring-3color", Params{}), false},
+		{"leader-ring on path", runOn("leader-ring", Path(200), Params{}), false},
+		{"leader-ring on two rings", runOn("leader-ring", ringPair(100), Params{}), false},
+		{"ring-3color on two vertices", runOn("ring-3color", Path(2), Params{}), false},
+		{"sweep ring-3color on forests", func() error {
+			alg, _ := ByName("ring-3color")
+			_, err := Sweep(alg, func(n int) *Graph { return ForestUnion(n, 2, 1) }, []int{64}, nil, Params{})
+			return err
+		}, false},
+		{"ring-3color under a scenario on path", runOn("ring-3color", Path(200), Params{Scenario: &Scenario{Drop: 0.1}}), false},
+		{"ring-3color on ring", runOn("ring-3color", Ring(200), Params{}), true},
+		{"leader-ring on ringshuffled", runOn("leader-ring", RingShuffled(200, 3), Params{}), true},
 		{"mis eps=2", run("mis", Params{Eps: 2}), true},
 		{"ka2 k=2", run("ka2", Params{K: 2}), true},
 		{"one-plus-eta C=1", run("one-plus-eta", Params{C: 1}), true},

@@ -3,7 +3,6 @@ package vavg
 import (
 	"reflect"
 	gort "runtime"
-	"strings"
 	"testing"
 
 	"vavg/internal/engine"
@@ -28,7 +27,7 @@ func TestScenarioZeroFaultIdentity(t *testing.T) {
 		// topology, as in the cross-form equivalence suite.
 		g := forests
 		arb := 3
-		if strings.Contains(alg.Name, "ring") || alg.Kind == KindReference {
+		if alg.RingOnly {
 			g, arb = ring, 2
 		}
 		t.Run(alg.Name, func(t *testing.T) {

@@ -134,12 +134,11 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 	sizes := []int{64, 128}
 	seeds := []int64{1, 2, 3}
 	for _, alg := range Algorithms() {
-		ringOnly := strings.Contains(alg.Name, "ring") || alg.Kind == KindReference
 		alg := alg
 		t.Run(alg.Name, func(t *testing.T) {
 			t.Parallel()
 			gen, a := func(n int) *Graph { return ForestUnion(n, 3, 7) }, 3
-			if ringOnly {
+			if alg.RingOnly {
 				gen, a = func(n int) *Graph { return Ring(n) }, 2
 			}
 			var outs [2][]byte

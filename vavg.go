@@ -159,6 +159,24 @@ func (p Params) validate() error {
 	return nil
 }
 
+// notCycle says why g is not one cycle, in O(n+m), or returns "" if it is:
+// a cycle has at least 3 vertices, all of degree 2, in one component.
+func notCycle(g *Graph) string {
+	n := g.N()
+	if n < 3 {
+		return fmt.Sprintf("has %d vertices", n)
+	}
+	for v := 0; v < n; v++ {
+		if d := g.Degree(v); d != 2 {
+			return fmt.Sprintf("has vertex %d of degree %d", v, d)
+		}
+	}
+	if _, k := graph.Components(g); k != 1 {
+		return fmt.Sprintf("has %d components", k)
+	}
+	return ""
+}
+
 // Algorithm is a runnable entry of the registry.
 type Algorithm struct {
 	// Name is the registry key.
@@ -180,6 +198,10 @@ type Algorithm struct {
 	// Palette returns the concrete palette budget for validation, or 0 to
 	// skip the budget audit.
 	Palette func(n int, p Params) int
+	// RingOnly reports that the algorithm is defined only on a graph that
+	// is one cycle; Run rejects any other graph with ErrBadParams before a
+	// vertex program is built.
+	RingOnly bool
 	// program builds the blocking per-vertex form. Every run executes
 	// step, scenario repair epochs included (see repairEpoch), so program
 	// is built only as the reference the equivalence suites pin step to.
@@ -192,12 +214,18 @@ type Algorithm struct {
 }
 
 // Run executes the algorithm on g, validates the output, and reports the
-// paper's measures. Parameters out of range fail with ErrBadParams
-// before any vertex program is built.
+// paper's measures. Parameters out of range, and a RingOnly algorithm on
+// a graph that is not one cycle, fail with ErrBadParams before any vertex
+// program is built.
 func (alg Algorithm) Run(g *Graph, p Params) (Report, error) {
 	p = p.withDefaults(g)
 	if err := p.validate(); err != nil {
 		return Report{}, err
+	}
+	if alg.RingOnly {
+		if why := notCycle(g); why != "" {
+			return Report{}, fmt.Errorf("%w: %s needs a graph that is one cycle, but %s %s", ErrBadParams, alg.Name, g.Name, why)
+		}
 	}
 	if p.Scenario != nil && !p.Scenario.IsZero() {
 		return alg.runScenario(g, p)

@@ -1,7 +1,6 @@
 package vavg
 
 import (
-	"strings"
 	"testing"
 )
 
@@ -14,7 +13,7 @@ func TestRegistryRunsEverythingOnCanonicalGraph(t *testing.T) {
 	for _, alg := range Algorithms() {
 		g := forest
 		p := Params{Arboricity: 3}
-		if strings.Contains(alg.Name, "ring") || alg.Kind == KindReference {
+		if alg.RingOnly {
 			g = ring
 			p = Params{Arboricity: 2, MaxRounds: 1 << 16}
 		}
