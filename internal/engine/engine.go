@@ -266,15 +266,17 @@ const (
 //     swapped with them, and the two general-lane payload columns paired
 //     with them, sized only on a run's first Send or Broadcast (see
 //     core.anyColumn);
-//   - the flat []Msg inbox slab, sliced per vertex by degree, the only
-//     pointerful per-edge slab a run always allocates;
+//   - the flat []Msg inbox slab, whose window [Off[v], Off[v+1]) holds v's
+//     mail that outlives a turn (a sleeper's drains, a blocking vertex's
+//     Next and Idle), sized only on a run's first such collect (see
+//     core.inboxWindow);
 //   - per-vertex state: the boxed Finals receivers read, and the done
-//     flags, message counters and panics the runners read at barriers;
+//     flags and message counters the runners read at barriers;
 //   - the step runner's flat per-vertex machine state (API handles and
 //     pending turns), its cross-shard staging lanes (see
 //     stepRuntime.carveLanes) and the slabs its shards carve their
-//     active, wake and turn-order lists from (see stepShard.carve). The
-//     goroutine runner leaves these untouched.
+//     active, wake and turn-order lists and their turn inboxes from (see
+//     stepShard.carve). The goroutine runner leaves these untouched.
 //
 // Every buffer of a run is sized from the graph here, so no run grows one
 // by append, whatever its degrees; only a Sleep or Idle window longer than
@@ -288,20 +290,21 @@ type runScratch struct {
 	stampB   []int32
 	anyA     []any
 	anyB     []any
-	inbox    []Msg // flat per-vertex inboxes: v owns [Off[v], Off[v+1]) (see core.initAPI)
+	inbox    []Msg // flat per-vertex inboxes: v owns [Off[v], Off[v+1]) (see core.inboxWindow)
 	finals   []any
 	done     []bool
 	msgCount []int64
-	panics   []vertexPanic
 	apis     []API
 	stepFns  []StepFn
 	lanes    []lane
 	laneSlab []int32
 	// shardInts and shardEvents back the step shards' per-run lists,
-	// intsPerVertex and eventsPerVertex elements per vertex (see
+	// intsPerVertex and eventsPerVertex elements per vertex, and shardMsgs
+	// their turn inboxes, each shard's largest degree in messages (see
 	// stepShard.carve).
 	shardInts   []int32
 	shardEvents []idleEntry
+	shardMsgs   []Msg
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(runScratch) }}
@@ -337,18 +340,24 @@ type core struct {
 	// sendAny and recvAny are the general-lane payload columns, indexed
 	// like the cell slabs and swapped with them; both stay nil until
 	// anyOnce allocates them on the run's first Send or Broadcast.
-	sendAny  []any
-	recvAny  []any
-	anyOnce  sync.Once
-	finals   []any  // finals[v] is v's boxed Final, set when v terminates
-	done     []bool // set by a vertex when it terminates (read at barriers)
-	rounds   []int32
-	commits  []int32
-	output   []any
-	msgCount []int64
-	panics   []vertexPanic
-	aborted  bool
-	seed     int64
+	sendAny []any
+	recvAny []any
+	anyOnce sync.Once
+	// inboxOnce sizes the run scratch's inbox slab on the run's first
+	// collect into a persistent window (see inboxWindow).
+	inboxOnce sync.Once
+	finals    []any  // finals[v] is v's boxed Final, set when v terminates
+	done      []bool // set by a vertex when it terminates (read at barriers)
+	rounds    []int32
+	commits   []int32
+	output    []any
+	msgCount  []int64
+	// panics lists the vertices' recorded failures in no particular order;
+	// only the panic path takes panicMu (see recordPanic).
+	panicMu sync.Mutex
+	panics  []vertexPanic
+	aborted bool
+	seed    int64
 
 	// Relabel translation (graph.Relabel views, DESIGN.md §11). The engine
 	// runs in the view's cache-friendly vertex space, but every observable
@@ -381,11 +390,9 @@ func newCore(g *graph.Graph, opts Options) *core {
 	s.bufB = reslice(s.bufB, len(g.Adj))
 	s.stampA = reslice(s.stampA, n)
 	s.stampB = reslice(s.stampB, n)
-	s.inbox = reslice(s.inbox, len(g.Adj))
 	s.finals = reslice(s.finals, n)
 	s.done = reslice(s.done, n)
 	s.msgCount = reslice(s.msgCount, n)
-	s.panics = reslice(s.panics, n)
 	c := &core{
 		g:        g,
 		scratch:  s,
@@ -395,7 +402,6 @@ func newCore(g *graph.Graph, opts Options) *core {
 		commits:  make([]int32, n),
 		output:   make([]any, n),
 		msgCount: s.msgCount,
-		panics:   s.panics,
 		seed:     opts.Seed,
 	}
 	c.sendBuf, c.recvBuf = s.bufA, s.bufB
@@ -432,7 +438,7 @@ func (c *core) release() {
 	c.scratch = nil
 	c.sendBuf, c.recvBuf, c.sendAny, c.recvAny = nil, nil, nil, nil
 	c.sendStamp, c.recvStamp = nil, nil
-	c.finals, c.done, c.msgCount, c.panics = nil, nil, nil, nil
+	c.finals, c.done, c.msgCount = nil, nil, nil
 }
 
 // swap exchanges the double buffers at a round barrier: what was sent this
@@ -463,24 +469,61 @@ func (c *core) allocAny() {
 	c.sendAny, c.recvAny = s.anyA, s.anyB
 }
 
+// inboxWindow returns v's window of the inbox slab, [Off[v], Off[v+1])
+// capped at deg(v), sizing the slab from the run scratch on the run's
+// first call. Only mail that outlives a turn needs a window: a sleeper's
+// drains (with its wake round's mail appended after them) and a blocking
+// vertex's Next and Idle. A step turn otherwise reads its shard's turn
+// inbox, so a step run in which no sleeper gets mail before its wake
+// round never allocates the slab. Vertices of different shards (or
+// goroutines) may make that first call in the same round; inboxOnce
+// serializes it. An inbox that gathers more than deg(v) messages (a long
+// Sleep or Idle window) spills to the heap through append instead of into
+// the next vertex's window.
+func (c *core) inboxWindow(v int32) []Msg {
+	c.inboxOnce.Do(c.allocInbox)
+	lo, hi := c.g.Off[v], c.g.Off[v+1]
+	return c.scratch.inbox[lo:lo:hi]
+}
+
+func (c *core) allocInbox() {
+	s := c.scratch
+	s.inbox = reslice(s.inbox, len(c.g.Adj))
+}
+
+// id returns engine vertex v's original ID.
+func (c *core) id(v int32) int {
+	if c.orig != nil {
+		return int(c.orig[v])
+	}
+	return int(v)
+}
+
+// recordPanic records that vertex v panicked with val while executing
+// round. Runners call it from a vertex's recover, on any shard or
+// goroutine, so the list takes a mutex; a run without panics never does.
+func (c *core) recordPanic(v int32, val any, round int32) {
+	c.panicMu.Lock()
+	c.panics = append(c.panics, vertexPanic{v: v, round: round, val: val})
+	c.panicMu.Unlock()
+}
+
 // finish audits panics and assembles the Result once every vertex is
-// done, then recycles the run scratch.
+// done, then recycles the run scratch. Of several panicking vertices it
+// reports the one with the lowest original ID, so the error does not
+// depend on the relabel layout or the order in which shards recorded
+// them.
 func (c *core) finish(activePerRound []int, maxRounds int) (*Result, error) {
 	defer c.release()
 	n := c.g.N()
-	for v := 0; v < n; v++ {
-		if p := c.panics[v]; p.val != nil {
-			if c.aborted {
-				if _, ok := p.val.(abortSentinel); ok {
-					continue
-				}
+	if len(c.panics) > 0 {
+		first := c.panics[0]
+		for _, p := range c.panics[1:] {
+			if c.id(p.v) < c.id(first.v) {
+				first = p
 			}
-			id := v
-			if c.orig != nil {
-				id = int(c.orig[v])
-			}
-			return nil, fmt.Errorf("engine: vertex %d panicked in round %d: %v", id, p.round, p.val)
 		}
+		return nil, fmt.Errorf("engine: vertex %d panicked in round %d: %v", c.id(first.v), first.round, first.val)
 	}
 	if c.aborted && c.adv == nil {
 		return nil, fmt.Errorf("%w (%d rounds)", ErrMaxRounds, maxRounds)
@@ -529,39 +572,52 @@ func (c *core) finish(activePerRound []int, maxRounds int) (*Result, error) {
 }
 
 // unmap permutes the per-vertex Result arrays of a relabeled run back to
-// original vertex indexing. The engine executed in the view's ID space,
-// but Results are part of the observable contract: after this pass they
-// are byte-identical to an unrelabeled run's. Fresh arrays are built once
-// per run (the originals are caller-owned via the Result alias rule).
+// original vertex indexing, in place: the entries of engine vertex v move
+// to index Orig[v], one cycle of Orig at a time. The engine executed in
+// the view's ID space, but Results are part of the observable contract:
+// after this pass they are byte-identical to an unrelabeled run's. The
+// arrays are the run's own (newCore makes them fresh for the Result), and
+// the done flags, which no one reads once every vertex has stopped, mark
+// the indices already filled.
 func (c *core) unmap() {
-	n := len(c.rounds)
-	rounds := make([]int32, n)
-	commits := make([]int32, n)
-	output := make([]any, n)
-	for v := 0; v < n; v++ {
-		o := c.orig[v]
-		rounds[o] = c.rounds[v]
-		commits[o] = c.commits[v]
-		output[o] = c.output[v]
-	}
-	c.rounds, c.commits, c.output = rounds, commits, output
-	if c.crashed != nil {
-		crashed := make([]bool, n)
-		for v := 0; v < n; v++ {
-			crashed[c.orig[v]] = c.crashed[v]
+	placed := c.done
+	clear(placed)
+	for s := range placed {
+		if placed[s] {
+			continue
 		}
-		c.crashed = crashed
+		// Carry s's entries along its cycle: each step stores the carried
+		// entries at index o, the image under Orig of the index they came
+		// from, and picks up o's, until the cycle returns to s.
+		r, k, out := c.rounds[s], c.commits[s], c.output[s]
+		var crashed bool
+		if c.crashed != nil {
+			crashed = c.crashed[s]
+		}
+		for o := c.orig[s]; ; o = c.orig[o] {
+			r, c.rounds[o] = c.rounds[o], r
+			k, c.commits[o] = c.commits[o], k
+			out, c.output[o] = c.output[o], out
+			if c.crashed != nil {
+				crashed, c.crashed[o] = c.crashed[o], crashed
+			}
+			placed[o] = true
+			if int(o) == s {
+				break
+			}
+		}
 	}
 }
 
 type abortSentinel struct{}
 
-// vertexPanic is a vertex's recorded failure: the recovered value and the
-// 1-based round the vertex was executing (building a step machine counts
-// as round 1, where its first turn runs).
+// vertexPanic is a vertex's recorded failure: the engine vertex, the
+// 1-based round it was executing (building a step machine counts as round
+// 1, where its first turn runs) and the recovered value.
 type vertexPanic struct {
-	val   any
+	v     int32
 	round int32
+	val   any
 }
 
 // runtime is the runner-side contract of the API: how a blocking vertex
@@ -588,26 +644,32 @@ type API struct {
 	rt    runtime
 	v     int32
 	rng   *rand.Rand
-	inbox []Msg // receive buffer reused across Next/Idle calls (slab-backed)
+	inbox []Msg // persistent inbox: nil or v's window of the inbox slab (see window)
 	round int32
 	gen   int32 // PRNG incarnation: 0 normally, >0 after adversary restarts
 }
 
 // initAPI makes *a vertex v's fresh handle, round rounds into incarnation
-// gen. Its inbox is v's [Off[v], Off[v+1]) window of the run scratch's
-// flat inbox slab, capped at deg(v): an inbox that gathers more than
-// deg(v) messages (a long Sleep or Idle window) spills to the heap through
-// append instead of into the next vertex's window.
+// gen. Its persistent inbox stays nil until the vertex first collects
+// mail that must outlive a turn (see API.window).
 func (c *core) initAPI(a *API, rt runtime, v, round, gen int32) {
-	lo, hi := c.g.Off[v], c.g.Off[v+1]
 	*a = API{
 		core:  c,
 		rt:    rt,
 		v:     v,
-		inbox: c.scratch.inbox[lo:lo:hi],
 		round: round,
 		gen:   gen,
 	}
+}
+
+// window returns the vertex's persistent inbox, the mail it has gathered
+// so far, carving its window of the inbox slab on first use (see
+// core.inboxWindow).
+func (a *API) window() []Msg {
+	if a.inbox == nil {
+		a.inbox = a.core.inboxWindow(a.v)
+	}
+	return a.inbox
 }
 
 // runVertex executes prog on vertex v, then performs the final counted
@@ -627,8 +689,11 @@ func runVertexFrom(rt runtime, c *core, v int32, prog Program, done func(), star
 	c.initAPI(api, rt, v, startRound, gen)
 	defer func() {
 		if p := recover(); p != nil {
-			if _, crash := p.(crashSentinel); !crash {
-				c.panics[v] = vertexPanic{val: p, round: api.round + 1}
+			switch p.(type) {
+			case crashSentinel, abortSentinel:
+				// A scheduled crash, or the unwinding of an aborted run.
+			default:
+				c.recordPanic(v, p, api.round+1)
 			}
 			c.done[v] = true
 			done()
@@ -646,12 +711,7 @@ func runVertexFrom(rt runtime, c *core, v int32, prog Program, done func(), star
 // ID returns this vertex's ID (also its identifier in the ID assignment).
 // On a relabeled view this is the original ID — the relabeling is a
 // storage-layout choice, never observable to the algorithm.
-func (a *API) ID() int {
-	if a.core.orig != nil {
-		return int(a.core.orig[a.v])
-	}
-	return int(a.v)
-}
+func (a *API) ID() int { return a.core.id(a.v) }
 
 // N returns the number of vertices in the graph; per the model, n is
 // global knowledge.
@@ -877,8 +937,10 @@ func (c *core) dropSlot(slot int32) int32 {
 }
 
 // collect appends the messages sent to this vertex in round sent (ordered
-// by neighbor index) to buf. The cell of the neighbor at position q sits in
-// that neighbor's window at Rev[q]; collect reads it only when the
+// by neighbor index) to buf: its step shard's turn inbox for mail read in
+// the turn that follows, or its persistent window (see API.window) for
+// mail that must outlive a turn. The cell of the neighbor at position q
+// sits in that neighbor's window at Rev[q]; collect reads it only when the
 // neighbor's send stamp says it delivered something in round sent, and
 // accepts it only when the cell's own stamp is sent too, so it never
 // clears a cell and never mistakes an older one for news. It nils the
@@ -923,7 +985,7 @@ func (a *API) collect(buf []Msg, sent int32) []Msg {
 // The returned slice is a per-vertex buffer reused by the next Next or
 // Idle call; programs that retain messages across rounds must copy them.
 func (a *API) Next() []Msg {
-	a.inbox = a.rt.next(a, a.inbox[:0])
+	a.inbox = a.rt.next(a, a.window()[:0])
 	return a.inbox
 }
 
@@ -937,6 +999,6 @@ func (a *API) Next() []Msg {
 // Sleep instead, which parks the vertex for the whole window at no
 // scheduler cost until a message arrives or the window expires.
 func (a *API) Idle(k int) []Msg {
-	a.inbox = a.rt.idle(a, k, a.inbox[:0])
+	a.inbox = a.rt.idle(a, k, a.window()[:0])
 	return a.inbox
 }

@@ -205,6 +205,56 @@ func TestVertexPanicPropagates(t *testing.T) {
 	}
 }
 
+// TestUnmapInPlace checks core.unmap on a permutation with two fixed
+// points and cycles of lengths 2, 3 and 4, with and without the
+// adversary's Crashed array: every entry of engine vertex v must land at
+// index Orig[v], in the arrays the core already holds (the Result aliases
+// them, so they are the run's own and need no copy).
+func TestUnmapInPlace(t *testing.T) {
+	orig := []int32{3, 5, 2, 7, 8, 1, 9, 0, 6, 4, 10} // (0 3 7) (1 5) (2) (4 8 6 9) (10)
+	n := len(orig)
+	for _, withCrashed := range []bool{false, true} {
+		c := &core{
+			orig:    orig,
+			done:    make([]bool, n),
+			rounds:  make([]int32, n),
+			commits: make([]int32, n),
+			output:  make([]any, n),
+		}
+		if withCrashed {
+			c.crashed = make([]bool, n)
+		}
+		wantRounds, wantCommits := make([]int32, n), make([]int32, n)
+		wantOutput, wantCrashed := make([]any, n), make([]bool, n)
+		for v := range n {
+			c.rounds[v], c.commits[v], c.output[v] = int32(v+1), int32(100+v), fmt.Sprint("out", v)
+			o := orig[v]
+			wantRounds[o], wantCommits[o], wantOutput[o] = c.rounds[v], c.commits[v], c.output[v]
+			if withCrashed {
+				c.crashed[v] = v%3 == 0
+				wantCrashed[o] = c.crashed[v]
+			}
+		}
+		rounds, crashed := c.rounds, c.crashed
+		c.unmap()
+		label := fmt.Sprintf("crashed=%v", withCrashed)
+		if !reflect.DeepEqual(c.rounds, wantRounds) || !reflect.DeepEqual(c.commits, wantCommits) ||
+			!reflect.DeepEqual(c.output, wantOutput) {
+			t.Errorf("%s: unmapped (rounds, commits, output) = (%v, %v, %v), want (%v, %v, %v)",
+				label, c.rounds, c.commits, c.output, wantRounds, wantCommits, wantOutput)
+		}
+		if withCrashed && !reflect.DeepEqual(c.crashed, wantCrashed) {
+			t.Errorf("%s: unmapped Crashed = %v, want %v", label, c.crashed, wantCrashed)
+		}
+		if !withCrashed && c.crashed != nil {
+			t.Errorf("%s: unmap made a Crashed array", label)
+		}
+		if &c.rounds[0] != &rounds[0] || withCrashed && &c.crashed[0] != &crashed[0] {
+			t.Errorf("%s: unmap replaced the arrays instead of permuting them in place", label)
+		}
+	}
+}
+
 // TestMessageOverwriteWithinRound pins last-write-wins on one slot across
 // lanes: vertex 0 writes its only slot twice in round 1 (or writes it and
 // terminates, whose Final rewrites it), and vertex 1 must receive only the

@@ -444,6 +444,42 @@ func TestPoolVertexPanicPropagates(t *testing.T) {
 	}
 }
 
+// TestPanicNamesLowestOriginalID checks which vertex the error names when
+// two vertices panic in the same round: the one with the lower original
+// ID, in both forms, on the plain graph and on its RCM view, whose engine
+// order puts the other one first.
+func TestPanicNamesLowestOriginalID(t *testing.T) {
+	withShards(t, 2)
+	plain := graph.RingShuffled(64, 3)
+	view := graph.Relabel(plain)
+	if view.Perm.New[40] > view.Perm.New[5] {
+		t.Fatal("the RCM view keeps vertex 5 ahead of vertex 40; pick two vertices it reorders")
+	}
+	boom := func(api *API) {
+		if id := api.ID(); id == 5 || id == 40 {
+			panic(fmt.Sprintf("boom %d", id))
+		}
+	}
+	prog := func(api *API) any {
+		boom(api)
+		return nil
+	}
+	step := func(api *API) StepFn {
+		return func(api *API, _ []Msg) Step {
+			boom(api)
+			return Done(nil)
+		}
+	}
+	const want = "engine: vertex 5 panicked in round 1: boom 5"
+	for _, g := range []*graph.Graph{plain, view} {
+		for _, f := range forms(prog, step) {
+			if _, err := RunSpec(g, f.spec, Options{Seed: 1}); err == nil || err.Error() != want {
+				t.Errorf("%s on %s (relabeled %v): err = %v, want %q", f.name, g.Name, g.Perm != nil, err, want)
+			}
+		}
+	}
+}
+
 // randRelayProgram idles a random number of rounds, broadcasts a PRNG
 // draw, waits one round, and outputs another PRNG draw.
 func randRelayProgram(api *API) any {

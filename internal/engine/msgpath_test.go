@@ -696,12 +696,13 @@ func sharedMachineAllocs(t *testing.T, g *graph.Graph) uint64 {
 }
 
 // TestStepRunAllocsIndependentOfDegree pins the graph-sized message
-// buffers: every inbox is a window of the run scratch's inbox slab and
-// every cross-shard lane a window of its lane slab, so a warm step run in
+// buffers: every turn collects into its shard's turn inbox, carved from
+// the run scratch with room for the shard's largest degree, and every
+// cross-shard lane is a window of its lane slab, so a warm step run in
 // which each vertex broadcasts once and reads its full inbox allocates the
 // same number of objects on a ring (degree 2) as on a forest union of
 // maximum degree 36. Buffers grown by append instead cost O(log deg)
-// objects per vertex and lane.
+// objects per shard or vertex and per lane.
 func TestStepRunAllocsIndependentOfDegree(t *testing.T) {
 	withShards(t, 2)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -734,6 +735,163 @@ func TestStepRunAllocsIndependentOfN(t *testing.T) {
 	if diff := l - s; diff > 4 || diff < -4 {
 		t.Errorf("beyond one object per vertex, a warm step run allocates %d objects on %s but %d on %s; want equal within 4",
 			s, small.Name, l, large.Name)
+	}
+}
+
+// sleeperMail returns a blocking program and its step twin in which every
+// vertex sends each neighbor k the value 1000·r + 100·ID + k in round r = 1
+// and reports its round-2 inbox, and every third vertex, a sleeper, then
+// idles through rounds 2–5 (Idle(4), Sleep(4)) while its neighbors send
+// to it in each round of sendRounds; a sleeper also reports the inbox its
+// window gathered. Round 5's mail is the wake round's, collected in round
+// 6; earlier rounds' mail arrives mid-window.
+func sleeperMail(sendRounds ...int) (Program, StepProgram) {
+	sleeper := func(id int) bool { return id%3 == 0 }
+	send := func(api *API, r int) {
+		if r != 1 && !slices.Contains(sendRounds, r) {
+			return
+		}
+		for k, u := range api.NeighborIDs() {
+			if r == 1 || sleeper(int(u)) {
+				api.SendInt(k, int64(1000*r+100*api.ID()+k))
+			}
+		}
+	}
+	describe := func(inbox []Msg) string {
+		var b strings.Builder
+		for i, m := range inbox {
+			if i > 0 {
+				b.WriteByte(' ')
+			}
+			x, _ := m.AsInt()
+			fmt.Fprintf(&b, "%d:%d", m.From, x)
+		}
+		return b.String()
+	}
+	prog := func(api *API) any {
+		send(api, 1)
+		first := describe(api.Next())
+		if sleeper(api.ID()) {
+			return first + " | " + describe(api.Idle(4))
+		}
+		for r := 3; r <= 6; r++ {
+			api.Next()
+			send(api, r)
+		}
+		return first
+	}
+	step := func(api *API) StepFn {
+		var first string
+		var fn StepFn
+		fn = func(api *API, inbox []Msg) Step {
+			r := api.Round() + 1
+			switch {
+			case r == 2:
+				first = describe(inbox)
+				if sleeper(api.ID()) {
+					return Sleep(4, fn)
+				}
+			case r == 6 && sleeper(api.ID()):
+				return Done(first + " | " + describe(inbox))
+			case r == 6:
+				return Done(first)
+			default:
+				send(api, r)
+			}
+			return Continue(fn)
+		}
+		return fn
+	}
+	return prog, step
+}
+
+// TestShardInboxPerTurn covers the step runner's collect just before each
+// turn, into one turn inbox per shard. On a path, vertices 1 and 2 are
+// adjacent, share shard 0 and are due in round 2: each must see only its
+// own neighbors' mail, in neighbor order. Sleeper 3 gets mail in round 3,
+// mid-window (across the shard cut from vertex 4 on two shards), and
+// again in its wake round: its turn must see both, in arrival order, after
+// round 2's. On one shard and on two, the step run must reproduce the
+// goroutine run, whose inboxes are per-vertex windows.
+func TestShardInboxPerTurn(t *testing.T) {
+	g := graph.Path(8)
+	prog, step := sleeperMail(3, 5)
+	want := mustRunGoroutines(t, g, prog, Options{Seed: 1})
+	for v, o := range []string{
+		1: "0:1000 2:1200",
+		2: "1:1101 3:1300",
+		3: "2:1201 4:1400 | 2:3201 4:3400 2:5201 4:5400",
+	} {
+		if o != "" && want.Output[v] != o {
+			t.Errorf("goroutines: vertex %d reported %q, want %q", v, want.Output[v], o)
+		}
+	}
+	for _, shards := range []int{1, 2} {
+		withShards(t, shards)
+		got := mustRunStep(t, g, step, Options{Seed: 1})
+		if got.Shards != shards {
+			t.Fatalf("step run used %d shards, want %d", got.Shards, shards)
+		}
+		requireEqualResults(t, fmt.Sprintf("turn inboxes on %d shards", shards), want, got)
+	}
+}
+
+// runOnColdScratch runs prog as a step form on a run scratch fresh from
+// scratchPool.New and returns that scratch. Two collections empty the
+// pool, its victim cache included, and with the GC off nothing refills
+// it, so the run's Get falls through to New.
+func runOnColdScratch(t *testing.T, g *graph.Graph, prog StepProgram) *runScratch {
+	t.Helper()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	gort.GC()
+	gort.GC()
+	var fresh *runScratch
+	defer func(old func() any) { scratchPool.New = old }(scratchPool.New)
+	scratchPool.New = func() any {
+		fresh = new(runScratch)
+		return fresh
+	}
+	mustRunStep(t, g, prog, Options{Seed: 1})
+	if fresh == nil {
+		t.Fatal("the run took a pooled scratch, not a fresh one")
+	}
+	return fresh
+}
+
+// TestInboxSlabOnlyForSleeperMail pins where a step run allocates its
+// []Msg inbox slab: only for mail that must outlive a turn. Sleepers whose
+// only mail arrives in their wake round collect it into the shard's turn
+// inbox, so that run leaves the slab of a cold scratch unallocated. When
+// sleepers get mail mid-window, on both shards in the same round, the run
+// sizes the slab once, at 2|E| messages, and the inbox of every sleeper
+// (one message per neighbor, so none spills) is its window of that one
+// slab.
+func TestInboxSlabOnlyForSleeperMail(t *testing.T) {
+	withShards(t, 2)
+	g := graph.Path(16)
+	_, wakeOnly := sleeperMail(5)
+	if s := runOnColdScratch(t, g, wakeOnly); s.inbox != nil {
+		t.Errorf("a run without mid-window mail allocated the inbox slab (%d messages)", len(s.inbox))
+	}
+	_, midWindow := sleeperMail(3)
+	s := runOnColdScratch(t, g, midWindow)
+	if len(s.inbox) != len(g.Adj) {
+		t.Fatalf("inbox slab holds %d messages after mid-window mail, want %d", len(s.inbox), len(g.Adj))
+	}
+	windows := 0
+	for v := range g.N() {
+		a := &s.apis[v]
+		if a.inbox == nil {
+			continue
+		}
+		windows++
+		lo, hi := g.Off[v], g.Off[v+1]
+		if cap(a.inbox) != int(hi-lo) || unsafe.SliceData(a.inbox) != &s.inbox[lo] {
+			t.Errorf("vertex %d's inbox is not its window [%d, %d) of the slab", v, lo, hi)
+		}
+	}
+	if sleepers := (g.N() + 2) / 3; windows != sleepers {
+		t.Errorf("%d vertices carved an inbox window, want the %d sleepers", windows, sleepers)
 	}
 }
 

@@ -31,10 +31,11 @@ import (
 //
 // Vertices are split into one contiguous shard per worker (worker w drives
 // shard w). Multicore execution splits each round into two
-// barrier-separated phases, both free of locks and atomics but one: each
+// barrier-separated phases, both free of locks and atomics but two: each
 // general-lane Send or Broadcast passes the sync.Once that sizes the any
-// column (core.anyColumn), an atomic load that takes its lock only on the
-// run's first such call:
+// column (core.anyColumn), and a sleeper's first drain the one that sizes
+// the inbox slab (core.inboxWindow), atomic loads that take their lock
+// only on the run's first such call:
 //
 //	exec:  each worker runs its shard's due turns. Every delivery writes
 //	       its slab slot directly: the slot's only writer is the sender,
@@ -60,9 +61,10 @@ import (
 // StepFn is one turn of a step-form vertex program: it receives the
 // messages delivered since its last turn (ordered by neighbor index;
 // accumulated across the whole window after a Sleep) and returns a Step
-// verdict saying how the vertex proceeds. The inbox slice is a per-vertex
-// buffer reused between turns — retaining messages requires copying, as
-// with API.Next. A StepFn must not call API.Next or API.Idle; rounds are
+// verdict saying how the vertex proceeds. The inbox slice is valid for
+// this turn only: the runner reuses its memory for the next turn of this
+// or another vertex, so retaining messages requires copying, as with
+// API.Next. A StepFn must not call API.Next or API.Idle; rounds are
 // crossed by returning.
 type StepFn func(api *API, inbox []Msg) Step
 
@@ -218,6 +220,10 @@ type stepShard struct {
 	// merged turn order.
 	woken  []int32
 	runBuf []int32
+	// inbox is the turn inbox: each due vertex's mail is collected into it
+	// just before the vertex's turn, so it holds one turn's mail at a time
+	// and its capacity, the shard's largest degree, bounds every collect.
+	inbox []Msg
 	// wakeAt[v-lo] is the round of v's next scheduled turn while sleeping,
 	// or 0 if v is active (or done).
 	wakeAt []int32
@@ -361,14 +367,29 @@ const (
 // msgRound dedupes it per delivery round and nextEventRound never skips a
 // round with a pending entry; timers holds one live entry per sleeper,
 // plus a stale one per crashed sleeper, an excess the three-index carve
-// spills to the heap rather than into the next window.
-func (s *stepShard) carve(sc *runScratch) {
+// spills to the heap rather than into the next window. The turn inbox is
+// the head of msgs, the unused tail of the run scratch's message slab,
+// with capacity for the shard's largest degree, since a round delivers at
+// most one message per neighbor; carve returns the rest of msgs.
+func (s *stepShard) carve(sc *runScratch, g *graph.Graph, msgs []Msg) []Msg {
 	k := s.hi - s.lo
 	ints := sc.shardInts[intsPerVertex*s.lo : intsPerVertex*s.hi]
 	evs := sc.shardEvents[eventsPerVertex*s.lo : eventsPerVertex*s.hi]
 	s.active, s.woken, s.runBuf = ints[:0:k], ints[k:k:2*k], ints[2*k:2*k:3*k]
 	s.wakeAt, s.msgRound = ints[3*k:4*k:4*k], ints[4*k:5*k:5*k]
 	s.timers, s.pending = evs[:0:k], evs[k:k:2*k]
+	d := s.maxDegree(g)
+	s.inbox = msgs[:0:d]
+	return msgs[d:]
+}
+
+// maxDegree returns the largest degree of the shard's vertices.
+func (s *stepShard) maxDegree(g *graph.Graph) int {
+	d := int32(0)
+	for v := s.lo; v < s.hi; v++ {
+		d = max(d, g.Off[v+1]-g.Off[v])
+	}
+	return int(d)
 }
 
 // next and idle are the blocking round-crossing calls; step programs
@@ -392,15 +413,15 @@ func (rt *stepRuntime) boot(a *API, prog StepProgram) (st Step, ok bool) {
 	return fn(a, nil), true
 }
 
-// turn runs one scheduled turn of v's machine.
-func (rt *stepRuntime) turn(a *API, fn StepFn) (st Step, ok bool) {
+// turn runs one scheduled turn of v's machine on inbox.
+func (rt *stepRuntime) turn(a *API, fn StepFn, inbox []Msg) (st Step, ok bool) {
 	defer rt.trap(a, &ok)
-	return fn(a, a.inbox), true
+	return fn(a, inbox), true
 }
 
 func (rt *stepRuntime) trap(a *API, ok *bool) {
 	if p := recover(); p != nil {
-		rt.c.panics[a.v] = vertexPanic{val: p, round: a.round + 1}
+		rt.c.recordPanic(a.v, p, a.round+1)
 		rt.c.done[a.v] = true
 		*ok = false
 	}
@@ -408,9 +429,10 @@ func (rt *stepRuntime) trap(a *API, ok *bool) {
 
 // runRound takes every due turn in the shard for global round w: expired
 // sleepers rejoin, sleeping receivers of this round's deliveries drain
-// their slots, and the due vertices run in ascending order. Vertices are
-// stepped with api.round = w-1, matching where a blocking Program stands
-// while executing round w.
+// their slots, and the due vertices run in ascending order, each
+// collecting its inbox just before its turn. Vertices are stepped with
+// api.round = w-1, matching where a blocking Program stands while
+// executing round w.
 func (s *stepShard) runRound(rt *stepRuntime, apis []API, w int32) {
 	c := rt.c
 	// Crash events first: a victim is retired at the top of its crash
@@ -450,13 +472,13 @@ func (s *stepShard) runRound(rt *stepRuntime, apis []API, w int32) {
 	// wakes O(n) sleepers in one round), so this must be a real sort: an
 	// insertion sort would be quadratic here.
 	slices.Sort(s.woken)
-	// Drain this round's deliveries into still-sleeping receivers' inboxes
-	// (in delivery-round order, so a later wake sees the same accumulated
-	// sequence a blocking Idle builds). Entries for active, waking, or
-	// terminated receivers are dropped: those vertices collect for
-	// themselves, or never will. No lock: pending is written only by this
-	// shard's owner during the exec phase and its merger during the merge
-	// phase, and this drain is the exec phase's first touch.
+	// Drain this round's deliveries into still-sleeping receivers'
+	// persistent windows (in delivery-round order, so a later wake sees the
+	// same accumulated sequence a blocking Idle builds). Entries for active,
+	// waking, or terminated receivers are dropped: those vertices collect
+	// for themselves, or never will. No lock: pending is written only by
+	// this shard's owner during the exec phase and its merger during the
+	// merge phase, and this drain is the exec phase's first touch.
 	keep := s.pending[:0]
 	for _, e := range s.pending {
 		if e.round > w {
@@ -465,14 +487,12 @@ func (s *stepShard) runRound(rt *stepRuntime, apis []API, w int32) {
 		}
 		if s.wakeAt[e.v-s.lo] > w {
 			a := &apis[e.v]
-			a.inbox = a.collect(a.inbox, w-1)
+			a.inbox = a.collect(a.window(), w-1)
 		}
 	}
 	s.pending = keep
-	// Merge the compacted active list with this round's woken sleepers,
-	// collecting each vertex's inbox: active vertices start a fresh inbox,
-	// woken ones append the window's final round to what the drains above
-	// accumulated. Round 1 has no deliveries and no machines yet — every
+	// Merge the compacted active list with this round's woken sleepers into
+	// the turn order. Round 1 has no deliveries and no machines yet — every
 	// vertex boots instead.
 	s.runBuf = s.runBuf[:0]
 	if w == 1 {
@@ -482,19 +502,13 @@ func (s *stepShard) runRound(rt *stepRuntime, apis []API, w int32) {
 	} else {
 		ai, wi := 0, 0
 		for ai < len(s.active) || wi < len(s.woken) {
-			var v int32
 			if wi >= len(s.woken) || (ai < len(s.active) && s.active[ai] < s.woken[wi]) {
-				v = s.active[ai]
+				s.runBuf = append(s.runBuf, s.active[ai])
 				ai++
-				a := &apis[v]
-				a.inbox = a.collect(a.inbox[:0], w-1)
 			} else {
-				v = s.woken[wi]
+				s.runBuf = append(s.runBuf, s.woken[wi])
 				wi++
-				a := &apis[v]
-				a.inbox = a.collect(a.inbox, w-1)
 			}
-			s.runBuf = append(s.runBuf, v)
 		}
 	}
 	// Take the turns in ascending vertex order, rebuilding the active list
@@ -522,7 +536,19 @@ func (s *stepShard) runRound(rt *stepRuntime, apis []API, w int32) {
 			st, ok = rt.boot(a, s.bootProg)
 		} else {
 			a.round = w - 1
-			st, ok = rt.turn(a, s.fns[li])
+			// Collect just before the turn, into the shard's turn inbox,
+			// unless v is a woken sleeper whose drains gathered mail in its
+			// window: its wake round's mail goes after that mail. Either way
+			// the window is empty again after the turn.
+			var inbox []Msg
+			if len(a.inbox) > 0 {
+				a.inbox = a.collect(a.inbox, w-1)
+				inbox = a.inbox
+			} else {
+				inbox = a.collect(s.inbox[:0], w-1)
+			}
+			st, ok = rt.turn(a, s.fns[li], inbox)
+			a.inbox = a.inbox[:0]
 		}
 		if !ok {
 			s.live--
@@ -541,9 +567,6 @@ func (s *stepShard) runRound(rt *stepRuntime, apis []API, w int32) {
 		case st.sleep > 1:
 			a.round++
 			c.rounds[v] = a.round
-			// The window's messages accumulate into a fresh inbox (the turn
-			// just consumed the old contents).
-			a.inbox = a.inbox[:0]
 			s.fns[li] = st.next
 			e := w + st.sleep
 			s.wakeAt[li] = e
@@ -643,6 +666,7 @@ func runStep(g *graph.Graph, prog StepProgram, opts Options) (*Result, error) {
 	}
 	shardSize := (n + nshards - 1) / nshards
 	rt := &stepRuntime{c: c, shardSize: int32(shardSize)}
+	inboxes := 0 // the shards' largest degrees, summed
 	for lo := 0; lo < n; lo += shardSize {
 		hi := lo + shardSize
 		if hi > n {
@@ -661,10 +685,15 @@ func runStep(g *graph.Graph, prog StepProgram, opts Options) (*Result, error) {
 			bootProg: prog,
 			crashes:  crashes,
 		}
-		sh.carve(c.scratch)
+		inboxes += sh.maxDegree(g)
 		rt.shards = append(rt.shards, sh)
 	}
 	nshards = len(rt.shards)
+	c.scratch.shardMsgs = reslice(c.scratch.shardMsgs, inboxes)
+	msgs := c.scratch.shardMsgs
+	for _, sh := range rt.shards {
+		msgs = sh.carve(c.scratch, g, msgs)
+	}
 	if nshards > 1 {
 		rt.carveLanes()
 	}
