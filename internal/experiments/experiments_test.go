@@ -1,16 +1,33 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestAllExperimentsQuick smoke-runs every experiment in quick mode and
-// checks that each renders a non-empty table. This is the integration test
-// guaranteeing that the full `vavgbench -exp all` pipeline stays runnable.
+var update = flag.Bool("update", false, "rewrite testdata/quick from the current output")
+
+// quickDir holds one golden file per experiment: its quick-mode output.
+var quickDir = filepath.Join("testdata", "quick")
+
+// TestAllExperimentsQuick runs every experiment in quick mode and
+// compares its rendered tables with testdata/quick/<id>.txt byte for
+// byte, so the whole `vavgbench -exp all` pipeline stays runnable and a
+// change to any table shows as a failing row. A golden file whose
+// experiment no longer exists fails too. Re-pin deliberate changes with
+//
+//	go test ./internal/experiments -run TestAllExperimentsQuick -update
 func TestAllExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke run is not short")
+	}
+	if *update {
+		if err := os.MkdirAll(quickDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, e := range All() {
 		e := e
@@ -20,10 +37,42 @@ func TestAllExperimentsQuick(t *testing.T) {
 			if err := e.Run(cfg); err != nil {
 				t.Fatalf("%s: %v", e.ID, err)
 			}
-			if len(strings.TrimSpace(sb.String())) == 0 {
+			got := sb.String()
+			if len(strings.TrimSpace(got)) == 0 {
 				t.Fatalf("%s rendered nothing", e.ID)
 			}
+			path := filepath.Join(quickDir, e.ID+".txt")
+			if *update {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (pin it with -update)", err)
+			}
+			if got != string(want) {
+				t.Errorf("output differs from %s:\ngot:\n%s\nwant:\n%s", path, got, want)
+			}
 		})
+	}
+	files, err := filepath.Glob(filepath.Join(quickDir, "*.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		id := strings.TrimSuffix(filepath.Base(f), ".txt")
+		if _, err := Find(id); err == nil {
+			continue
+		}
+		if *update {
+			if err := os.Remove(f); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		t.Errorf("golden file %s names no experiment", f)
 	}
 }
 
