@@ -1,6 +1,6 @@
 // Fixture for the scenarioseam analyzer: fault-layer code draws
-// randomness only from the scenario PRNG, and files holding vertex code
-// never import the fault layer.
+// randomness only from the scenario's seed-derived streams, and files
+// holding vertex code never import the fault layer.
 package fixture
 
 import (
@@ -23,9 +23,10 @@ func sampleWorse(s *scenario.Spec) bool {
 	return rand.Float64() < s.Drop // want "global math/rand call math/rand.Float64 in fault-layer code"
 }
 
-// sampleOK derives the decision from the scenario PRNG stream.
-func sampleOK(s *scenario.Spec, p *scenario.PRNG) bool {
-	return p.Float64() < s.Drop
+// sampleOK decides from a hash of the scenario's seed and the vertex, as
+// Compile does: a pure function of (seed, v), whatever the algorithm drew.
+func sampleOK(s *scenario.Spec, v uint64) bool {
+	return float64(exec.Mix64(s.Seed^v)>>11)/(1<<53) < s.Drop
 }
 
 // crashCount shows the sanctioned escape hatch for seam code with a

@@ -9,22 +9,14 @@ import (
 )
 
 // faultPoint is one (algorithm, drop rate, crash fraction) cell of the
-// degradation matrix: the paper's measures plus the adversarial
-// accounting. A non-converged cell (Converged false) is a DNF data point
-// — the algorithm exhausted its round budget under that fault load — not
-// a failure.
+// degradation matrix: the run's report, whose paper measures and
+// adversarial accounting the matrix renders. A non-converged cell
+// (Converged false) is a DNF data point — the algorithm exhausted its
+// round budget under that fault load — not a failure.
 type faultPoint struct {
-	Algorithm         string
-	N                 int
-	Drop              float64
-	CrashFrac         float64
-	VertexAvg         float64
-	WorstCase         int
-	Converged         bool
-	Dropped           int64
-	LostToCrash       int64
-	CrashedForever    int
-	ResidualConflicts int
+	metrics.Run
+	Drop      float64
+	CrashFrac float64
 	// Failed marks cells whose run aborted outright — an algorithm whose
 	// internal schedule wedges under the fault load (e.g. a pipelined
 	// partition assertion that joins land on time) rather than running out
@@ -99,11 +91,9 @@ func faultMatrix(cfg Config) ([]faultPoint, error) {
 		if err != nil {
 			return nil, fmt.Errorf("faults: fault-free %s: %w", name, err)
 		}
-		baselines[name] = faultPoint{
-			Algorithm: name, N: n,
-			VertexAvg: base.VertexAvg, WorstCase: base.WorstCase,
-			Converged: true, ResidualConflicts: -1,
-		}
+		// A fault-free report is already Converged, with no losses and
+		// ResidualConflicts -1 (not measured).
+		baselines[name] = faultPoint{Run: base}
 		budget := faultBudget(base.WorstCase)
 		for _, drop := range faultDrops {
 			for _, cf := range faultCrashFracs {
@@ -126,25 +116,9 @@ func faultMatrix(cfg Config) ([]faultPoint, error) {
 		if err != nil {
 			// The run aborted outright: an internal schedule assertion the
 			// fault load broke. Deterministic, so a legal matrix cell.
-			faulty[i] = faultPoint{
-				Algorithm: c.alg.Name, N: n, Drop: c.drop, CrashFrac: c.crashFrac,
-				Failed: true, ResidualConflicts: -1,
-			}
-			return
+			rep = metrics.Run{Algorithm: c.alg.Name, N: n, ResidualConflicts: -1}
 		}
-		faulty[i] = faultPoint{
-			Algorithm:         c.alg.Name,
-			N:                 n,
-			Drop:              c.drop,
-			CrashFrac:         c.crashFrac,
-			VertexAvg:         rep.VertexAvg,
-			WorstCase:         rep.WorstCase,
-			Converged:         rep.Converged,
-			Dropped:           rep.Dropped,
-			LostToCrash:       rep.LostToCrash,
-			CrashedForever:    rep.CrashedForever,
-			ResidualConflicts: rep.ResidualConflicts,
-		}
+		faulty[i] = faultPoint{Run: rep, Drop: c.drop, CrashFrac: c.crashFrac, Failed: err != nil}
 	})
 
 	// Assemble in deterministic matrix order: each algorithm's fault-free

@@ -27,9 +27,7 @@ package extend
 import (
 	"slices"
 
-	"vavg/internal/coloring"
 	"vavg/internal/engine"
-	"vavg/internal/hpartition"
 )
 
 // finals records the terminal outputs announced by neighbors. A zero
@@ -64,13 +62,6 @@ func classSweep(api *engine.API, numClasses, myClass int, act func(), observe fu
 		}
 		observe(api.Next())
 	}
-}
-
-// DeltaPlus1Window returns the iteration window width of the MIS and
-// (Delta+1)-coloring programs.
-func DeltaPlus1Window(n, a int, eps float64) int {
-	A := hpartition.ParamA(a, eps)
-	return 2 + coloring.DeltaPlus1Rounds(n, A) + A + 1
 }
 
 // DeltaPlus1 is the (Delta+1)-vertex-coloring of Corollary 8.3: each

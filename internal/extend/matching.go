@@ -21,12 +21,6 @@ func hasTag(m engine.Msg, tag uint8) bool {
 	return ok && wire.Tag(x) == tag
 }
 
-// MaximalMatchingWindow returns the iteration window width of the
-// matching program (same phase structure as edge coloring).
-func MaximalMatchingWindow(n, a int, eps float64) int {
-	return EdgeColoringWindow(n, a, eps)
-}
-
 // matchState tracks whether this vertex is matched and to whom.
 type matchState struct {
 	partner int32 // -1 while unmatched

@@ -61,9 +61,6 @@ func (g *Graph) Degree(u int) int { return int(g.Off[u+1] - g.Off[u]) }
 // aliases the graph's storage and must not be modified.
 func (g *Graph) Neighbors(u int) []int32 { return g.Adj[g.Off[u]:g.Off[u+1]] }
 
-// EdgeSlot returns the global directed-edge position of u's k-th neighbor.
-func (g *Graph) EdgeSlot(u, k int) int32 { return g.Off[u] + int32(k) }
-
 // neighborScanCutoff is the degree below which NeighborIndex scans the
 // adjacency list linearly. The paper's graphs are sparse (bounded
 // arboricity), so most lookups hit short lists where a branch-predictable

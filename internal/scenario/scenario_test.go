@@ -164,33 +164,6 @@ func TestCompile(t *testing.T) {
 	}
 }
 
-func TestPRNGDeterminism(t *testing.T) {
-	p1 := NewPRNG(7, 3)
-	p2 := NewPRNG(7, 3)
-	for i := 0; i < 100; i++ {
-		if p1.Uint64() != p2.Uint64() {
-			t.Fatal("same seeds must generate the same stream")
-		}
-	}
-	p3 := NewPRNG(7, 4)
-	same := true
-	p1 = NewPRNG(7, 3)
-	for i := 0; i < 100; i++ {
-		if p1.Uint64() != p3.Uint64() {
-			same = false
-		}
-	}
-	if same {
-		t.Error("different scenario seeds should generate different streams")
-	}
-	f := NewPRNG(1, 1)
-	for i := 0; i < 1000; i++ {
-		if x := f.Float64(); x < 0 || x >= 1 {
-			t.Fatalf("Float64() = %v outside [0,1)", x)
-		}
-	}
-}
-
 func TestEpochsAndApply(t *testing.T) {
 	s := &Spec{Edges: []EdgeEvent{
 		{Round: 5, U: 2, V: 3, Insert: true},

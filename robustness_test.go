@@ -179,6 +179,11 @@ func TestBadParamsRejected(t *testing.T) {
 			return err
 		}, false},
 		{"ring-3color under a scenario on path", runOn("ring-3color", Path(200), Params{Scenario: &Scenario{Drop: 0.1}}), false},
+		{"partition a=-3", run("partition", Params{Arboricity: -3}), false},
+		{"partition MaxRounds=-5", run("partition", Params{MaxRounds: -5}), false},
+		{"list-coloring a=-1", listColoring(Params{Arboricity: -1}), false},
+		{"simulate MaxRounds=-1", simulate(Params{MaxRounds: -1}), false},
+		{"simulate eps=5", simulate(Params{Eps: 5}), false},
 		{"ring-3color on ring", runOn("ring-3color", Ring(200), Params{}), true},
 		{"leader-ring on ringshuffled", runOn("leader-ring", RingShuffled(200, 3), Params{}), true},
 		{"mis eps=2", run("mis", Params{Eps: 2}), true},

@@ -31,10 +31,14 @@ type (
 
 // Simulate runs a custom vertex Program on g in the synchronous
 // message-passing model and returns the raw result; Report-style
-// accounting can be derived with NewReport. It honors Params.Relabel; a
-// non-zero Params.Scenario is an ErrBadParams.
+// accounting can be derived with NewReport. It honors Params.Relabel.
+// Params out of range, as Algorithm.Run checks them, and a non-zero
+// Params.Scenario are an ErrBadParams.
 func Simulate(g *Graph, prog Program, p Params) (*SimResult, error) {
 	p = p.withDefaults(g)
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
 	rg, err := faultFreeGraph(g, p)
 	if err != nil {
 		return nil, err

@@ -75,11 +75,13 @@ const (
 )
 
 // Params configures a run. The zero value selects sensible defaults:
-// eps=2, k=2, C=4, the graph's certified arboricity bound, seed 1. After
-// defaulting, Eps outside (0, 2], K < 2 or C < 1 is an ErrBadParams.
+// eps=2, k=2, C=4, the graph's certified arboricity bound, seed 1. A
+// negative Arboricity or MaxRounds is an ErrBadParams, and so, after
+// defaulting, is Eps outside (0, 2], K < 2 or C < 1.
 type Params struct {
 	// Arboricity passed to the algorithms (the paper assumes it is known);
-	// 0 means use the graph's certified bound, falling back to degeneracy.
+	// 0 means use the graph's certified bound, falling back to degeneracy
+	// (1 on an edgeless graph); a negative value is an ErrBadParams.
 	Arboricity int
 	// Eps is the Procedure Partition slack in (0, 2]; 0 means 2.
 	Eps float64
@@ -89,7 +91,8 @@ type Params struct {
 	C int
 	// Seed drives the deterministic per-vertex PRNGs; 0 means 1.
 	Seed int64
-	// MaxRounds guards against livelock; 0 means a generous default.
+	// MaxRounds guards against livelock; 0 means a generous default and a
+	// negative value is an ErrBadParams.
 	MaxRounds int
 	// Relabel selects the engine's vertex-relabeling layout pass: "rcm"
 	// runs the engine on a reverse Cuthill–McKee view of the graph for
@@ -130,11 +133,8 @@ func (p Params) withDefaults(g *Graph) Params {
 	if p.Arboricity == 0 {
 		p.Arboricity = g.ArborBound
 		if p.Arboricity == 0 {
-			p.Arboricity = graph.Degeneracy(g)
+			p.Arboricity = max(graph.Degeneracy(g), 1)
 		}
-	}
-	if p.Arboricity < 1 {
-		p.Arboricity = 1
 	}
 	if p.MaxRounds == 0 {
 		p.MaxRounds = 1 << 21
@@ -146,9 +146,14 @@ func (p Params) withDefaults(g *Graph) Params {
 // are defined for; the wrapping error names the field and its bound.
 var ErrBadParams = errors.New("vavg: invalid parameters")
 
-// validate checks defaulted parameters: 0 < Eps <= 2, K >= 2, C >= 1.
+// validate checks defaulted parameters: Arboricity >= 1, 0 < Eps <= 2,
+// K >= 2, C >= 1, MaxRounds >= 1.
 func (p Params) validate() error {
 	switch {
+	case p.Arboricity < 1:
+		return fmt.Errorf("%w: Arboricity = %d, want Arboricity >= 1 (0 selects the graph's bound)", ErrBadParams, p.Arboricity)
+	case p.MaxRounds < 1:
+		return fmt.Errorf("%w: MaxRounds = %d, want MaxRounds >= 1 (0 selects the default)", ErrBadParams, p.MaxRounds)
 	case !(p.Eps > 0 && p.Eps <= 2):
 		return fmt.Errorf("%w: Eps = %v, want 0 < Eps <= 2", ErrBadParams, p.Eps)
 	case p.K < 2:
