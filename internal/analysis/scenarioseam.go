@@ -19,7 +19,8 @@ const scenarioPath = "vavg/internal/scenario"
 //   - fault-layer code — any function with a parameter or receiver of a
 //     type declared in internal/scenario — may not draw from api.Rand()
 //     (the algorithm-side per-vertex PRNG) or the global math/rand
-//     source; its randomness comes from the scenario PRNG streams.
+//     source; its randomness comes from the scenario's seed-derived
+//     streams.
 //
 //   - algorithm code may not import internal/scenario: a file that
 //     declares vertex code (a function receiving *engine.API) must not see
@@ -28,7 +29,7 @@ const scenarioPath = "vavg/internal/scenario"
 //     facade owns the seam and necessarily touches both sides.
 var Scenarioseam = &Analyzer{
 	Name: "scenarioseam",
-	Doc:  "keeps fault-layer randomness on the scenario PRNG and the fault layer out of algorithm packages",
+	Doc:  "keeps fault-layer randomness on the scenario's seed-derived streams and the fault layer out of algorithm packages",
 	Run:  runScenarioseam,
 }
 
@@ -48,10 +49,10 @@ func runScenarioseam(pass *Pass) {
 					return true
 				}
 				if name, ok := apiMethod(pass.Info, call); ok && name == "Rand" {
-					pass.Reportf(call.Pos(), "api.Rand() in fault-layer code; fault decisions must come from the scenario PRNG so they replay independently of algorithm randomness")
+					pass.Reportf(call.Pos(), "api.Rand() in fault-layer code; fault decisions must come from the scenario's seed-derived streams so they replay independently of algorithm randomness")
 				}
 				if path, name, ok := pkgFunc(pass.Info, call); ok && isGlobalRand(path, name) {
-					pass.Reportf(call.Pos(), "global math/rand call %s.%s in fault-layer code; derive randomness from the scenario PRNG streams", path, name)
+					pass.Reportf(call.Pos(), "global math/rand call %s.%s in fault-layer code; derive randomness from the scenario's seed-derived streams", path, name)
 				}
 				return true
 			})
