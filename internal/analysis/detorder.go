@@ -5,6 +5,7 @@ import (
 	"go/printer"
 	"go/token"
 	"go/types"
+	"strconv"
 	"strings"
 )
 
@@ -110,23 +111,9 @@ func (s *orderSafety) addIterVars(rs *ast.RangeStmt) {
 
 func (s *orderSafety) fail(pos token.Pos, why string) bool {
 	if s.reason == "" {
-		s.reason = " (" + why + " at line " + itoa(s.pass.Fset.Position(pos).Line) + ")"
+		s.reason = " (" + why + " at line " + strconv.Itoa(s.pass.Fset.Position(pos).Line) + ")"
 	}
 	return false
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
 }
 
 func (s *orderSafety) stmts(list []ast.Stmt) bool {

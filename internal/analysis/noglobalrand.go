@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"strings"
 )
 
 // Noglobalrand enforces the engine's seeding contract: equal seeds must
@@ -48,7 +49,7 @@ var forbiddenInVertexCode = map[string]map[string]bool{
 func runNoglobalrand(pass *Pass) {
 	for _, file := range pass.Files {
 		fname := pass.Fset.Position(file.Pos()).Filename
-		isTest := hasSuffix(fname, "_test.go")
+		isTest := strings.HasSuffix(fname, "_test.go")
 		vertexRegions := vertexCodeRegions(pass, file)
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -106,8 +107,4 @@ func inRegions(regions []region, pos token.Pos) bool {
 		}
 	}
 	return false
-}
-
-func hasSuffix(s, suffix string) bool {
-	return len(s) >= len(suffix) && s[len(s)-len(suffix):] == suffix
 }

@@ -1,15 +1,17 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Adversary is the compiled, immutable fault schedule of one run: i.i.d.
 // per-delivery message drops plus per-vertex crash (and optional restart)
 // rounds. It is built by internal/scenario from a (run seed, scenario
 // seed) pair and shared read-only by every run of a sweep; all mutable
-// cursor state lives in the runners.
+// cursor state lives in the run's round loop (core.drive).
 //
 // Determinism: every adversary decision is a pure function of immutable
 // inputs — a drop is a hash of (directed-edge slot, delivery round), a
@@ -38,8 +40,8 @@ type Adversary struct {
 	RestartAt []int32
 
 	// crashes and restarts are the schedule as sorted (round, vertex)
-	// event lists, built by Normalize; the runners walk them with private
-	// cursors, the step runner one per shard.
+	// event lists, built by Normalize; core.drive walks them with one
+	// private cursor each.
 	crashes  []advEvent
 	restarts []advEvent
 }
@@ -131,21 +133,13 @@ func (adv *Adversary) permuted(newID []int32) *Adversary {
 	return p
 }
 
-// sortEvents orders events by (round, vertex); schedules are small, and
-// insertion sort keeps the dependency surface flat.
+// sortEvents orders events by (round, vertex). A list holds at most one
+// event per vertex, so the keys are unique and the order does not depend
+// on the sort's stability.
 func sortEvents(s []advEvent) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && less(s[j], s[j-1]); j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-func less(a, b advEvent) bool {
-	if a.round != b.round {
-		return a.round < b.round
-	}
-	return a.v < b.v
+	slices.SortFunc(s, func(a, b advEvent) int {
+		return cmp.Or(cmp.Compare(a.round, b.round), cmp.Compare(a.v, b.v))
+	})
 }
 
 // dropped reports whether the delivery into directed-edge slot in round
@@ -178,25 +172,7 @@ func (adv *Adversary) inWindow(v int32, dr int32) bool {
 	return dr <= adv.RestartAt[v]
 }
 
-// crashNow reports whether vertex v must not execute round w: it has
-// crashed at or before w and not yet restarted. The runners consult it at
-// every wake site, so a crashed vertex's goroutine unwinds (or its state
-// machine is retired) in exactly round CrashAt[v] on both runners.
-func (adv *Adversary) crashNow(v int32, w int32) bool {
-	if adv.CrashAt == nil {
-		return false
-	}
-	c := adv.CrashAt[v]
-	if c == 0 || w < c {
-		return false
-	}
-	if adv.RestartAt == nil || adv.RestartAt[v] == 0 {
-		return true
-	}
-	return w < adv.RestartAt[v]
-}
-
-// eventCursor walks one shard's slice of a sorted event list.
+// eventCursor walks a sorted event list.
 type eventCursor struct {
 	events []advEvent
 	i      int
@@ -221,20 +197,6 @@ func (c *eventCursor) nextRound() int {
 
 // pending reports whether unconsumed events remain.
 func (c *eventCursor) pending() bool { return c.i < len(c.events) }
-
-// shardEvents returns the sub-slice of events whose vertices fall in
-// [lo, hi); events are sorted by round first, so the per-shard slices
-// are rebuilt by filtering (schedules are small and this runs once per
-// run, only when an adversary is present).
-func shardEvents(events []advEvent, lo, hi int32) []advEvent {
-	var out []advEvent
-	for _, e := range events {
-		if e.v >= lo && e.v < hi {
-			out = append(out, e)
-		}
-	}
-	return out
-}
 
 // crashSentinel is the panic payload a vertex goroutine uses to unwind
 // when its crash round arrives; runVertex's recover recognizes it and

@@ -158,6 +158,7 @@ func testGraphs() map[string]*graph.Graph {
 		"forests": graph.ForestUnion(150, 3, 7),
 		"gnm":     graph.Gnm(90, 260, 5),
 		"tree":    graph.RandomTree(77, 3),
+		"empty":   graph.FromEdges(0, nil),
 	}
 }
 

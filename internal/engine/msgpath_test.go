@@ -17,8 +17,9 @@ import (
 
 // nopRuntime drives APIs by hand: tests and benchmarks below cross round
 // barriers themselves (API.round / core.swap / collect), isolating the
-// message path from the schedulers.
-type nopRuntime struct{}
+// message path from the schedulers. No round loop drives it, so it leaves
+// the round side of runtime to the nil embedded interface.
+type nopRuntime struct{ runtime }
 
 func (nopRuntime) next(a *API, buf []Msg) []Msg        { panic("nopRuntime.next") }
 func (nopRuntime) idle(a *API, k int, buf []Msg) []Msg { panic("nopRuntime.idle") }
@@ -1063,6 +1064,12 @@ func TestMessageAccountingGolden(t *testing.T) {
 	// A send-path change that moves any of these numbers changes the
 	// model's accounting; it is not a refactor.
 	want := map[string]counts{
+		"empty/flood/A":               {0, 0, 0, 0},
+		"empty/flood/none":            {0, 0, 0, 0},
+		"empty/mixed-lanes/A":         {0, 0, 0, 0},
+		"empty/mixed-lanes/none":      {0, 0, 0, 0},
+		"empty/send-then-idle/A":      {0, 0, 0, 0},
+		"empty/send-then-idle/none":   {0, 0, 0, 0},
 		"forests/flood/A":             {2707, 941, 638, 783},
 		"forests/flood/none":          {4400, 0, 0, 750},
 		"forests/mixed-lanes/A":       {2365, 833, 501, 1062},

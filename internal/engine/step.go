@@ -229,26 +229,27 @@ type stepShard struct {
 	wakeAt []int32
 	// timers is a min-heap of (wake round, vertex) sleep expiries.
 	timers []idleEntry
-	// pending holds message wakes: entry (T, v) means a message addressed
-	// to v was delivered for round T, at most once per (v, T) thanks to
-	// msgRound. Same-shard deliveries append during the exec phase,
-	// cross-shard ones during the merge phase.
-	pending []idleEntry
+	// pending lists the receivers of messages delivered for the coming
+	// round, at most once each thanks to msgRound. Same-shard deliveries
+	// append during the exec phase, cross-shard ones during the merge
+	// phase. The round loop never skips a round with a pending entry, so
+	// the next round's drain takes them all.
+	pending []int32
 	// msgRound[v-lo] is the latest delivery round already enqueued in
 	// pending for v.
 	msgRound []int32
+	// unsorted marks an active list that reboots appended to out of order;
+	// the next round sorts it before the turn merge.
+	unsorted bool
 	// live counts non-terminated vertices in the shard.
 	live int
-	// bootProg builds each vertex's machine during the round-1 pass.
+	// bootProg builds each vertex's machine in its first turn.
 	bootProg StepProgram
-	// crashes walks this shard's slice of the adversary's crash schedule
-	// (empty on fault-free runs); victims are retired at the top of their
-	// crash round, before any turn is taken.
-	crashes eventCursor
 }
 
 type stepRuntime struct {
 	c         *core
+	apis      []API
 	shards    []*stepShard
 	shardSize int32
 	// lanes[src*len(shards)+dst] stages the receivers of the cross-shard
@@ -261,9 +262,12 @@ type stepRuntime struct {
 	// round is the current global round, written by the coordinator at the
 	// barrier and read by workers during the phases.
 	round int32
-	// restarts walks the adversary's restart schedule (empty on fault-free
-	// runs); the coordinator consumes it between rounds.
-	restarts eventCursor
+	// starts holds one channel per worker of a multi-shard run, through
+	// which turns releases each phase, and phaseWG is the barrier that ends
+	// it; stop closes the channels. A single shard runs inline with no
+	// workers, so both stay empty.
+	starts  []chan uint8
+	phaseWG sync.WaitGroup
 }
 
 func (rt *stepRuntime) shardOf(v int32) *stepShard { return rt.shards[v/rt.shardSize] }
@@ -299,7 +303,7 @@ func (s *stepShard) noteDelivery(recv, t int32) {
 		return
 	}
 	s.msgRound[i] = t
-	s.pending = append(s.pending, idleEntry{t, recv})
+	s.pending = append(s.pending, recv)
 }
 
 // applyLanes is the merge phase for this destination shard: one
@@ -352,32 +356,34 @@ func (rt *stepRuntime) carveLanes() {
 	rt.lanes = s.lanes
 }
 
-// A shard carves intsPerVertex int32 and eventsPerVertex idleEntry
-// elements per vertex from the run scratch's shard slabs (see carve).
-const (
-	intsPerVertex   = 5 // active, woken, runBuf, wakeAt, msgRound
-	eventsPerVertex = 2 // timers, pending
-)
+// intsPerVertex is the number of int32 elements a shard carves per vertex
+// from the run scratch's shard slab: active, woken, runBuf, wakeAt,
+// msgRound and pending (see carve).
+const intsPerVertex = 6
 
 // carve gives the shard its per-run lists as windows of the run scratch's
 // zeroed shard slabs, one window of k = hi-lo elements per list, so a run
 // makes none of them and grows none by append. k bounds every list:
 // active, woken and runBuf hold each shard vertex at most once a round;
 // pending holds at most one entry per vertex between drains, since
-// msgRound dedupes it per delivery round and nextEventRound never skips a
+// msgRound dedupes it per delivery round and the round loop never skips a
 // round with a pending entry; timers holds one live entry per sleeper,
 // plus a stale one per crashed sleeper, an excess the three-index carve
-// spills to the heap rather than into the next window. The turn inbox is
-// the head of msgs, the unused tail of the run scratch's message slab,
-// with capacity for the shard's largest degree, since a round delivers at
-// most one message per neighbor; carve returns the rest of msgs.
+// spills to the heap rather than into the next window. The active list
+// starts as the whole range [lo, hi), so the first round boots every
+// vertex in ascending order. The turn inbox is the head of msgs, the
+// unused tail of the run scratch's message slab, with capacity for the
+// shard's largest degree, since a round delivers at most one message per
+// neighbor; carve returns the rest of msgs.
 func (s *stepShard) carve(sc *runScratch, g *graph.Graph, msgs []Msg) []Msg {
 	k := s.hi - s.lo
 	ints := sc.shardInts[intsPerVertex*s.lo : intsPerVertex*s.hi]
-	evs := sc.shardEvents[eventsPerVertex*s.lo : eventsPerVertex*s.hi]
-	s.active, s.woken, s.runBuf = ints[:0:k], ints[k:k:2*k], ints[2*k:2*k:3*k]
-	s.wakeAt, s.msgRound = ints[3*k:4*k:4*k], ints[4*k:5*k:5*k]
-	s.timers, s.pending = evs[:0:k], evs[k:k:2*k]
+	s.active, s.woken, s.runBuf = ints[:k:k], ints[k:k:2*k], ints[2*k:2*k:3*k]
+	s.wakeAt, s.msgRound, s.pending = ints[3*k:4*k:4*k], ints[4*k:5*k:5*k], ints[5*k:5*k:6*k]
+	for i := range s.active {
+		s.active[i] = s.lo + int32(i)
+	}
+	s.timers = sc.shardTimers[s.lo:s.lo:s.hi]
 	d := s.maxDegree(g)
 	s.inbox = msgs[:0:d]
 	return msgs[d:]
@@ -433,29 +439,12 @@ func (rt *stepRuntime) trap(a *API, ok *bool) {
 // collecting its inbox just before its turn. Vertices are stepped with
 // api.round = w-1, matching where a blocking Program stands while
 // executing round w.
-func (s *stepShard) runRound(rt *stepRuntime, apis []API, w int32) {
+func (s *stepShard) runRound(rt *stepRuntime, w int32) {
 	c := rt.c
-	// Crash events first: a victim is retired at the top of its crash
-	// round, before any turn is taken — it counts as live in this round
-	// (ActivePerRound already includes it) but executes nothing, exactly
-	// like the goroutine runner's wake-site unwinding. Clearing wakeAt
-	// invalidates its stale timer entry and makes the pending drain below
-	// skip it; clearing fns marks the slot for a fresh boot on restart.
-	if c.adv != nil {
-		for _, e := range s.crashes.take(w) {
-			v := e.v
-			li := v - s.lo
-			if c.done[v] {
-				continue
-			}
-			c.done[v] = true
-			c.crashed[v] = true
-			c.rounds[v] = w
-			s.wakeAt[li] = 0
-			s.fns[li] = nil
-			apis[v].inbox = apis[v].inbox[:0]
-			s.live--
-		}
+	apis := rt.apis
+	if s.unsorted {
+		slices.Sort(s.active)
+		s.unsorted = false
 	}
 	// Wake sleepers whose window ends this round; their turn collects the
 	// final round of the window below.
@@ -473,42 +462,30 @@ func (s *stepShard) runRound(rt *stepRuntime, apis []API, w int32) {
 	// insertion sort would be quadratic here.
 	slices.Sort(s.woken)
 	// Drain this round's deliveries into still-sleeping receivers'
-	// persistent windows (in delivery-round order, so a later wake sees the
-	// same accumulated sequence a blocking Idle builds). Entries for active,
-	// waking, or terminated receivers are dropped: those vertices collect
-	// for themselves, or never will. No lock: pending is written only by
-	// this shard's owner during the exec phase and its merger during the
-	// merge phase, and this drain is the exec phase's first touch.
-	keep := s.pending[:0]
-	for _, e := range s.pending {
-		if e.round > w {
-			keep = append(keep, e)
-			continue
-		}
-		if s.wakeAt[e.v-s.lo] > w {
-			a := &apis[e.v]
+	// persistent windows, so a later wake sees the same accumulated
+	// sequence a blocking Idle builds. Entries for active, waking, or
+	// terminated receivers are dropped: those vertices collect for
+	// themselves, or never will. No lock: pending is written only by this
+	// shard's owner during the exec phase and its merger during the merge
+	// phase, and this drain is the exec phase's first touch.
+	for _, v := range s.pending {
+		if s.wakeAt[v-s.lo] > w {
+			a := &apis[v]
 			a.inbox = a.collect(a.window(), w-1)
 		}
 	}
-	s.pending = keep
+	s.pending = s.pending[:0]
 	// Merge the compacted active list with this round's woken sleepers into
-	// the turn order. Round 1 has no deliveries and no machines yet — every
-	// vertex boots instead.
+	// the turn order.
 	s.runBuf = s.runBuf[:0]
-	if w == 1 {
-		for v := s.lo; v < s.hi; v++ {
-			s.runBuf = append(s.runBuf, v)
-		}
-	} else {
-		ai, wi := 0, 0
-		for ai < len(s.active) || wi < len(s.woken) {
-			if wi >= len(s.woken) || (ai < len(s.active) && s.active[ai] < s.woken[wi]) {
-				s.runBuf = append(s.runBuf, s.active[ai])
-				ai++
-			} else {
-				s.runBuf = append(s.runBuf, s.woken[wi])
-				wi++
-			}
+	ai, wi := 0, 0
+	for ai < len(s.active) || wi < len(s.woken) {
+		if wi >= len(s.woken) || (ai < len(s.active) && s.active[ai] < s.woken[wi]) {
+			s.runBuf = append(s.runBuf, s.active[ai])
+			ai++
+		} else {
+			s.runBuf = append(s.runBuf, s.woken[wi])
+			wi++
 		}
 	}
 	// Take the turns in ascending vertex order, rebuilding the active list
@@ -516,8 +493,7 @@ func (s *stepShard) runRound(rt *stepRuntime, apis []API, w int32) {
 	s.active = s.active[:0]
 	for _, v := range s.runBuf {
 		if c.done[v] {
-			// Crashed at the top of this round after making it into the
-			// run order; its turn is forfeit.
+			// Crashed at the top of this round; its turn is forfeit.
 			continue
 		}
 		li := v - s.lo
@@ -525,7 +501,7 @@ func (s *stepShard) runRound(rt *stepRuntime, apis []API, w int32) {
 		var st Step
 		var ok bool
 		if s.fns[li] == nil {
-			// No machine yet: the round-1 boot, or an adversary restart's
+			// No machine yet: the first turn, or an adversary restart's
 			// fresh incarnation (which must re-seed its PRNG stream, hence
 			// its generation).
 			var gen int32
@@ -580,53 +556,46 @@ func (s *stepShard) runRound(rt *stepRuntime, apis []API, w int32) {
 	}
 }
 
-// reboot re-arms a crashed vertex for a restart in the coming round: its
-// machine slot was cleared at crash time, so its next turn boots a fresh
-// incarnation with a new PRNG generation. Called by the coordinator
-// between rounds.
-func (s *stepShard) reboot(c *core, v int32) {
-	c.done[v] = false
-	c.crashed[v] = false
-	c.gens[v]++
-	s.wakeAt[v-s.lo] = 0
-	s.live++
-	s.active = append(s.active, v)
+// crash retires the vertex of handle a, which drive has marked crashed, at
+// the top of its crash round: clearing wakeAt invalidates a sleeper's
+// timer entry and makes the pending drain skip it, and clearing fns marks
+// the slot for a fresh boot on restart. Called by the coordinator between
+// rounds.
+func (s *stepShard) crash(a *API) {
+	li := a.v - s.lo
+	s.wakeAt[li] = 0
+	s.fns[li] = nil
+	a.inbox = a.inbox[:0]
+	s.live--
 }
 
-// sortActive restores the ascending order the turn merge requires after
-// out-of-order reboots were appended.
-func (s *stepShard) sortActive() {
-	if !slices.IsSorted(s.active) {
-		slices.Sort(s.active)
+// reboot re-arms crashed vertex v for its restart round: its machine slot
+// was cleared at crash time, so its next turn boots a fresh incarnation.
+// Called by the coordinator between rounds.
+func (s *stepShard) reboot(v int32) {
+	if k := len(s.active); k > 0 && s.active[k-1] > v {
+		s.unsorted = true
 	}
+	s.active = append(s.active, v)
+	s.live++
 }
 
-// nextEventRound returns the earliest upcoming round in which any vertex
-// takes a turn: cur+1 if some shard has active vertices or pending
-// message wakes, otherwise the earliest sleep expiry. Rounds in between
-// are fast-forwarded by the coordinator.
-func (rt *stepRuntime) nextEventRound(cur int) int {
+func (rt *stepRuntime) crash(v int32)     { rt.shardOf(v).crash(&rt.apis[v]) }
+func (rt *stepRuntime) reboot(v, _ int32) { rt.shardOf(v).reboot(v) }
+
+// nextTurn returns the earliest round after cur in which any vertex takes
+// a turn: cur+1 if some shard has active vertices or pending message
+// wakes, otherwise the earliest sleep expiry, or math.MaxInt when no
+// vertex is scheduled.
+func (rt *stepRuntime) nextTurn(cur int) int {
 	next := math.MaxInt
 	for _, s := range rt.shards {
 		if len(s.active) > 0 || len(s.pending) > 0 {
 			return cur + 1
 		}
-		if len(s.timers) > 0 && int(s.timers[0].round) < next {
-			next = int(s.timers[0].round)
+		if len(s.timers) > 0 {
+			next = min(next, int(s.timers[0].round))
 		}
-		if r := s.crashes.nextRound(); r < next {
-			next = r
-		}
-	}
-	if r := rt.restarts.nextRound(); r < next {
-		next = r
-	}
-	if next == math.MaxInt {
-		// Live vertices but no scheduled turn: cannot happen for
-		// well-formed machines (every live vertex is active or sleeping),
-		// but advance round by round until MaxRounds aborts, as the
-		// goroutine runner does under livelock.
-		return cur + 1
 	}
 	return next
 }
@@ -638,6 +607,44 @@ const (
 	phaseMerge
 )
 
+// turns takes round w's turns in every shard and returns the live
+// vertices left. A multi-shard run releases its workers twice, for the
+// exec phase and then the merge phase; a single shard takes its turns
+// inline and skips the merge whole, since every delivery took the direct
+// path.
+func (rt *stepRuntime) turns(w int32) int {
+	rt.round = w
+	if len(rt.starts) > 0 {
+		rt.phase(phaseExec)
+		rt.phase(phaseMerge)
+	} else {
+		for _, s := range rt.shards {
+			s.runRound(rt, w)
+		}
+	}
+	live := 0
+	for _, s := range rt.shards {
+		live += s.live
+	}
+	return live
+}
+
+// phase releases every worker for phase ph and waits at its barrier.
+func (rt *stepRuntime) phase(ph uint8) {
+	rt.phaseWG.Add(len(rt.starts))
+	for _, start := range rt.starts {
+		start <- ph
+	}
+	rt.phaseWG.Wait()
+}
+
+// stop releases the workers.
+func (rt *stepRuntime) stop() {
+	for _, start := range rt.starts {
+		close(start)
+	}
+}
+
 // runStep executes a step-form program: per-round cost is proportional to
 // the vertices due a turn plus the messages delivered, with zero
 // goroutines beyond one persistent worker per shard (and none at all with
@@ -645,18 +652,16 @@ const (
 // structure that keeps multicore Results byte-identical.
 func runStep(g *graph.Graph, prog StepProgram, opts Options) (*Result, error) {
 	n := g.N()
-	maxRounds := opts.maxRounds(n)
 	c := newCore(g, opts)
 	c.scratch.apis = reslice(c.scratch.apis, n)
 	c.scratch.stepFns = reslice(c.scratch.stepFns, n)
 	c.scratch.shardInts = reslice(c.scratch.shardInts, intsPerVertex*n)
-	c.scratch.shardEvents = reslice(c.scratch.shardEvents, eventsPerVertex*n)
-	apis := c.scratch.apis
+	c.scratch.shardTimers = reslice(c.scratch.shardTimers, n)
 
 	// One contiguous shard per worker, at most min(GOMAXPROCS, n) of them
-	// (rounding the shard size up can leave fewer). The layout follows the
-	// machine, never the Result: every observable is keyed by (vertex,
-	// round).
+	// (rounding the shard size up can leave fewer, and an empty graph has
+	// none). The layout follows the machine, never the Result: every
+	// observable is keyed by (vertex, round).
 	nshards := gort.GOMAXPROCS(0)
 	if nshards > n {
 		nshards = n
@@ -665,16 +670,12 @@ func runStep(g *graph.Graph, prog StepProgram, opts Options) (*Result, error) {
 		nshards = 1
 	}
 	shardSize := (n + nshards - 1) / nshards
-	rt := &stepRuntime{c: c, shardSize: int32(shardSize)}
+	rt := &stepRuntime{c: c, apis: c.scratch.apis, shardSize: int32(shardSize)}
 	inboxes := 0 // the shards' largest degrees, summed
 	for lo := 0; lo < n; lo += shardSize {
 		hi := lo + shardSize
 		if hi > n {
 			hi = n
-		}
-		var crashes eventCursor
-		if c.adv != nil {
-			crashes = eventCursor{events: shardEvents(c.adv.crashes, int32(lo), int32(hi))}
 		}
 		sh := &stepShard{
 			idx:      int32(len(rt.shards)),
@@ -683,130 +684,39 @@ func runStep(g *graph.Graph, prog StepProgram, opts Options) (*Result, error) {
 			fns:      c.scratch.stepFns[lo:hi:hi],
 			live:     hi - lo,
 			bootProg: prog,
-			crashes:  crashes,
 		}
 		inboxes += sh.maxDegree(g)
 		rt.shards = append(rt.shards, sh)
 	}
-	nshards = len(rt.shards)
 	c.scratch.shardMsgs = reslice(c.scratch.shardMsgs, inboxes)
 	msgs := c.scratch.shardMsgs
 	for _, sh := range rt.shards {
 		msgs = sh.carve(c.scratch, g, msgs)
 	}
-	if nshards > 1 {
+	// A multi-shard run keeps one persistent worker per shard, released
+	// twice per round (see turns) until stop closes its channel.
+	if len(rt.shards) > 1 {
 		rt.carveLanes()
-	}
-	if c.adv != nil {
-		rt.restarts = eventCursor{events: c.adv.restarts}
-	}
-
-	// Multi-shard runs keep one persistent worker per shard, released twice
-	// per round (exec, then merge); a single shard runs inline with no
-	// goroutines at all.
-	var phaseWG sync.WaitGroup
-	var starts []chan uint8
-	if nshards > 1 {
 		for _, s := range rt.shards {
 			start := make(chan uint8)
-			starts = append(starts, start)
-			go func(s *stepShard, start chan uint8) {
+			rt.starts = append(rt.starts, start)
+			go func() {
 				for ph := range start {
 					if ph == phaseExec {
-						s.runRound(rt, apis, rt.round)
+						s.runRound(rt, rt.round)
 					} else {
 						s.applyLanes(rt)
 					}
-					phaseWG.Done()
+					rt.phaseWG.Done()
 				}
-			}(s, start)
+			}()
 		}
-		defer func() {
-			for _, start := range starts {
-				close(start)
-			}
-		}()
-	}
-	runPhase := func(ph uint8) {
-		phaseWG.Add(nshards)
-		for _, start := range starts {
-			start <- ph
-		}
-		phaseWG.Wait()
 	}
 
-	activePerRound := []int{n}
-	round := 1
-	rt.round = 1
-	for {
-		if nshards > 1 {
-			runPhase(phaseExec)
-			runPhase(phaseMerge)
-		} else {
-			// Single-shard runs have no cross-shard lanes: every delivery
-			// took the direct path, and the merge phase is skipped whole.
-			for _, s := range rt.shards {
-				s.runRound(rt, apis, rt.round)
-			}
-		}
-		live := 0
-		for _, s := range rt.shards {
-			live += s.live
-		}
-		if live == 0 && !rt.restarts.pending() {
-			break
-		}
-		if round >= maxRounds {
-			c.aborted = true
-			break
-		}
-		// Fast-forward rounds in which every live vertex sleeps with no
-		// deliverable message: they all pay the rounds (the paper's
-		// waiting-is-active accounting) at O(shards) cost here.
-		// nextEventRound includes the adversary's schedule, so no crash or
-		// restart round is ever skipped.
-		next := rt.nextEventRound(round)
-		for round+1 < next && !c.aborted {
-			round++
-			activePerRound = append(activePerRound, live)
-			if round >= maxRounds {
-				c.aborted = true
-			}
-		}
-		if c.aborted {
-			break
-		}
-		round++
-		rt.round = int32(round)
-		c.swap()
-		// Reboot vertices whose restart round is the new round: fns was
-		// cleared at crash time, so their next turn boots a fresh
-		// incarnation. They join the active order for this round and count
-		// in its ActivePerRound entry, matching the goroutine runner.
-		spawned := 0
-		if c.adv != nil {
-			for _, e := range rt.restarts.take(int32(round)) {
-				v := e.v
-				if !c.crashed[v] {
-					// Terminated before its scheduled crash: nothing to reboot.
-					continue
-				}
-				rt.shardOf(v).reboot(c, v)
-				spawned++
-			}
-			if spawned > 0 {
-				// The merge pass needs ascending active lists; reboots were
-				// appended out of order.
-				for _, s := range rt.shards {
-					s.sortActive()
-				}
-			}
-		}
-		activePerRound = append(activePerRound, live+spawned)
-	}
-	res, err := c.finish(activePerRound, maxRounds)
+	maxRounds := opts.maxRounds(n)
+	res, err := c.finish(c.drive(rt, maxRounds), maxRounds)
 	if res != nil {
-		res.Shards = nshards
+		res.Shards = len(rt.shards)
 	}
 	return res, err
 }

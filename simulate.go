@@ -68,11 +68,16 @@ func NewReport(name string, g *Graph, p Params, res *SimResult) Report {
 // colors, adjacent vertices differ, and the vertex-averaged complexity is
 // a function of the arboricity rather than of Delta. It runs the
 // framework's step form, and the outputs are validated before returning.
-// It honors Params.Relabel; a non-zero Params.Scenario is an
+// It honors Params.Relabel; a non-zero Params.Scenario, and an
+// Arboricity under which Procedure Partition cannot finish on g, are an
 // ErrBadParams.
 func ListColoring(g *Graph, p Params, list func(v int) []int) (Report, []int, error) {
+	a := p.Arboricity
 	p = p.withDefaults(g)
 	if err := p.validate(); err != nil {
+		return Report{}, nil, err
+	}
+	if err := checkArboricity(g, a, p.Eps); err != nil {
 		return Report{}, nil, err
 	}
 	rg, err := faultFreeGraph(g, p)
