@@ -189,6 +189,56 @@ func TestMaxRoundsAborts(t *testing.T) {
 	}
 }
 
+// TestCrashRestartSchedule pins core.drive's round policy on a fixed
+// schedule, in both forms: vertex v idles idle[v] rounds and returns its
+// round count. Vertex 0 terminates in round 1, before its crash round 4,
+// so the crash and its restart at 6 are no-ops. Vertex 1 crashes in round
+// 3 and reboots in round 5, four rounds into its clock. Vertex 2 crashes
+// forever in round 3, the round it would have terminated in. The step
+// form fast-forwards from round 6 to 9 but stops at the event rounds 4,
+// 5 and 6.
+func TestCrashRestartSchedule(t *testing.T) {
+	idle := []int{0, 6, 2, 8, 1}
+	prog := func(api *API) any {
+		api.Idle(idle[api.ID()])
+		return api.Round()
+	}
+	step := func(api *API) StepFn {
+		return func(api *API, _ []Msg) Step {
+			if k := idle[api.ID()]; k > 0 {
+				return Sleep(k, func(api *API, _ []Msg) Step { return Done(api.Round()) })
+			}
+			return Done(api.Round())
+		}
+	}
+	g := graph.Path(len(idle))
+	for _, f := range forms(prog, step) {
+		adv := &Adversary{CrashAt: []int32{4, 3, 3, 0, 0}, RestartAt: []int32{6, 5, 0, 0, 0}}
+		if err := adv.Normalize(g.N()); err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunSpec(g, f.spec, Options{Seed: 1, Adv: adv})
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		for _, c := range []struct {
+			what      string
+			got, want any
+		}{
+			{"ActivePerRound", res.ActivePerRound, []int{5, 4, 3, 1, 2, 2, 2, 2, 2, 1, 1}},
+			{"Rounds", res.Rounds, []int32{1, 11, 3, 9, 2}},
+			{"Output", res.Output, []any{0, 10, nil, 8, 1}},
+			{"Crashed", res.Crashed, []bool{false, false, true, false, false}},
+			{"Restarts", res.Restarts, 1},
+			{"CrashedForever", res.CrashedForever, 1},
+		} {
+			if !reflect.DeepEqual(c.got, c.want) {
+				t.Errorf("%s: %s = %v, want %v", f.name, c.what, c.got, c.want)
+			}
+		}
+	}
+}
+
 func TestVertexPanicPropagates(t *testing.T) {
 	g := graph.Ring(4)
 	prog := func(api *API) any {

@@ -44,6 +44,7 @@ var registry = []Algorithm{
 		step: func(p Params) engine.StepProgram {
 			return hpartition.GeneralStepProgram(p.Eps)
 		},
+		ignoresArboricity: true,
 	},
 	{
 		Name:           "forest-decomp",
@@ -282,6 +283,7 @@ var registry = []Algorithm{
 		step: func(Params) engine.StepProgram {
 			return randcolor.DeltaPlus1Step()
 		},
+		ignoresArboricity: true,
 	},
 	{
 		Name:           "aloglog-rand",
@@ -342,6 +344,7 @@ var registry = []Algorithm{
 		step: func(Params) engine.StepProgram {
 			return baseline.LubyMISStep()
 		},
+		ignoresArboricity: true,
 	},
 	{
 		Name:           "edgecolor",
@@ -388,6 +391,7 @@ var registry = []Algorithm{
 		step: func(Params) engine.StepProgram {
 			return baseline.Ring3ColoringStep()
 		},
+		ignoresArboricity: true,
 	},
 	{
 		Name:           "leader-ring",
@@ -403,6 +407,7 @@ var registry = []Algorithm{
 		step: func(Params) engine.StepProgram {
 			return baseline.LeaderElectionRingStep()
 		},
+		ignoresArboricity: true,
 	},
 }
 
