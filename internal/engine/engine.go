@@ -89,6 +89,8 @@ type Options struct {
 	Seed int64
 	// MaxRounds aborts the run if the global round count exceeds it,
 	// guarding against livelocked programs. 0 means 4*(n + 64*log2(n) + 64).
+	// Either budget is capped at 1<<30 - 1 rounds, the most a message
+	// slot's 30-bit round stamp holds: a longer run ends in ErrMaxRounds.
 	MaxRounds int
 	// Adv is the compiled fault schedule, or nil for the fault-free run.
 	// A nil adversary compiles to the existing zero-allocation hot path
@@ -98,15 +100,22 @@ type Options struct {
 	Adv *Adversary
 }
 
+// maxStampRound is the last round a slot tag's stamp holds.
+const maxStampRound = 1<<(32-tagKindBits) - 1
+
+// maxRounds returns the run's round budget, capped at maxStampRound: a
+// round past it would wrap its tags' stamps to an early round, and collect
+// would then drop its messages silently.
 func (o Options) maxRounds(n int) int {
-	if o.MaxRounds != 0 {
-		return o.MaxRounds
+	r := o.MaxRounds
+	if r == 0 {
+		lg := 1
+		for 1<<lg < n+2 {
+			lg++
+		}
+		r = 4*n + 256*lg + 256
 	}
-	lg := 1
-	for 1<<lg < n+2 {
-		lg++
-	}
-	return 4*n + 256*lg + 256
+	return min(r, maxStampRound)
 }
 
 // Result reports the outcome and cost accounting of a run.
@@ -225,47 +234,78 @@ func RunSpec(g *graph.Graph, spec Spec, opts Options) (*Result, error) {
 	return nil, errors.New("engine: empty Spec: no Program and no StepProgram")
 }
 
-// cell is one directed-edge message slot. Slots are sender-indexed: the
-// cell of edge u→v sits at u's adjacency position p of v (Adj[p] == v,
-// inside u's [Off[u], Off[u+1]) window), so u's sends, broadcasts and
-// Final all write u's own window, and v's collect reads it through the
-// reverse-edge index, at Rev[q] for its own position q of u. kind selects
-// the payload lane; a cellEmpty kind marks a slot not yet written in the
-// run, or a delivery the adversary removed. round stamps the round the
+// tag is one directed-edge message slot, uint32(round)<<2 | kind. Slots
+// are sender-indexed: the tag of edge u→v sits at u's adjacency position p
+// of v (Adj[p] == v, inside u's [Off[u], Off[u+1]) window), so u's sends,
+// broadcasts and Final all write u's own window, and v's collect reads it
+// through the reverse-edge index, at Rev[q] for its own position q of u.
+// kind selects the payload lane; tagEmpty marks a slot not yet written in
+// the run, or a delivery the adversary removed. round stamps the round the
 // sender last wrote the slot in (its API.round+1): put compares it with
 // the writer's round to tell the slot's first write of a round, the
-// counted message, from a rewrite, and collect accepts a cell only when
-// it carries the round the inbox was sent in. A cell holds no pointer, so
-// the two cell slabs are 16 bytes per directed edge that the GC never
-// scans: a general-lane payload sits at the same slot of the core's any
-// column, and a Final in its sender's finals entry. Keeping the three
-// fields in one struct keeps a put to one cache line.
-type cell struct {
-	ival  int64
-	round int32
-	kind  uint8
+// counted message, from a rewrite, and collect accepts a tag only when it
+// carries the round the inbox was sent in. The stamp keeps 30 bits, which
+// Options.maxRounds guarantees are enough. A tag holds no payload: an
+// integer sits at the same slot of the core's int column, a general-lane
+// payload at the same slot of its any column, and a Final in its sender's
+// finals entry. So the two tag slabs are 8 bytes per directed edge that
+// the GC never scans, and a run that sends only Finals needs nothing else
+// per edge.
+type tag uint32
+
+// tag kinds, the low tagKindBits bits of a tag. No reader clears a tag: a
+// tag from an earlier round stays in its slab until its sender writes the
+// slot again, and collect skips it by its stamp, which never equals the
+// round being collected. reslice zeroes every tag between runs.
+const (
+	tagEmpty = tag(iota)
+	tagAny   // the any column holds the payload at this slot
+	tagInt   // the int column holds a fast-lane integer at this slot
+	tagFinal // the sender terminated; its boxed Final is in core.finals
+
+	tagKindBits = 2
+	tagKindMask = 1<<tagKindBits - 1
+)
+
+// roundTag returns the stamp of round r with an empty kind: the tag of a
+// delivery removed in round r, and the part of every round-r tag that
+// collect and put compare.
+func roundTag(r int32) tag { return tag(r) << tagKindBits }
+
+// column is a double-buffered payload column indexed like the tag slabs
+// and swapped with them at every round barrier. Both sides stay nil until
+// the run's first send on the column's lane, which carves them from the
+// run scratch's slab for the lane, so a run that never uses a lane never
+// allocates its column. Before that send no tag names the lane, so no
+// collect reads the column. Vertices of different shards (or goroutines)
+// may make that first send in the same round; once serializes it, and its
+// fast path is one atomic load per sending call.
+type column[T any] struct {
+	send, recv []T
+	once       sync.Once
 }
 
-// cell kinds. No reader clears a cell: a cell from an earlier round stays
-// in its slab until its sender writes the slot again, and collect skips it
-// by its stamp, which never equals the round being collected. reslice
-// zeroes every stamp between runs.
-const (
-	cellEmpty = uint8(iota)
-	cellAny   // the any column holds the payload at this slot
-	cellInt   // ival holds a fast-lane integer
-	cellFinal // the sender terminated; its boxed Final is in core.finals
-)
+// sized returns the send side, carving both sides of size elements each
+// from *slab on the first call.
+func (c *column[T]) sized(slab *[]T, size int) []T {
+	c.once.Do(func() { c.send, c.recv = halves(slab, size) })
+	return c.send
+}
+
+func (c *column[T]) swap() { c.send, c.recv = c.recv, c.send }
 
 // runScratch holds the per-run engine allocations that never escape into
 // the Result, recycled through scratchPool so that concurrent sweep points
 // do not multiply steady-state allocations by the worker count:
 //
-//   - the two pointer-free cell slabs, 2*len(Adj) cells indexed by the
-//     sender's adjacency position, the two per-vertex send-stamp arrays
-//     swapped with them, and the two general-lane payload columns paired
-//     with them, sized only on a run's first Send or Broadcast (see
-//     core.anyColumn);
+//   - the double buffers: the two pointer-free tag slabs, len(Adj) tags
+//     each indexed by the sender's adjacency position, and, each one slab
+//     carved into its two sides (see halves), the per-vertex send stamps
+//     swapped with them and the payload columns paired with them, the int
+//     column sized only on a run's first SendInt or BroadcastInt and the
+//     general-lane column only on its first Send or Broadcast (see
+//     column). The tag slabs stay two allocations: carved from one slab,
+//     they raised partition-forests' peak RSS from 73.3 to 74.9 MiB;
 //   - the flat []Msg inbox slab, whose window [Off[v], Off[v+1]) holds v's
 //     mail that outlives a turn (a sleeper's drains, a blocking vertex's
 //     Next and Idle), sized only on a run's first such collect (see
@@ -284,12 +324,10 @@ const (
 // commitments and outputs are excluded: Result aliases those arrays, so
 // they must stay owned by the caller.
 type runScratch struct {
-	bufA     []cell
-	bufB     []cell
-	stampA   []int32
-	stampB   []int32
-	anyA     []any
-	anyB     []any
+	tags     [2][]tag
+	stamps   []int32
+	ints     []int64
+	anys     []any
 	inbox    []Msg // flat per-vertex inboxes: v owns [Off[v], Off[v+1]) (see core.inboxWindow)
 	finals   []any
 	done     []bool
@@ -320,29 +358,37 @@ func reslice[T any](s []T, n int) []T {
 	return s
 }
 
-// core is the run state shared by both runners: the double-buffered
-// directed-edge slots plus the per-vertex accounting arrays. All arrays
-// are indexed by vertex (or directed-edge position), so no two vertices
-// ever write the same element and results are scheduling-independent.
+// halves reslices *slab to 2*n elements and returns its two halves, the
+// sides of a double buffer, so each double buffer costs one allocation.
+func halves[T any](slab *[]T, n int) (a, b []T) {
+	*slab = reslice(*slab, 2*n)
+	return (*slab)[:n:n], (*slab)[n:]
+}
+
+// core is the run state shared by both runners: the runner itself, the
+// double-buffered directed-edge slots plus the per-vertex accounting
+// arrays. All arrays are indexed by vertex (or directed-edge position), so
+// no two vertices ever write the same element and results are
+// scheduling-independent.
 type core struct {
-	g       *graph.Graph
-	scratch *runScratch
-	sendBuf []cell // written during the current round
-	recvBuf []cell // holds the previous round's messages
+	g        *graph.Graph
+	scratch  *runScratch
+	rt       runtime
+	sendTags []tag // written during the current round
+	recvTags []tag // holds the previous round's messages
 	// sendStamp[u] is the last round u delivered a message in through
-	// sendBuf; recvStamp is its previous-round twin, swapped with the cell
+	// sendTags; recvStamp is its previous-round twin, swapped with the tag
 	// slabs. collect skips a neighbor whose stamp is not the round it
-	// collects without touching the neighbor's cells. One array would not
+	// collects without touching the neighbor's tags. One array would not
 	// do: a neighbor that sends again in the collecting round would hide
 	// the previous round's message.
 	sendStamp []int32
 	recvStamp []int32
-	// sendAny and recvAny are the general-lane payload columns, indexed
-	// like the cell slabs and swapped with them; both stay nil until
-	// anyOnce allocates them on the run's first Send or Broadcast.
-	sendAny []any
-	recvAny []any
-	anyOnce sync.Once
+	// ints and anys are the fast-lane and general-lane payload columns,
+	// sized on the run's first send on their lane (see intColumn and
+	// anyColumn).
+	ints column[int64]
+	anys column[any]
 	// inboxOnce sizes the run scratch's inbox slab on the run's first
 	// collect into a persistent window (see inboxWindow).
 	inboxOnce sync.Once
@@ -374,8 +420,9 @@ type core struct {
 	// Adversary state, nil on fault-free runs: the schedule itself plus
 	// the per-vertex degradation counters. crashed is caller-owned (the
 	// Result aliases it); the counters are summed into the Result at
-	// finish. These allocate only when an adversary is present, keeping
-	// the nil-scenario path on the recycled-scratch fast path.
+	// finish. gens[v] is v's PRNG incarnation (see API.Rand). These
+	// allocate only when an adversary is present, keeping the nil-scenario
+	// path on the recycled-scratch fast path.
 	adv       *Adversary
 	crashed   []bool
 	gens      []int32
@@ -386,10 +433,6 @@ type core struct {
 func newCore(g *graph.Graph, opts Options) *core {
 	n := g.N()
 	s := scratchPool.Get().(*runScratch)
-	s.bufA = reslice(s.bufA, len(g.Adj))
-	s.bufB = reslice(s.bufB, len(g.Adj))
-	s.stampA = reslice(s.stampA, n)
-	s.stampB = reslice(s.stampB, n)
 	s.finals = reslice(s.finals, n)
 	s.done = reslice(s.done, n)
 	s.msgCount = reslice(s.msgCount, n)
@@ -404,8 +447,11 @@ func newCore(g *graph.Graph, opts Options) *core {
 		msgCount: s.msgCount,
 		seed:     opts.Seed,
 	}
-	c.sendBuf, c.recvBuf = s.bufA, s.bufB
-	c.sendStamp, c.recvStamp = s.stampA, s.stampB
+	for i := range s.tags {
+		s.tags[i] = reslice(s.tags[i], len(g.Adj))
+	}
+	c.sendTags, c.recvTags = s.tags[0], s.tags[1]
+	c.sendStamp, c.recvStamp = halves(&s.stamps, n)
 	c.from = g.Adj
 	if pm := g.Perm; pm != nil {
 		c.orig = pm.Orig
@@ -436,38 +482,24 @@ func (c *core) release() {
 	}
 	scratchPool.Put(c.scratch)
 	c.scratch = nil
-	c.sendBuf, c.recvBuf, c.sendAny, c.recvAny = nil, nil, nil, nil
-	c.sendStamp, c.recvStamp = nil, nil
+	c.sendTags, c.recvTags, c.sendStamp, c.recvStamp = nil, nil, nil, nil
+	c.ints.send, c.ints.recv, c.anys.send, c.anys.recv = nil, nil, nil, nil
 	c.finals, c.done, c.msgCount = nil, nil, nil
 }
 
 // swap exchanges the double buffers at a round barrier: what was sent this
 // round becomes receivable.
 func (c *core) swap() {
-	c.sendBuf, c.recvBuf = c.recvBuf, c.sendBuf
+	c.sendTags, c.recvTags = c.recvTags, c.sendTags
 	c.sendStamp, c.recvStamp = c.recvStamp, c.sendStamp
-	c.sendAny, c.recvAny = c.recvAny, c.sendAny
+	c.ints.swap()
+	c.anys.swap()
 }
 
-// anyColumn returns the general-lane column of the current round's sends,
-// sizing both columns from the run scratch on the run's first general-lane
-// send, so a run that sends only integers and Finals never allocates them.
-// Vertices of different shards (or goroutines) may make that first send in
-// the same round; anyOnce serializes it, and its fast path is one atomic
-// load per Send or Broadcast call. Before the first send no cell is
-// cellAny, so no collect reads a column; after it the columns swap with
-// the cell slabs at every round barrier.
-func (c *core) anyColumn() []any {
-	c.anyOnce.Do(c.allocAny)
-	return c.sendAny
-}
-
-func (c *core) allocAny() {
-	s := c.scratch
-	s.anyA = reslice(s.anyA, len(c.g.Adj))
-	s.anyB = reslice(s.anyB, len(c.g.Adj))
-	c.sendAny, c.recvAny = s.anyA, s.anyB
-}
+// intColumn and anyColumn return the fast-lane and general-lane columns of
+// the current round's sends, sized on the run's first send on their lane.
+func (c *core) intColumn() []int64 { return c.ints.sized(&c.scratch.ints, len(c.g.Adj)) }
+func (c *core) anyColumn() []any   { return c.anys.sized(&c.scratch.anys, len(c.g.Adj)) }
 
 // inboxWindow returns v's window of the inbox slab, [Off[v], Off[v+1])
 // capped at deg(v), sizing the slab from the run scratch on the run's
@@ -717,28 +749,23 @@ type runtime interface {
 }
 
 // API is the interface a Program uses to act as its vertex. All methods
-// must be called only from the Program's own goroutine.
+// must be called only from the Program's own goroutine. It holds only what
+// is the vertex's own; what every vertex of the run shares (the runner,
+// the seed, the PRNG incarnations) it reads through core, which keeps it
+// at 48 bytes on 64-bit targets.
 type API struct {
 	core  *core
-	rt    runtime
 	v     int32
+	round int32
 	rng   *rand.Rand
 	inbox []Msg // persistent inbox: nil or v's window of the inbox slab (see window)
-	round int32
-	gen   int32 // PRNG incarnation: 0 normally, >0 after adversary restarts
 }
 
-// initAPI makes *a vertex v's fresh handle, round rounds into incarnation
-// gen. Its persistent inbox stays nil until the vertex first collects
-// mail that must outlive a turn (see API.window).
-func (c *core) initAPI(a *API, rt runtime, v, round, gen int32) {
-	*a = API{
-		core:  c,
-		rt:    rt,
-		v:     v,
-		round: round,
-		gen:   gen,
-	}
+// initAPI makes *a vertex v's fresh handle, round rounds into its run. Its
+// persistent inbox stays nil until the vertex first collects mail that
+// must outlive a turn (see API.window), and its PRNG until its first Rand.
+func (c *core) initAPI(a *API, v, round int32) {
+	*a = API{core: c, v: v, round: round}
 }
 
 // window returns the vertex's persistent inbox, the mail it has gathered
@@ -754,13 +781,13 @@ func (a *API) window() []Msg {
 // runVertex executes prog on vertex v, then performs the final counted
 // round: broadcast the output once and terminate completely. done signals
 // the runner's barrier for this vertex. The vertex starts with startRound
-// completed rounds on its clock, in PRNG incarnation gen: (0, 0) is the
-// normal spawn; adversary restarts reboot a crashed vertex with
-// startRound = the round before its restart round, so its fresh
-// incarnation executes its first round exactly at RestartAt.
-func runVertex(rt runtime, c *core, v int32, prog Program, done func(), startRound, gen int32) {
+// completed rounds on its clock: 0 is the normal spawn; adversary restarts
+// reboot a crashed vertex with startRound = the round before its restart
+// round, so its fresh incarnation executes its first round exactly at
+// RestartAt.
+func runVertex(c *core, v int32, prog Program, done func(), startRound int32) {
 	api := new(API)
-	c.initAPI(api, rt, v, startRound, gen)
+	c.initAPI(api, v, startRound)
 	defer func() {
 		if p := recover(); p != nil {
 			switch p.(type) {
@@ -819,16 +846,24 @@ func (a *API) NeighborIndex(id int32) int {
 // (run seed, original vertex ID, restart generation) through streamSeed,
 // and is bit-identical to rand.New(rand.NewSource(streamSeed(...))); its
 // lazySource computes only the state words the vertex's draws read, so d
-// draws cost O(d) words instead of math/rand's 607-word seeding.
+// draws cost O(d) words instead of math/rand's 607-word seeding. The
+// generation is read here, from core.gens: drive bumps it before it
+// reboots a vertex, and a reboot makes a fresh handle, so the first draw
+// of an incarnation always sees that incarnation's generation.
 func (a *API) Rand() *rand.Rand {
 	if a.rng == nil {
+		co := a.core
 		id := int64(a.v)
-		if a.core.orig != nil {
+		if co.orig != nil {
 			// The stream is keyed by the ORIGINAL ID: relabeled runs must
 			// draw byte-identical randomness.
-			id = int64(a.core.orig[a.v])
+			id = int64(co.orig[a.v])
 		}
-		a.rng = rand.New(newLazySource(streamSeed(a.core.seed, id, a.gen)))
+		var gen int32
+		if co.gens != nil {
+			gen = co.gens[a.v]
+		}
+		a.rng = rand.New(newLazySource(streamSeed(co.seed, id, gen)))
 	}
 	return a.rng
 }
@@ -863,11 +898,7 @@ func (a *API) Commit() {
 // Sending again to the same neighbor in the same round overwrites. It
 // panics if k is not a valid neighbor index.
 func (a *API) Send(k int, data any) {
-	p := a.nbrPos(k)
-	col := a.core.anyColumn()
-	if r := a.put(p, cell{kind: cellAny}); r >= 0 {
-		col[r] = data
-	}
+	send(a, a.nbrPos(k), tagAny, a.core.anyColumn(), data)
 }
 
 // SendInt queues the fast-lane integer x for the k-th neighbor. It has
@@ -875,7 +906,15 @@ func (a *API) Send(k int, data any) {
 // slot) but never boxes the payload, so the steady-state message path
 // performs zero allocations.
 func (a *API) SendInt(k int, x int64) {
-	a.put(a.nbrPos(k), cell{ival: x, kind: cellInt})
+	send(a, a.nbrPos(k), tagInt, a.core.intColumn(), x)
+}
+
+// send writes a kind tag to the sender's slot p and stores x at p of col,
+// its lane's column, unless the delivery was removed.
+func send[T any](a *API, p int32, kind tag, col []T, x T) {
+	if r := a.put(p, kind); r >= 0 {
+		col[r] = x
+	}
 }
 
 // nbrPos returns the adjacency position of the k-th neighbor, panicking
@@ -913,50 +952,50 @@ func (a *API) mustNeighborIndex(nbr int) int {
 // those neighbors earlier in the round, and later sends in the round
 // overwrite it (last write wins on every slot).
 func (a *API) Broadcast(data any) {
-	col := a.core.anyColumn()
-	g := a.core.g
-	for p, hi := g.Off[a.v], g.Off[a.v+1]; p < hi; p++ {
-		if r := a.put(p, cell{kind: cellAny}); r >= 0 {
-			col[r] = data
-		}
-	}
+	broadcast(a, tagAny, a.core.anyColumn(), data)
 }
 
 // BroadcastInt queues the fast-lane integer x for every neighbor, with
 // Broadcast's semantics and zero allocations.
 func (a *API) BroadcastInt(x int64) {
-	a.broadcast(cell{ival: x, kind: cellInt})
+	broadcast(a, tagInt, a.core.intColumn(), x)
 }
 
-func (a *API) broadcast(c cell) {
+// broadcast sends x on col's lane to every neighbor: one sequential run of
+// tag writes over the sender's window, and one of payload writes over the
+// same window of col.
+func broadcast[T any](a *API, kind tag, col []T, x T) {
 	g := a.core.g
 	for p, hi := g.Off[a.v], g.Off[a.v+1]; p < hi; p++ {
-		a.put(p, c)
+		send(a, p, kind, col, x)
 	}
 }
 
 // final is the terminating vertex's last broadcast: it boxes Final{out}
 // once into v's finals entry, one allocation per terminating vertex
-// whatever its degree, and writes a cellFinal to every neighbor, whose
-// collect hands out that same boxed value.
+// whatever its degree, and writes a tagFinal to every neighbor, whose
+// collect hands out that same boxed value. It writes tags only.
 func (a *API) final(out any) {
 	a.core.finals[a.v] = Final{Output: out}
-	a.broadcast(cell{kind: cellFinal})
+	g := a.core.g
+	for p, hi := g.Off[a.v], g.Off[a.v+1]; p < hi; p++ {
+		a.put(p, tagFinal)
+	}
 }
 
-// put is the one write path of every send: it writes c for adjacency
-// position p of the sending vertex (receiver g.Adj[p]) straight into slot
-// p of the send buffer, inside the sender's own window, and returns p, or
-// -1 when the delivery was removed, so a general-lane sender knows where
-// to store its payload in the any column. A broadcast or a Final thus
-// writes one contiguous run of cells. The write needs no lock and may land
+// put is the one write path of every send: it writes a kind tag for
+// adjacency position p of the sending vertex (receiver g.Adj[p]) straight
+// into slot p of the send buffer, inside the sender's own window, and
+// returns p, or -1 when the delivery was removed, so a sender knows where
+// to store its payload in its lane's column. A broadcast or a Final thus
+// writes one contiguous run of tags. The write needs no lock and may land
 // mid-round: each slot has a single writer, this vertex, and its receiver
 // reads it only after the round barrier swaps the buffers. The model
 // allows one message per directed edge and round, so only the slot's
 // first write of the round is the message — counted, stamped into the
 // sender's send stamp, and announced to the runtime through delivered —
-// while later writes in the same round overwrite its payload (last write
-// wins) and count nothing.
+// while later writes in the same round overwrite its kind and payload
+// (last write wins) and count nothing.
 //
 // Under an adversary the first write also decides the delivery's fate. A
 // send written while executing round w (a.round == w-1) is delivered in
@@ -964,19 +1003,19 @@ func (a *API) final(out any) {
 // a.round+2; both verdicts are pure functions of (slot, delivery round)
 // and the schedule. The drop hash keys on the receiver-side slot Rev[p],
 // the numbering the seeded fault decisions and their golden counts use. A
-// removed delivery leaves the slot empty but stamped, so a rewrite in the
-// same round neither resurrects nor recounts it.
+// removed delivery leaves a stamped-empty tag, so a rewrite in the same
+// round neither resurrects nor recounts it.
 //
 //vavg:hotpath
-func (a *API) put(p int32, c cell) int32 {
+func (a *API) put(p int32, kind tag) int32 {
 	co := a.core
-	slot := &co.sendBuf[p]
-	c.round = a.round + 1
-	if slot.round == c.round {
-		if slot.kind == cellEmpty {
+	slot := &co.sendTags[p]
+	stamp := roundTag(a.round + 1)
+	if *slot&^tagKindMask == stamp {
+		if *slot == stamp {
 			return -1
 		}
-		*slot = c
+		*slot = stamp | kind
 		return p
 	}
 	recv := co.g.Adj[p]
@@ -984,19 +1023,19 @@ func (a *API) put(p int32, c cell) int32 {
 		dr := a.round + 2
 		switch {
 		case adv.inWindow(a.v, dr) || adv.inWindow(recv, dr):
-			*slot = cell{round: c.round}
+			*slot = stamp
 			co.lostCount[a.v]++
 			return -1
 		case adv.dropped(co.dropSlot(co.g.Rev[p]), dr):
-			*slot = cell{round: c.round}
+			*slot = stamp
 			co.dropCount[a.v]++
 			return -1
 		}
 	}
-	*slot = c
-	co.sendStamp[a.v] = c.round
+	*slot = stamp | kind
+	co.sendStamp[a.v] = a.round + 1
 	co.msgCount[a.v]++
-	a.rt.delivered(a, recv)
+	co.rt.delivered(a, recv)
 	return p
 }
 
@@ -1013,19 +1052,22 @@ func (c *core) dropSlot(slot int32) int32 {
 // collect appends the messages sent to this vertex in round sent (ordered
 // by neighbor index) to buf: its step shard's turn inbox for mail read in
 // the turn that follows, or its persistent window (see API.window) for
-// mail that must outlive a turn. The cell of the neighbor at position q
+// mail that must outlive a turn. The tag of the neighbor at position q
 // sits in that neighbor's window at Rev[q]; collect reads it only when the
 // neighbor's send stamp says it delivered something in round sent, and
-// accepts it only when the cell's own stamp is sent too, so it never
-// clears a cell and never mistakes an older one for news. It nils the
+// accepts it only when the tag's own stamp is sent too, so it never clears
+// a tag and never mistakes an older one for news. The tag's kind then
+// says where the payload is: at the same slot of the int or the any
+// column, or, for a Final, in its sender's finals entry. collect nils the
 // any-column entries it reads, so the column does not keep a delivered
-// payload alive. A Final's payload is its sender's finals entry.
+// payload alive.
 //
 //vavg:hotpath
 func (a *API) collect(buf []Msg, sent int32) []Msg {
 	co := a.core
 	g := co.g
 	from := co.from
+	stamp := roundTag(sent)
 	lo, hi := g.Off[a.v], g.Off[a.v+1]
 	for q := lo; q < hi; q++ {
 		u := g.Adj[q]
@@ -1033,17 +1075,17 @@ func (a *API) collect(buf []Msg, sent int32) []Msg {
 			continue
 		}
 		p := g.Rev[q]
-		c := &co.recvBuf[p]
-		if c.round != sent || c.kind == cellEmpty {
+		t := co.recvTags[p]
+		if t&^tagKindMask != stamp || t == stamp {
 			continue
 		}
 		m := Msg{From: from[q]}
-		switch c.kind {
-		case cellInt:
-			m.Int, m.isInt = c.ival, true
-		case cellAny:
-			m.Data = co.recvAny[p]
-			co.recvAny[p] = nil
+		switch t & tagKindMask {
+		case tagInt:
+			m.Int, m.isInt = co.ints.recv[p], true
+		case tagAny:
+			m.Data = co.anys.recv[p]
+			co.anys.recv[p] = nil
 		default:
 			m.Data = co.finals[u]
 		}
@@ -1059,7 +1101,7 @@ func (a *API) collect(buf []Msg, sent int32) []Msg {
 // The returned slice is a per-vertex buffer reused by the next Next or
 // Idle call; programs that retain messages across rounds must copy them.
 func (a *API) Next() []Msg {
-	a.inbox = a.rt.next(a, a.window()[:0])
+	a.inbox = a.core.rt.next(a, a.window()[:0])
 	return a.inbox
 }
 
@@ -1073,6 +1115,6 @@ func (a *API) Next() []Msg {
 // Sleep instead, which parks the vertex for the whole window at no
 // scheduler cost until a message arrives or the window expires.
 func (a *API) Idle(k int) []Msg {
-	a.inbox = a.rt.idle(a, k, a.window()[:0])
+	a.inbox = a.core.rt.idle(a, k, a.window()[:0])
 	return a.inbox
 }

@@ -308,9 +308,9 @@ func TestUnmapInPlace(t *testing.T) {
 // TestMessageOverwriteWithinRound pins last-write-wins on one slot across
 // lanes: vertex 0 writes its only slot twice in round 1 (or writes it and
 // terminates, whose Final rewrites it), and vertex 1 must receive only the
-// last payload, in both forms. Payloads live outside the cell (the any
-// column, the sender's finals entry), so a rewrite that changes lanes must
-// still hide the earlier lane's payload.
+// last payload, in both forms. Payloads live outside the tag (the int and
+// any columns, the sender's finals entry), so a rewrite that changes lanes
+// must still hide the earlier lane's payload.
 func TestMessageOverwriteWithinRound(t *testing.T) {
 	g := graph.Path(2)
 	cases := []struct {

@@ -227,7 +227,7 @@ func specChoices(prog Program, step StepProgram) []form {
 // past the old 2^14 size switch.
 func TestSelect(t *testing.T) {
 	onGoroutines := func(api *API) any {
-		_, ok := api.rt.(*goRuntime)
+		_, ok := api.core.rt.(*goRuntime)
 		return ok
 	}
 	for _, n := range []int{4, 1<<14 + 1} {
@@ -245,7 +245,7 @@ func TestSelect(t *testing.T) {
 
 // TestScratchReuseIsClean exercises the sync.Pool run-scratch recycling:
 // interleaved runs of different sizes and programs must reproduce the
-// results of fresh first runs exactly, proving recycled cell slabs, done
+// results of fresh first runs exactly, proving recycled tag slabs, done
 // flags, and message counters carry no state between runs (shrinking
 // reslices must zero the reused prefix).
 func TestScratchReuseIsClean(t *testing.T) {

@@ -80,15 +80,15 @@ func (rt *goRuntime) crash(int32) {}
 // rounds on its clock.
 func (rt *goRuntime) reboot(v, w int32) {
 	rt.active = append(rt.active, v)
-	go rt.start(v, w-1, rt.c.gens[v])
+	go rt.start(v, w-1)
 }
 
 // start runs an incarnation of v from its first wake, startRound completed
 // rounds on its clock: a spawned or rebooted vertex waits for its first
 // round's wake like a parked one, so no vertex code runs between rounds.
-func (rt *goRuntime) start(v, startRound, gen int32) {
+func (rt *goRuntime) start(v, startRound int32) {
 	<-rt.wake[v]
-	runVertex(rt, rt.c, v, rt.prog, rt.wg.Done, startRound, gen)
+	runVertex(rt.c, v, rt.prog, rt.wg.Done, startRound)
 }
 
 // stop wakes the vertices an aborted run leaves parked, once, so that each
@@ -104,10 +104,11 @@ func runGoroutines(g *graph.Graph, prog Program, opts Options) (*Result, error) 
 	n := g.N()
 	c := newCore(g, opts)
 	rt := &goRuntime{c: c, prog: prog, wake: make([]chan struct{}, n), active: make([]int32, n)}
+	c.rt = rt
 	for v := 0; v < n; v++ {
 		rt.wake[v] = make(chan struct{}, 1)
 		rt.active[v] = int32(v)
-		go rt.start(int32(v), 0, 0)
+		go rt.start(int32(v), 0)
 	}
 	maxRounds := opts.maxRounds(n)
 	return c.finish(c.drive(rt, maxRounds), maxRounds)

@@ -25,11 +25,12 @@ func (nopRuntime) next(a *API, buf []Msg) []Msg        { panic("nopRuntime.next"
 func (nopRuntime) idle(a *API, k int, buf []Msg) []Msg { panic("nopRuntime.idle") }
 func (nopRuntime) delivered(*API, int32)               {}
 
-// stubAPI builds an API wired exactly as runVertex does, without spawning
-// a goroutine.
+// stubAPI builds an API wired exactly as runVertex does, with rt as c's
+// runner, without spawning a goroutine.
 func stubAPI(c *core, rt runtime, v int32) *API {
+	c.rt = rt
 	a := new(API)
-	c.initAPI(a, rt, v, 0, 0)
+	c.initAPI(a, v, 0)
 	return a
 }
 
@@ -107,25 +108,58 @@ func TestMessageLanes(t *testing.T) {
 	}
 }
 
-// TestCellLayout pins the slot layout: a cell is 16 bytes on 64-bit
-// targets and holds no pointer, so the two per-edge cell slabs are never
-// scanned by the GC. General-lane payloads live in the any column and
-// Finals in the per-vertex finals array instead.
+// TestCellLayout pins the slot layout: a slot's tag is 4 bytes and holds
+// no pointer, so the two per-edge tag slabs cost 8 bytes per directed edge
+// and are never scanned by the GC. Fast-lane integers live in the int
+// column, general-lane payloads in the any column and Finals in the
+// per-vertex finals array instead.
 func TestCellLayout(t *testing.T) {
-	if size := unsafe.Sizeof(cell{}); unsafe.Sizeof(uintptr(0)) == 8 && size != 16 {
-		t.Errorf("cell is %d bytes, want 16", size)
+	if size := unsafe.Sizeof(tag(0)); size != 4 {
+		t.Errorf("tag is %d bytes, want 4", size)
 	}
-	if path := pointerPath(reflect.TypeOf(cell{}), "cell"); path != "" {
-		t.Errorf("cell holds a pointer-bearing field %s", path)
+	if path := pointerPath(reflect.TypeOf(tag(0)), "tag"); path != "" {
+		t.Errorf("tag holds a pointer-bearing field %s", path)
 	}
 }
 
-// cellWrites returns the indices at which two snapshots of a cell slab
-// differ.
-func cellWrites(before, after []cell) []int32 {
+// TestMaxRoundsFitsTheStamp pins the guard of the tags' 30-bit round
+// stamp: maxRounds caps every budget, the caller's and the default, at
+// the last round a stamp holds, so a run ends in ErrMaxRounds before a
+// stamp could wrap to round 0, where collect would drop a real message
+// silently. Budgets below the cap are unchanged.
+func TestMaxRoundsFitsTheStamp(t *testing.T) {
+	const ceiling = 1<<30 - 1
+	if s := roundTag(ceiling) | tagFinal; s>>tagKindBits != ceiling || s&tagKindMask != tagFinal {
+		t.Fatalf("round %d does not round-trip through its tag %#x", ceiling, uint32(s))
+	}
+	for _, tc := range []struct {
+		opts Options
+		n    int
+		want int
+	}{
+		{Options{MaxRounds: math.MaxInt}, 10, ceiling},
+		{Options{MaxRounds: ceiling + 1}, 10, ceiling},
+		{Options{MaxRounds: ceiling}, 10, ceiling},
+		{Options{MaxRounds: 5}, 10, 5},
+		{Options{}, 1 << 28, ceiling},
+		{Options{}, 10, 4*10 + 256*4 + 256},
+	} {
+		if got := tc.opts.maxRounds(tc.n); got != tc.want {
+			t.Errorf("Options{MaxRounds: %d}.maxRounds(%d) = %d, want %d", tc.opts.MaxRounds, tc.n, got, tc.want)
+		}
+	}
+}
+
+// slotWrites returns the indices at which two snapshots of a slab differ;
+// a nil before reads as the zeroed slab a lazily sized column starts as.
+func slotWrites[T comparable](before, after []T) []int32 {
 	var w []int32
-	for i := range before {
-		if before[i] != after[i] {
+	for i := range after {
+		var b T
+		if before != nil {
+			b = before[i]
+		}
+		if b != after[i] {
 			w = append(w, int32(i))
 		}
 	}
@@ -135,8 +169,9 @@ func cellWrites(before, after []cell) []int32 {
 // TestSendsWriteSenderWindow pins the sender-indexed slot layout: a send
 // writes exactly its own adjacency position, a broadcast and a Final
 // exactly the sender's [Off[v], Off[v+1]) window, all in the send buffer,
-// and collect writes no cell of either slab, yet every receiver reads
-// each message back through Rev, once.
+// an integer the same slots of the int column and a Final or a boxed
+// payload none of it, and collect writes no tag and no int of either
+// side, yet every receiver reads each message back through Rev, once.
 func TestSendsWriteSenderWindow(t *testing.T) {
 	g := graph.ForestUnion(64, 3, 2)
 	c := newCore(g, Options{})
@@ -145,17 +180,22 @@ func TestSendsWriteSenderWindow(t *testing.T) {
 	for v := range apis {
 		apis[v] = stubAPI(c, nopRuntime{}, int32(v))
 	}
-	snapshot := func() (send, recv []cell) {
-		return slices.Clone(c.sendBuf), slices.Clone(c.recvBuf)
+	type slabs struct {
+		sendTags, recvTags []tag
+		sendInts, recvInts []int64
+	}
+	snapshot := func() slabs {
+		return slabs{slices.Clone(c.sendTags), slices.Clone(c.recvTags), slices.Clone(c.ints.send), slices.Clone(c.ints.recv)}
 	}
 	// barrier crosses a round by hand and collects every inbox, failing
-	// if a collect writes a cell; it returns the messages by receiver.
+	// if a collect writes a tag or an int; it returns the messages by
+	// receiver.
 	barrier := func(label string) map[int32]Msg {
 		for _, a := range apis {
 			a.round++
 		}
 		c.swap()
-		send, recv := snapshot()
+		before := snapshot()
 		got := map[int32]Msg{}
 		for _, a := range apis {
 			for _, m := range a.collect(nil, a.round) {
@@ -165,11 +205,10 @@ func TestSendsWriteSenderWindow(t *testing.T) {
 				got[a.v] = m
 			}
 		}
-		if w := cellWrites(send, c.sendBuf); w != nil {
-			t.Errorf("%s: collect wrote send-buffer cells %v", label, w)
-		}
-		if w := cellWrites(recv, c.recvBuf); w != nil {
-			t.Errorf("%s: collect wrote receive-buffer cells %v", label, w)
+		if after := snapshot(); !reflect.DeepEqual(before, after) {
+			t.Errorf("%s: collect wrote send tags %v, receive tags %v, send ints %v, receive ints %v", label,
+				slotWrites(before.sendTags, after.sendTags), slotWrites(before.recvTags, after.recvTags),
+				slotWrites(before.sendInts, after.sendInts), slotWrites(before.recvInts, after.recvInts))
 		}
 		return got
 	}
@@ -186,32 +225,41 @@ func TestSendsWriteSenderWindow(t *testing.T) {
 	ops := []struct {
 		name  string
 		do    func(a *API)
-		slots []int32
+		slots []int32           // the tags the op writes
+		ints  []int32           // the int-column entries the op writes
 		want  func(p int32) Msg // the message the receiver of slot p gets
 	}{
-		{"BroadcastInt", func(a *API) { a.BroadcastInt(7) }, window, func(int32) Msg { return intMsg(7) }},
-		// Two rounds on, the same buffer still holds the broadcast's cells
-		// in the slots this round leaves alone; their stamps keep them out.
+		{"BroadcastInt", func(a *API) { a.BroadcastInt(7) }, window, window, func(int32) Msg { return intMsg(7) }},
+		// Two rounds on, the same buffer still holds the broadcast's tags
+		// and ints in the slots this round leaves alone; their stamps keep
+		// them out.
 		{"SendInt+Send", func(a *API) {
 			a.SendInt(0, 5)
 			a.Send(2, "x")
-		}, []int32{lo, lo + 2}, func(p int32) Msg {
+		}, []int32{lo, lo + 2}, []int32{lo}, func(p int32) Msg {
 			if p == lo {
 				return intMsg(5)
 			}
 			return Msg{From: v, Data: "x"}
 		}},
-		{"Broadcast", func(a *API) { a.Broadcast("y") }, window, func(int32) Msg { return Msg{From: v, Data: "y"} }},
-		{"final", func(a *API) { a.final(9) }, window, func(int32) Msg { return Msg{From: v, Data: Final{Output: 9}} }},
+		{"Broadcast", func(a *API) { a.Broadcast("y") }, window, nil, func(int32) Msg { return Msg{From: v, Data: "y"} }},
+		{"final", func(a *API) { a.final(9) }, window, nil, func(int32) Msg { return Msg{From: v, Data: Final{Output: 9}} }},
 	}
 	for _, op := range ops {
-		send, recv := snapshot()
+		before := snapshot()
 		op.do(apis[v])
-		if w := cellWrites(send, c.sendBuf); !slices.Equal(w, op.slots) {
-			t.Errorf("%s by vertex %d wrote send-buffer cells %v, want %v", op.name, v, w, op.slots)
+		after := snapshot()
+		if w := slotWrites(before.sendTags, after.sendTags); !slices.Equal(w, op.slots) {
+			t.Errorf("%s by vertex %d wrote send tags %v, want %v", op.name, v, w, op.slots)
 		}
-		if w := cellWrites(recv, c.recvBuf); w != nil {
-			t.Errorf("%s by vertex %d wrote receive-buffer cells %v", op.name, v, w)
+		if w := slotWrites(before.sendInts, after.sendInts); !slices.Equal(w, op.ints) {
+			t.Errorf("%s by vertex %d wrote send ints %v, want %v", op.name, v, w, op.ints)
+		}
+		if w := slotWrites(before.recvTags, after.recvTags); w != nil {
+			t.Errorf("%s by vertex %d wrote receive tags %v", op.name, v, w)
+		}
+		if w := slotWrites(before.recvInts, after.recvInts); w != nil {
+			t.Errorf("%s by vertex %d wrote receive ints %v", op.name, v, w)
 		}
 		want := map[int32]Msg{}
 		for _, p := range op.slots {
@@ -220,7 +268,7 @@ func TestSendsWriteSenderWindow(t *testing.T) {
 		if got := barrier(op.name); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: received %+v, want %+v", op.name, got, want)
 		}
-		// The cells stay in the slab, but the next round's collect must not
+		// The tags stay in the slab, but the next round's collect must not
 		// deliver them again.
 		if got := barrier(op.name + " (quiet round)"); len(got) > 0 {
 			t.Errorf("%s: a quiet round delivered %+v", op.name, got)
@@ -893,6 +941,53 @@ func TestInboxSlabOnlyForSleeperMail(t *testing.T) {
 	}
 	if sleepers := (g.N() + 2) / 3; windows != sleepers {
 		t.Errorf("%d vertices carved an inbox window, want the %d sleepers", windows, sleepers)
+	}
+}
+
+// TestIntColumnOnlyForIntSends pins where a run allocates its payload
+// columns. A run whose vertices only return sends nothing but Finals,
+// which write tags only, so it leaves the int, any and inbox slabs of a
+// cold scratch unallocated. When vertices of both shards make their first
+// SendInt in the same round, the run sizes the int column once, len(Adj)
+// entries a side, every receiver reads the value its sender wrote, and the
+// any column stays unallocated.
+func TestIntColumnOnlyForIntSends(t *testing.T) {
+	withShards(t, 2)
+	g := graph.Path(16)
+	returnOnly := func(*API) StepFn {
+		return func(*API, []Msg) Step { return Done(nil) }
+	}
+	s := runOnColdScratch(t, g, returnOnly)
+	for i := range s.tags {
+		if len(s.tags[i]) != len(g.Adj) {
+			t.Errorf("tag slab %d holds %d tags, want %d", i, len(s.tags[i]), len(g.Adj))
+		}
+	}
+	if s.ints != nil || s.anys != nil || s.inbox != nil {
+		t.Errorf("a run of Finals allocated %d int-column entries, %d any-column entries and %d inbox messages, want none",
+			len(s.ints), len(s.anys), len(s.inbox))
+	}
+
+	read := func(api *API, inbox []Msg) Step {
+		for _, m := range inbox {
+			if x, ok := m.AsInt(); !ok || x != 100*int64(m.From)+int64(api.ID()) {
+				panic(fmt.Sprintf("vertex %d read %+v", api.ID(), m))
+			}
+		}
+		return Done(len(inbox))
+	}
+	sendOnce := func(*API) StepFn {
+		return func(api *API, _ []Msg) Step {
+			api.SendInt(0, 100*int64(api.ID())+int64(api.NeighborIDs()[0]))
+			return Continue(read)
+		}
+	}
+	s = runOnColdScratch(t, g, sendOnce)
+	if len(s.ints) != 2*len(g.Adj) {
+		t.Errorf("the int columns hold %d entries after one SendInt, want 2x%d", len(s.ints), len(g.Adj))
+	}
+	if s.anys != nil {
+		t.Errorf("a run of SendInts allocated %d any-column entries", len(s.anys))
 	}
 }
 

@@ -32,10 +32,10 @@ import (
 // Vertices are split into one contiguous shard per worker (worker w drives
 // shard w). Multicore execution splits each round into two
 // barrier-separated phases, both free of locks and atomics but two: each
-// general-lane Send or Broadcast passes the sync.Once that sizes the any
-// column (core.anyColumn), and a sleeper's first drain the one that sizes
-// the inbox slab (core.inboxWindow), atomic loads that take their lock
-// only on the run's first such call:
+// Send, SendInt, Broadcast or BroadcastInt passes the sync.Once that
+// sizes its lane's payload column (see column), and a sleeper's first
+// drain the one that sizes the inbox slab (core.inboxWindow), atomic
+// loads that take their lock only on the run's first such call:
 //
 //	exec:  each worker runs its shard's due turns. Every delivery writes
 //	       its slab slot directly: the slot's only writer is the sender,
@@ -291,7 +291,7 @@ func (rt *stepRuntime) delivered(a *API, recv int32) {
 
 // noteDelivery marks receiver recv as having a message deliverable in
 // round t so a sleeping receiver collects it in time (collect accepts only
-// the previous round's cells, so an undrained delivery would be lost).
+// the previous round's tags, so an undrained delivery would be lost).
 // Deduplicated to one pending entry per (recv, t); entries for receivers
 // that turn out to be active or terminated are dropped at drain time.
 // Callers must own the shard for the current phase.
@@ -502,13 +502,9 @@ func (s *stepShard) runRound(rt *stepRuntime, w int32) {
 		var ok bool
 		if s.fns[li] == nil {
 			// No machine yet: the first turn, or an adversary restart's
-			// fresh incarnation (which must re-seed its PRNG stream, hence
-			// its generation).
-			var gen int32
-			if c.gens != nil {
-				gen = c.gens[v]
-			}
-			c.initAPI(a, rt, v, w-1, gen)
+			// fresh incarnation, whose fresh handle re-seeds its PRNG stream
+			// from its generation on its first Rand.
+			c.initAPI(a, v, w-1)
 			st, ok = rt.boot(a, s.bootProg)
 		} else {
 			a.round = w - 1
@@ -671,6 +667,7 @@ func runStep(g *graph.Graph, prog StepProgram, opts Options) (*Result, error) {
 	}
 	shardSize := (n + nshards - 1) / nshards
 	rt := &stepRuntime{c: c, apis: c.scratch.apis, shardSize: int32(shardSize)}
+	c.rt = rt
 	inboxes := 0 // the shards' largest degrees, summed
 	for lo := 0; lo < n; lo += shardSize {
 		hi := lo + shardSize

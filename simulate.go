@@ -33,7 +33,9 @@ type (
 // message-passing model and returns the raw result; Report-style
 // accounting can be derived with NewReport. It honors Params.Relabel.
 // Params out of range, as Algorithm.Run checks them, and a non-zero
-// Params.Scenario are an ErrBadParams.
+// Params.Scenario are an ErrBadParams. A run that fails (a vertex panics,
+// or the run exceeds MaxRounds) returns the engine's error wrapped as
+// "vavg: simulate on <graph>: ...".
 func Simulate(g *Graph, prog Program, p Params) (*SimResult, error) {
 	p = p.withDefaults(g)
 	if err := p.validate(); err != nil {
@@ -43,7 +45,11 @@ func Simulate(g *Graph, prog Program, p Params) (*SimResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return engine.Run(rg, prog, engine.Options{Seed: p.Seed, MaxRounds: p.MaxRounds})
+	res, err := engine.Run(rg, prog, engine.Options{Seed: p.Seed, MaxRounds: p.MaxRounds})
+	if err != nil {
+		return nil, fmt.Errorf("vavg: simulate on %s: %w", g.Name, err)
+	}
+	return res, nil
 }
 
 // faultFreeGraph resolves the graph Simulate and ListColoring run on,
@@ -70,7 +76,8 @@ func NewReport(name string, g *Graph, p Params, res *SimResult) Report {
 // framework's step form, and the outputs are validated before returning.
 // It honors Params.Relabel; a non-zero Params.Scenario, and an
 // Arboricity under which Procedure Partition cannot finish on g, are an
-// ErrBadParams.
+// ErrBadParams. A failed run or audit is wrapped, like Algorithm.Run's, as
+// "vavg: list-coloring on <graph>: ...".
 func ListColoring(g *Graph, p Params, list func(v int) []int) (Report, []int, error) {
 	a := p.Arboricity
 	p = p.withDefaults(g)
@@ -87,13 +94,13 @@ func ListColoring(g *Graph, p Params, list func(v int) []int) (Report, []int, er
 	spec := engine.Spec{Step: extend.ListColoringStep(p.Arboricity, p.Eps, list)}
 	res, err := engine.RunSpec(rg, spec, engine.Options{Seed: p.Seed, MaxRounds: p.MaxRounds})
 	if err != nil {
-		return Report{}, nil, err
+		return Report{}, nil, fmt.Errorf("vavg: list-coloring on %s: %w", g.Name, err)
 	}
 	rep := NewReport("list-coloring", g, p, res)
 	cols := extend.Colors(res.Output)
 	rep.Colors = len(distinctInts(cols))
 	if err := auditListColoring(g, cols, list); err != nil {
-		return rep, cols, err
+		return rep, cols, fmt.Errorf("vavg: list-coloring on %s: %w", g.Name, err)
 	}
 	return rep, cols, nil
 }
@@ -116,11 +123,11 @@ func auditListColoring(g *Graph, cols []int, list func(v int) []int) error {
 			}
 		}
 		if !ok {
-			return fmt.Errorf("vavg: vertex %d color %d outside its list", v, c)
+			return fmt.Errorf("vertex %d color %d outside its list", v, c)
 		}
 		for _, w := range g.Neighbors(v) {
 			if cols[w] == c {
-				return fmt.Errorf("vavg: edge {%d,%d} monochromatic", v, w)
+				return fmt.Errorf("edge {%d,%d} monochromatic", v, w)
 			}
 		}
 	}

@@ -1,6 +1,12 @@
 package vavg
 
-import "testing"
+import (
+	"errors"
+	"strings"
+	"testing"
+
+	"vavg/internal/engine"
+)
 
 func TestSimulateCustomProgram(t *testing.T) {
 	// A user-written vertex program: 2-round neighborhood max.
@@ -47,5 +53,35 @@ func TestListColoringPublicAPI(t *testing.T) {
 		if c%2 != 0 || c < 100 {
 			t.Fatalf("color %d not from the supplied lists", c)
 		}
+	}
+}
+
+// TestEntryPointErrorsNameTheRun pins that ListColoring and Simulate wrap
+// a failed run's engine error as Algorithm.Run does, naming the entry
+// point and the graph, and keep the engine's error matchable with
+// errors.Is.
+func TestEntryPointErrorsNameTheRun(t *testing.T) {
+	g := ForestUnion(200, 2, 1)
+	list := func(v int) []int {
+		out := make([]int, g.Degree(v)+1)
+		for i := range out {
+			out[i] = i
+		}
+		return out
+	}
+	_, _, err := ListColoring(g, Params{MaxRounds: 1}, list)
+	if want := "vavg: list-coloring on " + g.Name + ": "; !errors.Is(err, engine.ErrMaxRounds) || !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("ListColoring past MaxRounds: err = %v, want ErrMaxRounds prefixed %q", err, want)
+	}
+	boom := func(api *API) any {
+		if api.ID() == 3 {
+			panic("boom")
+		}
+		api.Next()
+		return nil
+	}
+	_, err = Simulate(g, boom, Params{})
+	if want := "vavg: simulate on " + g.Name + ": engine: vertex 3 panicked in round 1: boom"; err == nil || err.Error() != want {
+		t.Errorf("Simulate with a panicking vertex: err = %v, want %q", err, want)
 	}
 }

@@ -99,7 +99,8 @@ type Params struct {
 	// Seed drives the deterministic per-vertex PRNGs; 0 means 1.
 	Seed int64
 	// MaxRounds guards against livelock; 0 means a generous default and a
-	// negative value is an ErrBadParams.
+	// negative value is an ErrBadParams. A value above 1<<30 - 1 acts as
+	// 1<<30 - 1, the most rounds the engine's message stamps hold.
 	MaxRounds int
 	// Relabel selects the engine's vertex-relabeling layout pass: "rcm"
 	// runs the engine on a reverse Cuthill–McKee view of the graph for
