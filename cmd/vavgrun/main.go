@@ -32,7 +32,7 @@ func main() {
 		algIn   = flag.String("alg", "forest-decomp", "algorithm name")
 		family  = flag.String("graph", "forests", "graph family ("+strings.Join(vavg.GraphFamilies, "|")+") or file:PATH for a CSR file built by vavggraph")
 		n       = flag.Int("n", 4096, "number of vertices (ignored for file: graphs)")
-		a       = flag.Int("a", 3, "arboricity parameter (and generator density)")
+		a       = flag.Int("a", 3, "generator density, and the arboricity parameter when given (default: the graph's own bound)")
 		k       = flag.Int("k", 2, "segment count for the §7.5 scheme")
 		c       = flag.Int("c", 4, "constant C for §7.8")
 		eps     = flag.Float64("eps", 2, "partition slack in (0,2]")
@@ -47,6 +47,15 @@ func main() {
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
+	// Only an explicit -a sets the arboricity parameter: without it the
+	// library defaults to the graph's certified bound or degeneracy, while
+	// the generator keeps -a's default density.
+	arbor := 0
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "a" {
+			arbor = *a
+		}
+	})
 	if *format != "csv" && *format != "json" {
 		fatal(fmt.Errorf("unknown -format %q: want csv|json", *format))
 	}
@@ -79,7 +88,7 @@ func main() {
 		}
 	}
 	if *sweep != "" {
-		if err := runSweep(alg, *family, *sweep, *format, *a, *eps, *k, *c, *seed, *relabel, *workers, sc); err != nil {
+		if err := runSweep(alg, *family, *sweep, *format, *a, arbor, *eps, *k, *c, *seed, *relabel, *workers, sc); err != nil {
 			fatal(err)
 		}
 		return
@@ -89,7 +98,7 @@ func main() {
 		fatal(err)
 	}
 	rep, err := alg.Run(g, vavg.Params{
-		Arboricity: *a, Eps: *eps, K: *k, C: *c, Seed: *seed, Relabel: *relabel, Scenario: sc,
+		Arboricity: arbor, Eps: *eps, K: *k, C: *c, Seed: *seed, Relabel: *relabel, Scenario: sc,
 	})
 	if err != nil {
 		fatal(err)
@@ -143,8 +152,10 @@ func main() {
 
 // runSweep measures the algorithm across a size sweep and emits CSV or
 // JSON suitable for plotting. Each size runs seeds seed, seed+1 and
-// seed+2, so the default -seed 1 gives Sweep's default {1, 2, 3}.
-func runSweep(alg vavg.Algorithm, family, sizesArg, format string, a int, eps float64, k, c int, seed int64, relabel string, workers int, sc *vavg.Scenario) error {
+// seed+2, so the default -seed 1 gives Sweep's default {1, 2, 3}. a is
+// the generator density and arbor the arboricity parameter, 0 for each
+// graph's own bound.
+func runSweep(alg vavg.Algorithm, family, sizesArg, format string, a, arbor int, eps float64, k, c int, seed int64, relabel string, workers int, sc *vavg.Scenario) error {
 	var sizes []int
 	gen := graphSource(family, a, seed)
 	if strings.HasPrefix(family, "file:") && sizesArg == "file" {
@@ -161,7 +172,7 @@ func runSweep(alg vavg.Algorithm, family, sizesArg, format string, a int, eps fl
 		}
 	}
 	seeds := []int64{seed, seed + 1, seed + 2}
-	res, err := vavg.Sweep(alg, gen, sizes, seeds, vavg.Params{Arboricity: a, Eps: eps, K: k, C: c, Relabel: relabel, SweepWorkers: workers, Scenario: sc})
+	res, err := vavg.Sweep(alg, gen, sizes, seeds, vavg.Params{Arboricity: arbor, Eps: eps, K: k, C: c, Relabel: relabel, SweepWorkers: workers, Scenario: sc})
 	if err != nil {
 		return err
 	}

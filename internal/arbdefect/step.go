@@ -6,6 +6,7 @@ import (
 	"vavg/internal/coloring"
 	"vavg/internal/engine"
 	"vavg/internal/hpartition"
+	"vavg/internal/memo"
 )
 
 // Step (state-machine) forms of OnePlusEta and LegalColoringWC. Each
@@ -224,17 +225,38 @@ func (s *stageRun) Stray(api *engine.API, m engine.Msg) {
 // partition tracker and the stage it colors in, driven by one StepFn that
 // dispatches on phase.
 type vertex struct {
-	prm   Params
+	sch   *runSchedule
 	tr    hpartition.Tracker
 	stage stageRun
-	// Stage H colors the H-sets (0, hi] from round hSync on. A vertex
-	// still active after r partition rounds joins the residual stage,
-	// which colors (hi, ell] from round rSync on, its colors offset by
-	// block.
+	phase vertexPhase
+}
+
+// runSchedule is the schedule every vertex of an OnePlusEtaStep or
+// LegalColoringWCStep run shares. Stage H colors the H-sets (0, hi] from
+// round hSync on. A vertex still active after r partition rounds joins
+// the residual stage, which colors (hi, ell] from round rSync on, its
+// colors offset by block.
+type runSchedule struct {
+	prm                         Params
 	r, ell, hSync, rSync, block int
 	hi                          int32
-	phase                       vertexPhase
-	fn                          engine.StepFn // v.turn, bound once
+}
+
+// schedules memoizes runSchedule per entry, n and Params, with eps keyed
+// by its bits.
+var schedules memo.Map[scheduleKey, *runSchedule]
+
+type scheduleKey struct {
+	wc      bool // a LegalColoringWCStep run
+	n, a, c int
+	eps     uint64
+}
+
+// sharedSchedule returns the schedule of an n-vertex OnePlusEtaStep run,
+// or of a LegalColoringWCStep run if wc is set, building it with build on
+// a miss.
+func sharedSchedule(wc bool, n int, prm Params, build func() *runSchedule) *runSchedule {
+	return schedules.Get(scheduleKey{wc, n, prm.A, prm.C, math.Float64bits(prm.Eps)}, build)
 }
 
 type vertexPhase uint8
@@ -249,30 +271,44 @@ const (
 
 // OnePlusEtaStep is the step form of OnePlusEta.
 func OnePlusEtaStep(a int, eps float64, C int) engine.StepProgram {
+	prm := Params{A: a, Eps: eps, C: C}
 	return func(api *engine.API) engine.StepFn {
-		prm := Params{A: a, Eps: eps, C: C}
-		v := &vertex{prm: prm, block: StageBlock(api.N(), prm)}
-		v.r, v.ell, v.hSync, v.rSync = schedule(api.N(), prm)
-		v.hi = int32(v.r)
-		return v.boot(api)
+		n := api.N()
+		return boot(api, sharedSchedule(false, n, prm, func() *runSchedule {
+			sch := &runSchedule{prm: prm, block: StageBlock(n, prm)}
+			sch.r, sch.ell, sch.hSync, sch.rSync = schedule(n, prm)
+			sch.hi = int32(sch.r)
+			return sch
+		}))
 	}
 }
 
 // LegalColoringWCStep is the step form of LegalColoringWC: a single stage
 // H over every H-set, which no vertex leaves for the residual.
 func LegalColoringWCStep(a int, eps float64, C int) engine.StepProgram {
+	prm := Params{A: a, Eps: eps, C: C}
 	return func(api *engine.API) engine.StepFn {
-		ell := hpartition.EllBound(api.N(), eps)
-		v := &vertex{prm: Params{A: a, Eps: eps, C: C}, r: math.MaxInt, ell: ell, hSync: ell + 2, hi: int32(ell)}
-		return v.boot(api)
+		n := api.N()
+		return boot(api, sharedSchedule(true, n, prm, func() *runSchedule {
+			ell := hpartition.EllBound(n, eps)
+			return &runSchedule{prm: prm, r: math.MaxInt, ell: ell, hSync: ell + 2, hi: int32(ell)}
+		}))
 	}
 }
 
-// boot initializes the tracker and binds the turn.
-func (v *vertex) boot(api *engine.API) engine.StepFn {
-	v.tr.Init(api, v.prm.A, v.prm.Eps)
-	v.fn = v.turn
-	return v.fn
+// boot resets api's vertex to run on the schedule sch and returns its
+// first turn.
+func boot(api *engine.API, sch *runSchedule) engine.StepFn {
+	v := engine.State[vertex](api)
+	*v = vertex{sch: sch}
+	v.tr.Init(api, sch.prm.A, sch.prm.Eps)
+	return vertexTurn
+}
+
+// vertexTurn is every turn of an OnePlusEtaStep or LegalColoringWCStep
+// vertex.
+func vertexTurn(api *engine.API, inbox []engine.Msg) engine.Step {
+	return engine.State[vertex](api).turn(api, inbox)
 }
 
 func (v *vertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
@@ -280,35 +316,36 @@ func (v *vertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
 		return v.staged(v.stage.Turn(api, inbox))
 	}
 	v.tr.Absorb(api, inbox)
+	sch := v.sch
 	switch v.phase {
 	case syncH:
 		v.phase = inStage
-		return v.staged(v.stage.Start(api, &v.tr, v.prm, 0, v.hi, 0))
+		return v.staged(v.stage.Start(api, &v.tr, sch.prm, 0, sch.hi, 0))
 	case syncR:
 		v.phase = inStage
-		return v.staged(v.stage.Start(api, &v.tr, v.prm, v.hi, int32(v.ell), v.block))
+		return v.staged(v.stage.Start(api, &v.tr, sch.prm, sch.hi, int32(sch.ell), sch.block))
 	case partR:
 		if v.tr.HIndex != 0 {
-			return v.sleepUntil(api, v.rSync, syncR)
+			return v.sleepUntil(api, sch.rSync, syncR)
 		}
 	default:
 		if v.tr.HIndex != 0 {
-			return v.sleepUntil(api, v.hSync, syncH)
+			return v.sleepUntil(api, sch.hSync, syncH)
 		}
-		if api.Round() >= v.r {
+		if api.Round() >= sch.r {
 			// Residual: finish the partition, then run the same stage.
 			v.phase = partR
 		}
 	}
 	v.tr.Advance(api)
-	return engine.Continue(v.fn)
+	return engine.Continue(vertexTurn)
 }
 
 // sleepUntil parks the vertex until the turn of global round target, which
 // continues in phase.
 func (v *vertex) sleepUntil(api *engine.API, target int, phase vertexPhase) engine.Step {
 	v.phase = phase
-	return engine.Sleep(max(1, target-api.Round()), v.fn)
+	return engine.Sleep(max(1, target-api.Round()), vertexTurn)
 }
 
 // staged continues the stage, or terminates with its color.
@@ -316,5 +353,5 @@ func (v *vertex) staged(wait int, done bool) engine.Step {
 	if done {
 		return engine.Done(v.stage.Color())
 	}
-	return engine.Sleep(wait, v.fn)
+	return engine.Sleep(wait, vertexTurn)
 }

@@ -24,7 +24,6 @@ type wcVertex struct {
 	// The MIS sweep's current class, and its class count.
 	cls, palette     int
 	inMIS, dominated bool
-	fn               engine.StepFn // v.turn, bound once
 }
 
 // wcAlg is the algorithm a wcVertex runs after the decomposition.
@@ -51,25 +50,30 @@ const (
 // decomposition.
 func wcStep(alg wcAlg, a int, eps float64) engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
-		v := &wcVertex{alg: alg, ell: hpartition.EllBound(api.N(), eps)}
+		v := engine.State[wcVertex](api)
+		*v = wcVertex{alg: alg, ell: hpartition.EllBound(api.N(), eps)}
 		v.d.Tr.Init(api, a, eps)
-		v.fn = v.turn
-		return v.fn
+		return wcTurn
 	}
+}
+
+// wcTurn is every turn of a wcStep vertex.
+func wcTurn(api *engine.API, inbox []engine.Msg) engine.Step {
+	return engine.State[wcVertex](api).turn(api, inbox)
 }
 
 func (v *wcVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
 	switch v.phase {
 	case wcDecompose:
 		if wait, done := v.d.Turn(api, inbox, v.ell); !done {
-			return engine.Sleep(wait, v.fn)
+			return engine.Sleep(wait, wcTurn)
 		}
 		return v.settled(api)
 	case wcLinial:
 		if v.lin.Turn(api, inbox, v) {
 			return v.colored(api)
 		}
-		return engine.Continue(v.fn)
+		return engine.Continue(wcTurn)
 	case wcWave:
 		return v.recolor(v.wave.Turn(api, inbox))
 	}
@@ -100,7 +104,7 @@ func (v *wcVertex) settled(api *engine.API) engine.Step {
 	if v.lin.Start(api, v.d.OutIdx, v.d.Tr.A) {
 		return v.colored(api)
 	}
-	return engine.Continue(v.fn)
+	return engine.Continue(wcTurn)
 }
 
 // colored ends iterated Linial: with its color, or with the MIS sweep
@@ -121,7 +125,7 @@ func (v *wcVertex) sweep(api *engine.API) engine.Step {
 		v.inMIS = true
 		coloring.BroadcastChosen(api, wcMISKind, 1)
 	}
-	return engine.Continue(v.fn)
+	return engine.Continue(wcTurn)
 }
 
 // recolor terminates with the wave's color once it is done.
@@ -129,7 +133,7 @@ func (v *wcVertex) recolor(done bool) engine.Step {
 	if done {
 		return engine.Done(v.wave.Color())
 	}
-	return engine.Continue(v.fn)
+	return engine.Continue(wcTurn)
 }
 
 // Stray absorbs a message the Linial machine does not understand.
@@ -166,7 +170,6 @@ func MISByColoringWCStep(a int, eps float64) engine.StepProgram {
 type lubyVertex struct {
 	p     int64 // this phase's priority
 	phase lubyPhase
-	fn    engine.StepFn // v.turn, bound once
 }
 
 type lubyPhase uint8
@@ -180,10 +183,14 @@ const (
 // LubyMISStep is the step form of LubyMIS.
 func LubyMISStep() engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
-		v := new(lubyVertex)
-		v.fn = v.turn
-		return v.fn
+		*engine.State[lubyVertex](api) = lubyVertex{}
+		return lubyTurn
 	}
+}
+
+// lubyTurn is every turn of a LubyMISStep vertex.
+func lubyTurn(api *engine.API, inbox []engine.Msg) engine.Step {
+	return engine.State[lubyVertex](api).turn(api, inbox)
 }
 
 func (v *lubyVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
@@ -201,7 +208,7 @@ func (v *lubyVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
 			return engine.Done(true)
 		}
 		v.phase = lubyFinal
-		return engine.Continue(v.fn)
+		return engine.Continue(lubyTurn)
 	case lubyFinal:
 		// Learn which neighbors joined this phase.
 		for _, m := range inbox {
@@ -215,7 +222,7 @@ func (v *lubyVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
 	v.p = api.Rand().Int63()
 	api.BroadcastInt(v.p)
 	v.phase = lubyBest
-	return engine.Continue(v.fn)
+	return engine.Continue(lubyTurn)
 }
 
 // ringVertex is one vertex of Ring3ColoringStep.
@@ -223,16 +230,19 @@ type ringVertex struct {
 	cv      coloring.CV
 	parents [2]int // forest 1's parent: the successor
 	started bool
-	fn      engine.StepFn // v.turn, bound once
 }
 
 // Ring3ColoringStep is the step form of Ring3Coloring.
 func Ring3ColoringStep() engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
-		v := new(ringVertex)
-		v.fn = v.turn
-		return v.fn
+		*engine.State[ringVertex](api) = ringVertex{}
+		return ringTurn
 	}
+}
+
+// ringTurn is every turn of a Ring3ColoringStep vertex.
+func ringTurn(api *engine.API, inbox []engine.Msg) engine.Step {
+	return engine.State[ringVertex](api).turn(api, inbox)
 }
 
 func (v *ringVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
@@ -241,12 +251,12 @@ func (v *ringVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
 		succ := (api.ID() + 1) % api.N()
 		v.parents = [2]int{-1, api.NeighborIndex(int32(succ))}
 		v.cv.Start(api, 1, v.parents[:])
-		return engine.Continue(v.fn)
+		return engine.Continue(ringTurn)
 	}
 	if v.cv.Turn(api, inbox, v) {
 		return engine.Done(int(v.cv.Colors()[1]))
 	}
-	return engine.Continue(v.fn)
+	return engine.Continue(ringTurn)
 }
 
 // Stray ignores a message the Cole-Vishkin machine does not understand.
@@ -260,7 +270,6 @@ type leaderVertex struct {
 	candidate, leader bool
 	started, done     bool
 	outLeft, outRight []hsMsg
-	fn                engine.StepFn // v.turn, bound once
 }
 
 // LeaderElectionRingStep is the step form of LeaderElectionRing.
@@ -269,10 +278,14 @@ func LeaderElectionRingStep() engine.StepProgram {
 		if api.Degree() != 2 {
 			panic("baseline: leader election requires a cycle")
 		}
-		v := &leaderVertex{my: int32(api.ID()), candidate: true}
-		v.fn = v.turn
-		return v.fn
+		*engine.State[leaderVertex](api) = leaderVertex{my: int32(api.ID()), candidate: true}
+		return leaderTurn
 	}
+}
+
+// leaderTurn is every turn of a LeaderElectionRingStep vertex.
+func leaderTurn(api *engine.API, inbox []engine.Msg) engine.Step {
+	return engine.State[leaderVertex](api).turn(api, inbox)
 }
 
 // The ring ports: neighbor indices 0 and 1.
@@ -286,7 +299,7 @@ func (v *leaderVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
 		v.started = true
 		v.launch()
 		v.send(api)
-		return engine.Continue(v.fn)
+		return engine.Continue(leaderTurn)
 	}
 	my := v.my
 	for _, m := range inbox {
@@ -347,7 +360,7 @@ func (v *leaderVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
 		v.launch()
 	}
 	v.send(api)
-	return engine.Continue(v.fn)
+	return engine.Continue(leaderTurn)
 }
 
 // launch queues this phase's probes in both directions.

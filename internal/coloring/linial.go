@@ -9,7 +9,8 @@ package coloring
 
 import (
 	"math"
-	"sync"
+
+	"vavg/internal/memo"
 )
 
 // LogStar returns log* n with base-2 logarithms: the number of times log2
@@ -83,12 +84,11 @@ func polyDegree(p, q int) int {
 	return d
 }
 
-// Memos of LinialParams and LinialSchedule, pure functions of global
-// knowledge that every vertex shares (DESIGN.md §1). Warm sync.Map reads
-// take no lock, so the round-1 boots on every shard worker read at once.
+// Memos of LinialParams and sharedLinialPlan, pure functions of global
+// knowledge that every vertex shares (DESIGN.md §1).
 var (
-	linialParamsMemo   sync.Map // linialKey -> [2]int{q, d}
-	linialScheduleMemo sync.Map // linialKey -> []int
+	linialParamsMemo memo.Map[linialKey, [2]int] // {q, d}
+	linialPlanMemo   memo.Map[linialKey, *linialPlan]
 )
 
 type linialKey struct{ p, A int }
@@ -102,14 +102,11 @@ type linialKey struct{ p, A int }
 // point (x, f(x)) that becomes the new color x*q + f(x). The result is
 // memoized per (p, A).
 func LinialParams(p, A int) (q, d int) {
-	key := linialKey{p, A}
-	if v, ok := linialParamsMemo.Load(key); ok {
-		qd := v.([2]int)
-		return qd[0], qd[1]
-	}
-	q, d = linialParamsSearch(p, A)
-	linialParamsMemo.Store(key, [2]int{q, d})
-	return q, d
+	qd := linialParamsMemo.Get(linialKey{p, A}, func() [2]int {
+		q, d := linialParamsSearch(p, A)
+		return [2]int{q, d}
+	})
+	return qd[0], qd[1]
 }
 
 // linialParamsSearch is LinialParams without the memo: a trial-division
@@ -144,43 +141,61 @@ func LinialPaletteAfter(p, A int) int {
 // O(A^2) palette in O(log* p0) steps (it may grow once from a small p0
 // before stabilizing).
 //
-// The schedule is memoized per (p0, A): every call with the same inputs
-// returns the same backing array, shared by all vertices and all runs, so
-// callers must treat it as read-only.
-func LinialSchedule(p0, A int) []int {
-	key := linialKey{p0, A}
-	if v, ok := linialScheduleMemo.Load(key); ok {
-		return v.([]int)
-	}
-	// LoadOrStore, so that racing first callers all return one array.
-	v, _ := linialScheduleMemo.LoadOrStore(key, linialScheduleSearch(p0, A))
-	return v.([]int)
+// The schedule is sharedLinialPlan(p0, A)'s: every call with the same
+// inputs returns the same backing array, shared by all vertices and all
+// runs, so callers must treat it as read-only.
+func LinialSchedule(p0, A int) []int { return sharedLinialPlan(p0, A).palettes }
+
+// linialPlan is the shared schedule of an iterated reduction from a
+// proper p0-coloring with out-degree bound A: the palettes it visits and
+// the field of each step, so that a vertex running the reduction reads no
+// memo per step. A linialPlan is read-only.
+type linialPlan struct {
+	palettes []int    // the palette sequence (see LinialSchedule)
+	a        int      // the out-degree bound A
+	qd       [][2]int // qd[i] is LinialParams(palettes[i], A), the field of step i+1
 }
 
-// linialScheduleSearch is LinialSchedule without the memo.
-func linialScheduleSearch(p0, A int) []int {
-	sched := []int{p0}
+// sharedLinialPlan returns the plan of the reduction from p0 colors with
+// out-degree bound A. It is memoized per (p0, A): every call with the
+// same inputs returns the same plan, which callers must not modify.
+func sharedLinialPlan(p0, A int) *linialPlan {
+	return linialPlanMemo.Get(linialKey{p0, A}, func() *linialPlan { return newLinialPlan(p0, A) })
+}
+
+// newLinialPlan is sharedLinialPlan without the memo.
+func newLinialPlan(p0, A int) *linialPlan {
+	lp := &linialPlan{palettes: []int{p0}, a: A}
 	p := p0
 	for iter := 0; ; iter++ {
 		if iter > 64 {
 			panic("coloring: Linial schedule failed to converge")
 		}
-		next := LinialPaletteAfter(p, A)
-		if next == p {
-			return sched
+		q, d := LinialParams(p, A)
+		if q*q == p {
+			return lp
 		}
-		sched = append(sched, next)
-		p = next
+		lp.palettes = append(lp.palettes, q*q)
+		lp.qd = append(lp.qd, [2]int{q, d})
+		p = q * q
 	}
+}
+
+// final returns the plan's fixed-point palette size.
+func (lp *linialPlan) final() int { return lp.palettes[len(lp.palettes)-1] }
+
+// step returns the color after reduction step i+1, from the palette
+// palettes[i], of a vertex with color c whose parents have colors
+// parents: LinialStep(palettes[i], A, c, parents) with the step's field
+// read from the plan.
+func (lp *linialPlan) step(i, c int, parents []int) int {
+	return linialStep(lp.qd[i][0], lp.qd[i][1], c, parents)
 }
 
 // LinialFinalPalette returns the fixed-point palette size of the iterated
 // reduction starting from p0 (the number of colors Procedure
 // Arb-Linial-Coloring uses after all its O(log* n) steps): O(A^2).
-func LinialFinalPalette(p0, A int) int {
-	s := LinialSchedule(p0, A)
-	return s[len(s)-1]
-}
+func LinialFinalPalette(p0, A int) int { return sharedLinialPlan(p0, A).final() }
 
 // evalPoly evaluates the polynomial whose coefficients are the base-q
 // digits of c (degree < d) at point x over F_q. It sums the terms from the
@@ -205,6 +220,11 @@ func evalPoly(c, q, d, x int) int {
 // a violated precondition (c == parent color, or more than A parents).
 func LinialStep(p, A, c int, parents []int) int {
 	q, d := LinialParams(p, A)
+	return linialStep(q, d, c, parents)
+}
+
+// linialStep is LinialStep on the field F_q with degree-<d polynomials.
+func linialStep(q, d, c int, parents []int) int {
 	for x := 0; x < q; x++ {
 		y := evalPoly(c, q, d, x)
 		free := true

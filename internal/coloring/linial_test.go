@@ -193,9 +193,15 @@ func TestLinialMemoMatchesSearch(t *testing.T) {
 			if q != wq || d != wd {
 				t.Errorf("LinialParams(%d, %d) = (%d, %d), search gives (%d, %d)", p, A, q, d, wq, wd)
 			}
-			got, want := LinialSchedule(p, A), linialScheduleSearch(p, A)
+			got, want := LinialSchedule(p, A), newLinialPlan(p, A).palettes
 			if !slices.Equal(got, want) {
 				t.Errorf("LinialSchedule(%d, %d) = %v, search gives %v", p, A, got, want)
+			}
+			lp := sharedLinialPlan(p, A)
+			for i, pi := range lp.palettes[:len(lp.palettes)-1] {
+				if q, d := LinialParams(pi, A); lp.qd[i] != [2]int{q, d} {
+					t.Errorf("sharedLinialPlan(%d, %d) step %d field %v, LinialParams gives (%d, %d)", p, A, i+1, lp.qd[i], q, d)
+				}
 			}
 		}
 	}
@@ -216,6 +222,13 @@ func TestLinialMemoAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(100, func() { LinialStep(sched[0], 8, 100, parents) }); got != 0 {
 		t.Errorf("LinialStep: %v allocs/op, want 0", got)
+	}
+	lp := sharedLinialPlan(200000, 8)
+	if got, want := lp.step(0, 100, parents), LinialStep(sched[0], 8, 100, parents); got != want {
+		t.Errorf("linialPlan.step(0, ...) = %d, LinialStep gives %d", got, want)
+	}
+	if got := testing.AllocsPerRun(100, func() { sharedLinialPlan(200000, 8).step(0, 100, parents) }); got != 0 {
+		t.Errorf("warm sharedLinialPlan and linialPlan.step: %v allocs/op, want 0", got)
 	}
 }
 
@@ -269,7 +282,7 @@ func TestLinialMemoConcurrentColdKeys(t *testing.T) {
 	close(start)
 	wg.Wait()
 	for i, p := range ps {
-		want := linialScheduleSearch(p, A)
+		want := newLinialPlan(p, A).palettes
 		wq, wd := linialParamsSearch(p+1, A)
 		for w := 0; w < workers; w++ {
 			if !slices.Equal(scheds[w][i], want) {

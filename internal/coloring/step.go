@@ -7,6 +7,7 @@ import (
 	"vavg/internal/engine"
 	"vavg/internal/forest"
 	"vavg/internal/hpartition"
+	"vavg/internal/memo"
 )
 
 // Step (state-machine) forms of the coloring subroutines and algorithms.
@@ -24,8 +25,9 @@ import (
 // round. KW and DeltaPlus1, like forest.Decomp, also return the rounds
 // until their next turn, which the caller passes to engine.Sleep: a KW
 // vertex only listens in most rounds of a phase, and it sleeps through
-// them, reading their messages in one inbox. A vertex is one struct whose
-// turn method, bound once at construction, dispatches on a phase field.
+// them, reading their messages in one inbox. A vertex is one struct in
+// its run's state slab (engine.State) whose turn method dispatches on a
+// phase field; one package-level StepFn per vertex type looks it up.
 
 // Strays receives the messages a value machine's turn does not itself
 // understand (Join announcements, terminations, foreign traffic), one at
@@ -37,30 +39,31 @@ type Strays interface {
 
 // Linial is the value-machine form of IteratedLinial.
 type Linial struct {
-	sched        []int
+	plan         *linialPlan
 	parentIdx    []int
 	parentColors []int
-	a, c, step   int
+	c, step      int
 }
 
 // Start begins Procedure Arb-Linial-Coloring in the caller's turn, with
 // parentIdx the neighbor indices of this vertex's at most A parents. The
-// machine keeps parentIdx, which the caller must not modify.
+// machine keeps parentIdx, which the caller must not modify, and the
+// shared plan sharedLinialPlan(N(), A), from which every step reads its
+// field.
 //
 //vavg:stepform
 func (l *Linial) Start(api *engine.API, parentIdx []int, A int) (done bool) {
 	*l = Linial{
-		sched:        LinialSchedule(api.N(), A),
+		plan:         sharedLinialPlan(api.N(), A),
 		parentIdx:    parentIdx,
 		parentColors: make([]int, len(parentIdx)),
-		a:            A,
 		c:            api.ID(),
 	}
 	ids := api.NeighborIDs()
 	for j, k := range parentIdx {
 		l.parentColors[j] = int(ids[k])
 	}
-	if len(l.sched) < 2 {
+	if len(l.plan.palettes) < 2 {
 		return true
 	}
 	return l.advance(api)
@@ -95,8 +98,8 @@ func (l *Linial) Turn(api *engine.API, inbox []engine.Msg, s Strays) (done bool)
 // the step was the last.
 func (l *Linial) advance(api *engine.API) (done bool) {
 	l.step++
-	l.c = LinialStep(l.sched[l.step-1], l.a, l.c, l.parentColors)
-	if l.step == len(l.sched)-1 {
+	l.c = l.plan.step(l.step-1, l.c, l.parentColors)
+	if l.step == len(l.plan.palettes)-1 {
 		return true // no one needs my color for a further step
 	}
 	broadcastColor(api, l.step, l.c)
@@ -105,6 +108,10 @@ func (l *Linial) advance(api *engine.API) (done bool) {
 
 // Color returns the vertex's color; the final one once the machine is done.
 func (l *Linial) Color() int { return l.c }
+
+// FinalPalette returns the size of the palette the reduction ends in,
+// once started: LinialFinalPalette(N(), A).
+func (l *Linial) FinalPalette() int { return l.plan.final() }
 
 // KW is the value-machine form of KWReduce. A vertex takes two turns per
 // phase: the phase-boundary turn, which ends the previous phase and starts
@@ -258,8 +265,7 @@ func (d *DeltaPlus1) Turn(api *engine.API, inbox []engine.Msg, s Strays) (wait i
 
 func (d *DeltaPlus1) startKW(api *engine.API) (wait int, done bool) {
 	d.inKW = true
-	A := d.lin.a
-	return d.kw.Start(api, d.members, d.lin.Color(), LinialFinalPalette(api.N(), A), A)
+	return d.kw.Start(api, d.members, d.lin.Color(), d.lin.FinalPalette(), d.lin.plan.a)
 }
 
 // Color returns the vertex's color; the final one, in [0, A+1), once the
@@ -456,23 +462,27 @@ func SetColorParents(tr *hpartition.Tracker, lo, hi int32, setColor []int32, c i
 
 // arbLinialO1Vertex is one vertex of ArbLinialO1Step.
 type arbLinialO1Vertex struct {
-	d  forest.Decomp
-	fn engine.StepFn // v.turn, bound once
+	d forest.Decomp
 }
 
 // ArbLinialO1Step is the step form of ArbLinialO1.
 func ArbLinialO1Step(a int, eps float64) engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
-		v := new(arbLinialO1Vertex)
+		v := engine.State[arbLinialO1Vertex](api)
+		*v = arbLinialO1Vertex{}
 		v.d.Tr.Init(api, a, eps)
-		v.fn = v.turn
-		return v.fn
+		return arbLinialO1Turn
 	}
+}
+
+// arbLinialO1Turn is every turn of an ArbLinialO1Step vertex.
+func arbLinialO1Turn(api *engine.API, inbox []engine.Msg) engine.Step {
+	return engine.State[arbLinialO1Vertex](api).turn(api, inbox)
 }
 
 func (v *arbLinialO1Vertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
 	if wait, done := v.d.Turn(api, inbox, 0); !done {
-		return engine.Sleep(wait, v.fn)
+		return engine.Sleep(wait, arbLinialO1Turn)
 	}
 	return engine.Done(LinialFromIDs(api, &v.d))
 }
@@ -482,11 +492,9 @@ func (v *arbLinialO1Vertex) turn(api *engine.API, inbox []engine.Msg) engine.Ste
 type a2Vertex struct {
 	tr     hpartition.Tracker
 	lin    Linial
-	t, ell int // phase-1 partition rounds, and the partition bound
-	p      int // per-phase palette: phase 2 colors with [p, 2p)
+	t, ell int32 // phase-1 partition rounds, and the partition bound
 	phase2 bool
 	phase  a2Phase
-	fn     engine.StepFn // v.turn, bound once
 }
 
 type a2Phase uint8
@@ -500,13 +508,17 @@ const (
 // TwoPhaseA2Step is the step form of TwoPhaseA2.
 func TwoPhaseA2Step(a int, eps float64) engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
-		v := new(a2Vertex)
+		v := engine.State[a2Vertex](api)
+		t, ell := phaseSplit(api.N(), eps)
+		*v = a2Vertex{t: int32(t), ell: int32(ell)}
 		v.tr.Init(api, a, eps)
-		v.t, v.ell = phaseSplit(api.N(), eps)
-		v.p = LinialFinalPalette(api.N(), v.tr.A)
-		v.fn = v.turn
-		return v.fn
+		return a2Turn
 	}
+}
+
+// a2Turn is every turn of a TwoPhaseA2Step vertex.
+func a2Turn(api *engine.API, inbox []engine.Msg) engine.Step {
+	return engine.State[a2Vertex](api).turn(api, inbox)
 }
 
 func (v *a2Vertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
@@ -514,7 +526,7 @@ func (v *a2Vertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
 		if v.lin.Turn(api, inbox, v) {
 			return v.done()
 		}
-		return engine.Continue(v.fn)
+		return engine.Continue(a2Turn)
 	}
 	v.tr.Absorb(api, inbox)
 	lo, hi := v.segment()
@@ -524,33 +536,34 @@ func (v *a2Vertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
 		if v.lin.Start(api, SegmentParents(api, &v.tr, lo, hi), v.tr.A) {
 			return v.done()
 		}
-		return engine.Continue(v.fn)
+		return engine.Continue(a2Turn)
 	case v.tr.HIndex != 0:
 		// The blocking form idles to the segment boundary and settles one
 		// round later; a single sleep accumulates the same absorbs.
 		v.phase = a2Settle
-		return engine.Sleep(max(1, int(hi)+1-api.Round()), v.fn)
+		return engine.Sleep(max(1, int(hi)+1-api.Round()), a2Turn)
 	}
-	if api.Round() >= v.t {
+	if api.Round() >= int(v.t) {
 		v.phase2 = true
 	}
 	v.tr.Advance(api)
-	return engine.Continue(v.fn)
+	return engine.Continue(a2Turn)
 }
 
 // segment returns the H-index range of the vertex's phase segment.
 func (v *a2Vertex) segment() (lo, hi int32) {
 	if v.phase2 {
-		return int32(v.t), int32(v.ell)
+		return v.t, v.ell
 	}
-	return 0, int32(v.t)
+	return 0, v.t
 }
 
-// done terminates with the Arb-Linial color in the phase's palette block.
+// done terminates with the Arb-Linial color in the phase's palette block:
+// phase 2 colors with [p, 2p), p the final palette.
 func (v *a2Vertex) done() engine.Step {
 	c := v.lin.Color()
 	if v.phase2 {
-		c += v.p
+		c += v.lin.FinalPalette()
 	}
 	return engine.Done(c)
 }
@@ -564,14 +577,13 @@ func (v *a2Vertex) Stray(api *engine.API, m engine.Msg) {
 // its H-set's (A+1)-coloring and its segment's recolor wave, driven by one
 // StepFn that dispatches on phase.
 type aColorVertex struct {
-	sch      AColorSchedule
+	sch      *AColorSchedule // shared by every vertex of the run
 	tr       hpartition.Tracker
 	dp1      DeltaPlus1
 	wave     Wave
 	members  []int   // same-set neighbor indices
 	setColor []int32 // set colors by neighbor index, 0 if unheard
 	phase    aColorPhase
-	fn       engine.StepFn // v.turn, bound once
 }
 
 type aColorPhase uint8
@@ -590,18 +602,41 @@ const (
 // AColorLogLogStep is the step form of AColorLogLog.
 func AColorLogLogStep(a int, eps float64) engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
-		v := &aColorVertex{sch: NewAColorSchedule(api.N(), a, eps)}
+		v := engine.State[aColorVertex](api)
+		*v = aColorVertex{sch: sharedAColorSchedule(api.N(), a, eps)}
 		v.tr.Init(api, a, eps)
-		v.fn = v.turn
-		return v.fn
+		return aColorTurn
 	}
+}
+
+// aColorSchedules memoizes the schedules of AColorLogLogStep runs, keyed
+// by n, a and the bits of eps.
+var aColorSchedules memo.Map[aColorKey, *AColorSchedule]
+
+type aColorKey struct {
+	n, a int
+	eps  uint64
+}
+
+// sharedAColorSchedule returns the one NewAColorSchedule(n, a, eps) every
+// vertex of a run shares, which callers must not modify.
+func sharedAColorSchedule(n, a int, eps float64) *AColorSchedule {
+	return aColorSchedules.Get(aColorKey{n, a, math.Float64bits(eps)}, func() *AColorSchedule {
+		sch := NewAColorSchedule(n, a, eps)
+		return &sch
+	})
+}
+
+// aColorTurn is every turn of an AColorLogLogStep vertex.
+func aColorTurn(api *engine.API, inbox []engine.Msg) engine.Step {
+	return engine.State[aColorVertex](api).turn(api, inbox)
 }
 
 func (v *aColorVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
 	switch v.phase {
 	case acColor:
 		if wait, done := v.dp1.Turn(api, inbox, v); !done {
-			return engine.Sleep(wait, v.fn)
+			return engine.Sleep(wait, aColorTurn)
 		}
 		return v.exchange(api)
 	case acExchange:
@@ -616,18 +651,18 @@ func (v *aColorVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
 		if v.tr.Advance(api) {
 			v.phase = acJoined
 		}
-		return engine.Continue(v.fn)
+		return engine.Continue(aColorTurn)
 	case acTail:
 		v.phase = acWindow
-		return engine.Sleep(v.sch.W-1, v.fn)
+		return engine.Sleep(v.sch.W-1, aColorTurn)
 	case acJoined:
 		v.phase = acSettle
-		return engine.Continue(v.fn)
+		return engine.Continue(aColorTurn)
 	case acSettle:
 		v.members = SetMembers(&v.tr)
 		v.phase = acColor
 		if wait, done := v.dp1.Start(api, v.members, v.sch.A); !done {
-			return engine.Sleep(wait, v.fn)
+			return engine.Sleep(wait, aColorTurn)
 		}
 		return v.exchange(api)
 	}
@@ -638,7 +673,7 @@ func (v *aColorVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
 func (v *aColorVertex) exchange(api *engine.API) engine.Step {
 	BroadcastChosen(api, dp1Kind, int32(v.dp1.Color()))
 	v.phase = acExchange
-	return engine.Continue(v.fn)
+	return engine.Continue(aColorTurn)
 }
 
 // setColors records the members' set colors, then sleeps to the round the
@@ -660,7 +695,7 @@ func (v *aColorVertex) setColors(api *engine.API, inbox []engine.Msg) engine.Ste
 	}
 	if api.Round() < start {
 		v.phase = acWake
-		return engine.Sleep(start-api.Round(), v.fn)
+		return engine.Sleep(start-api.Round(), aColorTurn)
 	}
 	return v.startWave(api)
 }
@@ -681,7 +716,7 @@ func (v *aColorVertex) recolor(done bool) engine.Step {
 	if done {
 		return engine.Done(v.wave.Color())
 	}
-	return engine.Continue(v.fn)
+	return engine.Continue(aColorTurn)
 }
 
 // Stray absorbs a message the coloring machines do not understand.

@@ -1,9 +1,8 @@
 package coloring
 
 import (
-	"sync"
-
 	"vavg/internal/engine"
+	"vavg/internal/memo"
 	"vavg/internal/wire"
 )
 
@@ -123,22 +122,16 @@ func IteratedLinialRounds(n, A int) int {
 	return steps - 1
 }
 
-// kwPhasesMemo memoizes kwPhases like linialScheduleMemo: every vertex of
+// kwPhasesMemo memoizes kwPhases like linialPlanMemo: every vertex of
 // a run needs the same schedule, at boot (through KWRounds) and in KW.
-var kwPhasesMemo sync.Map // linialKey{m, A} -> []int
+var kwPhasesMemo memo.Map[linialKey, []int] // keyed by {m, A}
 
 // kwPhases returns the palette sizes at the start of each KW halving
 // phase, beginning at m and ending when the palette is at most A+1. The
 // schedule is memoized per (m, A): repeat calls return the same backing
 // array, which callers must treat as read-only.
 func kwPhases(m, A int) []int {
-	key := linialKey{m, A}
-	if v, ok := kwPhasesMemo.Load(key); ok {
-		return v.([]int)
-	}
-	// LoadOrStore, so that racing first callers all return one array.
-	v, _ := kwPhasesMemo.LoadOrStore(key, kwPhasesSearch(m, A))
-	return v.([]int)
+	return kwPhasesMemo.Get(linialKey{m, A}, func() []int { return kwPhasesSearch(m, A) })
 }
 
 // kwPhasesSearch is kwPhases without the memo.

@@ -392,12 +392,16 @@ type core struct {
 	// inboxOnce sizes the run scratch's inbox slab on the run's first
 	// collect into a persistent window (see inboxWindow).
 	inboxOnce sync.Once
-	finals    []any  // finals[v] is v's boxed Final, set when v terminates
-	done      []bool // set by a vertex when it terminates (read at barriers)
-	rounds    []int32
-	commits   []int32
-	output    []any
-	msgCount  []int64
+	// states is the run's vertex state slab, a []M of one M per vertex
+	// made by the run's first State call, which statesOnce serializes.
+	states     any
+	statesOnce sync.Once
+	finals     []any  // finals[v] is v's boxed Final, set when v terminates
+	done       []bool // set by a vertex when it terminates (read at barriers)
+	rounds     []int32
+	commits    []int32
+	output     []any
+	msgCount   []int64
 	// panics lists the vertices' recorded failures in no particular order;
 	// only the panic path takes panicMu (see recordPanic).
 	panicMu sync.Mutex
@@ -474,8 +478,10 @@ func newCore(g *graph.Graph, opts Options) *core {
 	return c
 }
 
-// release returns the run scratch to the pool. Safe only once every
-// vertex goroutine has terminated (finish's callers guarantee that).
+// release returns the run scratch to the pool and drops the vertex state
+// slab, which the pooled API slab would otherwise keep alive through its
+// core pointers. Safe only once every vertex goroutine has terminated
+// (finish's callers guarantee that).
 func (c *core) release() {
 	if c.scratch == nil {
 		return
@@ -485,6 +491,7 @@ func (c *core) release() {
 	c.sendTags, c.recvTags, c.sendStamp, c.recvStamp = nil, nil, nil, nil
 	c.ints.send, c.ints.recv, c.anys.send, c.anys.recv = nil, nil, nil, nil
 	c.finals, c.done, c.msgCount = nil, nil, nil
+	c.states = nil
 }
 
 // swap exchanges the double buffers at a round barrier: what was sent this

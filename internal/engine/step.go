@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	gort "runtime"
 	"slices"
@@ -31,11 +32,12 @@ import (
 //
 // Vertices are split into one contiguous shard per worker (worker w drives
 // shard w). Multicore execution splits each round into two
-// barrier-separated phases, both free of locks and atomics but two: each
+// barrier-separated phases, both free of locks and atomics but three: each
 // Send, SendInt, Broadcast or BroadcastInt passes the sync.Once that
-// sizes its lane's payload column (see column), and a sleeper's first
-// drain the one that sizes the inbox slab (core.inboxWindow), atomic
-// loads that take their lock only on the run's first such call:
+// sizes its lane's payload column (see column), a sleeper's first drain
+// the one that sizes the inbox slab (core.inboxWindow), and each State
+// call the one that makes the state slab, atomic loads that take their
+// lock only on the run's first such call:
 //
 //	exec:  each worker runs its shard's due turns. Every delivery writes
 //	       its slab slot directly: the slot's only writer is the sender,
@@ -69,12 +71,33 @@ import (
 type StepFn func(api *API, inbox []Msg) Step
 
 // StepProgram builds a vertex's state machine: it is called once per
-// vertex before round 1 and returns the StepFn for the vertex's first
-// turn (invoked in round 1 with an empty inbox). Per-vertex state lives
-// in one struct whose method value, bound once at construction, is the
-// StepFn of every turn (binding it on every turn would allocate on every
-// turn); the API handle stays valid for the whole run.
+// vertex incarnation, in the turn of its first round, and returns the
+// StepFn for that turn (invoked at once with an empty inbox). Per-vertex
+// state lives in one struct carved from the run's state slab (see State)
+// and reset by the builder, and every turn runs through one package-level
+// StepFn that looks the struct up, so neither building nor turning
+// allocates a closure; the API handle stays valid for the whole run.
 type StepProgram func(api *API) StepFn
+
+// State returns the M of api's vertex in its run's state slab, a []M of
+// N() values indexed by engine vertex, so that the slab's memory order is
+// the run's turn order, on a relabeled view too. The run's first call
+// makes the slab, whichever shard worker makes it; the run owns it, so a
+// Spec reused by several runs, one after another or at once, never shares
+// vertex state between them, and the slab is freed with the run. An M
+// starts zeroed, but an adversary restart hands the new incarnation its
+// crashed predecessor's M, so a builder resets the whole value. Every
+// vertex of a run must ask for the same M: a second type panics, naming
+// both.
+func State[M any](api *API) *M {
+	c := api.core
+	c.statesOnce.Do(func() { c.states = make([]M, c.g.N()) })
+	s, ok := c.states.([]M)
+	if !ok {
+		panic(fmt.Sprintf("engine: vertex state %T asked of a run whose state slab is %T", s, c.states))
+	}
+	return &s[api.v]
+}
 
 // Step is the verdict a StepFn returns for one turn.
 type Step struct {

@@ -561,3 +561,98 @@ func TestRunSpec(t *testing.T) {
 		t.Error("empty Spec should fail")
 	}
 }
+
+// sumVertex is a step vertex kept in its run's state slab: it adds up its
+// ID and the sums its neighbors broadcast over ID%5 rounds.
+type sumVertex struct {
+	sum  int64
+	left int32
+}
+
+// newSumStep returns a fresh StepProgram of sumVertex vertices.
+func newSumStep() StepProgram {
+	return func(api *API) StepFn {
+		*State[sumVertex](api) = sumVertex{sum: int64(api.ID()), left: int32(api.ID() % 5)}
+		return sumTurn
+	}
+}
+
+func sumTurn(api *API, inbox []Msg) Step {
+	v := State[sumVertex](api)
+	for _, m := range inbox {
+		if x, ok := m.AsInt(); ok {
+			v.sum += x
+		}
+	}
+	if v.left == 0 {
+		return Done(v.sum)
+	}
+	v.left--
+	api.BroadcastInt(v.sum)
+	return Continue(sumTurn)
+}
+
+// TestStateSlabPerRun runs one Spec whose vertices live in the state slab
+// twice in a row on graphs of different n, then twice at once: each run
+// gets its own slab, sized for its graph, so every Result equals a fresh
+// Spec's on the same graph.
+func TestStateSlabPerRun(t *testing.T) {
+	withShards(t, 4)
+	graphs := []*graph.Graph{graph.Ring(40), graph.ForestUnion(300, 3, 7)}
+	want := make([]*Result, len(graphs))
+	for i, g := range graphs {
+		want[i] = mustRunStep(t, g, newSumStep(), Options{Seed: 5})
+	}
+	spec := Spec{Step: newSumStep()}
+	for i, g := range graphs {
+		got, err := RunSpec(g, spec, Options{Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireEqualResults(t, "in a row/"+g.Name, want[i], got)
+	}
+	got := make([]*Result, len(graphs))
+	errs := make([]error, len(graphs))
+	start := make(chan struct{})
+	done := make(chan int)
+	for i, g := range graphs {
+		go func() {
+			<-start
+			got[i], errs[i] = RunSpec(g, spec, Options{Seed: 5})
+			done <- i
+		}()
+	}
+	close(start)
+	for range graphs {
+		<-done
+	}
+	for i, g := range graphs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		requireEqualResults(t, "at once/"+g.Name, want[i], got[i])
+	}
+}
+
+// TestStateSecondTypePanics pins the one-type rule of the state slab: a
+// run whose vertices ask for two types fails with a vertex panic that
+// names both.
+func TestStateSecondTypePanics(t *testing.T) {
+	withShards(t, 2)
+	mixed := func(api *API) StepFn {
+		if api.ID()%2 == 1 {
+			State[idleEntry](api)
+			return func(*API, []Msg) Step { return Done(nil) }
+		}
+		return newSumStep()(api)
+	}
+	_, err := RunSpec(graph.Ring(12), Spec{Step: mixed}, Options{Seed: 1})
+	if err == nil {
+		t.Fatal("a run asking for two state types succeeded")
+	}
+	for _, name := range []string{"engine.sumVertex", "engine.idleEntry"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not name %s", err, name)
+		}
+	}
+}

@@ -38,7 +38,7 @@ func TestMISFrameworkMatchesDirectImplementation(t *testing.T) {
 
 // TestFrameworkStepTurns pins the turns the framework vertex sleeps
 // through, on ForestUnion(300, 3, 5) for both registry problems. A
-// test-local wrapper around the bound turn method counts each turn under
+// test-local StepFn around the vertex's turn method counts each turn under
 // the phase it starts in. The H-set's coloring takes at most
 // IteratedLinialRounds + 2·len(KW phases) turns, where an every-round
 // machine takes IteratedLinialRounds + KWRounds; the class sweep takes at
@@ -61,19 +61,21 @@ func TestFrameworkStepTurns(t *testing.T) {
 	} {
 		colorTurns := make([]int, g.N()) // by vertex ID
 		sweepTurns := make([]int, g.N())
-		step := func(api *engine.API) engine.StepFn {
-			v := newFrameworkVertex(api, a, eps, c.p)
-			turn, id := v.fn, api.ID()
-			v.fn = func(api *engine.API, inbox []engine.Msg) engine.Step {
-				switch v.phase {
-				case fwColor:
-					colorTurns[id]++
-				case fwSweep:
-					sweepTurns[id]++
-				}
-				return turn(api, inbox)
+		var counted engine.StepFn
+		counted = func(api *engine.API, inbox []engine.Msg) engine.Step {
+			v := engine.State[frameworkVertex](api)
+			switch v.phase {
+			case fwColor:
+				colorTurns[api.ID()]++
+			case fwSweep:
+				sweepTurns[api.ID()]++
 			}
-			return v.fn
+			return v.turn(api, inbox, counted)
+		}
+		build := frameworkStep(a, eps, c.p)
+		step := func(api *engine.API) engine.StepFn {
+			build(api)
+			return counted
 		}
 		want, err := engine.Run(g, c.blocking, opts)
 		if err != nil {

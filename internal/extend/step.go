@@ -124,7 +124,6 @@ type frameworkVertex struct {
 	sw    sweeper
 	cls   int // the sweep class of the next turn
 	phase fwPhase
-	fn    engine.StepFn // v.turn, bound once
 }
 
 type fwPhase uint8
@@ -141,24 +140,26 @@ const (
 // frameworkStep is the step form of Framework.
 func frameworkStep(a int, eps float64, p sweepProblem) engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
-		return newFrameworkVertex(api, a, eps, p).fn
+		v := engine.State[frameworkVertex](api)
+		*v = frameworkVertex{p: p, w: FrameworkWindow(api.N(), a, eps, p)}
+		v.tr.Init(api, a, eps)
+		return frameworkTurn
 	}
 }
 
-// newFrameworkVertex builds a vertex of frameworkStep with its turn bound.
-func newFrameworkVertex(api *engine.API, a int, eps float64, p sweepProblem) *frameworkVertex {
-	v := &frameworkVertex{p: p, w: FrameworkWindow(api.N(), a, eps, p)}
-	v.tr.Init(api, a, eps)
-	v.fn = v.turn
-	return v
+// frameworkTurn is every turn of a frameworkStep vertex.
+func frameworkTurn(api *engine.API, inbox []engine.Msg) engine.Step {
+	return engine.State[frameworkVertex](api).turn(api, inbox, frameworkTurn)
 }
 
-func (v *frameworkVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
+// turn takes one turn, whose verdict continues with next: frameworkTurn
+// itself, or a wrapper that observes the turns.
+func (v *frameworkVertex) turn(api *engine.API, inbox []engine.Msg, next engine.StepFn) engine.Step {
 	if v.phase == fwColor {
 		if wait, done := v.dp1.Turn(api, inbox, v); !done {
-			return engine.Sleep(wait, v.fn)
+			return engine.Sleep(wait, next)
 		}
-		return v.startSweep(api)
+		return v.startSweep(api, next)
 	}
 	// Every other phase absorbs its whole inbox.
 	v.sink(api, inbox)
@@ -168,19 +169,19 @@ func (v *frameworkVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step 
 		if v.tr.Advance(api) {
 			v.phase = fwJoined
 		}
-		return engine.Continue(v.fn)
+		return engine.Continue(next)
 	case fwTail:
 		v.phase = fwWindow
-		return engine.Sleep(v.w-1, v.fn)
+		return engine.Sleep(v.w-1, next)
 	case fwJoined:
 		v.phase = fwSettle
-		return engine.Continue(v.fn)
+		return engine.Continue(next)
 	case fwSettle:
 		v.phase = fwColor
 		if wait, done := v.dp1.Start(api, coloring.SetMembers(&v.tr), v.tr.A); !done {
-			return engine.Sleep(wait, v.fn)
+			return engine.Sleep(wait, next)
 		}
-		return v.startSweep(api)
+		return v.startSweep(api, next)
 	}
 	for _, m := range inbox {
 		v.sw.observe(m)
@@ -188,22 +189,22 @@ func (v *frameworkVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step 
 	if v.cls == v.tr.A+1 {
 		return engine.Done(v.sw.output())
 	}
-	return v.sweepTurn(api)
+	return v.sweepTurn(api, next)
 }
 
 // startSweep hands the colored H-set to the problem's class sweep, in the
 // turn of its class 0.
-func (v *frameworkVertex) startSweep(api *engine.API) engine.Step {
+func (v *frameworkVertex) startSweep(api *engine.API, next engine.StepFn) engine.Step {
 	v.sw = v.p.sweep(&v.fin)
 	v.phase = fwSweep
-	return v.sweepTurn(api)
+	return v.sweepTurn(api, next)
 }
 
 // sweepTurn takes the sweep turn of class v.cls: the vertex acts if the
 // class is its own, then sleeps to its next sweep turn, its own class
 // turn if that is still ahead and the sweep's end otherwise. In the
 // classes in between it only listens.
-func (v *frameworkVertex) sweepTurn(api *engine.API) engine.Step {
+func (v *frameworkVertex) sweepTurn(api *engine.API, next engine.StepFn) engine.Step {
 	at, own := v.cls, v.dp1.Color()
 	if at == own {
 		v.sw.act(api)
@@ -212,7 +213,7 @@ func (v *frameworkVertex) sweepTurn(api *engine.API) engine.Step {
 	if own > at && own < v.cls {
 		v.cls = own
 	}
-	return engine.Sleep(v.cls-at, v.fn)
+	return engine.Sleep(v.cls-at, next)
 }
 
 // sink feeds messages to the partition bookkeeping and the finals.
@@ -291,7 +292,6 @@ type edgeVertex struct {
 	head                  int32 // the requested edge's head
 	stage                 edgeStage
 	phase                 edgePhase
-	fn                    engine.StepFn // v.turn, bound once
 }
 
 // edgeStage is the window part whose subphases the vertex takes.
@@ -319,11 +319,16 @@ const (
 // and MaximalMatching; newRole builds a vertex's role.
 func edgeProgramStep(a int, eps float64, newRole func() edgeRole) engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
-		v := &edgeVertex{role: newRole()}
+		v := engine.State[edgeVertex](api)
+		*v = edgeVertex{role: newRole()}
 		v.tr.Init(api, a, eps)
-		v.fn = v.turn
-		return v.fn
+		return edgeTurn
 	}
+}
+
+// edgeTurn is every turn of an edgeProgramStep vertex.
+func edgeTurn(api *engine.API, inbox []engine.Msg) engine.Step {
+	return engine.State[edgeVertex](api).turn(api, inbox)
 }
 
 func (v *edgeVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
@@ -332,7 +337,7 @@ func (v *edgeVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
 			v.stage, v.j, v.c = edIntra, 1, 0
 			return v.subphase(api)
 		}
-		return engine.Continue(v.fn)
+		return engine.Continue(edgeTurn)
 	}
 	v.tr.Absorb(api, inbox)
 	switch v.phase {
@@ -341,13 +346,13 @@ func (v *edgeVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
 	case edTail:
 		// Blocking form: Idle(1+cvr+6A) then the first serve Next.
 		v.phase, v.j = edRequest, 1
-		return engine.Sleep(2+coloring.CVForestRounds(api.N())+6*v.tr.A, v.fn)
+		return engine.Sleep(2+coloring.CVForestRounds(api.N())+6*v.tr.A, edgeTurn)
 	case edRequest:
 		if v.stage != edInter {
 			v.role.serve(api, inbox)
 		}
 		v.phase = edReply
-		return engine.Continue(v.fn)
+		return engine.Continue(edgeTurn)
 	case edReply:
 		if v.mine {
 			v.role.record(inbox, v.head)
@@ -355,12 +360,12 @@ func (v *edgeVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
 		return v.nextSubphase(api)
 	case edJoined:
 		v.phase = edSettle
-		return engine.Continue(v.fn)
+		return engine.Continue(edgeTurn)
 	}
 	v.settle(api)
 	v.phase = edCV
 	v.cv.Start(api, v.tr.A, v.intraParent)
-	return engine.Continue(v.fn)
+	return engine.Continue(edgeTurn)
 }
 
 // window takes the partition step at the top of a window.
@@ -369,7 +374,7 @@ func (v *edgeVertex) window(api *engine.API) engine.Step {
 	if v.tr.Advance(api) {
 		v.phase = edJoined
 	}
-	return engine.Continue(v.fn)
+	return engine.Continue(edgeTurn)
 }
 
 // settle labels the member's out-edges: intra-set edges toward higher
@@ -409,7 +414,7 @@ func (v *edgeVertex) nextSubphase(api *engine.API) engine.Step {
 			return v.window(api)
 		}
 		v.phase = edRequest
-		return engine.Continue(v.fn)
+		return engine.Continue(edgeTurn)
 	case edIntra:
 		v.c++
 		if v.c == 3 {
@@ -444,7 +449,7 @@ func (v *edgeVertex) subphase(api *engine.API) engine.Step {
 		v.role.send(api, v.head)
 	}
 	v.phase = edRequest
-	return engine.Continue(v.fn)
+	return engine.Continue(edgeTurn)
 }
 
 // Stray absorbs a message the Cole-Vishkin machine does not understand.

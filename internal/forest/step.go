@@ -44,23 +44,27 @@ func (d *Decomp) Turn(api *engine.API, inbox []engine.Msg, ell int) (wait int, d
 
 // vertex is one vertex of StepProgram.
 type vertex struct {
-	d  Decomp
-	fn engine.StepFn // v.turn, bound once
+	d Decomp
 }
 
 // StepProgram is the step form of Program.
 func StepProgram(a int, eps float64) engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
-		v := new(vertex)
+		v := engine.State[vertex](api)
+		*v = vertex{}
 		v.d.Tr.Init(api, a, eps)
-		v.fn = v.turn
-		return v.fn
+		return vertexTurn
 	}
+}
+
+// vertexTurn is every turn of a StepProgram vertex.
+func vertexTurn(api *engine.API, inbox []engine.Msg) engine.Step {
+	return engine.State[vertex](api).turn(api, inbox)
 }
 
 func (v *vertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
 	if wait, done := v.d.Turn(api, inbox, 0); !done {
-		return engine.Sleep(wait, v.fn)
+		return engine.Sleep(wait, vertexTurn)
 	}
 	return engine.Done(v.d.Output(api))
 }

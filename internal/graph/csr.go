@@ -386,6 +386,16 @@ func decodeCSR(data []byte) (*Graph, bool, error) {
 // decodeCompressedSections rebuilds Off from the degree uvarints, Adj
 // from the per-vertex delta runs, and Rev from scratch.
 func decodeCompressedSections(g *Graph, offSec, adjSec []byte, n, m int) error {
+	// Every degree and every adjacency value is a uvarint of at least one
+	// byte, so counts beyond the sections' sizes mark a corrupt header.
+	// Checking them first bounds the allocations below by the file's size
+	// instead of by the header's counts.
+	if n > len(offSec) {
+		return fmt.Errorf("graph: compressed Off section of %d bytes cannot hold n=%d degrees", len(offSec), n)
+	}
+	if 2*m > len(adjSec) {
+		return fmt.Errorf("graph: compressed Adj section of %d bytes cannot hold 2m=%d neighbors", len(adjSec), 2*m)
+	}
 	g.Off = make([]int32, n+1)
 	pos := 0
 	total := int64(0)

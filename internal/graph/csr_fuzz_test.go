@@ -37,6 +37,9 @@ func FuzzCSRDecode(f *testing.F) {
 	seed(ForestUnion(40, 2, 5), true)
 	seed(FromEdges(1, nil), false)
 	seed(Star(9), true)
+	for _, im := range hostileCompressedImages(f) {
+		f.Add(im.data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, _, err := decodeCSR(data)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	gort "runtime"
 	"strings"
 	"testing"
 )
@@ -197,6 +198,55 @@ func TestCSRDecodeRejectsCorruption(t *testing.T) {
 			if _, _, err := decodeCSR(data[:cut]); err == nil {
 				t.Fatalf("compress=%v: decode of %d/%d-byte prefix succeeded", compress, cut, len(data))
 			}
+		}
+	}
+}
+
+// hostileCompressedImages returns two small compressed images whose
+// header counts far exceed their sections: Ring(12)'s image with n
+// patched to 2^26, and an 89-byte image of one vertex whose one degree
+// uvarint claims 2m = 2^26 neighbors in a 1-byte Adj section. Decoded by
+// the header's counts alone, each would allocate 256 MiB before failing.
+func hostileCompressedImages(t testing.TB) []namedImage {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteCSR(&buf, Ring(12), true); err != nil {
+		t.Fatal(err)
+	}
+	bigN := buf.Bytes()
+	binary.LittleEndian.PutUint64(bigN[16:24], 1<<26)
+
+	bigM := make([]byte, csrHeaderSize+8+1)
+	copy(bigM, csrMagic)
+	binary.LittleEndian.PutUint32(bigM[8:12], csrVersion)
+	binary.LittleEndian.PutUint32(bigM[12:16], csrFlagCompressed)
+	binary.LittleEndian.PutUint64(bigM[16:24], 1)     // n
+	binary.LittleEndian.PutUint64(bigM[24:32], 1<<25) // m
+	binary.LittleEndian.PutUint64(bigM[56:64], 4)     // Off: one 4-byte uvarint
+	binary.LittleEndian.PutUint64(bigM[64:72], 1)     // Adj: one byte
+	binary.PutUvarint(bigM[csrHeaderSize:], 1<<26)
+	return []namedImage{{"n=2^26", bigN}, {"2m=2^26", bigM}}
+}
+
+type namedImage struct {
+	name string
+	data []byte
+}
+
+// TestCSRDecodeBoundsAllocByFileSize decodes the hostile images: each
+// must fail, naming the count the section cannot hold, with under 1 MiB
+// allocated.
+func TestCSRDecodeBoundsAllocByFileSize(t *testing.T) {
+	for _, im := range hostileCompressedImages(t) {
+		var before, after gort.MemStats
+		gort.ReadMemStats(&before)
+		_, _, err := decodeCSR(im.data)
+		gort.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "cannot hold") {
+			t.Errorf("%s (%d bytes): decode error %v, want a section too small for the header's count", im.name, len(im.data), err)
+		}
+		if b := after.TotalAlloc - before.TotalAlloc; b >= 1<<20 {
+			t.Errorf("%s (%d bytes): decode allocated %d bytes, want under 1 MiB", im.name, len(im.data), b)
 		}
 	}
 }

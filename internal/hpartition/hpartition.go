@@ -72,12 +72,12 @@ type Join struct {
 type Tracker struct {
 	// A is the active-degree threshold.
 	A int
-	// HIndex is the H-set this vertex joined, or 0 while still active.
-	HIndex int32
 	// NbrH[k] is the H-index of the k-th neighbor, or 0 while it is active.
 	NbrH []int32
+	// HIndex is the H-set this vertex joined, or 0 while still active.
+	HIndex int32
 
-	activeDeg int
+	activeDeg int32
 	round     int32
 }
 
@@ -93,7 +93,7 @@ func (t *Tracker) Init(api *engine.API, a int, eps float64) {
 	*t = Tracker{
 		A:         ParamA(a, eps),
 		NbrH:      make([]int32, api.Degree()),
-		activeDeg: api.Degree(),
+		activeDeg: int32(api.Degree()),
 	}
 }
 
@@ -167,7 +167,7 @@ func (t *Tracker) Advance(api *engine.API) bool {
 		panic("hpartition: partition round after joining")
 	}
 	t.round++
-	if t.activeDeg <= t.A {
+	if int(t.activeDeg) <= t.A {
 		t.HIndex = t.round
 		api.BroadcastInt(wire.Pack(wire.TagJoin, int64(t.round)))
 		return true
@@ -198,7 +198,7 @@ func Program(a int, eps float64) engine.Program {
 		t := NewTracker(api, a, eps)
 		for {
 			t.round++
-			if t.activeDeg <= t.A {
+			if int(t.activeDeg) <= t.A {
 				// Terminating output doubles as the Join announcement.
 				return Join{Index: t.round}
 			}

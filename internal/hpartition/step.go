@@ -11,29 +11,31 @@ import (
 
 // vertex is one vertex of StepProgram.
 type vertex struct {
-	t  Tracker
-	fn engine.StepFn // v.turn, bound once
+	t Tracker
 }
 
 // StepProgram is the step form of Program: standalone Procedure Partition
 // with the Join announcement carried by the engine's Final broadcast.
 func StepProgram(a int, eps float64) engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
-		v := new(vertex)
-		v.t.Init(api, a, eps)
-		v.fn = v.turn
-		return v.fn
+		engine.State[vertex](api).t.Init(api, a, eps)
+		return vertexTurn
 	}
+}
+
+// vertexTurn is every turn of a StepProgram vertex.
+func vertexTurn(api *engine.API, inbox []engine.Msg) engine.Step {
+	return engine.State[vertex](api).turn(api, inbox)
 }
 
 func (v *vertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
 	v.t.Absorb(api, inbox)
 	v.t.round++
-	if v.t.activeDeg <= v.t.A {
+	if int(v.t.activeDeg) <= v.t.A {
 		// Terminating output doubles as the Join announcement.
 		return engine.Done(Join{Index: v.t.round})
 	}
-	return engine.Continue(v.fn)
+	return engine.Continue(vertexTurn)
 }
 
 // generalVertex is one vertex of GeneralStepProgram.
@@ -43,7 +45,6 @@ type generalVertex struct {
 	activeDeg int
 	phase, r  int // doubling phase, and rounds taken in it
 	index     int32
-	fn        engine.StepFn // v.turn, bound once
 }
 
 // GeneralStepProgram is the step form of GeneralProgram: the
@@ -53,10 +54,14 @@ func GeneralStepProgram(eps float64) engine.StepProgram {
 		panic("hpartition: eps must be in (0,2]")
 	}
 	return func(api *engine.API) engine.StepFn {
-		v := &generalVertex{eps: eps, seen: make([]bool, api.Degree()), activeDeg: api.Degree(), phase: 1}
-		v.fn = v.turn
-		return v.fn
+		*engine.State[generalVertex](api) = generalVertex{eps: eps, seen: make([]bool, api.Degree()), activeDeg: api.Degree(), phase: 1}
+		return generalTurn
 	}
+}
+
+// generalTurn is every turn of a GeneralStepProgram vertex.
+func generalTurn(api *engine.API, inbox []engine.Msg) engine.Step {
+	return engine.State[generalVertex](api).turn(api, inbox)
 }
 
 func (v *generalVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
@@ -77,5 +82,5 @@ func (v *generalVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
 	if v.activeDeg <= GeneralThreshold(v.phase, v.eps) {
 		return engine.Done(GeneralJoin{Index: v.index, Phase: int32(v.phase)})
 	}
-	return engine.Continue(v.fn)
+	return engine.Continue(generalTurn)
 }

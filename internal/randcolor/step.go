@@ -32,7 +32,6 @@ type vertex struct {
 	t         int   // ALogLog's phase-1 partition rounds
 	phase2    bool  // coloring on ALogLog's shared phase-2 block
 	phase     phase
-	fn        engine.StepFn // v.turn, bound once
 }
 
 type phase uint8
@@ -49,9 +48,8 @@ const (
 // DeltaPlus1Step is the step form of DeltaPlus1.
 func DeltaPlus1Step() engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
-		v := new(vertex)
-		v.fn = v.turn
-		return v.fn
+		*engine.State[vertex](api) = vertex{}
+		return vertexTurn
 	}
 }
 
@@ -59,15 +57,20 @@ func DeltaPlus1Step() engine.StepProgram {
 // blocking wait loop unrolled into one turn per round.
 func ALogLogStep(a int, eps float64) engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
-		v := &vertex{aloglog: true, finals: make([]int32, api.Degree()), phase: alPart1}
+		v := engine.State[vertex](api)
+		*v = vertex{aloglog: true, finals: make([]int32, api.Degree()), phase: alPart1}
 		v.tr.Init(api, a, eps)
 		v.t = phase1T(api.N(), hpartition.EllBound(api.N(), eps))
 		for k := range v.finals {
 			v.finals[k] = noFinal
 		}
-		v.fn = v.turn
-		return v.fn
+		return vertexTurn
 	}
+}
+
+// vertexTurn is every turn of a DeltaPlus1Step or ALogLogStep vertex.
+func vertexTurn(api *engine.API, inbox []engine.Msg) engine.Step {
+	return engine.State[vertex](api).turn(api, inbox)
 }
 
 func (v *vertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
@@ -76,27 +79,27 @@ func (v *vertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
 	case dp1Start:
 		v.start(api.Degree()+1, 0)
 		v.draw(api)
-		return engine.Continue(v.fn)
+		return engine.Continue(vertexTurn)
 	case alPart1:
 		if v.tr.HIndex != 0 {
 			v.phase = alSettle1
-			return engine.Continue(v.fn)
+			return engine.Continue(vertexTurn)
 		}
 		if api.Round() >= v.t {
 			v.phase = alPart2
 		}
 		v.tr.Advance(api)
-		return engine.Continue(v.fn)
+		return engine.Continue(vertexTurn)
 	case alSettle1:
 		// Phase 1 colors on its set's private block and draws its first
 		// candidate before it refreshes the forbidden offsets.
 		v.start(v.tr.A+1, int32(v.tr.HIndex-1)*int32(v.tr.A+1))
 		v.draw(api)
-		return engine.Continue(v.fn)
+		return engine.Continue(vertexTurn)
 	case alPart2:
 		if v.tr.HIndex == 0 {
 			v.tr.Advance(api)
-			return engine.Continue(v.fn)
+			return engine.Continue(vertexTurn)
 		}
 		v.phase = alWait
 	case colorLoop:
@@ -112,21 +115,21 @@ func (v *vertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
 			return engine.Done(int(v.base + v.cand))
 		}
 		v.draw(api)
-		return engine.Continue(v.fn)
+		return engine.Continue(vertexTurn)
 	}
 	// alWait: phase 2 colors on the shared block once every still-active
 	// or later-set neighbor has finalized, refreshing before its first
 	// draw.
 	for k, h := range v.tr.NbrH {
 		if (h == 0 || h > v.tr.HIndex) && v.finals[k] == noFinal {
-			return engine.Continue(v.fn)
+			return engine.Continue(vertexTurn)
 		}
 	}
 	v.phase2 = true
 	v.start(v.tr.A+1, int32(v.t)*int32(v.tr.A+1))
 	v.refresh()
 	v.draw(api)
-	return engine.Continue(v.fn)
+	return engine.Continue(vertexTurn)
 }
 
 // start enters the protocol on the block of size colors from base.

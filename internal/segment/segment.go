@@ -16,11 +16,11 @@ package segment
 
 import (
 	"math"
-	"sync"
 
 	"vavg/internal/coloring"
 	"vavg/internal/engine"
 	"vavg/internal/hpartition"
+	"vavg/internal/memo"
 )
 
 // Plan is the global round schedule of a segmentation run; all vertices
@@ -46,7 +46,7 @@ type Plan struct {
 
 // plans memoizes NewPlan like coloring memoizes LinialSchedule. eps is
 // keyed by its bits, so that a NaN finds its entry again.
-var plans sync.Map // planKey -> *Plan
+var plans memo.Map[planKey, *Plan]
 
 type planKey struct {
 	n, a, k                  int
@@ -60,12 +60,7 @@ type planKey struct {
 // arguments returns the same *Plan, which callers must not modify.
 func NewPlan(n, a, k int, eps float64, windowW, cPerSet, cFixed int) *Plan {
 	key := planKey{n, a, k, math.Float64bits(eps), windowW, cPerSet, cFixed}
-	if v, ok := plans.Load(key); ok {
-		return v.(*Plan)
-	}
-	// LoadOrStore, so that racing first callers all return one Plan.
-	v, _ := plans.LoadOrStore(key, newPlan(n, a, k, eps, windowW, cPerSet, cFixed))
-	return v.(*Plan)
+	return plans.Get(key, func() *Plan { return newPlan(n, a, k, eps, windowW, cPerSet, cFixed) })
 }
 
 // newPlan is NewPlan without the memo.

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"vavg/internal/check"
 	"vavg/internal/coloring"
@@ -98,6 +99,15 @@ func TestPlanMemoConcurrent(t *testing.T) {
 		if p != plans[0] {
 			t.Errorf("worker %d got its own *Plan", w)
 		}
+	}
+}
+
+// TestKA2VertexSize pins a KA2Step vertex, one element of its run's state
+// slab, at 160 bytes on 64-bit targets: its run constants (the Plan, the
+// Linial schedule and A) stay in records every vertex shares.
+func TestKA2VertexSize(t *testing.T) {
+	if size := unsafe.Sizeof(ka2Vertex{}); unsafe.Sizeof(uintptr(0)) == 8 && size > 160 {
+		t.Errorf("ka2Vertex is %d bytes, want at most 160", size)
 	}
 }
 

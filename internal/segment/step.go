@@ -19,7 +19,7 @@ import (
 // stands at the top of the first window: the walk's first Turn, with an
 // empty inbox, takes the first partition advance.
 type windowWalk struct {
-	s, m int // segment, and window within it, of the next advance
+	s, m int32 // segment, and window within it, of the next advance
 	at   walkAt
 }
 
@@ -45,7 +45,7 @@ func (w *windowWalk) Turn(api *engine.API, inbox []engine.Msg, p *Plan, tr *hpar
 	case walkTail:
 		wait = p.W - 1
 		w.m++
-		if w.m == p.SegLen[w.s] {
+		if int(w.m) == p.SegLen[w.s] {
 			// C-block of segment s: this vertex is still active, so it
 			// sleeps through it along with the window remainder.
 			wait += p.CWidth[w.s]
@@ -55,7 +55,7 @@ func (w *windowWalk) Turn(api *engine.API, inbox []engine.Msg, p *Plan, tr *hpar
 		w.at = walkWindow
 		return wait, false
 	}
-	if w.s >= len(p.SegLen) {
+	if int(w.s) >= len(p.SegLen) {
 		panic("segment: vertex failed to join within the planned partition rounds")
 	}
 	w.at = walkTail
@@ -67,17 +67,15 @@ func (w *windowWalk) Turn(api *engine.API, inbox []engine.Msg, p *Plan, tr *hpar
 
 // ka2Vertex is one vertex of KA2Step: its partition tracker, window walk
 // and segment Arb-Linial run, driven by one StepFn that dispatches on
-// phase.
+// phase. Its fields run from pointer-aligned to byte-sized, which keeps it
+// at 160 bytes (TestKA2VertexSize).
 type ka2Vertex struct {
-	plan   *Plan
-	p      int // Arb-Linial palette: segment s colors with [s*p, (s+1)*p)
-	tr     hpartition.Tracker
-	walk   windowWalk
-	lin    coloring.Linial
-	seg    int
-	lo, hi int32
-	phase  ka2Phase
-	fn     engine.StepFn // v.turn, bound once
+	plan        *Plan
+	tr          hpartition.Tracker
+	lin         coloring.Linial
+	walk        windowWalk
+	seg, lo, hi int32 // the segment, and its H-index range (lo, hi]
+	phase       ka2Phase
 }
 
 type ka2Phase uint8
@@ -94,11 +92,16 @@ func KA2Step(a, k int, eps float64) engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
 		n := api.N()
 		plan := NewPlan(n, a, k, eps, 2, 0, coloring.IteratedLinialRounds(n, hpartition.ParamA(a, eps)))
-		v := &ka2Vertex{plan: plan, p: coloring.LinialFinalPalette(n, plan.A)}
+		v := engine.State[ka2Vertex](api)
+		*v = ka2Vertex{plan: plan}
 		v.tr.Init(api, a, eps)
-		v.fn = v.turn
-		return v.fn
+		return ka2Turn
 	}
+}
+
+// ka2Turn is every turn of a KA2Step vertex.
+func ka2Turn(api *engine.API, inbox []engine.Msg) engine.Step {
+	return engine.State[ka2Vertex](api).turn(api, inbox)
 }
 
 func (v *ka2Vertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
@@ -106,17 +109,18 @@ func (v *ka2Vertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
 	case ka2Walk:
 		wait, done := v.walk.Turn(api, inbox, v.plan, &v.tr)
 		if !done {
-			return engine.Sleep(wait, v.fn)
+			return engine.Sleep(wait, ka2Turn)
 		}
 		v.phase = ka2Settle
-		return engine.Continue(v.fn)
+		return engine.Continue(ka2Turn)
 	case ka2Settle:
 		v.tr.Absorb(api, inbox)
-		v.seg, v.lo, v.hi = v.plan.SegmentOf(int(v.tr.HIndex))
+		seg, lo, hi := v.plan.SegmentOf(int(v.tr.HIndex))
+		v.seg, v.lo, v.hi = int32(seg), lo, hi
 		// Wait for the segment's C-block.
-		if wait := v.plan.cStart[v.seg] - api.Round(); wait > 0 {
+		if wait := v.plan.cStart[seg] - api.Round(); wait > 0 {
 			v.phase = ka2Wake
-			return engine.Sleep(wait, v.fn)
+			return engine.Sleep(wait, ka2Turn)
 		}
 		return v.color(api)
 	case ka2Wake:
@@ -126,7 +130,7 @@ func (v *ka2Vertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
 	if v.lin.Turn(api, inbox, v) {
 		return v.done()
 	}
-	return engine.Continue(v.fn)
+	return engine.Continue(ka2Turn)
 }
 
 // color starts Arb-Linial on the segment.
@@ -135,12 +139,13 @@ func (v *ka2Vertex) color(api *engine.API) engine.Step {
 	if v.lin.Start(api, coloring.SegmentParents(api, &v.tr, v.lo, v.hi), v.plan.A) {
 		return v.done()
 	}
-	return engine.Continue(v.fn)
+	return engine.Continue(ka2Turn)
 }
 
-// done terminates with the Arb-Linial color in the segment's palette block.
+// done terminates with the Arb-Linial color in the segment's palette
+// block: segment s colors with [s*p, (s+1)*p), p the final palette.
 func (v *ka2Vertex) done() engine.Step {
-	return engine.Done(v.lin.Color() + v.seg*v.p)
+	return engine.Done(v.lin.Color() + int(v.seg)*v.lin.FinalPalette())
 }
 
 // Stray absorbs a message the Linial machine does not understand.
@@ -158,10 +163,9 @@ type kaVertex struct {
 	dp1      coloring.DeltaPlus1
 	wave     coloring.Wave
 	setColor []int32 // set colors by neighbor index, 0 if unheard
-	seg      int
+	seg      int32
 	lo, hi   int32
 	phase    kaPhase
-	fn       engine.StepFn // v.turn, bound once
 }
 
 type kaPhase uint8
@@ -180,12 +184,17 @@ func KAStep(a, k int, eps float64) engine.StepProgram {
 	return func(api *engine.API) engine.StepFn {
 		n := api.N()
 		A := hpartition.ParamA(a, eps)
-		windowW := 3 + coloring.DeltaPlus1Rounds(n, A)
-		v := &kaVertex{plan: NewPlan(n, a, k, eps, windowW, A+1, 2)}
+		plan := NewPlan(n, a, k, eps, 3+coloring.DeltaPlus1Rounds(n, A), A+1, 2)
+		v := engine.State[kaVertex](api)
+		*v = kaVertex{plan: plan}
 		v.tr.Init(api, a, eps)
-		v.fn = v.turn
-		return v.fn
+		return kaTurn
 	}
+}
+
+// kaTurn is every turn of a KAStep vertex.
+func kaTurn(api *engine.API, inbox []engine.Msg) engine.Step {
+	return engine.State[kaVertex](api).turn(api, inbox)
 }
 
 func (v *kaVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
@@ -193,21 +202,22 @@ func (v *kaVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
 	case kaWalk:
 		wait, done := v.walk.Turn(api, inbox, v.plan, &v.tr)
 		if !done {
-			return engine.Sleep(wait, v.fn)
+			return engine.Sleep(wait, kaTurn)
 		}
 		v.phase = kaSettle
-		return engine.Continue(v.fn)
+		return engine.Continue(kaTurn)
 	case kaSettle:
 		v.tr.Absorb(api, inbox)
-		v.seg, v.lo, v.hi = v.plan.SegmentOf(int(v.tr.HIndex))
+		seg, lo, hi := v.plan.SegmentOf(int(v.tr.HIndex))
+		v.seg, v.lo, v.hi = int32(seg), lo, hi
 		v.phase = kaColor
 		if wait, done := v.dp1.Start(api, coloring.SetMembers(&v.tr), v.plan.A); !done {
-			return engine.Sleep(wait, v.fn)
+			return engine.Sleep(wait, kaTurn)
 		}
 		return v.exchange(api)
 	case kaColor:
 		if wait, done := v.dp1.Turn(api, inbox, v); !done {
-			return engine.Sleep(wait, v.fn)
+			return engine.Sleep(wait, kaTurn)
 		}
 		return v.exchange(api)
 	case kaExchange:
@@ -223,7 +233,7 @@ func (v *kaVertex) turn(api *engine.API, inbox []engine.Msg) engine.Step {
 func (v *kaVertex) exchange(api *engine.API) engine.Step {
 	coloring.BroadcastChosen(api, segKind, int32(v.dp1.Color()))
 	v.phase = kaExchange
-	return engine.Continue(v.fn)
+	return engine.Continue(kaTurn)
 }
 
 // setColors records the set colors of the H-set, then sleeps to the
@@ -241,7 +251,7 @@ func (v *kaVertex) setColors(api *engine.API, inbox []engine.Msg) engine.Step {
 	}
 	if start := v.plan.cStart[v.seg]; api.Round() < start {
 		v.phase = kaWake
-		return engine.Sleep(start-api.Round(), v.fn)
+		return engine.Sleep(start-api.Round(), kaTurn)
 	}
 	return v.startWave(api)
 }
@@ -250,7 +260,7 @@ func (v *kaVertex) setColors(api *engine.API, inbox []engine.Msg) engine.Step {
 func (v *kaVertex) startWave(api *engine.API) engine.Step {
 	parents := coloring.SetColorParents(&v.tr, v.lo, v.hi, v.setColor, v.dp1.Color())
 	v.phase = kaWave
-	return v.recolor(v.wave.Start(parents, v.seg*(v.plan.A+1)))
+	return v.recolor(v.wave.Start(parents, int(v.seg)*(v.plan.A+1)))
 }
 
 // recolor terminates with the wave's color once it is done.
@@ -258,7 +268,7 @@ func (v *kaVertex) recolor(done bool) engine.Step {
 	if done {
 		return engine.Done(v.wave.Color())
 	}
-	return engine.Continue(v.fn)
+	return engine.Continue(kaTurn)
 }
 
 // Stray absorbs a message the coloring machines do not understand.
