@@ -787,6 +787,19 @@ func TestStepRunAllocsIndependentOfN(t *testing.T) {
 	}
 }
 
+// describeInts renders an inbox of integer messages as "from:value" pairs.
+func describeInts(inbox []Msg) string {
+	var b strings.Builder
+	for i, m := range inbox {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		x, _ := m.AsInt()
+		fmt.Fprintf(&b, "%d:%d", m.From, x)
+	}
+	return b.String()
+}
+
 // sleeperMail returns a blocking program and its step twin in which every
 // vertex sends each neighbor k the value 1000·r + 100·ID + k in round r = 1
 // and reports its round-2 inbox, and every third vertex, a sleeper, then
@@ -806,22 +819,11 @@ func sleeperMail(sendRounds ...int) (Program, StepProgram) {
 			}
 		}
 	}
-	describe := func(inbox []Msg) string {
-		var b strings.Builder
-		for i, m := range inbox {
-			if i > 0 {
-				b.WriteByte(' ')
-			}
-			x, _ := m.AsInt()
-			fmt.Fprintf(&b, "%d:%d", m.From, x)
-		}
-		return b.String()
-	}
 	prog := func(api *API) any {
 		send(api, 1)
-		first := describe(api.Next())
+		first := describeInts(api.Next())
 		if sleeper(api.ID()) {
-			return first + " | " + describe(api.Idle(4))
+			return first + " | " + describeInts(api.Idle(4))
 		}
 		for r := 3; r <= 6; r++ {
 			api.Next()
@@ -836,12 +838,12 @@ func sleeperMail(sendRounds ...int) (Program, StepProgram) {
 			r := api.Round() + 1
 			switch {
 			case r == 2:
-				first = describe(inbox)
+				first = describeInts(inbox)
 				if sleeper(api.ID()) {
 					return Sleep(4, fn)
 				}
 			case r == 6 && sleeper(api.ID()):
-				return Done(first + " | " + describe(inbox))
+				return Done(first + " | " + describeInts(inbox))
 			case r == 6:
 				return Done(first)
 			default:
@@ -885,11 +887,11 @@ func TestShardInboxPerTurn(t *testing.T) {
 	}
 }
 
-// runOnColdScratch runs prog as a step form on a run scratch fresh from
-// scratchPool.New and returns that scratch. Two collections empty the
-// pool, its victim cache included, and with the GC off nothing refills
-// it, so the run's Get falls through to New.
-func runOnColdScratch(t *testing.T, g *graph.Graph, prog StepProgram) *runScratch {
+// runOnColdScratch runs prog as a step form with opts on a run scratch
+// fresh from scratchPool.New and returns that scratch. Two collections
+// empty the pool, its victim cache included, and with the GC off nothing
+// refills it, so the run's Get falls through to New.
+func runOnColdScratch(t *testing.T, g *graph.Graph, prog StepProgram, opts Options) *runScratch {
 	t.Helper()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	gort.GC()
@@ -900,7 +902,7 @@ func runOnColdScratch(t *testing.T, g *graph.Graph, prog StepProgram) *runScratc
 		fresh = new(runScratch)
 		return fresh
 	}
-	mustRunStep(t, g, prog, Options{Seed: 1})
+	mustRunStep(t, g, prog, opts)
 	if fresh == nil {
 		t.Fatal("the run took a pooled scratch, not a fresh one")
 	}
@@ -919,11 +921,11 @@ func TestInboxSlabOnlyForSleeperMail(t *testing.T) {
 	withShards(t, 2)
 	g := graph.Path(16)
 	_, wakeOnly := sleeperMail(5)
-	if s := runOnColdScratch(t, g, wakeOnly); s.inbox != nil {
+	if s := runOnColdScratch(t, g, wakeOnly, Options{Seed: 1}); s.inbox != nil {
 		t.Errorf("a run without mid-window mail allocated the inbox slab (%d messages)", len(s.inbox))
 	}
 	_, midWindow := sleeperMail(3)
-	s := runOnColdScratch(t, g, midWindow)
+	s := runOnColdScratch(t, g, midWindow, Options{Seed: 1})
 	if len(s.inbox) != len(g.Adj) {
 		t.Fatalf("inbox slab holds %d messages after mid-window mail, want %d", len(s.inbox), len(g.Adj))
 	}
@@ -944,6 +946,116 @@ func TestInboxSlabOnlyForSleeperMail(t *testing.T) {
 	}
 }
 
+// TestSleepFreeRunNotesNothing pins that deliveries are noted only from a
+// run's first sleep round on: a two-shard run in which every vertex
+// broadcasts in round 1 and terminates in round 2 leaves the lane slab of
+// a cold scratch unallocated and never writes a shard's msgRound or
+// pending window.
+func TestSleepFreeRunNotesNothing(t *testing.T) {
+	withShards(t, 2)
+	g := graph.Path(16)
+	read := func(*API, []Msg) Step { return Done(nil) }
+	broadcast := func(api *API, _ []Msg) Step {
+		api.BroadcastInt(1)
+		return Continue(read)
+	}
+	s := runOnColdScratch(t, g, func(*API) StepFn { return broadcast }, Options{Seed: 1})
+	if s.lanes != nil || s.laneSlab != nil {
+		t.Errorf("a sleep-free run carved %d lanes over a %d-entry lane slab", len(s.lanes), len(s.laneSlab))
+	}
+	for lo := int32(0); lo < 16; lo += 8 {
+		// Carving a shard of the same range again finds its windows.
+		sh := &stepShard{lo: lo, hi: lo + 8}
+		sh.carve(s, g, s.shardMsgs)
+		noted := func(x int32) bool { return x != 0 }
+		if slices.ContainsFunc(sh.msgRound, noted) || slices.ContainsFunc(sh.pending[:cap(sh.pending)], noted) {
+			t.Errorf("shard [%d, %d) noted deliveries: msgRound %v, pending %v",
+				lo, lo+8, sh.msgRound, sh.pending[:cap(sh.pending)])
+		}
+	}
+}
+
+// TestFirstSleepRoundMail covers the mail of a run's first sleep round,
+// which its deliveries do not note: on a path, every vertex sends in
+// round 2 and sleeps in the same turn, so round 3 has no turn unless the
+// end-of-round poll queued the sleepers' drains. At 1, 2 and 4 shards the
+// step run must reproduce the goroutine form, and on a cold scratch
+// exactly the sleepers that got mail carve an inbox window. Two cases
+// give sleepers mail only after their own turn: each vertex sends only to
+// its lower neighbor, or every vertex sends to both and a drop adversary
+// removes vertex 1's delivery to vertex 0, its only mail, leaving a
+// stamped-empty tag beside vertex 1's delivered one.
+func TestFirstSleepRoundMail(t *testing.T) {
+	g := graph.Path(9)
+	// Seed 1031 at this bar drops receiver slot 0 (1→0) in delivery
+	// round 3 and nothing else in rounds 1–8.
+	dropOne := &Adversary{Seed: 1031, DropBar: ^uint64(0) / 32}
+	if err := dropOne.Normalize(g.N()); err != nil {
+		t.Fatal(err)
+	}
+	type pin struct {
+		v   int
+		out string
+	}
+	for _, tc := range []struct {
+		name string
+		to   func(id, u int) bool
+		adv  *Adversary
+		pins []pin
+		// noMail is the one sleeper that gets no mail, or -1.
+		noMail int
+	}{
+		{"every neighbor", func(int, int) bool { return true }, nil,
+			[]pin{{0, "1:100"}, {4, "3:304 5:504"}}, -1},
+		{"after the sleeper's turn", func(id, u int) bool { return u < id }, nil,
+			[]pin{{0, "1:100"}, {4, "5:504"}, {8, ""}}, 8},
+		{"dropped", func(int, int) bool { return true }, dropOne,
+			[]pin{{0, ""}, {1, "0:1 2:201"}}, 0},
+	} {
+		send := func(api *API) {
+			for k, u := range api.NeighborIDs() {
+				if tc.to(api.ID(), int(u)) {
+					api.SendInt(k, int64(100*api.ID()+int(u)))
+				}
+			}
+		}
+		prog := func(api *API) any {
+			api.Next()
+			send(api)
+			return describeInts(api.Idle(4))
+		}
+		wake := func(_ *API, inbox []Msg) Step { return Done(describeInts(inbox)) }
+		sleep := func(api *API, _ []Msg) Step {
+			send(api)
+			return Sleep(4, wake)
+		}
+		step := func(*API) StepFn {
+			return func(*API, []Msg) Step { return Continue(sleep) }
+		}
+		opts := Options{Seed: 1, Adv: tc.adv}
+		want := mustRunGoroutines(t, g, prog, opts)
+		for _, p := range tc.pins {
+			if want.Output[p.v] != p.out {
+				t.Errorf("%s: goroutines: vertex %d reported %q, want %q", tc.name, p.v, want.Output[p.v], p.out)
+			}
+		}
+		if tc.adv != nil && want.Dropped != 1 {
+			t.Errorf("%s: the adversary dropped %d deliveries, want 1", tc.name, want.Dropped)
+		}
+		for _, shards := range []int{1, 2, 4} {
+			withShards(t, shards)
+			got := mustRunStep(t, g, step, opts)
+			requireEqualResults(t, fmt.Sprintf("%s on %d shards", tc.name, shards), want, got)
+			s := runOnColdScratch(t, g, step, opts)
+			for v := range g.N() {
+				if drained := s.apis[v].inbox != nil; drained != (v != tc.noMail) {
+					t.Errorf("%s on %d shards: vertex %d drained %v, want %v", tc.name, shards, v, drained, v != tc.noMail)
+				}
+			}
+		}
+	}
+}
+
 // TestIntColumnOnlyForIntSends pins where a run allocates its payload
 // columns. A run whose vertices only return sends nothing but Finals,
 // which write tags only, so it leaves the int, any and inbox slabs of a
@@ -957,7 +1069,7 @@ func TestIntColumnOnlyForIntSends(t *testing.T) {
 	returnOnly := func(*API) StepFn {
 		return func(*API, []Msg) Step { return Done(nil) }
 	}
-	s := runOnColdScratch(t, g, returnOnly)
+	s := runOnColdScratch(t, g, returnOnly, Options{Seed: 1})
 	for i := range s.tags {
 		if len(s.tags[i]) != len(g.Adj) {
 			t.Errorf("tag slab %d holds %d tags, want %d", i, len(s.tags[i]), len(g.Adj))
@@ -982,7 +1094,7 @@ func TestIntColumnOnlyForIntSends(t *testing.T) {
 			return Continue(read)
 		}
 	}
-	s = runOnColdScratch(t, g, sendOnce)
+	s = runOnColdScratch(t, g, sendOnce, Options{Seed: 1})
 	if len(s.ints) != 2*len(g.Adj) {
 		t.Errorf("the int columns hold %d entries after one SendInt, want 2x%d", len(s.ints), len(g.Adj))
 	}
@@ -1039,7 +1151,7 @@ func BenchmarkLaneMerge(b *testing.B) {
 			defer c.release()
 			n := int32(g.N())
 			shardSize := (n + int32(nshards) - 1) / int32(nshards)
-			rt := &stepRuntime{c: c, shardSize: shardSize, round: 1}
+			rt := &stepRuntime{c: c, shardSize: shardSize, round: 1, noting: true}
 			for lo := int32(0); lo < n; lo += shardSize {
 				hi := lo + shardSize
 				if hi > n {

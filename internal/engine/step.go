@@ -41,15 +41,17 @@ import (
 //
 //	exec:  each worker runs its shard's due turns. Every delivery writes
 //	       its slab slot directly: the slot's only writer is the sender,
-//	       and the receiver reads it only after the round barrier.
-//	       Same-shard deliveries also write the wake bookkeeping (the
+//	       and the receiver reads it only after the round barrier. From
+//	       the run's first sleep round on (see stepRuntime.noting),
+//	       same-shard deliveries also write the wake bookkeeping (the
 //	       worker owns that state); cross-shard deliveries append the
 //	       receiver's ID to the (source shard, destination shard) staging
-//	       lane — a flat buffer, sized from the cut at run start, that only
-//	       this worker writes this phase.
+//	       lane — a flat buffer, sized from the cut when the run first
+//	       notes, that only this worker writes this phase.
 //	merge: each worker drains the lanes addressed to its shard, noting
 //	       each staged receiver's wake single-threaded, iterating source
-//	       shards in ascending order.
+//	       shards in ascending order; in the run's first sleep round it
+//	       polls its shard's new sleepers for mail instead.
 //
 // A slot is written in program order by its one sender, so last-write-
 // wins slot semantics hold exactly; a receiver is staged once per slot and
@@ -200,9 +202,10 @@ const laneHeaderPad = cacheLine - (3*unsafe.Sizeof(uintptr(0)))%cacheLine
 // receiver IDs, padded so no two lane headers share a cache line. The
 // sender writes the slab slot itself; the lane only tells the destination
 // shard's merge whose wake bookkeeping to update. buf is a window of the
-// run's lane slab with room for every cut edge from src to dst (see
-// carveLanes); a receiver is staged at most once per slot and round, so a
-// round never outgrows the window and never allocates.
+// run's lane slab with room for every cut edge from src to dst, carved
+// when the run first notes deliveries (see carveLanes); a receiver is
+// staged at most once per slot and round, so a round never outgrows the
+// window and never allocates.
 // The header's len field is an append cursor bumped on every cross-shard
 // delivery of the exec phase; lanes[src*nshards+dst] lays a worker's row
 // of cursors contiguously, so without padding worker A appending to its
@@ -240,7 +243,9 @@ type stepShard struct {
 	// every round. Terminated and sleeping vertices are compacted out.
 	active []int32
 	// woken and runBuf are per-round scratch: expired sleepers and the
-	// merged turn order.
+	// merged turn order. Once merged, woken is dead, so until the run notes
+	// deliveries its window lists the round's new sleepers instead, for
+	// pollSleepers.
 	woken  []int32
 	runBuf []int32
 	// inbox is the turn inbox: each due vertex's mail is collected into it
@@ -253,10 +258,11 @@ type stepShard struct {
 	// timers is a min-heap of (wake round, vertex) sleep expiries.
 	timers []idleEntry
 	// pending lists the receivers of messages delivered for the coming
-	// round, at most once each thanks to msgRound. Same-shard deliveries
-	// append during the exec phase, cross-shard ones during the merge
-	// phase. The round loop never skips a round with a pending entry, so
-	// the next round's drain takes them all.
+	// round, at most once each thanks to msgRound, from the run's first
+	// sleep round on (see stepRuntime.noting). Same-shard deliveries append
+	// during the exec phase, cross-shard ones and the first sleep round's
+	// polled sleepers during the merge phase. The round loop never skips a
+	// round with a pending entry, so the next round's drain takes them all.
 	pending []int32
 	// msgRound[v-lo] is the latest delivery round already enqueued in
 	// pending for v.
@@ -280,11 +286,19 @@ type stepRuntime struct {
 	// exec phase lane (src, *) is written only by the worker running shard
 	// src; during the merge phase lane (*, dst) is read and truncated only
 	// by the worker merging shard dst. Headers are cache-line padded (see
-	// lane). Nil on single-shard runs.
+	// lane). Nil on single-shard runs and until the run notes deliveries.
 	lanes []lane
 	// round is the current global round, written by the coordinator at the
 	// barrier and read by workers during the phases.
 	round int32
+	// noting says whether deliveries are noted. It is off until the end of
+	// the run's first round in which some vertex sleeps: until then every
+	// live vertex is active at the start of each round and collects its own
+	// mail, so a delivery can need a drain only if its receiver falls
+	// asleep in the delivery's own round, and pollSleepers finds those
+	// receivers at the end of that round. The coordinator turns it on
+	// between rounds and it stays on for the rest of the run.
+	noting bool
 	// starts holds one channel per worker of a multi-shard run, through
 	// which turns releases each phase, and phaseWG is the barrier that ends
 	// it; stop closes the channels. A single shard runs inline with no
@@ -296,13 +310,17 @@ type stepRuntime struct {
 func (rt *stepRuntime) shardOf(v int32) *stepShard { return rt.shards[v/rt.shardSize] }
 
 // delivered notes one delivery to recv, whose slab slot the sender has
-// already written (see API.put). Same-shard receivers get their wake
-// bookkeeping updated directly (the calling worker owns it); cross-shard
-// ones are staged in the source→destination lane for the round-barrier
-// merge. No locks, no atomics, on either path.
+// already written (see API.put), once the run notes deliveries (see
+// noting); before that it returns at once. Same-shard receivers get their
+// wake bookkeeping updated directly (the calling worker owns it);
+// cross-shard ones are staged in the source→destination lane for the
+// round-barrier merge. No locks, no atomics, on either path.
 //
 //vavg:hotpath
 func (rt *stepRuntime) delivered(a *API, recv int32) {
+	if !rt.noting {
+		return
+	}
 	d := recv / rt.shardSize
 	if src := a.v / rt.shardSize; src != d {
 		l := &rt.lanes[src*int32(len(rt.shards))+d]
@@ -348,12 +366,36 @@ func (s *stepShard) applyLanes(rt *stepRuntime) {
 	}
 }
 
+// pollSleepers notes, at the end of the run's first sleep round, each of
+// the round's new sleepers that some neighbor sent mail in this round:
+// the mail that round's deliveries did not note. It reads the send side,
+// before the barrier's swap, and skips a removed delivery's stamped-empty
+// tag, which put never announces either. It runs once every turn of the
+// round is taken: in the merge phase on several shards, right after
+// runRound on one.
+func (s *stepShard) pollSleepers(rt *stepRuntime) {
+	c, g, w := rt.c, rt.c.g, rt.round
+	stamp := roundTag(w)
+	for _, v := range s.woken {
+		for q := g.Off[v]; q < g.Off[v+1]; q++ {
+			if c.sendStamp[g.Adj[q]] != w {
+				continue
+			}
+			if t := c.sendTags[g.Rev[q]]; t&^tagKindMask == stamp && t != stamp {
+				s.noteDelivery(v, w+1)
+				break
+			}
+		}
+	}
+}
+
 // carveLanes gives every (source, destination) shard pair a lane window of
 // the run scratch's lane slab with capacity for its cut edges, counted in
-// one O(m) pass. A round stages each receiver at most once per directed
-// edge (rewrites of a slot are not staged again), so a lane never
-// outgrows its window; the three-index carve would send any overflow to
-// the heap, never into the neighboring lane.
+// one O(m) pass, when a multi-shard run first notes deliveries; a run in
+// which no vertex sleeps never carves them. A round stages each receiver
+// at most once per directed edge (rewrites of a slot are not staged
+// again), so a lane never outgrows its window; the three-index carve would
+// send any overflow to the heap, never into the neighboring lane.
 func (rt *stepRuntime) carveLanes() {
 	nsh := int32(len(rt.shards))
 	g := rt.c.g
@@ -511,6 +553,7 @@ func (s *stepShard) runRound(rt *stepRuntime, w int32) {
 			wi++
 		}
 	}
+	s.woken = s.woken[:0]
 	// Take the turns in ascending vertex order, rebuilding the active list
 	// with the survivors.
 	s.active = s.active[:0]
@@ -566,6 +609,9 @@ func (s *stepShard) runRound(rt *stepRuntime, w int32) {
 			e := w + st.sleep
 			s.wakeAt[li] = e
 			heapPush(&s.timers, idleEntry{e, v})
+			if !rt.noting {
+				s.woken = append(s.woken, v)
+			}
 		default:
 			a.round++
 			c.rounds[v] = a.round
@@ -630,7 +676,8 @@ const (
 // vertices left. A multi-shard run releases its workers twice, for the
 // exec phase and then the merge phase; a single shard takes its turns
 // inline and skips the merge whole, since every delivery took the direct
-// path.
+// path, but for the poll of the run's first sleep round. After that
+// round, turns starts noting deliveries for the rest of the run.
 func (rt *stepRuntime) turns(w int32) int {
 	rt.round = w
 	if len(rt.starts) > 0 {
@@ -639,11 +686,21 @@ func (rt *stepRuntime) turns(w int32) int {
 	} else {
 		for _, s := range rt.shards {
 			s.runRound(rt, w)
+			if !rt.noting {
+				s.pollSleepers(rt)
+			}
 		}
 	}
-	live := 0
+	live, slept := 0, false
 	for _, s := range rt.shards {
 		live += s.live
+		slept = slept || len(s.woken) > 0
+	}
+	if slept {
+		rt.noting = true
+		if len(rt.shards) > 1 {
+			rt.carveLanes()
+		}
 	}
 	return live
 }
@@ -716,16 +773,18 @@ func runStep(g *graph.Graph, prog StepProgram, opts Options) (*Result, error) {
 	// A multi-shard run keeps one persistent worker per shard, released
 	// twice per round (see turns) until stop closes its channel.
 	if len(rt.shards) > 1 {
-		rt.carveLanes()
 		for _, s := range rt.shards {
 			start := make(chan uint8)
 			rt.starts = append(rt.starts, start)
 			go func() {
 				for ph := range start {
-					if ph == phaseExec {
+					switch {
+					case ph == phaseExec:
 						s.runRound(rt, rt.round)
-					} else {
+					case rt.noting:
 						s.applyLanes(rt)
+					default:
+						s.pollSleepers(rt)
 					}
 					rt.phaseWG.Done()
 				}

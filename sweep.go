@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 
 	"vavg/internal/metrics"
 	"vavg/internal/parallel"
@@ -23,6 +24,9 @@ type SweepPoint struct {
 }
 
 // SweepResult is a size sweep of one algorithm over one graph family.
+// Family is the family's name: the first graph's name up to its
+// parameter list ("forests" for "forests(1000,a=3)"), so it names every
+// point's graph.
 type SweepResult struct {
 	Algorithm string       `json:"algorithm"`
 	Family    string       `json:"family"`
@@ -77,7 +81,8 @@ func Sweep(alg Algorithm, gen func(n int) *Graph, sizes []int, seeds []int64, p 
 			return nil, err
 		}
 	}
-	out := &SweepResult{Algorithm: alg.Name, Family: graphs[0].Name}
+	family, _, _ := strings.Cut(graphs[0].Name, "(")
+	out := &SweepResult{Algorithm: alg.Name, Family: family}
 	for si, n := range sizes {
 		med := metrics.Median(runs[si*len(seeds) : (si+1)*len(seeds)])
 		out.Points = append(out.Points, SweepPoint{

@@ -215,6 +215,45 @@ demo,forests,128,127,2.2500,5,0,0,1100
 	}
 }
 
+// TestSweepNamesFamily checks that a sweep over several sizes names the
+// graph family, not its first graph, on every CSV row and in the JSON.
+func TestSweepNamesFamily(t *testing.T) {
+	GraphCachePurge()
+	defer GraphCachePurge()
+	alg, err := ByName("partition")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := CachedGen("forests", func(n int) *Graph { return ForestUnion(n, 3, 1) }, "a", 3, "seed", 1)
+	res, err := Sweep(alg, gen, []int{500, 1000}, []int64{1}, Params{Arboricity: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var csvBuf, jsonBuf bytes.Buffer
+	if err := res.WriteCSV(&csvBuf); err != nil {
+		t.Fatal(err)
+	}
+	rows := strings.Split(strings.TrimSpace(csvBuf.String()), "\n")[1:]
+	if len(rows) != 2 {
+		t.Fatalf("csv has %d rows, want 2:\n%s", len(rows), csvBuf.String())
+	}
+	for _, row := range rows {
+		if f := strings.Split(row, ",")[1]; f != "forests" {
+			t.Errorf("csv row %q names family %q, want forests", row, f)
+		}
+	}
+	if err := res.WriteJSON(&jsonBuf); err != nil {
+		t.Fatal(err)
+	}
+	var parsed struct{ Family string }
+	if err := json.Unmarshal(jsonBuf.Bytes(), &parsed); err != nil {
+		t.Fatal(err)
+	}
+	if parsed.Family != "forests" {
+		t.Errorf("json names family %q, want forests", parsed.Family)
+	}
+}
+
 // TestCachedGenSharesGraphs checks the pointer contract of CachedGen: the
 // same key and size yield the same *Graph, distinct keys do not.
 func TestCachedGenSharesGraphs(t *testing.T) {
